@@ -68,156 +68,88 @@ import json
 import sys
 import tempfile
 from pathlib import Path
+from typing import NamedTuple
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from run_benchmarks import DEFAULT_OUT, compare, condense, run_microbench
 
+#: A gate's bar is a lower bound (the ratio must reach it) or an upper
+#: bound (the ratio must stay under it).
+FLOOR = "floor"
+CEILING = "ceiling"
 
-def check_grid_speedup(summary: dict, baseline: dict, gate: float, tolerance: float) -> int:
-    """Gate the end-to-end grid speedup at the recorded baseline."""
+
+class Gate(NamedTuple):
+    """One recorded ratio, checked on the baseline and the fresh run."""
+
+    #: Key of the ratio in ``BENCH_engine.json`` and the fresh summary.
+    key: str
+    label: str
+    flag: str
+    bound: str
+    default: float
+    #: What a fresh run lacks when the ratio is missing.
+    missing: str
+    help: str
+
+
+GATES = (
+    Gate(
+        "grid_speedup", "grid speedup", "--grid-speedup", FLOOR, 10.0,
+        "grid benchmarks", "required end-to-end grid speedup at the recorded baseline",
+    ),
+    Gate(
+        "session_overhead", "session overhead", "--session-overhead", CEILING, 0.02,
+        "session benchmark", "allowed session-layer grid overhead at the recorded baseline",
+    ),
+    Gate(
+        "service_overhead", "service overhead", "--service-overhead", CEILING, 0.5,
+        "service benchmark",
+        "allowed service-layer cached-hit overhead at the recorded baseline",
+    ),
+    Gate(
+        "openloop_overhead", "open-loop overhead", "--openloop-overhead", CEILING, 0.5,
+        "sweep benchmark",
+        "allowed open-loop per-completion overhead at the recorded baseline",
+    ),
+)
+
+
+def check_gate(gate: Gate, summary: dict, baseline: dict, bar: float, tolerance: float) -> int:
+    """Check one gate's ratio on the baseline (exact bar) and the fresh
+    run (bar widened by ``tolerance``); 1 on any regression."""
+    floor = gate.bound == FLOOR
+    if floor:
+        shown, limit, relation = "{:.2f}x", "{:.1f}x", ">="
+        slack = bar * (1.0 - tolerance)
+    else:
+        shown, limit, relation = "{:+.2%}", "{:.0%}", "<"
+        slack = bar * (1.0 + tolerance)
     status = 0
-    recorded = baseline.get("grid_speedup")
+
+    def report(line: str, regressed: bool) -> None:
+        nonlocal status
+        print(f"  {line}  <-- REGRESSION" if regressed else f"  {line}")
+        status = status or int(regressed)
+
+    recorded = baseline.get(gate.key)
     if recorded is None:
-        print("  grid speedup: baseline records none  <-- REGRESSION")
-        status = 1
-    elif recorded < gate:
-        print(
-            f"  grid speedup: baseline records {recorded:.2f}x "
-            f"(gate >= {gate:.1f}x)  <-- REGRESSION"
-        )
-        status = 1
+        report(f"{gate.label}: baseline records none", True)
     else:
-        print(f"  grid speedup: baseline records {recorded:.2f}x (gate >= {gate:.1f}x)")
-    fresh = summary.get("grid_speedup")
-    floor = gate * (1.0 - tolerance)
+        report(
+            f"{gate.label}: baseline records {shown.format(recorded)} "
+            f"(gate {relation} {limit.format(bar)})",
+            recorded < bar if floor else recorded >= bar,
+        )
+    fresh = summary.get(gate.key)
     if fresh is None:
-        print("  grid speedup (fresh): missing grid benchmarks  <-- REGRESSION")
-        status = 1
-    elif fresh < floor:
-        print(
-            f"  grid speedup (fresh): {fresh:.2f}x "
-            f"(floor {floor:.1f}x at {tolerance:.0%} tolerance)  <-- REGRESSION"
-        )
-        status = 1
+        report(f"{gate.label} (fresh): missing {gate.missing}", True)
     else:
-        print(
-            f"  grid speedup (fresh): {fresh:.2f}x "
-            f"(floor {floor:.1f}x at {tolerance:.0%} tolerance)"
-        )
-    return status
-
-
-def check_session_overhead(
-    summary: dict, baseline: dict, gate: float, tolerance: float
-) -> int:
-    """Gate the session layer's grid overhead at the recorded baseline."""
-    status = 0
-    recorded = baseline.get("session_overhead")
-    if recorded is None:
-        print("  session overhead: baseline records none  <-- REGRESSION")
-        status = 1
-    elif recorded >= gate:
-        print(
-            f"  session overhead: baseline records {recorded:+.2%} "
-            f"(gate < {gate:.0%})  <-- REGRESSION"
-        )
-        status = 1
-    else:
-        print(
-            f"  session overhead: baseline records {recorded:+.2%} (gate < {gate:.0%})"
-        )
-    fresh = summary.get("session_overhead")
-    ceiling = gate * (1.0 + tolerance)
-    if fresh is None:
-        print("  session overhead (fresh): missing session benchmark  <-- REGRESSION")
-        status = 1
-    elif fresh >= ceiling:
-        print(
-            f"  session overhead (fresh): {fresh:+.2%} "
-            f"(ceiling {ceiling:.0%} at {tolerance:.0%} tolerance)  <-- REGRESSION"
-        )
-        status = 1
-    else:
-        print(
-            f"  session overhead (fresh): {fresh:+.2%} "
-            f"(ceiling {ceiling:.0%} at {tolerance:.0%} tolerance)"
-        )
-    return status
-
-
-def check_service_overhead(
-    summary: dict, baseline: dict, gate: float, tolerance: float
-) -> int:
-    """Gate the service layer's cached-hit overhead at the baseline."""
-    status = 0
-    recorded = baseline.get("service_overhead")
-    if recorded is None:
-        print("  service overhead: baseline records none  <-- REGRESSION")
-        status = 1
-    elif recorded >= gate:
-        print(
-            f"  service overhead: baseline records {recorded:+.2%} "
-            f"(gate < {gate:.0%})  <-- REGRESSION"
-        )
-        status = 1
-    else:
-        print(
-            f"  service overhead: baseline records {recorded:+.2%} (gate < {gate:.0%})"
-        )
-    fresh = summary.get("service_overhead")
-    ceiling = gate * (1.0 + tolerance)
-    if fresh is None:
-        print("  service overhead (fresh): missing service benchmark  <-- REGRESSION")
-        status = 1
-    elif fresh >= ceiling:
-        print(
-            f"  service overhead (fresh): {fresh:+.2%} "
-            f"(ceiling {ceiling:.0%} at {tolerance:.0%} tolerance)  <-- REGRESSION"
-        )
-        status = 1
-    else:
-        print(
-            f"  service overhead (fresh): {fresh:+.2%} "
-            f"(ceiling {ceiling:.0%} at {tolerance:.0%} tolerance)"
-        )
-    return status
-
-
-def check_openloop_overhead(
-    summary: dict, baseline: dict, gate: float, tolerance: float
-) -> int:
-    """Gate the arrival layer's per-completion cost at the baseline."""
-    status = 0
-    recorded = baseline.get("openloop_overhead")
-    if recorded is None:
-        print("  open-loop overhead: baseline records none  <-- REGRESSION")
-        status = 1
-    elif recorded >= gate:
-        print(
-            f"  open-loop overhead: baseline records {recorded:+.2%} "
-            f"(gate < {gate:.0%})  <-- REGRESSION"
-        )
-        status = 1
-    else:
-        print(
-            f"  open-loop overhead: baseline records {recorded:+.2%} (gate < {gate:.0%})"
-        )
-    fresh = summary.get("openloop_overhead")
-    ceiling = gate * (1.0 + tolerance)
-    if fresh is None:
-        print("  open-loop overhead (fresh): missing sweep benchmark  <-- REGRESSION")
-        status = 1
-    elif fresh >= ceiling:
-        print(
-            f"  open-loop overhead (fresh): {fresh:+.2%} "
-            f"(ceiling {ceiling:.0%} at {tolerance:.0%} tolerance)  <-- REGRESSION"
-        )
-        status = 1
-    else:
-        print(
-            f"  open-loop overhead (fresh): {fresh:+.2%} "
-            f"(ceiling {ceiling:.0%} at {tolerance:.0%} tolerance)"
+        report(
+            f"{gate.label} (fresh): {shown.format(fresh)} "
+            f"({gate.bound} {limit.format(slack)} at {tolerance:.0%} tolerance)",
+            fresh < slack if floor else fresh >= slack,
         )
     return status
 
@@ -236,30 +168,8 @@ def main() -> int:
         default=0.5,
         help="allowed fractional median slowdown (default 0.5, i.e. 1.5x)",
     )
-    parser.add_argument(
-        "--grid-speedup",
-        type=float,
-        default=10.0,
-        help="required end-to-end grid speedup at the recorded baseline",
-    )
-    parser.add_argument(
-        "--session-overhead",
-        type=float,
-        default=0.02,
-        help="allowed session-layer grid overhead at the recorded baseline",
-    )
-    parser.add_argument(
-        "--service-overhead",
-        type=float,
-        default=0.5,
-        help="allowed service-layer cached-hit overhead at the recorded baseline",
-    )
-    parser.add_argument(
-        "--openloop-overhead",
-        type=float,
-        default=0.5,
-        help="allowed open-loop per-completion overhead at the recorded baseline",
-    )
+    for gate in GATES:
+        parser.add_argument(gate.flag, type=float, default=gate.default, help=gate.help)
     args = parser.parse_args()
 
     if not args.baseline.exists():
@@ -275,19 +185,13 @@ def main() -> int:
     )
     status = compare(summary, args.baseline, args.tolerance)
     baseline_doc = json.loads(args.baseline.read_text(encoding="utf-8"))
-    grid_status = check_grid_speedup(
-        summary, baseline_doc, args.grid_speedup, args.tolerance
-    )
-    session_status = check_session_overhead(
-        summary, baseline_doc, args.session_overhead, args.tolerance
-    )
-    service_status = check_service_overhead(
-        summary, baseline_doc, args.service_overhead, args.tolerance
-    )
-    openloop_status = check_openloop_overhead(
-        summary, baseline_doc, args.openloop_overhead, args.tolerance
-    )
-    return status or grid_status or session_status or service_status or openloop_status
+    gate_status = [
+        check_gate(
+            gate, summary, baseline_doc, getattr(args, gate.key), args.tolerance
+        )
+        for gate in GATES
+    ]
+    return status or max(gate_status)
 
 
 if __name__ == "__main__":

@@ -86,20 +86,14 @@ def run_microbench(raw_path: Path) -> dict:
 def engine_metadata() -> dict:
     """Record the lane-engine environment the timings were taken in.
 
-    Speedups are only comparable like-for-like: a baseline recorded
-    with the numpy timer path forced on (or without numpy installed at
-    all) describes a different engine configuration, so the snapshot
-    carries enough to tell.
+    Speedups are only comparable like-for-like: a baseline recorded at
+    another lane width describes a different engine configuration, so
+    the snapshot carries enough to tell.
     """
     sys.path.insert(0, str(ROOT / "src"))
-    from repro.engine.batch import HAVE_NUMPY, LANE_WIDTH, _numpy_enabled
+    from repro.engine.batch import LANE_WIDTH
 
-    return {
-        "numpy_available": HAVE_NUMPY,
-        "numpy_forced": bool(_numpy_enabled(2)),
-        "repro_batch_numpy": os.environ.get("REPRO_BATCH_NUMPY"),
-        "lane_width": LANE_WIDTH,
-    }
+    return {"lane_width": LANE_WIDTH}
 
 
 def condense(raw: dict) -> dict:

@@ -49,17 +49,12 @@ golden traces (including the fault-domain twins) enforce the contract.
 Request timers live in a per-lane heap: every agent owns at most one
 think timer at a time, so the heap holds at most n entries and its
 (time, sequence) tuple order is exactly the calendar's request-vs-
-request tie-break.  A vectorised numpy timer scan is retained behind
-``REPRO_BATCH_NUMPY=1`` (feature-detected; runtime dependencies stay
-empty), but it is off by default at every bus width: measured on
-CPython, one ``np.min`` + ``np.flatnonzero`` round trip per dispatch
-costs more than the heap's cached peek even at 64 agents.
+request tie-break.
 """
 
 from __future__ import annotations
 
 import copy
-import os
 from dataclasses import replace
 from heapq import heapify, heappop, heappush
 from math import inf as _INF
@@ -84,7 +79,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.experiments.runner import SimulationSettings
 
 __all__ = [
-    "HAVE_NUMPY",
     "LANE_WIDTH",
     "batch_capable",
     "kernel_family",
@@ -92,15 +86,6 @@ __all__ = [
     "run_simulation_batch",
     "run_replications",
 ]
-
-try:  # feature check: numpy is an optional accelerator, never a dependency
-    import numpy as _np
-
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover - depends on the environment
-    _np = None
-    HAVE_NUMPY = False
-
 
 #: Completions each live lane advances per lockstep round.  Large enough
 #: to amortise the round-robin over lanes, small enough that all lanes
@@ -110,21 +95,6 @@ _LOCKSTEP_BLOCK = 64
 
 #: Public alias of the lockstep block, for benchmark environment records.
 LANE_WIDTH = _LOCKSTEP_BLOCK
-
-
-def _numpy_enabled(num_agents: int) -> bool:
-    """Decide the timer-scan implementation for one lane.
-
-    The timer heap wins at every bus width on CPython (its peek is a
-    cached local; the numpy scan pays an array round trip per
-    dispatch), so the vector path only runs when explicitly forced —
-    kept alive, and differentially tested, for interpreters where the
-    trade-off flips.
-    """
-    forced = os.environ.get("REPRO_BATCH_NUMPY")
-    if forced is not None and forced.strip().lower() in ("1", "true", "yes", "on"):
-        return HAVE_NUMPY
-    return False
 
 
 # ---------------------------------------------------------------------------
@@ -539,8 +509,6 @@ class _Replication:
         "t_kick",
         "t_retry",
         "t_fault",
-        "t_req",
-        "req_seq",
         "req_heap",
         "seq",
         "arb_winner",
@@ -553,7 +521,6 @@ class _Replication:
         "transactions",
         "arb_index",
         "done",
-        "np_treq",
         "active",
         "woke",
         "injector",
@@ -639,11 +606,8 @@ class _Replication:
         self.buffers: List[list] = [[] for _ in range(num_agents + 1)]
         self.active = [True] * (num_agents + 1)
         self.woke = [False] * (num_agents + 1)
-        self.t_req = [_INF] * (num_agents + 1)
-        self.req_seq = [0] * (num_agents + 1)
         self.seq = 0
-        use_numpy = _numpy_enabled(num_agents)
-        heap: Optional[list] = None if use_numpy else []
+        heap: list = []
         # Start every agent with one think period, in declaration order —
         # the same order BusSystem.run() starts them, so the streams and
         # the request-timer tie-break sequence numbers line up.
@@ -657,13 +621,8 @@ class _Replication:
             buffer.reverse()
             t_first = 0.0 + buffer.pop()
             self.seq += 1
-            if heap is None:
-                self.t_req[agent] = t_first
-                self.req_seq[agent] = self.seq
-            else:
-                heap.append((t_first, self.seq, agent))
-        if heap is not None:
-            heapify(heap)
+            heap.append((t_first, self.seq, agent))
+        heapify(heap)
         self.req_heap = heap
 
         self.now = 0.0
@@ -680,22 +639,6 @@ class _Replication:
         self.transactions = 0
         self.arb_index = 0
         self.done = False
-        if use_numpy:
-            self.np_treq = _np.array(self.t_req, dtype=_np.float64)
-        else:
-            self.np_treq = None
-
-    def _next_request(self) -> Tuple[float, int]:
-        """Earliest request timer on the numpy path, seq breaking ties."""
-        tmin = float(self.np_treq.min())
-        if tmin == _INF:
-            return _INF, 0
-        candidates = _np.flatnonzero(self.np_treq == tmin)
-        if len(candidates) == 1:
-            return tmin, int(candidates[0])
-        req_seq = self.req_seq
-        agent = min((int(c) for c in candidates), key=req_seq.__getitem__)
-        return tmin, agent
 
     def advance(self, completions: int) -> bool:
         """Advance until ``completions`` more completions are recorded.
@@ -730,10 +673,7 @@ class _Replication:
         # the method calls are measurable at two calls per completion.
         kernel_issue = kernel.issue
         simple_request = not isinstance(kernel, _FcfsKernel)
-        t_req = self.t_req
-        req_seq = self.req_seq
         req_heap = self.req_heap
-        np_treq = self.np_treq
         buffers = self.buffers
         dists = self.dists
         rngs = self.rngs
@@ -769,8 +709,8 @@ class _Replication:
         now = self.now
         recorded = 0
         # Earliest request timer, insertion order breaking time ties.
-        # On the heap path the peek is cached across iterations and only
-        # refreshed at the points that can move it: a pop (re-peek) or a
+        # The heap peek is cached across iterations and only refreshed
+        # at the points that can move it: a pop (re-peek) or a
         # push of an earlier timer (equal times keep the cached head —
         # pushes carry ever-larger sequence numbers, and smaller seq
         # wins the tie).
@@ -781,7 +721,7 @@ class _Replication:
             tr = head[0]
             ra = head[2]
         kick_now = False
-        fast_absorb = req_heap is not None and not faulty
+        fast_absorb = not faulty
         while True:
             if fast_absorb and pending_winner is not None:
                 # The next master is already latched, so until the
@@ -811,8 +751,6 @@ class _Replication:
                             kernel_request(agent, fire)
                     else:
                         woke[agent] = True
-            if req_heap is None:
-                tr, ra = self._next_request()
             tmin = t_rel
             if t_arb < tmin:
                 tmin = t_arb
@@ -888,18 +826,10 @@ class _Replication:
                     buffer.reverse()
                 t_next = now + buffer.pop()
                 seq += 1
-                if req_heap is not None:
-                    heappush(req_heap, (t_next, seq, agent))
-                    if t_next < tr:
-                        tr = t_next
-                        ra = agent
-                else:
-                    t_req[agent] = t_next
-                    np_treq[agent] = t_next
-                    req_seq[agent] = seq
-                    if t_next < tr:
-                        tr = t_next
-                        ra = agent
+                heappush(req_heap, (t_next, seq, agent))
+                if t_next < tr:
+                    tr = t_next
+                    ra = agent
                 recorded += 1
                 if collector.total_recorded >= needed:  # inlined satisfied()
                     # The event engine's post-event effects (inline grant
@@ -957,18 +887,14 @@ class _Replication:
                             t_kick = now
             elif tr == tmin:  # REQUEST — an agent's think timer expires
                 agent = ra
-                if req_heap is not None:
-                    heappop(req_heap)
-                    if req_heap:
-                        head = req_heap[0]
-                        tr = head[0]
-                        ra = head[2]
-                    else:
-                        tr = _INF
-                        ra = 0
+                heappop(req_heap)
+                if req_heap:
+                    head = req_heap[0]
+                    tr = head[0]
+                    ra = head[2]
                 else:
-                    t_req[agent] = _INF
-                    np_treq[agent] = _INF
+                    tr = _INF
+                    ra = 0
                 if active[agent]:
                     if simple_request:
                         kernel.pending |= 1 << agent
@@ -1149,15 +1075,10 @@ class _Replication:
                             buffer.reverse()
                         t_next = now + buffer.pop()
                         seq += 1
-                        if req_heap is not None:
-                            heappush(req_heap, (t_next, seq, aid))
-                            if t_next < tr:
-                                tr = t_next
-                                ra = aid
-                        else:
-                            t_req[aid] = t_next
-                            np_treq[aid] = t_next
-                            req_seq[aid] = seq
+                        heappush(req_heap, (t_next, seq, aid))
+                        if t_next < tr:
+                            tr = t_next
+                            ra = aid
             if kick_now:
                 # Same-instant kick fusion: the handler above scheduled
                 # a kick "for now" and proved no other event shares the

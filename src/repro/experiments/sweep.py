@@ -3,15 +3,16 @@
 The paper's evaluation is a grid: every table cell is one independent
 ``(scenario, protocol, settings)`` simulation, and nothing couples the
 cells — each derives all of its randomness from its own settings seed.
-Since the session refactor, *what* to run is decided by the session
-layer — :func:`repro.session.planner.plan_runs` resolves engine choice,
+*What* to run is decided by the session layer —
+:func:`repro.session.planner.plan_runs` resolves engine choice, dedup,
 lane packing and cache lookup; :func:`repro.session.execute.execute_plan`
 drives the plan — and this module supplies the execution backends: the
-lane super-batch hook (:func:`repro.engine.batch.run_lanes` advances
-every batch-capable cell of a grid together, however heterogeneous) and
-the per-cell fan-out over a
-:class:`concurrent.futures.ProcessPoolExecutor` with a serial fallback
-and one in-process retry.
+in-process lane super-batch hook (:func:`repro.engine.batch.run_lanes`
+advances every batch-capable cell of a grid together, however
+heterogeneous) and the per-cell path, a one-shard
+:class:`~repro.service.shards.ShardPool` with ``jobs`` workers (or an
+in-process one when ``jobs == 1``) carrying the shared crash ladder and
+one in-process retry per raising cell.
 
 Determinism guarantees (the common-random-numbers discipline the paper's
 protocol comparisons depend on):
@@ -20,30 +21,29 @@ protocol comparisons depend on):
   agent identities only, so execution order and worker placement cannot
   perturb results: serial and parallel sweeps return bit-identical
   :class:`~repro.stats.summary.RunResult` metrics;
-- each cell executes against a private copy of its scenario (the process
-  boundary provides one for workers; the serial path deep-copies), so
-  stateful workload distributions — trace replay — start every cell from
-  the same position regardless of how many cells share a spec;
+- each cell executes against a private copy of its scenario
+  (:func:`repro.session.single.run_request`), so stateful workload
+  distributions — trace replay — start every cell from the same
+  position regardless of how many cells share a spec;
 - results are returned in cell order, whatever order workers finish in.
 """
 
 from __future__ import annotations
 
-import copy
 import os
-from concurrent.futures import BrokenExecutor, CancelledError, Future, ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from repro.engine.batch import run_lanes
 from repro.errors import ConfigurationError, SweepExecutionError
 from repro.experiments.cache import ResultCache
-from repro.experiments.runner import SimulationSettings, run_simulation
+from repro.experiments.runner import SimulationSettings
 from repro.observability.metrics import MetricsRegistry, merge_metrics
 from repro.service.backoff import BackoffPolicy
+from repro.service.shards import ShardPool
 from repro.session.control import RunControl
 from repro.session.execute import execute_plan
-from repro.session.outcome import CellFailure, RunOutcome, SessionStats
+from repro.session.outcome import ROUTE_DEDUP, CellFailure, RunOutcome, SessionStats
 from repro.session.planner import normalize_engine, plan_runs
 from repro.session.request import RunRequest
 from repro.stats.summary import RunResult
@@ -52,16 +52,11 @@ from repro.workload.scenarios import ScenarioSpec
 __all__ = ["SweepCell", "CellFailure", "SweepExecutor", "default_jobs", "RETRY_BACKOFF"]
 
 #: Default retry pacing: a deterministic, seeded, capped exponential
-#: with jitter (see :mod:`repro.service.backoff`) shared with the
-#: service's crash-respawn policy.  The first (and, for sweeps, only)
-#: retry waits ~25-50ms — long enough for a torn process pool or an
+#: with jitter (see :mod:`repro.service.backoff`).  A raising cell's
+#: one retry waits ~25-50ms — long enough for a torn process pool or an
 #: OOM-killed worker's memory to clear, short enough to be invisible in
 #: grid wall-clock.
 RETRY_BACKOFF = BackoffPolicy(base=0.05, cap=1.0, multiplier=2.0, jitter=0.5, seed=0)
-
-#: Historical name for the shared orchestration accounting
-#: (:class:`repro.session.outcome.SessionStats`).
-SweepStats = SessionStats
 
 _ENV_JOBS = "REPRO_JOBS"
 
@@ -101,12 +96,6 @@ class SweepCell:
     tag: Optional[str] = None
 
 
-def _execute_payload(payload: Tuple[ScenarioSpec, str, SimulationSettings]) -> RunResult:
-    """Worker entry point: must be module-level so it pickles."""
-    scenario, protocol, settings = payload
-    return run_simulation(scenario, protocol, settings)
-
-
 def _call_run_lanes(cells):
     """Lane backend handed to the session layer.
 
@@ -123,11 +112,12 @@ class SweepExecutor:
     Parameters
     ----------
     jobs:
-        Worker processes.  ``1`` (the default via ``$REPRO_JOBS``) runs
-        serially in-process; ``0`` means one per CPU core.  The executor
-        silently falls back to serial execution where process pools are
-        unavailable (restricted environments, missing ``fork``/spawn
-        support), so callers never need two code paths.
+        Worker processes for per-cell runs.  ``1`` (the default via
+        ``$REPRO_JOBS``) runs serially in-process; ``0`` means one per
+        CPU core.  Lane packs always run in-process.  The pool degrades
+        to serial execution where process pools are unavailable
+        (restricted environments, missing ``fork``/spawn support), so
+        callers never need two code paths.
     cache:
         Optional :class:`ResultCache`.  When set, every cell is looked
         up before execution and every executed cell is stored after.
@@ -140,8 +130,8 @@ class SweepExecutor:
         and cells outside the batch domain still fall back to the event
         engine per cell.
     backoff:
-        Retry pacing for failed cells: the deterministic jittered
-        exponential of :data:`RETRY_BACKOFF` by default.  Tests (and
+        Retry (and respawn) pacing for failed cells: the deterministic
+        jittered exponential of :data:`RETRY_BACKOFF` by default.  Tests (and
         callers that must never sleep) pass
         :meth:`BackoffPolicy.none() <repro.service.backoff.
         BackoffPolicy.none>`.
@@ -158,7 +148,7 @@ class SweepExecutor:
         self.cache = cache
         self.engine = normalize_engine(engine)
         self.backoff = backoff if backoff is not None else RETRY_BACKOFF
-        self.stats = SweepStats()
+        self.stats = SessionStats()
 
     # -- public API -----------------------------------------------------------
 
@@ -179,31 +169,46 @@ class SweepExecutor:
     ) -> List[RunOutcome]:
         """Plan and execute a request batch; outcomes in request order.
 
-        The session layer decides everything (engine override, lane
-        packing, cache lookup — see :func:`repro.session.planner.
+        The session layer decides everything (engine override, dedup,
+        lane packing, cache lookup — see :func:`repro.session.planner.
         plan_runs`); this executor contributes its backends: the lane
-        super-batch hook and the per-cell process-pool/serial path with
-        retries.  ``control`` adds cooperative cancellation/deadline
-        checks at the session layer's stage boundaries.
+        super-batch hook and the per-cell pool.  ``control`` adds
+        cooperative cancellation/deadline checks at the session layer's
+        stage boundaries.  Raises :class:`SweepExecutionError` naming
+        every cell that failed even after its retry.
         """
         plan = plan_runs(requests, cache=self.cache, engine=self.engine)
-        return execute_plan(
+
+        def direct_runner(batch: Sequence[RunRequest]):
+            workers = min(self.jobs, len(batch))
+            if workers == 1:
+                pool = ShardPool.in_process(self.backoff)
+            else:
+                pool = ShardPool(shards=1, workers=workers, backoff=self.backoff)
+            try:
+                return pool.run_cells(batch, stats=self.stats, control=control)
+            finally:
+                pool.close()
+
+        outcomes = execute_plan(
             plan,
             cache=self.cache,
             stats=self.stats,
             lane_runner=_call_run_lanes,
-            direct_runner=self._execute_requests,
+            direct_runner=direct_runner,
             control=control,
         )
-
-    def _execute_requests(self, requests: Sequence[RunRequest]) -> List[RunResult]:
-        """Direct backend handed to the session layer (per-cell path)."""
-        return self._execute(
-            [
-                SweepCell(req.scenario, req.protocol, req.settings, tag=req.tag)
-                for req in requests
-            ]
-        )
+        failures = [
+            outcome.failure
+            for outcome in outcomes
+            if outcome.failure is not None and outcome.route != ROUTE_DEDUP
+        ]
+        if failures:
+            details = "; ".join(str(failure) for failure in failures)
+            raise SweepExecutionError(
+                f"{len(failures)} sweep cell(s) failed after retry: {details}"
+            )
+        return outcomes
 
     def simulate(
         self,
@@ -225,121 +230,6 @@ class SweepExecutor:
         registry depends only on that cell's inputs.
         """
         return merge_metrics(result.metrics for result in results)
-
-    # -- execution backends ---------------------------------------------------
-
-    def _execute(self, cells: Sequence[SweepCell]) -> List[RunResult]:
-        if self.jobs > 1 and len(cells) > 1:
-            try:
-                return self._execute_parallel(cells)
-            except (OSError, ImportError, PermissionError, BrokenExecutor):
-                # No usable process pool here (sandbox, exotic platform):
-                # the serial path produces identical results, just slower.
-                pass
-        return self._execute_serial(cells)
-
-    def _run_cell(self, cell: SweepCell) -> RunResult:
-        # Private scenario copy: mirrors the process-boundary pickling
-        # of the parallel path, so stateful distributions (trace
-        # replay) start every cell from the same position either way.
-        scenario = copy.deepcopy(cell.scenario)
-        return run_simulation(scenario, cell.protocol, cell.settings)
-
-    def _retry_cell(
-        self,
-        cell: SweepCell,
-        index: int,
-        first_error: str,
-        failures: List[CellFailure],
-    ) -> Optional[RunResult]:
-        """One in-process retry of a failed cell; records diagnostics.
-
-        The retry runs serially whatever backend failed: a crashed
-        worker cannot crash it again, and the cell's determinism means
-        a retry either reproduces a genuine error or heals a transient
-        one (OOM-killed worker, torn pool).  It waits the backoff
-        policy's first-attempt delay — deterministic for a given cell
-        tag/index, so the same failing grid always paces the same way.
-        """
-        self.stats.retries += 1
-        self.backoff.sleep(0, token=cell.tag if cell.tag is not None else str(index))
-        try:
-            return self._run_cell(cell)
-        except Exception as exc:
-            failure = CellFailure(
-                index=index,
-                tag=cell.tag,
-                protocol=cell.protocol,
-                scenario=cell.scenario.name,
-                error=f"{type(exc).__name__}: {exc}",
-                first_error=first_error,
-            )
-            failures.append(failure)
-            self.stats.failures.append(failure)
-            return None
-
-    @staticmethod
-    def _raise_failures(failures: List[CellFailure]) -> None:
-        if not failures:
-            return
-        details = "; ".join(str(failure) for failure in failures)
-        raise SweepExecutionError(
-            f"{len(failures)} sweep cell(s) failed after retry: {details}"
-        )
-
-    def _execute_serial(self, cells: Sequence[SweepCell]) -> List[RunResult]:
-        self.stats.serial_batches += 1
-        results: List[Optional[RunResult]] = []
-        failures: List[CellFailure] = []
-        for index, cell in enumerate(cells):
-            try:
-                results.append(self._run_cell(cell))
-            except Exception as exc:
-                first = f"{type(exc).__name__}: {exc}"
-                results.append(self._retry_cell(cell, index, first, failures))
-        self._raise_failures(failures)
-        return results  # type: ignore[return-value]  # no None once failures raise
-
-    def _execute_parallel(self, cells: Sequence[SweepCell]) -> List[RunResult]:
-        workers = min(self.jobs, len(cells))
-        results: List[Optional[RunResult]] = [None] * len(cells)
-        errors: dict = {}
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures: List[Optional[Future]] = []
-            try:
-                for cell in cells:
-                    futures.append(
-                        pool.submit(
-                            _execute_payload,
-                            (cell.scenario, cell.protocol, cell.settings),
-                        )
-                    )
-            except (BrokenExecutor, RuntimeError) as exc:
-                # Pool broke mid-submission; remaining cells never made
-                # it in and will be re-run serially below.
-                while len(futures) < len(cells):
-                    errors[len(futures)] = f"{type(exc).__name__}: {exc}"
-                    futures.append(None)
-            for index, future in enumerate(futures):
-                if future is None:
-                    continue
-                try:
-                    results[index] = future.result()
-                except (Exception, CancelledError) as exc:
-                    # Covers a cell's own exception, a worker crash
-                    # (BrokenExecutor) and cancellation after a crash —
-                    # all degrade to an in-process retry of that cell.
-                    errors[index] = f"{type(exc).__name__}: {exc}"
-        self.stats.parallel_batches += 1
-        if errors:
-            self.stats.serial_batches += 1
-            failures: List[CellFailure] = []
-            for index in sorted(errors):
-                results[index] = self._retry_cell(
-                    cells[index], index, errors[index], failures
-                )
-            self._raise_failures(failures)
-        return results  # type: ignore[return-value]  # no None once failures raise
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         cache = "on" if self.cache is not None else "off"

@@ -10,9 +10,9 @@ robustness grid, all experiment tables and the CLI — routes through it:
   simulation — scenario, protocol, settings, tag — with a
   JSON-round-trippable wire format;
 - :func:`plan_runs` (:mod:`repro.session.planner`): resolves requests
-  into a :class:`RunPlan` — engine choice via
-  :func:`repro.engine.batch.batch_capable`, lane packing, epoch-6
-  cache lookup;
+  into a :class:`RunPlan` — one epoch-6 hash per request, within-batch
+  dedup, cache lookup, engine choice via
+  :func:`repro.engine.batch.batch_capable`, lane packing;
 - :func:`execute_plan` (:mod:`repro.session.execute`): runs the plan
   against injected backends and returns :class:`RunOutcome`\\ s
   carrying the :class:`~repro.stats.summary.RunResult`, cache
@@ -20,8 +20,8 @@ robustness grid, all experiment tables and the CLI — routes through it:
   (:mod:`repro.session.fallback`) and :class:`CellFailure`
   degradation;
 - :class:`Session` (:mod:`repro.session.session`): the synchronous
-  submit/gather facade with cross-request dedup, the seam the future
-  service front end wraps.
+  submit/gather facade over an executor (a sweep executor or the
+  arbitration service).
 
 The layering rule: this package never imports
 :mod:`repro.experiments` at module level (the experiments package

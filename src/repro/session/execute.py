@@ -1,33 +1,40 @@
 """Execute a :class:`~repro.session.planner.RunPlan`.
 
 :func:`execute_plan` is the single orchestration loop every entry point
-shares — :func:`~repro.experiments.runner.run_simulation` (via the
-single-cell plan), :class:`~repro.experiments.sweep.SweepExecutor` and
-the :class:`~repro.session.session.Session` facade.  It replays cached
+shares — :class:`~repro.experiments.sweep.SweepExecutor` (and the
+:class:`~repro.session.session.Session` facade over it) and the
+:class:`~repro.service.service.ArbitrationService` dispatcher.  It is
+the only code that turns planned runs into outcomes: it replays cached
 runs, packs the lane route into one lockstep super-batch, demotes a
 lane pack that fails at runtime to the direct path (loudly — see
 :mod:`repro.session.fallback`), hands the direct route to the supplied
-backend (process pool, serial loop), writes fresh results back to the
-cache, and accounts everything on a shared
+backend, writes fresh results back to the cache, attaches the
+:class:`~repro.session.outcome.CellFailure` of a cell that failed for
+good, answers ``"dedup"`` runs from their first occurrence, and
+accounts everything on a shared
 :class:`~repro.session.outcome.SessionStats`.
 
 Backends are injected as callables so this module stays free of
-process-pool mechanics — and so ``SweepExecutor`` can keep resolving
-``run_lanes``/``run_simulation`` through its own module globals (which
-the differential and fault suites monkeypatch).
+process-pool mechanics.  A backend returns one entry per input, in
+order: a result, or — for a per-cell backend such as
+:meth:`~repro.service.shards.ShardPool.run_cells` — the
+:class:`~repro.session.outcome.CellFailure` of a cell that failed even
+after its retry.
 """
 
 from __future__ import annotations
 
-import copy
-from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple
+from dataclasses import replace
+from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple, Union
 
 from repro.session.control import RunControl
 from repro.session.fallback import warn_batch_fallback
 from repro.session.outcome import (
     ROUTE_CACHE,
+    ROUTE_DEDUP,
     ROUTE_DIRECT,
     ROUTE_LANES,
+    CellFailure,
     RunOutcome,
     SessionStats,
 )
@@ -42,36 +49,14 @@ __all__ = ["execute_plan"]
 
 #: A lane backend: cells in, results in lane order.
 LaneRunner = Callable[[Sequence[tuple]], Sequence["RunResult"]]
-#: A per-cell backend: requests in, results in request order.
-DirectRunner = Callable[[Sequence[RunRequest]], Sequence["RunResult"]]
+#: A per-cell backend: requests in, results (or failures) in request order.
+DirectRunner = Callable[[Sequence[RunRequest]], Sequence[Union["RunResult", CellFailure]]]
 
 
 def _default_lane_runner(cells: Sequence[tuple]) -> Sequence["RunResult"]:
     from repro.engine.batch import run_lanes
 
     return run_lanes(cells)
-
-
-def _default_direct_runner(
-    requests: Sequence[RunRequest],
-    control: Optional[RunControl] = None,
-) -> List["RunResult"]:
-    """Serial per-cell execution against private scenario copies.
-
-    The cell boundary is the cancellation point: with a ``control``
-    installed, each cell re-checks the deadline/cancel flag before it
-    starts, so an expired batch stops after the current cell instead of
-    grinding through the remainder.
-    """
-    from repro.session.single import run_cell
-
-    results = []
-    for request in requests:
-        if control is not None:
-            control.check()
-        scenario = copy.deepcopy(request.scenario)
-        results.append(run_cell(scenario, request.protocol, request.settings))
-    return results
 
 
 def execute_plan(
@@ -90,11 +75,13 @@ def execute_plan(
     retry/diagnostic machinery then reports real per-cell errors).
     Fresh results are written back to ``cache`` under their planned
     keys.  ``stats`` accumulates across calls when the caller owns it.
+    The default direct backend is an in-process
+    :meth:`~repro.service.shards.ShardPool.in_process` pool.
 
     ``control`` installs cooperative cancellation: it is checked before
     each execution stage (cache replay, the lane pack, the direct
-    batch) and — when the default serial backend runs — between cells,
-    raising :class:`~repro.errors.CancelledRunError` /
+    batch) and between the cells of an in-process backend, raising
+    :class:`~repro.errors.CancelledRunError` /
     :class:`~repro.errors.DeadlineExceededError` out of this function.
     Outcomes already produced are lost to the caller but fresh results
     executed before the trip are already in the cache; cancellation
@@ -103,11 +90,36 @@ def execute_plan(
     stats = stats if stats is not None else SessionStats()
     lane_runner = lane_runner or _default_lane_runner
     if direct_runner is None:
-        def direct_runner(requests: Sequence[RunRequest]) -> List["RunResult"]:
-            return _default_direct_runner(requests, control)
+        from repro.service.shards import ShardPool
+
+        pool = ShardPool.in_process()
+
+        def direct_runner(requests: Sequence[RunRequest]):
+            return pool.run_cells(requests, stats=stats, control=control)
+
     if control is not None:
         control.check()
     outcomes: List[Optional[RunOutcome]] = [None] * len(plan.runs)
+
+    def record(run: PlannedRun, result, route: str, demoted: bool = False) -> None:
+        failure = None
+        if isinstance(result, CellFailure):
+            failure = replace(result, index=run.index)
+            stats.failures.append(failure)
+            result = None
+        else:
+            stats.executed += 1
+            if cache is not None:
+                cache.put(run.key, result)
+        outcomes[run.index] = RunOutcome(
+            request=run.request,
+            result=result,
+            route=route,
+            cache_key=run.key,
+            stored=cache is not None and failure is None,
+            fallback=demoted,
+            failure=failure,
+        )
 
     for run in plan.cached_runs:
         stats.cache_hits += 1
@@ -133,17 +145,8 @@ def execute_plan(
         else:
             stats.batch_groups += len({run.family for run in lane_runs})
             stats.batch_replications += len(lane_runs)
-            stats.executed += len(lane_runs)
             for run, result in zip(lane_runs, fresh):
-                if cache is not None and run.key is not None:
-                    cache.put(run.key, result)
-                outcomes[run.index] = RunOutcome(
-                    request=run.request,
-                    result=result,
-                    route=ROUTE_LANES,
-                    cache_key=run.key,
-                    stored=cache is not None,
-                )
+                record(run, result, ROUTE_LANES)
 
     if direct:
         if control is not None:
@@ -151,15 +154,16 @@ def execute_plan(
         direct.sort(key=lambda entry: entry[0].index)
         fresh = direct_runner([run.request for run, _ in direct])
         for (run, demoted), result in zip(direct, fresh):
-            if cache is not None and run.key is not None:
-                cache.put(run.key, result)
-            outcomes[run.index] = RunOutcome(
-                request=run.request,
-                result=result,
-                route=ROUTE_DIRECT,
-                cache_key=run.key,
-                stored=cache is not None,
-                fallback=demoted,
-            )
-        stats.executed += len(direct)
-    return [outcome for outcome in outcomes if outcome is not None]
+            record(run, result, ROUTE_DIRECT, demoted)
+
+    for run in plan.dedup_runs:
+        stats.deduplicated += 1
+        first = outcomes[run.first]
+        outcomes[run.index] = RunOutcome(
+            request=run.request,
+            result=first.result,
+            route=ROUTE_DEDUP,
+            cache_key=run.key,
+            failure=first.failure,
+        )
+    return outcomes  # type: ignore[return-value]  # every run recorded

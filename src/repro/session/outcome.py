@@ -10,9 +10,9 @@ runtime batch→event fallback flag and, for a cell whose retry failed
 too, its :class:`CellFailure` diagnostics.
 
 :class:`SessionStats` is the execution accounting every orchestration
-entry point shares; :class:`~repro.experiments.sweep.SweepExecutor`
-exposes it as ``stats`` (its historical ``SweepStats`` name remains an
-alias).
+entry point shares; :class:`~repro.experiments.sweep.SweepExecutor` and
+:class:`~repro.service.service.ArbitrationService` expose it as
+``stats``.
 """
 
 from __future__ import annotations
@@ -92,9 +92,9 @@ class SessionStats:
     #: not counted — they were never promised the batch engine.  The
     #: fault-free differential suite asserts this stays zero.
     fallback_cells: int = 0
-    #: Requests answered by another identical request of the same gather
-    #: (the :class:`~repro.session.session.Session` dedup path; sweeps
-    #: never dedup, their grids are already unique).
+    #: Requests answered by an identical earlier request of the same
+    #: batch (the planner's ``"dedup"`` route), whichever entry point
+    #: submitted the batch.
     deduplicated: int = 0
 
     def snapshot(self) -> "SessionStats":
@@ -131,10 +131,10 @@ class RunOutcome:
         content-addressed store), ``"lanes"`` (a lane of one lockstep
         super-batch), ``"direct"`` (the per-cell path — which may still
         use the batch engine for a single cell), or ``"dedup"``
-        (answered by an identical request of the same gather).
+        (answered by an identical earlier request of the same batch).
     cache_key:
-        The request's epoch-6 content hash, when a cache was consulted
-        (or dedup needed an identity); ``None`` otherwise.
+        The request's epoch-6 content hash (the planner hashes every
+        request once, for dedup and the cache lookup alike).
     stored:
         True when this outcome executed fresh and was written back to
         the cache.

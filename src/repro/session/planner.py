@@ -1,4 +1,4 @@
-"""Resolve requests into an executable plan: engine, route, cache.
+"""Resolve requests into an executable plan: engine, route, dedup, cache.
 
 :func:`plan_runs` is the single place orchestration decisions are made.
 For every :class:`~repro.session.request.RunRequest` it
@@ -6,8 +6,13 @@ For every :class:`~repro.session.request.RunRequest` it
 - resolves defaults and applies an optional engine override (which
   never changes cache keys — the engine selector is not part of a
   cell's identity, epoch 6);
+- hashes the request once into its epoch-6 content key and
+  **deduplicates** the batch on it: a repeat of an earlier request
+  becomes a ``"dedup"`` run pointing at its first occurrence, so it
+  neither executes nor touches the cache;
 - consults the content-addressed
-  :class:`~repro.experiments.cache.ResultCache`, when one is given;
+  :class:`~repro.experiments.cache.ResultCache` under that same key,
+  when one is given;
 - classifies the remaining runs by route: batch-capable
   ``engine="batch"`` cells without JSONL telemetry become lanes of one
   lockstep super-batch (:func:`repro.engine.batch.run_lanes` packs
@@ -24,11 +29,11 @@ pools, serial loops) stay out of the decision layer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.engine.batch import batch_capable, kernel_family
 from repro.errors import ConfigurationError
-from repro.session.outcome import ROUTE_CACHE, ROUTE_DIRECT, ROUTE_LANES
+from repro.session.outcome import ROUTE_CACHE, ROUTE_DEDUP, ROUTE_DIRECT, ROUTE_LANES
 from repro.session.request import RunRequest
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
@@ -67,14 +72,18 @@ class PlannedRun:
     index: int
     #: The resolved request (defaults filled, engine override applied).
     request: RunRequest
-    #: ``"cache"``, ``"lanes"`` or ``"direct"`` (see the module docstring).
+    #: ``"cache"``, ``"lanes"``, ``"direct"`` or ``"dedup"`` (see the
+    #: module docstring).
     route: str
-    #: The epoch-6 content hash, when a cache was consulted.
+    #: The request's epoch-6 content hash.
     key: Optional[str] = None
     #: The replayed result, for ``route == "cache"``.
     cached: Optional["RunResult"] = None
     #: The lockstep kernel family, for ``route == "lanes"``.
     family: Optional[str] = None
+    #: Index of the identical request this run repeats, for
+    #: ``route == "dedup"``.
+    first: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -98,6 +107,10 @@ class RunPlan:
     def direct_runs(self) -> List[PlannedRun]:
         return self.by_route(ROUTE_DIRECT)
 
+    @property
+    def dedup_runs(self) -> List[PlannedRun]:
+        return self.by_route(ROUTE_DEDUP)
+
 
 def _lane_eligible(request: RunRequest) -> bool:
     settings = request.settings
@@ -119,14 +132,20 @@ def plan_runs(
     Requests are planned in order; the plan's indices are positions in
     ``requests``.  ``engine`` (validated against :data:`ENGINES`)
     overrides every request's own declaration; ``None`` respects them.
+    Each request is hashed exactly once; the key serves both the dedup
+    and the cache lookup.
     """
     engine = normalize_engine(engine)
     runs: List[PlannedRun] = []
+    first_by_key: Dict[str, int] = {}
     for index, request in enumerate(requests):
         resolved = request.resolved(engine)
-        key: Optional[str] = None
+        key = resolved.cache_key()
+        first = first_by_key.setdefault(key, index)
+        if first != index:
+            runs.append(PlannedRun(index, resolved, ROUTE_DEDUP, key=key, first=first))
+            continue
         if cache is not None:
-            key = resolved.cache_key()
             hit = cache.get(key)
             if hit is not None:
                 runs.append(

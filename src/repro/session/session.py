@@ -1,17 +1,15 @@
 """The synchronous session facade: submit requests, gather outcomes.
 
-A :class:`Session` is the seam the future asyncio service front end
-(ROADMAP item 2) will wrap: callers :meth:`~Session.submit`
-:class:`~repro.session.request.RunRequest`\\ s, then :meth:`~Session.gather`
-the batch — one planned, lane-packed, cached, pool-backed sweep — and
-receive :class:`~repro.session.outcome.RunOutcome`\\ s in submission
-order.
-
-On top of the executor's own cache replay, a session deduplicates
-*within a gather*: identical requests (same epoch-6 content hash) run
-once and every duplicate receives the same result with
-``route="dedup"`` — the "many concurrent clients, mostly cache hits"
-shape of the service, working even with no cache directory configured.
+A :class:`Session` queues :class:`~repro.session.request.RunRequest`\\ s
+through :meth:`~Session.submit`, then :meth:`~Session.gather`\\ s the
+batch — one planned, deduplicated, lane-packed, cached, pool-backed run
+of its executor — and returns
+:class:`~repro.session.outcome.RunOutcome`\\ s in submission order.
+Identical requests within one gather (same epoch-6 content hash) run
+once and every repeat answers with ``route="dedup"``; that is a planner
+step (:func:`~repro.session.planner.plan_runs`), so it holds for every
+executor that plans with it — the sweep executor and the
+:class:`~repro.service.service.ArbitrationService` alike.
 
 A session also satisfies the executor duck type the experiment grids
 accept (``run_requests`` / ``simulate``), so one session can back the
@@ -23,7 +21,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, List, Optional, Sequence
 
 from repro.session.control import RunControl
-from repro.session.outcome import ROUTE_DEDUP, RunOutcome, SessionStats
+from repro.session.outcome import RunOutcome, SessionStats
 from repro.session.request import RunRequest
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
@@ -106,54 +104,17 @@ class Session:
         requests: Sequence[RunRequest],
         control: Optional[RunControl] = None,
     ) -> List[RunOutcome]:
-        """One deduplicated sweep over ``requests``; outcomes in order.
-
-        Identical requests (same epoch-6 content hash) execute once;
-        duplicates replay the first occurrence's outcome with
-        ``route="dedup"`` and count in ``stats.deduplicated``.
+        """One deduplicated run of ``requests`` on the executor, in order.
 
         ``control`` (a :class:`~repro.session.control.RunControl`)
         installs cooperative cancellation/deadline checks for the whole
         gather; see :func:`repro.session.execute.execute_plan`.
         """
-        engine = self.executor.engine
-        resolved = [request.resolved(engine) for request in requests]
-        first_by_key: dict = {}
-        unique: List[RunRequest] = []
-        slots: List[int] = []
-        duplicate: List[bool] = []
-        for request in resolved:
-            key = request.cache_key()
-            slot = first_by_key.get(key)
-            duplicate.append(slot is not None)
-            if slot is None:
-                first_by_key[key] = len(unique)
-                slots.append(len(unique))
-                unique.append(request)
-            else:
-                slots.append(slot)
         if control is not None:
-            outcomes = self.executor.run_requests(unique, control=control)
-        else:
-            # Keep the bare duck-type call so minimal executors (tests,
-            # adapters) need not grow the keyword until they need it.
-            outcomes = self.executor.run_requests(unique)
-        gathered: List[RunOutcome] = []
-        for request, slot, is_dup in zip(resolved, slots, duplicate):
-            outcome = outcomes[slot]
-            if not is_dup:
-                gathered.append(outcome)
-            else:
-                self.stats.deduplicated += 1
-                gathered.append(
-                    RunOutcome(
-                        request=request,
-                        result=outcome.result,
-                        route=ROUTE_DEDUP,
-                        cache_key=outcome.cache_key,
-                    )
-                )
-        return gathered
+            return self.executor.run_requests(requests, control=control)
+        # Keep the bare duck-type call so minimal executors (tests,
+        # adapters) need not grow the keyword until they need it.
+        return self.executor.run_requests(requests)
 
     def simulate(
         self,

@@ -1,9 +1,8 @@
 """The per-cell execution path: engine dispatch plus the event body.
 
 :func:`run_cell` is what
-:func:`~repro.experiments.runner.run_simulation` delegates to, and what
-the sweep backends invoke per cell: it dispatches ``engine="batch"``
-cells inside the batch domain to
+:func:`~repro.experiments.runner.run_simulation` delegates to: it
+dispatches ``engine="batch"`` cells inside the batch domain to
 :func:`repro.engine.batch.run_simulation_batch`, degrades *runtime*
 batch failures to the event engine through the one shared fallback
 helper (:mod:`repro.session.fallback` — a ``RuntimeWarning`` plus the
@@ -11,11 +10,13 @@ helper (:mod:`repro.session.fallback` — a ``RuntimeWarning`` plus the
 silently, they were never promised the batch engine), and otherwise
 runs :func:`run_cell_event`, the general event-driven simulation
 assembled from the bus model, fault injector, watchdog, telemetry
-sinks and completion collector.
+sinks and completion collector.  :func:`run_request` is the one place
+an orchestrated cell runs: ``run_cell`` on a private scenario copy.
 """
 
 from __future__ import annotations
 
+import copy
 from typing import TYPE_CHECKING, Optional
 
 from repro.bus.model import BusSystem
@@ -33,8 +34,9 @@ from repro.workload.scenarios import ScenarioSpec
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.experiments.runner import SimulationSettings
+    from repro.session.request import RunRequest
 
-__all__ = ["run_cell", "run_cell_event", "stats"]
+__all__ = ["run_cell", "run_cell_event", "run_request", "stats"]
 
 #: Degradation accounting for the single-run path (sweeps tally on
 #: their executor's own stats); ``stats.fallback_cells`` counts runs
@@ -60,6 +62,18 @@ def run_cell(
             # a broken kernel cannot hide behind the event path.
             warn_batch_fallback(1, exc, stats)
     return run_cell_event(scenario, protocol, settings)
+
+
+def run_request(request: "RunRequest") -> RunResult:
+    """Run one request against a private copy of its scenario.
+
+    Every orchestrated per-cell run — in-process or in a pool worker —
+    goes through here.  The copy makes stateful distributions (trace
+    replay) start from the same position however many requests share
+    one scenario object, exactly as a payload that crossed a process
+    boundary would.
+    """
+    return run_cell(copy.deepcopy(request.scenario), request.protocol, request.settings)
 
 
 def run_cell_event(

@@ -21,8 +21,7 @@ The suite checks the contract four ways:
   ``run_lanes`` packs mixing agent counts, protocols and fault plans
   in one super-batch;
 - the integration seams: ``run_simulation``'s transparent dispatch and
-  fallback, the sweep executor's lane packing and fallback counter,
-  and the numpy fast-path toggle.
+  fallback, and the sweep executor's lane packing and fallback counter.
 """
 
 from dataclasses import replace
@@ -31,12 +30,7 @@ import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
 
 from repro.bus.watchdog import WatchdogPolicy
-from repro.engine.batch import (
-    HAVE_NUMPY,
-    batch_capable,
-    run_lanes,
-    run_replications,
-)
+from repro.engine.batch import batch_capable, run_lanes, run_replications
 from repro.experiments.runner import SimulationSettings, run_simulation
 from repro.experiments.sweep import SweepCell, SweepExecutor
 from repro.faults.plan import BUS_LEVEL_FAULTS, FaultKind, FaultPlan
@@ -458,27 +452,6 @@ def test_sweep_executor_leaves_declared_event_cells_alone():
     assert executor.stats.batch_groups == 0
     assert executor.stats.executed == 2
     assert executor.stats.fallback_cells == 0
-
-
-@pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
-def test_numpy_fast_path_identical_on_wide_bus(monkeypatch):
-    settings = SimulationSettings(batches=2, batch_size=100, warmup=10, seed=9,
-                                  keep_order=True)
-    reference = run_simulation(
-        equal_load(40, 8.0), "rr", replace(settings, engine="event")
-    )
-    monkeypatch.setenv("REPRO_BATCH_NUMPY", "1")
-    forced_on = run_simulation(
-        equal_load(40, 8.0), "rr", replace(settings, engine="batch")
-    )
-    monkeypatch.setenv("REPRO_BATCH_NUMPY", "0")
-    forced_off = run_simulation(
-        equal_load(40, 8.0), "rr", replace(settings, engine="batch")
-    )
-    assert reference.collector.completion_order == forced_on.collector.completion_order
-    assert reference.collector.completion_order == forced_off.collector.completion_order
-    assert reference.elapsed == forced_on.elapsed == forced_off.elapsed
-    assert reference.utilization == forced_on.utilization == forced_off.utilization
 
 
 def test_batch_goldens_equal_their_event_twins():

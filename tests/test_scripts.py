@@ -63,3 +63,96 @@ class TestGenerateExperiments:
             mean = 2.5
 
         assert module._fmt(Est()) == "2.50"
+
+
+class TestCheckBenchGates:
+    """The bench guard's gate table, on synthetic summaries and baselines.
+
+    One floor row (the grid speedup) and one ceiling row (the session
+    overhead) cover both directions of the comparison.
+    """
+
+    @pytest.fixture(scope="class")
+    def module(self):
+        return _load("check_bench")
+
+    @staticmethod
+    def _gate(module, key):
+        return next(gate for gate in module.GATES if gate.key == key)
+
+    def _check(self, module, capsys, key, recorded, fresh):
+        gate = self._gate(module, key)
+        baseline = {} if recorded is None else {key: recorded}
+        summary = {} if fresh is None else {key: fresh}
+        status = module.check_gate(gate, summary, baseline, gate.default, 0.5)
+        return status, capsys.readouterr().out.splitlines()
+
+    def test_table_covers_every_recorded_ratio(self, module):
+        assert [gate.key for gate in module.GATES] == [
+            "grid_speedup", "session_overhead", "service_overhead", "openloop_overhead"
+        ]
+        assert self._gate(module, "grid_speedup").bound == module.FLOOR
+        assert {gate.bound for gate in module.GATES[1:]} == {module.CEILING}
+
+    def test_floor_pass(self, module, capsys):
+        status, lines = self._check(module, capsys, "grid_speedup", 12.0, 9.0)
+        assert status == 0
+        assert lines == [
+            "  grid speedup: baseline records 12.00x (gate >= 10.0x)",
+            "  grid speedup (fresh): 9.00x (floor 5.0x at 50% tolerance)",
+        ]
+
+    def test_floor_recorded_miss(self, module, capsys):
+        status, lines = self._check(module, capsys, "grid_speedup", 9.0, 9.0)
+        assert status == 1
+        assert lines[0] == (
+            "  grid speedup: baseline records 9.00x (gate >= 10.0x)  <-- REGRESSION"
+        )
+        assert "REGRESSION" not in lines[1]
+
+    def test_floor_fresh_miss(self, module, capsys):
+        status, lines = self._check(module, capsys, "grid_speedup", 12.0, 4.0)
+        assert status == 1
+        assert lines[1] == (
+            "  grid speedup (fresh): 4.00x (floor 5.0x at 50% tolerance)  <-- REGRESSION"
+        )
+
+    def test_floor_missing_keys(self, module, capsys):
+        status, lines = self._check(module, capsys, "grid_speedup", None, None)
+        assert status == 1
+        assert lines == [
+            "  grid speedup: baseline records none  <-- REGRESSION",
+            "  grid speedup (fresh): missing grid benchmarks  <-- REGRESSION",
+        ]
+
+    def test_ceiling_pass(self, module, capsys):
+        status, lines = self._check(module, capsys, "session_overhead", 0.01, 0.025)
+        assert status == 0
+        assert lines == [
+            "  session overhead: baseline records +1.00% (gate < 2%)",
+            "  session overhead (fresh): +2.50% (ceiling 3% at 50% tolerance)",
+        ]
+
+    def test_ceiling_recorded_miss(self, module, capsys):
+        status, lines = self._check(module, capsys, "session_overhead", 0.02, 0.01)
+        assert status == 1
+        assert lines[0] == (
+            "  session overhead: baseline records +2.00% (gate < 2%)  <-- REGRESSION"
+        )
+        assert "REGRESSION" not in lines[1]
+
+    def test_ceiling_fresh_miss(self, module, capsys):
+        status, lines = self._check(module, capsys, "session_overhead", 0.01, 0.035)
+        assert status == 1
+        assert lines[1] == (
+            "  session overhead (fresh): +3.50% (ceiling 3% at 50% tolerance)"
+            "  <-- REGRESSION"
+        )
+
+    def test_ceiling_missing_keys(self, module, capsys):
+        status, lines = self._check(module, capsys, "session_overhead", None, None)
+        assert status == 1
+        assert lines == [
+            "  session overhead: baseline records none  <-- REGRESSION",
+            "  session overhead (fresh): missing session benchmark  <-- REGRESSION",
+        ]

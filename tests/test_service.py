@@ -160,6 +160,31 @@ class TestHappyPath:
             # Only one execution happened; both slots carry its result.
             assert service.stats_snapshot()["counters"]["service.executed"] == 1
 
+    def test_duplicates_report_the_dedup_route(self, tmp_path):
+        with _service(tmp_path, serial=True) as service:
+            job = service.submit([_request(), _request(protocol="fcfs"), _request()])
+            job.wait(60)
+            assert [outcome.route for outcome in job.outcomes] == ["lanes", "lanes", "dedup"]
+            assert job.outcomes[2].cache_key == job.outcomes[0].cache_key
+            assert service.stats.deduplicated == 1
+
+    def test_each_request_is_hashed_once(self, tmp_path):
+        hashed = []
+
+        class CountingRequest(RunRequest):
+            def cache_key(self):
+                hashed.append(self.protocol)
+                return super().cache_key()
+
+        requests = [
+            CountingRequest(request.scenario, request.protocol, request.settings)
+            for request in (_request(), _request(protocol="fcfs"), _request())
+        ]
+        with _service(tmp_path, serial=True) as service:
+            service.submit(requests).wait(60)
+            service.submit(requests[:1]).wait(60)  # a cache hit
+        assert len(hashed) == 4
+
     def test_empty_job_is_done_immediately(self, tmp_path):
         with _service(tmp_path, serial=True) as service:
             job = service.submit([])
@@ -329,6 +354,43 @@ class TestFailureDiagnostics:
             assert job.failure.protocol == "rr"
             assert "deterministic bug" in job.failure.error
             assert service.stats_snapshot()["counters"]["service.failed"] == 1
+
+    def test_raising_cell_is_retried_once_and_heals(self, tmp_path, monkeypatch):
+        import repro.session.single as single_module
+
+        real = single_module.run_cell
+        calls = {"n": 0}
+
+        def flaky(scenario, protocol, settings):
+            calls["n"] += 1
+            if calls["n"] == 1:
+                raise RuntimeError("transient worker loss")
+            return real(scenario, protocol, settings)
+
+        monkeypatch.setattr(single_module, "run_cell", flaky)
+        with _service(tmp_path, serial=True) as service:
+            job = service.submit([_request(engine="event")])
+            assert job.wait(60)
+            assert job.state == "done"
+            assert service.stats.retries == 1
+        clean = Session().run_requests([_request(engine="event")])[0].result
+        assert pickle.dumps(job.results()[0]) == pickle.dumps(clean)
+
+    def test_failed_lane_pack_demotes_loudly(self, tmp_path, monkeypatch):
+        import repro.engine.batch as batch_module
+
+        def explode(cells):
+            raise RuntimeError("lane pack exploded")
+
+        monkeypatch.setattr(batch_module, "run_lanes", explode)
+        with _service(tmp_path, serial=True) as service:
+            with pytest.warns(RuntimeWarning, match="fell back"):
+                job = service.submit([_request(protocol="rr"), _request(protocol="fcfs")])
+                assert job.wait(60)
+            assert job.state == "done"
+            assert [outcome.route for outcome in job.outcomes] == ["direct", "direct"]
+            assert all(outcome.fallback for outcome in job.outcomes)
+            assert service.stats.fallback_cells == 2
 
     def test_close_without_drain_fails_queued_jobs_terminally(self):
         service = _service(serial=True)

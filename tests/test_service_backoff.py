@@ -86,12 +86,12 @@ class TestSweepIntegration:
         assert SweepExecutor(jobs=1).backoff is RETRY_BACKOFF
 
     def test_sweep_retry_sleeps_through_the_policy(self, monkeypatch):
-        import repro.experiments.sweep as sweep_module
+        import repro.session.single as single_module
         from repro.experiments.runner import SimulationSettings
         from repro.experiments.sweep import SweepCell, SweepExecutor
         from repro.workload.scenarios import equal_load
 
-        real = sweep_module.run_simulation
+        real = single_module.run_cell
         calls = {"n": 0}
 
         def flaky(scenario, protocol, settings):
@@ -100,7 +100,7 @@ class TestSweepIntegration:
                 raise RuntimeError("transient worker loss")
             return real(scenario, protocol, settings)
 
-        monkeypatch.setattr(sweep_module, "run_simulation", flaky)
+        monkeypatch.setattr(single_module, "run_cell", flaky)
         slept = []
         policy = BackoffPolicy(base=0.02, jitter=0.5, seed=3)
         monkeypatch.setattr(

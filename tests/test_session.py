@@ -152,19 +152,24 @@ class TestExecutePlan:
         cache = ResultCache(tmp_path)
         requests = [
             RunRequest(equal_load(4, 2.0), "rr", SETTINGS),
+            RunRequest(equal_load(4, 1.0), "rr", replace(SETTINGS, engine="event")),
+            # Epoch 6: the first cell declared for the other engine has
+            # the first cell's key, so it dedups instead of executing.
             RunRequest(equal_load(4, 2.0), "rr", replace(SETTINGS, engine="event")),
         ]
         stats = SessionStats()
         outcomes = execute_plan(plan_runs(requests, cache=cache), cache=cache, stats=stats)
-        assert [outcome.route for outcome in outcomes] == [ROUTE_LANES, ROUTE_DIRECT]
-        for outcome in outcomes:
+        assert [outcome.route for outcome in outcomes] == [
+            ROUTE_LANES, ROUTE_DIRECT, ROUTE_DEDUP
+        ]
+        for outcome in outcomes[:2]:
             assert outcome.stored
             assert outcome.cache_key is not None
             assert not outcome.cached
+        assert outcomes[2].cache_key == outcomes[0].cache_key
         assert stats.executed == 2
-        # Epoch 6: both engines share one key, so the second execution
-        # stored over the first's entry rather than adding a new one.
-        assert len(cache) == 1
+        assert stats.deduplicated == 1
+        assert len(cache) == 2
 
     def test_cached_runs_replay_without_execution(self, tmp_path):
         cache = ResultCache(tmp_path)

@@ -14,7 +14,8 @@ from hypothesis import given, settings as hyp_settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError, SweepExecutionError
-from repro.experiments import sweep as sweep_module
+from repro.service import shards as shards_module
+from repro.session import single as single_module
 from repro.experiments.cache import ResultCache, cache_key
 from repro.experiments.runner import SimulationSettings, run_simulation
 from repro.experiments.sweep import SweepCell, SweepExecutor, resolve_jobs
@@ -73,7 +74,9 @@ class TestSerialExecution:
     def test_shared_trace_scenario_cells_are_independent(self):
         # Two cells sharing one stateful trace-replay scenario object
         # must both start from the same trace position (each cell gets a
-        # private copy), so identical cells give identical results.
+        # private copy), so cells that differ only in a setting the
+        # simulation never reads give identical results.  (Fully
+        # identical cells would dedup onto one run in the planner.)
         trace = tuple(float(2 + (i * 7) % 5) for i in range(400))
         scenario = ScenarioSpec(
             name="shared-trace",
@@ -82,10 +85,25 @@ class TestSerialExecution:
                 for i in range(1, 5)
             ),
         )
-        first, second = SweepExecutor(jobs=1).run(
-            [SweepCell(scenario, "rr", SETTINGS), SweepCell(scenario, "rr", SETTINGS)]
+        executor = SweepExecutor(jobs=1)
+        first, second = executor.run(
+            [
+                SweepCell(scenario, "rr", SETTINGS),
+                SweepCell(scenario, "rr", replace(SETTINGS, confidence=0.95)),
+            ]
         )
+        assert executor.stats.executed == 2
         assert _fingerprint(first) == _fingerprint(second)
+
+
+    def test_identical_cells_run_once(self):
+        executor = SweepExecutor(jobs=1)
+        first, second = executor.run(
+            [SweepCell(equal_load(4, 1.0), "rr", SETTINGS, tag=tag) for tag in "ab"]
+        )
+        assert executor.stats.executed == 1
+        assert executor.stats.deduplicated == 1
+        assert pickle.dumps(first) == pickle.dumps(second)
 
 
 class TestParallelExecution:
@@ -126,6 +144,9 @@ class _BrokenSubmitPool:
 
         raise BrokenExecutor("worker pool torn down")
 
+    def shutdown(self, wait=True, cancel_futures=False):
+        pass
+
 
 class _UnavailablePool:
     """A platform where process pools cannot even be created."""
@@ -136,7 +157,7 @@ class _UnavailablePool:
 
 class TestRetryAndDegradation:
     def test_transient_failure_is_retried_once_and_heals(self, monkeypatch):
-        real = sweep_module.run_simulation
+        real = single_module.run_cell
         calls = {"n": 0}
 
         def flaky(scenario, protocol, settings):
@@ -145,7 +166,7 @@ class TestRetryAndDegradation:
                 raise RuntimeError("transient worker loss")
             return real(scenario, protocol, settings)
 
-        monkeypatch.setattr(sweep_module, "run_simulation", flaky)
+        monkeypatch.setattr(single_module, "run_cell", flaky)
         cells = _grid(loads=(0.5,), protocols=("rr", "fcfs"), settings=EVENT_SETTINGS)
         executor = SweepExecutor(jobs=1)
         results = executor.run(cells)
@@ -162,7 +183,7 @@ class TestRetryAndDegradation:
         def doomed(scenario, protocol, settings):
             raise RuntimeError("deterministic bug")
 
-        monkeypatch.setattr(sweep_module, "run_simulation", doomed)
+        monkeypatch.setattr(single_module, "run_cell", doomed)
         executor = SweepExecutor(jobs=1)
         cells = [SweepCell(equal_load(4, 1.0), "rr", EVENT_SETTINGS, tag="probe-cell")]
         with pytest.raises(SweepExecutionError) as excinfo:
@@ -176,10 +197,8 @@ class TestRetryAndDegradation:
         assert failure.first_error == failure.error
         assert executor.stats.retries == 1
 
-    def test_broken_pool_degrades_to_serial_retries(self, monkeypatch):
-        monkeypatch.setattr(
-            sweep_module, "ProcessPoolExecutor", _BrokenSubmitPool
-        )
+    def test_broken_pool_degrades_to_serial(self, monkeypatch):
+        monkeypatch.setattr(shards_module, "ProcessPoolExecutor", _BrokenSubmitPool)
         cells = _grid(settings=EVENT_SETTINGS)
         executor = SweepExecutor(jobs=2)
         results = executor.run(cells)
@@ -187,12 +206,14 @@ class TestRetryAndDegradation:
         assert [_fingerprint(r) for r in results] == [
             _fingerprint(r) for r in serial
         ]
-        # Every cell came back through the in-process retry path.
-        assert executor.stats.retries == len(cells)
+        # A pool that tears at submit degrades the batch to the serial
+        # path; nothing raised, so nothing needed a retry.
+        assert executor.stats.serial_batches == 1
+        assert executor.stats.retries == 0
         assert executor.stats.failures == []
 
     def test_unconstructible_pool_falls_back_to_plain_serial(self, monkeypatch):
-        monkeypatch.setattr(sweep_module, "ProcessPoolExecutor", _UnavailablePool)
+        monkeypatch.setattr(shards_module, "ProcessPoolExecutor", _UnavailablePool)
         cells = _grid(settings=EVENT_SETTINGS)
         executor = SweepExecutor(jobs=2)
         results = executor.run(cells)
