@@ -8,8 +8,10 @@ event engine's hot path, so the honest measure is *per-completion cost*:
 an open-loop sweep at the same completion budget may cost at most 1.5x
 the closed-loop sweep it grew out of.
 
-Both passes run the event engine — open-loop cells are outside the lane
-domain by construction, and comparing against lane-packed closed cells
+Both passes run the event engine.  The open-loop cells carry the §5
+priority class, which keeps them off the lane engine, and every cell
+pins ``engine="event"``: open-loop r=1 cells without priority traffic
+are inside the lane domain, and comparing against lane-packed cells
 would measure the batch engine, not the arrival layer.  Two
 pytest-benchmark entries record the pair *adjacent in this file* (same
 machine state, drift-free ratio); ``scripts/run_benchmarks.py``

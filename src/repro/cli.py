@@ -235,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("event", "batch"),
         default=None,
         help=(
-            "execution engine override: 'batch' (the lockstep lane engine, "
+            "execution engine override: 'batch' (the lane engine, "
             "the library default inside its conformance-verified domain) or "
             "'event' (the general event-driven simulator).  Omitted, every "
             "cell keeps its own declaration; either choice overrides all "

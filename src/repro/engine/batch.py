@@ -1,25 +1,32 @@
-"""Lockstep heterogeneous-lane batch engine.
+"""Calendar-free heterogeneous-lane batch engine.
 
 The event-driven engine (:mod:`repro.engine.simulator` driving
 :class:`~repro.bus.model.BusSystem`) is fully general: it handles
-synchronous clocking, priority classes, open-loop sources, arbitrary
-fault hooks and the watchdog.  But the paper's experiments — closed-loop
-agents on a self-timed bus — have a rigidly cyclic structure: request →
-arbitration rounds → tenure → release, repeat.  For that restricted
-(and dominant) domain this module provides a calendar-free engine that
-advances many independent *lanes* in lockstep, amortising the Python
-interpreter overhead that dominates grid-shaped sweeps.
+synchronous clocking, priority classes, multiple outstanding requests,
+arbitrary fault hooks and the watchdog.  But the paper's experiments —
+single-outstanding agents on a self-timed bus — have a rigidly cyclic
+structure: request → arbitration rounds → tenure → release, repeat.
+For that restricted (and dominant) domain this module provides a
+calendar-free engine that runs independent *lanes* through a collapsed
+timer dispatch, shedding the Python interpreter overhead of event
+objects that dominates grid-shaped sweeps.
 
-A lane is one (scenario, protocol, settings) cell.  Unlike the first
-batch engine, lanes are *heterogeneous*: one super-batch may mix bus
-sizes (a ragged n=2 lane next to an n=32 lane), request rates, seeds and
-protocol variants.  Each lane keeps padded struct-of-arrays state sized
-to its own agent count — flat per-agent arrays (next-request timers,
-think-time buffers, FCFS counters, activity masks) plus a handful of
-scalar timers — and its protocol kernel resolves arbitrations on integer
-bitmasks of pending requesters (the wired-OR maximum-finding of §2).
-:func:`run_lanes` groups lanes by kernel family so each lockstep pass
-runs one kernel implementation over every lane of that family.
+A lane is one (scenario, protocol, settings) cell.  One call may mix
+bus sizes (a ragged n=2 lane next to an n=32 lane), request rates,
+seeds and protocol variants.  Each lane keeps struct-of-arrays state
+sized to its own agent count — flat per-agent arrays (next-request
+timers, think-time buffers, FCFS counters, activity masks) plus a
+handful of scalar timers — and its protocol kernel resolves
+arbitrations on integer bitmasks of pending requesters (the wired-OR
+maximum-finding of §2).  :func:`run_lanes` builds, runs and drops one
+lane at a time, so a call's peak memory is one lane's.
+
+Open-loop agents are in-domain at ``max_outstanding == 1``: such an
+agent issues, blocks generation while its one request is in flight and
+resumes with a fresh think draw at completion (``BusAgent``) — the
+closed-loop cycle exactly, so the lane needs no arrival-clock timer.
+Their runs add the per-flow metric series the event engine emits for
+open-loop scenarios.
 
 Faults are in-domain.  Injected bus-level faults and watchdog recovery
 are modelled as two additional timer classes on the collapsed calendar:
@@ -87,14 +94,14 @@ __all__ = [
     "run_replications",
 ]
 
-#: Completions each live lane advances per lockstep round.  Large enough
-#: to amortise the round-robin over lanes, small enough that all lanes
-#: of a super-batch stay within one round of each other.  Recorded in
-#: benchmark metadata as the lane width.
-_LOCKSTEP_BLOCK = 64
+#: Completions one :meth:`_Replication.advance` call runs before it
+#: returns.  A lane runs to completion through repeated calls, so the
+#: value only sets how often the loop's locals are written back; results
+#: do not depend on it.  Recorded in benchmark metadata as the lane width.
+_ADVANCE_BLOCK = 64
 
-#: Public alias of the lockstep block, for benchmark environment records.
-LANE_WIDTH = _LOCKSTEP_BLOCK
+#: Public alias of the advance block, for benchmark environment records.
+LANE_WIDTH = _ADVANCE_BLOCK
 
 
 # ---------------------------------------------------------------------------
@@ -391,9 +398,8 @@ _KERNELS = {
     "fixed": lambda n: _FixedPriorityKernel(n),
 }
 
-#: Kernel implementation family of each batch protocol.  A super-batch
-#: advances its lanes family by family, so one lockstep pass runs one
-#: kernel class over every lane of that family.
+#: Kernel implementation family of each batch protocol; the planner
+#: counts one batch group per family in a lane pack.
 _KERNEL_FAMILY = {
     "rr": "rr",
     "rr-impl2": "rr",
@@ -438,14 +444,14 @@ def batch_capable(
     Fault plans are in-domain when the protocol's spec declares
     ``supports_batch_faults`` and every planned kind is a bus-level
     fault the spec admits; a watchdog policy alone (no plan) is always
-    in-domain, since clean runs never consult it.
+    in-domain, since clean runs never consult it.  Open-loop agents are
+    in-domain: with one request outstanding at most, generation blocks
+    at issue and resumes at completion, the closed-loop cycle.
     """
     spec = get_spec(protocol)
     if not spec.supports_batch or protocol not in _KERNELS:
         return False, f"protocol {protocol!r} has no batch kernel"
     for agent in scenario.agents:
-        if agent.open_loop:
-            return False, f"agent {agent.agent_id} is open-loop"
         if agent.max_outstanding != 1:
             return False, f"agent {agent.agent_id} has max_outstanding > 1"
         if agent.priority_fraction > 0.0:
@@ -498,6 +504,7 @@ class _Replication:
         "memory",
         "jsonl",
         "metrics",
+        "flow_metrics",
         "txn",
         "arbt",
         "rngs",
@@ -565,6 +572,12 @@ class _Replication:
                 self.metrics = MetricsRegistry()
                 sinks.append(MetricsSink(self.metrics))
         self.sinks = tuple(sinks)
+        # The event engine's per-flow series, emitted only for scenarios
+        # with open-loop agents (BusSystem._flow_metrics; priority classes
+        # are outside the batch domain, so every request is "normal").
+        self.flow_metrics = self.metrics is not None and any(
+            spec.open_loop for spec in scenario.agents
+        )
         self.txn = settings.timing.transaction_time
         self.arbt = settings.timing.arbitration_time
 
@@ -678,6 +691,7 @@ class _Replication:
         dists = self.dists
         rngs = self.rngs
         metrics = self.metrics
+        flow_metrics = self.flow_metrics
         sinks = self.sinks
         txn = self.txn
         arbt = self.arbt
@@ -818,7 +832,13 @@ class _Replication:
                     metrics.histogram(f"wait.agent.{agent}", WAIT_BUCKETS).observe(
                         now - issue
                     )
-                # Closed loop: the agent draws its next think period now
+                    if flow_metrics:
+                        metrics.counter(f"flow.share.agent.{agent}.normal").increment()
+                        metrics.histogram("wait.class.normal", WAIT_BUCKETS).observe(
+                            now - issue
+                        )
+                # Closed loop, or open loop blocked at one outstanding
+                # request: the agent draws its next think period now
                 # (even while dropped out — its timer then wakes it).
                 buffer = buffers[agent]
                 if not buffer:
@@ -1158,25 +1178,14 @@ class _Replication:
 # ---------------------------------------------------------------------------
 
 
-def _require_capable(
-    scenario: ScenarioSpec, protocol: str, settings: "SimulationSettings"
-) -> None:
-    capable, reason = batch_capable(scenario, protocol, settings)
-    if not capable:
-        raise ConfigurationError(
-            f"batch engine cannot run {protocol!r} on scenario "
-            f"{scenario.name!r}: {reason}"
-        )
-
-
 def _fresh_scenario(scenario: ScenarioSpec) -> ScenarioSpec:
     """A scenario safe to hand one lane exclusive use of.
 
     Renewal distributions are stateless (sampling is a pure function of
     the rng), so the shared object is already safe; only scenarios
-    carrying stateful distributions — trace-replay cursors — need a
-    private deep copy, and the copy is expensive enough to matter at
-    lane-pack setup.
+    carrying stateful distributions — trace-replay cursors, MMPP
+    phases — need a private deep copy, and the copy is expensive enough
+    to matter at lane-pack setup.
     """
     if any(agent.interrequest.stateful for agent in scenario.agents):
         return copy.deepcopy(scenario)
@@ -1195,35 +1204,27 @@ def run_simulation_batch(
     through :func:`repro.experiments.runner.run_simulation`, which falls
     back to the event engine transparently).
     """
-    _require_capable(scenario, protocol, settings)
-    replication = _Replication(scenario, protocol, settings)
-    try:
-        while replication.advance(_LOCKSTEP_BLOCK):
-            pass
-    finally:
-        replication._close_sinks()
-    return replication.result()
+    return run_lanes([(scenario, protocol, settings)])[0]
 
 
 def run_lanes(
     cells: Sequence[Tuple[ScenarioSpec, str, "SimulationSettings"]],
 ) -> List[RunResult]:
-    """Run heterogeneous cells as the lanes of one lockstep super-batch.
+    """Run heterogeneous cells as lanes of the batch engine.
 
     ``cells`` may mix agent counts, loads, seeds, protocols and fault
     plans freely — every cell just has to be :func:`batch_capable` on
-    its own.  Lanes are grouped by kernel family
-    (:func:`kernel_family`), and the scheduler round-robins over the
-    families, advancing each family's live lanes by one lockstep block
-    per pass, so one pass runs one kernel implementation across all its
-    lanes.  A lane deep-copies its scenario only when it carries
-    stateful (trace-replay) distributions, which must not be shared
-    between lanes built from one scenario object.
+    its own; all are checked before any runs.  Each lane is built, run
+    to completion and dropped before the next is built, so peak memory
+    is one lane's RNGs and think buffers.  A lane deep-copies its
+    scenario only when it carries stateful (trace-replay, MMPP)
+    distributions, which must not be shared between lanes built from
+    one scenario object.
 
     Results are returned in ``cells`` order and are identical to
-    independent :func:`run_simulation_batch` calls — lane packing, and
-    therefore the order cells are handed in, cannot influence any
-    observable (each lane owns all of its state; nothing is shared).
+    independent :func:`run_simulation` calls — the order cells are
+    handed in cannot influence any observable (each lane owns all of
+    its state; nothing is shared).
     """
     paths = [
         cell[2].telemetry.jsonl_path
@@ -1237,25 +1238,22 @@ def run_lanes(
             "give each lane its own path"
         )
     for scenario, protocol, settings in cells:
-        _require_capable(scenario, protocol, settings)
-    lanes = [
-        _Replication(_fresh_scenario(scenario), protocol, settings)
-        for scenario, protocol, settings in cells
-    ]
-    families: Dict[str, List[_Replication]] = {}
-    for lane in lanes:
-        families.setdefault(_KERNEL_FAMILY[lane.protocol], []).append(lane)
-    try:
-        while any(families.values()):
-            for family, group in families.items():
-                if group:
-                    families[family] = [
-                        lane for lane in group if lane.advance(_LOCKSTEP_BLOCK)
-                    ]
-    finally:
-        for lane in lanes:
+        capable, reason = batch_capable(scenario, protocol, settings)
+        if not capable:
+            raise ConfigurationError(
+                f"batch engine cannot run {protocol!r} on scenario "
+                f"{scenario.name!r}: {reason}"
+            )
+    results = []
+    for scenario, protocol, settings in cells:
+        lane = _Replication(_fresh_scenario(scenario), protocol, settings)
+        try:
+            while lane.advance(_ADVANCE_BLOCK):
+                pass
+        finally:
             lane._close_sinks()
-    return [lane.result() for lane in lanes]
+        results.append(lane.result())
+    return results
 
 
 def run_replications(
@@ -1264,19 +1262,12 @@ def run_replications(
     settings: "SimulationSettings",
     seeds: Sequence[int],
 ) -> List[RunResult]:
-    """Run R replications of one cell in lockstep, one per seed.
+    """Run R replications of one cell, one per seed.
 
     A convenience wrapper over :func:`run_lanes` for the homogeneous
     special case; results are returned in ``seeds`` order and are
     identical to R independent :func:`run_simulation` calls.
     """
-    _require_capable(scenario, protocol, settings)
-    telemetry = settings.telemetry
-    if telemetry is not None and telemetry.jsonl_path is not None and len(seeds) > 1:
-        raise ConfigurationError(
-            "run_replications cannot share one telemetry jsonl_path across "
-            f"{len(seeds)} replications; run them individually"
-        )
     return run_lanes(
         [(scenario, protocol, replace(settings, seed=seed)) for seed in seeds]
     )

@@ -284,8 +284,9 @@ def run(
     that panel's order-deviation and fairness columns.  ``telemetry``
     is threaded into every fault cell (see :func:`panel_spec`).
     ``workload`` selects the grid population (see
-    :data:`GRID_WORKLOADS`); the open-loop families are outside the
-    batch lane domain and demote to the event engine per cell.
+    :data:`GRID_WORKLOADS`); the open-loop families (one outstanding
+    request per agent) are inside the batch lane domain, the two-class
+    family's priority bit is not and runs on the event engine.
 
     ``engine`` selects the execution engine for the fault-free
     baselines — the grid's replication-heavy, batch-eligible cells.

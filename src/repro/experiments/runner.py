@@ -61,14 +61,14 @@ class SimulationSettings:
     default) leaves the bus with no sink at all, so every experiment
     output stays byte-identical with telemetry off.
 
-    ``engine`` selects the execution engine: ``"batch"`` (the lockstep
+    ``engine`` selects the execution engine: ``"batch"`` (the
     lane engine of :mod:`repro.engine.batch`, the default) or
     ``"event"`` (the general event-driven simulator).  The batch engine
     produces bit-identical results on its conformance-verified domain —
     which includes bus-level fault plans and watchdog recovery — and is
     a pure performance choice; cells outside that domain (synchronous
-    timing, priority classes, open loops, out-of-domain fault kinds,
-    protocols without a batch kernel) transparently fall back to the
+    timing, priority classes, more than one outstanding request per
+    agent, out-of-domain fault kinds, protocols without a batch kernel) transparently fall back to the
     event engine, so the default is safe everywhere.
     """
 

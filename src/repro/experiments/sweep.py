@@ -7,8 +7,8 @@ cells — each derives all of its randomness from its own settings seed.
 :func:`repro.session.planner.plan_runs` resolves engine choice, dedup,
 lane packing and cache lookup; :func:`repro.session.execute.execute_plan`
 drives the plan — and this module supplies the execution backends: the
-in-process lane super-batch hook (:func:`repro.engine.batch.run_lanes`
-advances every batch-capable cell of a grid together, however
+in-process lane hook (:func:`repro.engine.batch.run_lanes` runs
+every batch-capable cell of a grid in one call, however
 heterogeneous) and the per-cell path, a one-shard
 :class:`~repro.service.shards.ShardPool` with ``jobs`` workers (or an
 in-process one when ``jobs == 1``) carrying the shared crash ladder and
@@ -172,7 +172,7 @@ class SweepExecutor:
         The session layer decides everything (engine override, dedup,
         lane packing, cache lookup — see :func:`repro.session.planner.
         plan_runs`); this executor contributes its backends: the lane
-        super-batch hook and the per-cell pool.  ``control`` adds
+        pack hook and the per-cell pool.  ``control`` adds
         cooperative cancellation/deadline checks at the session layer's
         stage boundaries.  Raises :class:`SweepExecutionError` naming
         every cell that failed even after its retry.

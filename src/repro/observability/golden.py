@@ -67,10 +67,11 @@ class GoldenScenario:
     fault_rate: float = 0.0
     #: Workload family behind the run.  ``closed`` is the original
     #: equal-load think-time population; ``mmpp-closed`` swaps the think
-    #: times for closed-loop MMPP draws (still inside the batch-lane
-    #: domain, so it can have a batch twin); ``poisson`` and
-    #: ``bursty-priority`` are open-loop arrival scenarios (event engine
-    #: only — open loops are outside the lane domain by construction).
+    #: times for closed-loop MMPP draws; ``poisson`` is an open-loop
+    #: arrival scenario with one outstanding request per agent.  All
+    #: three are inside the batch-lane domain, so each can have a batch
+    #: twin.  ``bursty-priority`` adds the two-class priority bit, which
+    #: keeps it on the event engine.
     workload: str = "closed"
 
 
@@ -171,10 +172,11 @@ GOLDEN_SCENARIOS: Dict[str, GoldenScenario] = {
         fault_rate=0.3,
         rationale="batch engine fault-timer class, byte-equal to rr-faults",
     ),
-    # Arrival-layer goldens.  The closed-loop MMPP pair stays inside the
+    # Arrival-layer goldens.  The closed-loop MMPP pair and the open-loop
+    # Poisson pair (one outstanding request per agent) stay inside the
     # batch-lane domain (stateful distributions ride the default
-    # sample_batch path), so it pins the engines against each other; the
-    # open-loop pair pins the arrival-clock scheduling and the two-class
+    # sample_batch path), so they pin the engines against each other;
+    # the bursty-priority trace pins MMPP phase flips and the two-class
     # priority bit, event engine only.
     "mmpp-closed": GoldenScenario(
         protocol="rr",
@@ -197,6 +199,15 @@ GOLDEN_SCENARIOS: Dict[str, GoldenScenario] = {
         load=0.8,
         workload="poisson",
         rationale="open-loop Poisson arrivals: pins the free-running arrival clock",
+    ),
+    "batch-openloop-poisson": GoldenScenario(
+        protocol="fcfs",
+        agents=4,
+        load=0.8,
+        engine="batch",
+        workload="poisson",
+        rationale="batch engine on open-loop r=1 Poisson, byte-equal to "
+        "openloop-poisson",
     ),
     "openloop-bursty-priority": GoldenScenario(
         protocol="rr",

@@ -134,9 +134,9 @@ class ProtocolSpec:
         replicated, counter upsets where waiting-time counters exist).
         Empty for ad-hoc specs: fault plans are refused at config time.
     supports_batch:
-        Whether the lockstep batch engine (:mod:`repro.engine.batch`)
+        Whether the batch lane engine (:mod:`repro.engine.batch`)
         has an exact kernel for the protocol.  Only the paper's core
-        closed-loop protocols qualify; everything else transparently
+        protocols qualify; everything else transparently
         falls back to the event-driven engine.
     supports_batch_faults:
         Whether that batch kernel also exposes the exact per-agent

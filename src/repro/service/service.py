@@ -11,8 +11,8 @@ state, liveness under contention, graceful degradation:
   (:func:`~repro.session.planner.plan_runs` then
   :func:`~repro.session.execute.execute_plan`) — cache hits replay from
   the shared content-addressed store, identical requests from different
-  clients dedup to one run, lane-pack misses run as lockstep
-  super-batches on the sharded process pool
+  clients dedup to one run, lane-pack misses run as lane
+  packs on the sharded process pool
   (:mod:`repro.service.shards`), per-cell misses fan out by content
   hash;
 - **robustness** is the headline: per-job wall-clock deadlines and cell

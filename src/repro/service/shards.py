@@ -58,7 +58,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
 
 __all__ = ["ShardPool", "PAYLOAD_CELL", "PAYLOAD_LANES"]
 
-#: Payload kinds: one simulation request, or one lane-packed super-batch.
+#: Payload kinds: one simulation request, or one lane pack.
 PAYLOAD_CELL = "cell"
 PAYLOAD_LANES = "lanes"
 
@@ -251,10 +251,10 @@ class ShardPool:
         keys: Sequence[str],
         control: Optional["RunControl"] = None,
     ) -> List["RunResult"]:
-        """Run lane cells as one lockstep pack per shard; results in order.
+        """Run lane cells as one lane pack per shard; results in order.
 
         ``keys`` route the cells (same-shard misses pack together, so
-        content-addressed routing and the lockstep engine compose).  A
+        content-addressed routing and the lane engine compose).  A
         pack that raises re-raises here for the caller to demote.
         """
         by_shard: Dict[int, List[int]] = {}

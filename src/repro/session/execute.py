@@ -5,7 +5,7 @@ shares — :class:`~repro.experiments.sweep.SweepExecutor` (and the
 :class:`~repro.session.session.Session` facade over it) and the
 :class:`~repro.service.service.ArbitrationService` dispatcher.  It is
 the only code that turns planned runs into outcomes: it replays cached
-runs, packs the lane route into one lockstep super-batch, demotes a
+runs, packs the lane route into one lane pack, demotes a
 lane pack that fails at runtime to the direct path (loudly — see
 :mod:`repro.session.fallback`), hands the direct route to the supplied
 backend, writes fresh results back to the cache, attaches the

@@ -4,7 +4,7 @@ A :class:`RunOutcome` is the uniform answer to "what happened to this
 :class:`~repro.session.request.RunRequest`?".  It always carries the
 :class:`~repro.stats.summary.RunResult` (when the run succeeded), says
 *how* the result was obtained — replayed from the content-addressed
-cache, executed as a lane of the lockstep batch engine, or run through
+cache, executed as a lane of the batch engine, or run through
 the per-cell path — and records graceful degradation: the
 runtime batch→event fallback flag and, for a cell whose retry failed
 too, its :class:`CellFailure` diagnostics.
@@ -82,7 +82,7 @@ class SessionStats:
     retries: int = 0
     #: Per-cell diagnostics for cells whose retry failed too.
     failures: List[CellFailure] = field(default_factory=list)
-    #: Lockstep kernel-family groups executed by the lane-packed batch
+    #: Kernel-family groups executed by the lane-packed batch
     #: engine, and the lanes (cells) they covered.
     batch_groups: int = 0
     batch_replications: int = 0
@@ -128,8 +128,8 @@ class RunOutcome:
         outcomes, so callers normally never observe ``None``).
     route:
         How the result was obtained: ``"cache"`` (replayed from the
-        content-addressed store), ``"lanes"`` (a lane of one lockstep
-        super-batch), ``"direct"`` (the per-cell path — which may still
+        content-addressed store), ``"lanes"`` (a lane of one
+        lane pack), ``"direct"`` (the per-cell path — which may still
         use the batch engine for a single cell), or ``"dedup"``
         (answered by an identical earlier request of the same batch).
     cache_key:

@@ -15,7 +15,7 @@ For every :class:`~repro.session.request.RunRequest` it
   when one is given;
 - classifies the remaining runs by route: batch-capable
   ``engine="batch"`` cells without JSONL telemetry become lanes of one
-  lockstep super-batch (:func:`repro.engine.batch.run_lanes` packs
+  lane pack (:func:`repro.engine.batch.run_lanes` runs
   them however heterogeneous); everything else flows to the per-cell
   direct path (which may still use the batch engine for one cell —
   JSONL telemetry is only excluded from *lane packs*, where several
@@ -79,7 +79,7 @@ class PlannedRun:
     key: Optional[str] = None
     #: The replayed result, for ``route == "cache"``.
     cached: Optional["RunResult"] = None
-    #: The lockstep kernel family, for ``route == "lanes"``.
+    #: The lane kernel family, for ``route == "lanes"``.
     family: Optional[str] = None
     #: Index of the identical request this run repeats, for
     #: ``route == "dedup"``.

@@ -492,6 +492,13 @@ def _mmpp_closed(num_agents=4, load=2.0):
     )
 
 
+def _open_loop_r2():
+    """Open-loop Poisson agents with two outstanding requests each."""
+    from repro.workload.scenarios import open_loop_equal_load
+
+    return open_loop_equal_load(4, 0.8, max_outstanding=2)
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("protocol", ("rr", "fcfs-aincr"))
 def test_engines_identical_on_closed_loop_mmpp(protocol, seed):
@@ -505,19 +512,31 @@ def test_engines_identical_on_closed_loop_mmpp(protocol, seed):
     _assert_identical(ev, bt)
 
 
-def test_open_loop_cells_are_statically_out_of_domain(recwarn):
-    # Open-loop agents were never promised the batch engine: the domain
-    # check names the agent, engine="batch" silently routes to the event
-    # engine, and no RuntimeWarning fires (nothing was demoted).
+def test_open_loop_domain_is_single_outstanding(recwarn):
+    # An open-loop agent with one request outstanding blocks generation
+    # at issue and resumes at completion — the closed-loop cycle — so
+    # r=1 runs on lanes byte-equal to the event engine.  r=2 stays
+    # statically out of domain: the check names the agent, and
+    # engine="batch" silently routes to the event engine with no
+    # RuntimeWarning (nothing was demoted).
+    import pickle
+
     from repro.workload.scenarios import open_loop_equal_load
 
     settings = replace(SETTINGS, seed=3)
-    scenario = open_loop_equal_load(4, 0.8, max_outstanding=1)
-    capable, reason = batch_capable(scenario, "fcfs", settings)
-    assert not capable and "open-loop" in reason
+    capable, reason = batch_capable(
+        open_loop_equal_load(4, 0.8, max_outstanding=1), "fcfs", settings
+    )
+    assert capable, reason
     ev, bt = _both_engines(
         lambda: open_loop_equal_load(4, 0.8, max_outstanding=1), "fcfs", settings
     )
+    _assert_identical(ev, bt)
+    assert pickle.dumps(ev) == pickle.dumps(bt)
+
+    capable, reason = batch_capable(_open_loop_r2(), "fcfs", settings)
+    assert not capable and "max_outstanding > 1" in reason
+    ev, bt = _both_engines(_open_loop_r2, "fcfs", settings)
     _assert_identical(ev, bt)
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
@@ -537,12 +556,12 @@ def test_priority_class_cells_are_statically_out_of_domain(recwarn):
 
 
 def test_mixed_sweep_counts_only_in_domain_cells_as_fallback(monkeypatch):
-    # A grid mixing open-loop (statically out-of-domain) and closed-loop
-    # MMPP (in-domain) cells, with the lane engine dying at runtime: the
-    # warning fires, fallback_cells counts ONLY the demoted in-domain
-    # cells, and every cell still matches the event engine exactly.
+    # A grid mixing open-loop r=2 (statically out-of-domain) and
+    # closed-loop MMPP (in-domain) cells, with the lane engine dying at
+    # runtime: the warning fires, fallback_cells counts ONLY the demoted
+    # in-domain cells, and every cell still matches the event engine
+    # exactly.
     import repro.experiments.sweep as sweep_module
-    from repro.workload.scenarios import open_loop_equal_load
 
     def boom(cells):
         raise RuntimeError("lane engine exploded")
@@ -552,11 +571,7 @@ def test_mixed_sweep_counts_only_in_domain_cells_as_fallback(monkeypatch):
         SweepCell(_mmpp_closed(), "rr", replace(SETTINGS, seed=s)) for s in (1, 2)
     ]
     out_of_domain = [
-        SweepCell(
-            open_loop_equal_load(4, 0.8, max_outstanding=1),
-            "fcfs",
-            replace(SETTINGS, seed=s),
-        )
+        SweepCell(_open_loop_r2(), "fcfs", replace(SETTINGS, seed=s))
         for s in (1, 2, 3)
     ]
     executor = SweepExecutor(jobs=1)

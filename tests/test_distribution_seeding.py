@@ -18,19 +18,27 @@ Three pins per distribution family:
 - literal values: the first draws from a fixed seed are pinned byte for
   byte, so even a coordinated change to both paths (which the equality
   checks cannot see) trips a failure that names the distribution.
+
+One end-to-end pin closes the loop through the lane engine: an open-loop
+on-off MMPP agent's issue gaps on lanes are exactly its sample loop.
 """
 
 import random
+from dataclasses import replace
 
 import pytest
 
-from repro.workload.arrivals import MarkovModulatedPoisson
+from repro.engine.batch import batch_capable, run_lanes
+from repro.engine.rng import RandomStreams
+from repro.experiments.runner import SimulationSettings, run_simulation
+from repro.workload.arrivals import MarkovModulatedPoisson, on_off_poisson
 from repro.workload.distributions import (
     Deterministic,
     Erlang,
     Exponential,
     Hyperexponential,
 )
+from repro.workload.scenarios import AgentSpec, ScenarioSpec
 from repro.workload.traces import TraceDistribution
 
 SEEDS = (1, 7, 19880530, 424242)
@@ -112,3 +120,43 @@ def test_expovariate_inline_matches_cpython_formula():
     batched = Exponential(0.75).sample_batch(rng_inline, 50)
     stdlib = [rng_stdlib.expovariate(1.0 / 0.75) for _ in range(50)]
     assert batched == stdlib
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_open_loop_mmpp_agent_on_lanes_consumes_the_sample_loop(seed):
+    # An open-loop r=1 agent runs on the lane engine, which refills its
+    # think buffer with sample_batch blocks.  With one agent nothing
+    # contends, so every think draw is the gap between a completion and
+    # the next issue: the lane must consume exactly the draws a fresh
+    # MMPP's sample loop produces on the agent's stream, across several
+    # buffer refills, and match the event engine record for record.
+    def scenario():
+        return ScenarioSpec(
+            name="open-loop-on-off",
+            agents=(
+                AgentSpec(
+                    agent_id=1,
+                    interrequest=on_off_poisson(0.5, mean_on=8.0, mean_off=4.0),
+                    open_loop=True,
+                    max_outstanding=1,
+                ),
+            ),
+        )
+
+    settings = SimulationSettings(
+        batches=2, batch_size=75, warmup=0, seed=seed, keep_records=True
+    )
+    assert batch_capable(scenario(), "rr", settings)[0]
+    (lane,) = run_lanes([(scenario(), "rr", settings)])
+    records = lane.collector.records
+    assert len(records) == 150  # > two _THINK_BLOCK refills
+
+    source = on_off_poisson(0.5, mean_on=8.0, mean_off=4.0)
+    rng = RandomStreams(seed).agent_stream(1)
+    draws = [source.sample(rng) for _ in range(len(records))]
+    assert records[0].issue_time == 0.0 + draws[0]
+    for previous, record, think in zip(records, records[1:], draws[1:]):
+        assert record.issue_time == previous.completion_time + think
+
+    event = run_simulation(scenario(), "rr", replace(settings, engine="event"))
+    assert event.collector.records == records
