@@ -15,14 +15,23 @@ which is the honest place to measure an arbitration engine.
 Two pytest-benchmark entries record the grid's batch and event medians
 in ``BENCH_engine.json`` so ``scripts/check_bench.py`` can gate the
 recorded speedup and catch drift in either engine.
+
+A second pair times the synchronous-bus slice of the event-heavy
+benchmark grid (12 clocked cells, §2.1) on both engines; its recorded
+ratio is the ``sync_grid_speedup`` the bench guard gates.
 """
 
+import pickle
 import time
 from dataclasses import replace
 
+from repro.bus.timing import BusTiming
 from repro.engine.batch import run_lanes
 from repro.experiments.runner import SimulationSettings, run_simulation
 from repro.workload.scenarios import equal_load
+
+#: The synchronous slice's floor over the event engine, per pass.
+SYNC_SPEEDUP_GATE = 2.5
 
 #: One lane family per kernel implementation, both FCFS counter
 #: strategies included — the gate must pay every kernel's dispatch cost.
@@ -38,6 +47,23 @@ def grid_cells():
         (scenario, protocol, replace(settings, seed=seed))
         for protocol in PROTOCOLS
         for seed in SEEDS
+    ]
+
+
+def sync_cells():
+    """The 12-cell synchronous slice: N 10/30 x RR/FCFS x two seeds.
+
+    Total load 2.0 on a bus clocked at a quarter of the tenure, the
+    run length of the event-heavy benchmark grid.
+    """
+    settings = SimulationSettings(
+        batches=2, batch_size=100, warmup=50, timing=BusTiming(clock_period=0.25)
+    )
+    return [
+        (equal_load(n, 2.0), protocol, replace(settings, seed=seed))
+        for n in (10, 30)
+        for seed in (12345, 12346)
+        for protocol in ("rr", "fcfs", "fcfs-aincr")
     ]
 
 
@@ -120,3 +146,49 @@ def test_grid_pass_event_engine(benchmark):
     )
     assert len(results) == len(cells)
     assert all(r.collector.total_recorded == 1050 for r in results)
+
+
+def test_sync_lanes_byte_identical_to_event_engine():
+    """The synchronous slice pickles identically on both engines."""
+    cells = sync_cells()
+    _, batch_results = _batch_pass(cells)
+    _, event_results = _event_pass(cells)
+    for ours, theirs in zip(batch_results, event_results):
+        assert pickle.dumps(ours) == pickle.dumps(theirs)
+
+
+def test_sync_grid_speedup_gate():
+    """Lanes >= 2.5x the event engine on the synchronous slice, min-of-k.
+
+    Interleaved rounds, minimum of each series, as for the full grid.
+    """
+    cells = sync_cells()
+    _batch_pass(cells)  # warm allocator / code caches
+    batch_times, event_times = [], []
+    for _ in range(5):
+        event_time, _ = _event_pass(cells)
+        batch_time, _ = _batch_pass(cells)
+        event_times.append(event_time)
+        batch_times.append(batch_time)
+    speedup = min(event_times) / min(batch_times)
+    print(f"\nsynchronous slice speedup: {speedup:.2f}x (gate >= {SYNC_SPEEDUP_GATE})")
+    assert speedup >= SYNC_SPEEDUP_GATE
+
+
+def test_sync_pass_event_engine(benchmark):
+    """Recorded event-engine pass over the synchronous slice.
+
+    Runs immediately before ``test_sync_pass_batch_lanes`` so the two
+    share machine state; the ratio of their minima is the recorded
+    ``sync_grid_speedup``.
+    """
+    cells = sync_cells()
+    results = benchmark.pedantic(lambda: _event_pass(cells)[1], rounds=5, iterations=1)
+    assert len(results) == len(cells)
+
+
+def test_sync_pass_batch_lanes(benchmark):
+    """Recorded lane-engine pass over the synchronous slice."""
+    cells = sync_cells()
+    results = benchmark.pedantic(lambda: run_lanes(cells), rounds=5, iterations=1)
+    assert all(r.collector.total_recorded == 250 for r in results)

@@ -43,6 +43,12 @@ BENCH_FILE = BENCH_FILES[0]
 GRID_EVENT = "test_grid_pass_event_engine"
 GRID_BATCH = "test_grid_pass_batch_lanes"
 
+#: The synchronous-bus slice on both engines (adjacent in
+#: ``test_grid_batch.py``); their minima yield the recorded
+#: ``sync_grid_speedup``.
+SYNC_EVENT = "test_sync_pass_event_engine"
+SYNC_BATCH = "test_sync_pass_batch_lanes"
+
 #: The session-routed grid pass and its *paired* raw-lanes baseline
 #: (recorded back-to-back in ``test_session_overhead.py`` so the ratio
 #: is drift-free); their medians yield the ``session_overhead``
@@ -120,6 +126,12 @@ def condense(raw: dict) -> dict:
     if grid_event and grid_batch:
         summary["grid_speedup"] = round(
             grid_event["median_us"] / grid_batch["median_us"], 2
+        )
+    sync_event = benchmarks.get(SYNC_EVENT)
+    sync_batch = benchmarks.get(SYNC_BATCH)
+    if sync_event and sync_batch:
+        summary["sync_grid_speedup"] = round(
+            sync_event["min_us"] / sync_batch["min_us"], 2
         )
     grid_session = benchmarks.get(GRID_SESSION)
     grid_session_base = benchmarks.get(GRID_SESSION_BASE)

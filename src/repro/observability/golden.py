@@ -73,6 +73,9 @@ class GoldenScenario:
     #: twin.  ``bursty-priority`` adds the two-class priority bit, which
     #: keeps it on the event engine.
     workload: str = "closed"
+    #: Bus clock period; non-zero pins the synchronous bus of §2.1,
+    #: where arbitration starts and idle-bus grants wait for an edge.
+    clock_period: float = 0.0
 
 
 #: The pinned grid: one RR implementation per §3.1 flavour, one FCFS
@@ -217,6 +220,24 @@ GOLDEN_SCENARIOS: Dict[str, GoldenScenario] = {
         rationale="on-off bursty sources + §5 two-class overlay: pins MMPP "
         "phase flips and the priority bit in arbitration",
     ),
+    # Synchronous-bus pair.  The period divides neither the tenure nor
+    # the settle time, so kicks after a release and grants after an
+    # idle-bus settle both wait for an edge.
+    "rr-sync": GoldenScenario(
+        protocol="rr",
+        agents=4,
+        load=2.0,
+        clock_period=0.3,
+        rationale="synchronous bus: pins edge-aligned arbitration starts and grants",
+    ),
+    "batch-rr-sync": GoldenScenario(
+        protocol="rr",
+        agents=4,
+        load=2.0,
+        engine="batch",
+        clock_period=0.3,
+        rationale="batch engine on the synchronous bus, byte-equal to rr-sync",
+    ),
 }
 
 
@@ -241,6 +262,7 @@ def golden_trace_lines(name: str) -> List[str]:
     # Imported here, not at module top: repro.experiments.runner imports
     # this package's event/sink modules, so a top-level import would put
     # a cycle one refactor away.
+    from repro.bus.timing import BusTiming
     from repro.bus.watchdog import WatchdogPolicy
     from repro.experiments.runner import SimulationSettings, run_simulation
     from repro.faults.plan import BUS_LEVEL_FAULTS, FaultPlan
@@ -301,6 +323,7 @@ def golden_trace_lines(name: str) -> List[str]:
         seed=GOLDEN_SEED,
         fault_plan=fault_plan,
         watchdog=watchdog,
+        timing=BusTiming(clock_period=golden.clock_period),
         telemetry=TelemetrySettings(events=True),
         engine=golden.engine,
     )

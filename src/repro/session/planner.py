@@ -19,7 +19,8 @@ For every :class:`~repro.session.request.RunRequest` it
   them however heterogeneous); everything else flows to the per-cell
   direct path (which may still use the batch engine for one cell —
   JSONL telemetry is only excluded from *lane packs*, where several
-  lanes could contend for one trace file).
+  lanes could contend for one trace file).  A direct run carries the
+  reason it could not join a lane pack.
 
 The resulting :class:`RunPlan` is pure data; executing it is
 :func:`repro.session.execute.execute_plan`'s job, so backends (process
@@ -84,6 +85,10 @@ class PlannedRun:
     #: Index of the identical request this run repeats, for
     #: ``route == "dedup"``.
     first: Optional[int] = None
+    #: Why the run is not a lane, for ``route == "direct"``: the
+    #: engine selector, JSONL telemetry, or the
+    #: :func:`~repro.engine.batch.batch_capable` refusal.
+    reason: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -112,14 +117,15 @@ class RunPlan:
         return self.by_route(ROUTE_DEDUP)
 
 
-def _lane_eligible(request: RunRequest) -> bool:
+def _lane_refusal(request: RunRequest) -> str:
+    """Why ``request`` cannot run as a lane; empty when it can."""
     settings = request.settings
     telemetry = settings.telemetry
     if settings.engine != "batch":
-        return False
+        return f"engine {settings.engine!r} selected"
     if telemetry is not None and telemetry.jsonl_path is not None:
-        return False
-    return batch_capable(request.scenario, request.protocol, settings)[0]
+        return "JSONL telemetry"
+    return batch_capable(request.scenario, request.protocol, settings)[1]
 
 
 def plan_runs(
@@ -152,7 +158,8 @@ def plan_runs(
                     PlannedRun(index, resolved, ROUTE_CACHE, key=key, cached=hit)
                 )
                 continue
-        if _lane_eligible(resolved):
+        reason = _lane_refusal(resolved)
+        if not reason:
             runs.append(
                 PlannedRun(
                     index,
@@ -163,5 +170,7 @@ def plan_runs(
                 )
             )
         else:
-            runs.append(PlannedRun(index, resolved, ROUTE_DIRECT, key=key))
+            runs.append(
+                PlannedRun(index, resolved, ROUTE_DIRECT, key=key, reason=reason)
+            )
     return RunPlan(runs=tuple(runs))

@@ -29,6 +29,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
 
+from repro.bus.timing import BusTiming
 from repro.bus.watchdog import WatchdogPolicy
 from repro.engine.batch import batch_capable, run_lanes, run_replications
 from repro.experiments.runner import SimulationSettings, run_simulation
@@ -172,6 +173,20 @@ def test_engines_identical_when_watchdog_gives_up():
     )
     ev, bt = _both_engines(lambda: equal_load(4, 2.0), "rr", settings)
     assert ev.failed and bt.failed
+    _assert_identical(ev, bt)
+
+
+@pytest.mark.parametrize("seed", (9, 36))
+def test_engines_identical_with_a_non_binary_settle_time(seed):
+    # A watchdog retry is due at now + (settle + backoff), grouped as
+    # the event engine's schedule() groups it.  With a settle of 0.35,
+    # which no binary fraction represents, (now + settle) + backoff
+    # rounds differently on some passes; these seeds hit such a pass.
+    plan = _bus_fault_plan("fcfs", 3, rate=0.1, seed=seed, horizon=150.0)
+    settings = replace(
+        SETTINGS, seed=seed, fault_plan=plan, timing=BusTiming(arbitration_time=0.35)
+    )
+    ev, bt = _both_engines(lambda: equal_load(3, 0.6), "fcfs", settings)
     _assert_identical(ev, bt)
 
 

@@ -17,9 +17,12 @@ import pytest
 
 import repro.session.single as single_module
 from repro.cli import main
+from repro.bus.timing import BusTiming
 from repro.errors import ConfigurationError
 from repro.experiments.cache import ResultCache
+from repro.experiments.robustness import fault_plan_for
 from repro.experiments.runner import SimulationSettings, run_simulation
+from repro.experiments.scale import Scale
 from repro.experiments.sweep import SweepExecutor
 from repro.observability import TelemetrySettings
 from repro.session import (
@@ -37,6 +40,7 @@ from repro.session.outcome import (
     ROUTE_LANES,
     SessionStats,
 )
+from repro.workload.arrivals import bursty_equal_load, two_class_priority_load
 from repro.workload.scenarios import equal_load, open_loop_equal_load
 
 SETTINGS = SimulationSettings(batches=2, batch_size=50, warmup=5, seed=3)
@@ -98,6 +102,51 @@ class TestPlanRuns:
         )
         plan = plan_runs([request])
         assert plan.runs[0].route == ROUTE_DIRECT
+
+    def test_direct_runs_carry_their_refusal_reason(self):
+        # One N of the event-heavy benchmark grid: open-loop r=1, bursty
+        # MMPP and synchronous-bus cells are lanes; two-class priority
+        # cells and kernel-less fault protocols run direct, and say why.
+        scale = Scale("plan", SETTINGS.batches, SETTINGS.batch_size, SETTINGS.warmup)
+        clocked = replace(SETTINGS, timing=BusTiming(clock_period=0.25))
+        requests = []
+        for protocol in ("rr", "fcfs", "fcfs-aincr"):
+            requests += [
+                RunRequest(open_loop_equal_load(10, 0.9, max_outstanding=1), protocol, SETTINGS),
+                RunRequest(bursty_equal_load(10, 0.9), protocol, SETTINGS),
+                RunRequest(
+                    two_class_priority_load(10, 2.0, urgent_fraction=0.2), protocol, SETTINGS
+                ),
+                RunRequest(equal_load(10, 2.0), protocol, clocked),
+            ]
+        for protocol in ("rr-faulty-register", "fcfs-glitchable"):
+            plan = fault_plan_for(protocol, 0.01, scale, SETTINGS.seed)
+            requests.append(
+                RunRequest(equal_load(10, 2.0), protocol, replace(SETTINGS, fault_plan=plan))
+            )
+        plan = plan_runs(requests)
+        assert len(plan.lane_runs) == 9
+        assert sum(run.request.settings.timing.synchronous for run in plan.lane_runs) == 3
+        reasons = [run.reason for run in plan.direct_runs]
+        assert reasons == ["agent 1 uses priority classing"] * 3 + [
+            "protocol 'rr-faulty-register' has no batch kernel",
+            "protocol 'fcfs-glitchable' has no batch kernel",
+        ]
+        assert all(run.reason is None for run in plan.lane_runs)
+        assert not any("synchronous" in reason for reason in reasons)
+
+    def test_planner_names_engine_and_jsonl_refusals(self, tmp_path):
+        telemetry = TelemetrySettings(jsonl_path=str(tmp_path / "trace.jsonl"))
+        plan = plan_runs(
+            [
+                RunRequest(equal_load(4, 2.0), "rr", replace(SETTINGS, engine="event")),
+                RunRequest(equal_load(4, 2.0), "rr", replace(SETTINGS, telemetry=telemetry)),
+            ]
+        )
+        assert [run.reason for run in plan.runs] == [
+            "engine 'event' selected",
+            "JSONL telemetry",
+        ]
 
     def test_engine_override_rewrites_every_request(self):
         plan = plan_runs(

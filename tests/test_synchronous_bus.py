@@ -5,22 +5,27 @@ import pytest
 from repro.bus.model import BusSystem
 from repro.bus.timing import BusTiming
 from repro.core.round_robin import DistributedRoundRobin
+from repro.engine.batch import run_lanes
 from repro.errors import ConfigurationError
 from repro.stats.collector import CompletionCollector
 from repro.workload.distributions import Deterministic
 from repro.workload.scenarios import AgentSpec, ScenarioSpec
 
 from _utils import quick_settings
-from repro.experiments.runner import run_simulation
+from repro.experiments.runner import SimulationSettings, run_simulation
 from repro.workload.scenarios import equal_load
 
 
-def _run_micro(think_times, timing, completions=4):
+def _micro_scenario(think_times):
     agents = tuple(
         AgentSpec(agent_id=i + 1, interrequest=Deterministic(think))
         for i, think in enumerate(think_times)
     )
-    scenario = ScenarioSpec(name="sync-micro", agents=agents)
+    return ScenarioSpec(name="sync-micro", agents=agents)
+
+
+def _run_micro(think_times, timing, completions=4):
+    scenario = _micro_scenario(think_times)
     collector = CompletionCollector(
         batches=2, batch_size=max(1, completions // 2), warmup=0, keep_records=True
     )
@@ -30,6 +35,20 @@ def _run_micro(think_times, timing, completions=4):
     )
     system.run()
     return collector.records
+
+
+def _run_micro_lanes(think_times, timing, completions=4):
+    """The lane engine's twin of :func:`_run_micro` (same cell, same seed)."""
+    settings = SimulationSettings(
+        batches=2,
+        batch_size=max(1, completions // 2),
+        warmup=0,
+        keep_records=True,
+        seed=1,
+        timing=timing,
+    )
+    (result,) = run_lanes([(_micro_scenario(think_times), "rr", settings)])
+    return result.collector.records
 
 
 class TestTimingHelpers:
@@ -50,30 +69,54 @@ class TestTimingHelpers:
 
 
 class TestSynchronousMicroTiming:
+    run_micro = staticmethod(_run_micro)
+
     def test_arbitration_waits_for_clock_edge(self):
         # Lone agent, think 1.1: the request at t = 1.1 waits for the
         # 1.25 edge; arbitration runs 1.25-1.75; grant on-edge at 1.75.
         timing = BusTiming(clock_period=0.25)
-        records = _run_micro([1.1], timing, completions=2)
+        records = self.run_micro([1.1], timing, completions=2)
         assert records[0].issue_time == pytest.approx(1.1)
         assert records[0].grant_time == pytest.approx(1.75)
         assert records[0].completion_time == pytest.approx(2.75)
 
     def test_on_edge_request_starts_immediately(self):
         timing = BusTiming(clock_period=0.25)
-        records = _run_micro([1.0], timing, completions=2)
+        records = self.run_micro([1.0], timing, completions=2)
         assert records[0].grant_time == pytest.approx(1.5)
 
     def test_grants_land_on_edges(self):
         timing = BusTiming(clock_period=0.25)
-        records = _run_micro([0.6, 0.9], timing, completions=8)
+        records = self.run_micro([0.6, 0.9], timing, completions=8)
         for record in records:
             phase = record.grant_time % 0.25
             assert min(phase, 0.25 - phase) < 1e-9
 
     def test_async_bus_unchanged_by_default(self):
-        records_default = _run_micro([1.1], BusTiming(), completions=2)
+        records_default = self.run_micro([1.1], BusTiming(), completions=2)
         assert records_default[0].grant_time == pytest.approx(1.6)
+
+
+class TestSynchronousMicroTimingLanes(TestSynchronousMicroTiming):
+    """The same micro-timings on the lane engine, plus exact record equality."""
+
+    run_micro = staticmethod(_run_micro_lanes)
+
+    @pytest.mark.parametrize("period", [0.25, 0.3])
+    def test_lane_records_equal_event_records(self, period):
+        # Settle 0.5 after an off-edge release, idle-bus grants and a
+        # period that divides neither bus time: every issue, grant and
+        # completion time is the event engine's, float for float.
+        timing = BusTiming(clock_period=period)
+        think = [0.6, 0.9, 1.7]
+        expected = [
+            (r.agent_id, r.issue_time, r.grant_time, r.completion_time)
+            for r in _run_micro(think, timing, completions=16)
+        ]
+        assert [
+            (r.agent_id, r.issue_time, r.grant_time, r.completion_time)
+            for r in _run_micro_lanes(think, timing, completions=16)
+        ] == expected
 
 
 class TestSynchronousSystemBehaviour:
