@@ -18,7 +18,9 @@ recorded speedup and catch drift in either engine.
 
 A second pair times the synchronous-bus slice of the event-heavy
 benchmark grid (12 clocked cells, §2.1) on both engines; its recorded
-ratio is the ``sync_grid_speedup`` the bench guard gates.
+ratio is the ``sync_grid_speedup`` the bench guard gates.  A third pair
+does the same for the grid's two-class priority slice (12 cells, §2.4),
+recorded as ``priority_grid_speedup``.
 """
 
 import pickle
@@ -28,10 +30,14 @@ from dataclasses import replace
 from repro.bus.timing import BusTiming
 from repro.engine.batch import run_lanes
 from repro.experiments.runner import SimulationSettings, run_simulation
+from repro.workload.arrivals import two_class_priority_load
 from repro.workload.scenarios import equal_load
 
 #: The synchronous slice's floor over the event engine, per pass.
 SYNC_SPEEDUP_GATE = 2.5
+
+#: The priority slice's floor over the event engine, per pass.
+PRIORITY_SPEEDUP_GATE = 2.5
 
 #: One lane family per kernel implementation, both FCFS counter
 #: strategies included — the gate must pay every kernel's dispatch cost.
@@ -67,6 +73,21 @@ def sync_cells():
     ]
 
 
+def priority_cells():
+    """The 12-cell priority slice: N 10/30 x RR/FCFS x two seeds.
+
+    Total load 2.0 with each request urgent with probability 0.2, the
+    run length of the event-heavy benchmark grid.
+    """
+    settings = SimulationSettings(batches=2, batch_size=100, warmup=50)
+    return [
+        (two_class_priority_load(n, 2.0, 0.2), protocol, replace(settings, seed=seed))
+        for n in (10, 30)
+        for seed in (12345, 12346)
+        for protocol in ("rr", "fcfs", "fcfs-aincr")
+    ]
+
+
 def _event_pass(cells):
     start = time.perf_counter()
     results = [
@@ -80,6 +101,18 @@ def _batch_pass(cells):
     start = time.perf_counter()
     results = run_lanes(cells)
     return time.perf_counter() - start, results
+
+
+def _speedup(cells, rounds):
+    """Event-over-lanes ratio of pass minima over interleaved rounds."""
+    _batch_pass(cells)  # warm allocator / code caches
+    batch_times, event_times = [], []
+    for _ in range(rounds):
+        event_time, _ = _event_pass(cells)
+        batch_time, _ = _batch_pass(cells)
+        event_times.append(event_time)
+        batch_times.append(batch_time)
+    return min(event_times) / min(batch_times)
 
 
 def test_grid_lanes_bit_identical_to_event_engine():
@@ -112,15 +145,7 @@ def test_grid_batch_speedup_gate():
     the printed ratio (run with ``-s``) feeds the docs' performance
     table.
     """
-    cells = grid_cells()
-    _batch_pass(cells)  # warm allocator / code caches
-    batch_times, event_times = [], []
-    for _ in range(4):
-        event_time, _ = _event_pass(cells)
-        batch_time, _ = _batch_pass(cells)
-        event_times.append(event_time)
-        batch_times.append(batch_time)
-    speedup = min(event_times) / min(batch_times)
+    speedup = _speedup(grid_cells(), rounds=4)
     print(f"\ngrid-wide batch speedup: {speedup:.2f}x (gate >= 10.0)")
     assert speedup >= 10.0
 
@@ -162,15 +187,7 @@ def test_sync_grid_speedup_gate():
 
     Interleaved rounds, minimum of each series, as for the full grid.
     """
-    cells = sync_cells()
-    _batch_pass(cells)  # warm allocator / code caches
-    batch_times, event_times = [], []
-    for _ in range(5):
-        event_time, _ = _event_pass(cells)
-        batch_time, _ = _batch_pass(cells)
-        event_times.append(event_time)
-        batch_times.append(batch_time)
-    speedup = min(event_times) / min(batch_times)
+    speedup = _speedup(sync_cells(), rounds=5)
     print(f"\nsynchronous slice speedup: {speedup:.2f}x (gate >= {SYNC_SPEEDUP_GATE})")
     assert speedup >= SYNC_SPEEDUP_GATE
 
@@ -190,5 +207,40 @@ def test_sync_pass_event_engine(benchmark):
 def test_sync_pass_batch_lanes(benchmark):
     """Recorded lane-engine pass over the synchronous slice."""
     cells = sync_cells()
+    results = benchmark.pedantic(lambda: run_lanes(cells), rounds=5, iterations=1)
+    assert all(r.collector.total_recorded == 250 for r in results)
+
+
+def test_priority_lanes_byte_identical_to_event_engine():
+    """The priority slice pickles identically on both engines."""
+    cells = priority_cells()
+    _, batch_results = _batch_pass(cells)
+    _, event_results = _event_pass(cells)
+    for ours, theirs in zip(batch_results, event_results):
+        assert pickle.dumps(ours) == pickle.dumps(theirs)
+
+
+def test_priority_grid_speedup_gate():
+    """Lanes >= 2.5x the event engine on the priority slice, min-of-k."""
+    speedup = _speedup(priority_cells(), rounds=5)
+    print(f"\npriority slice speedup: {speedup:.2f}x (gate >= {PRIORITY_SPEEDUP_GATE})")
+    assert speedup >= PRIORITY_SPEEDUP_GATE
+
+
+def test_priority_pass_event_engine(benchmark):
+    """Recorded event-engine pass over the priority slice.
+
+    Runs immediately before ``test_priority_pass_batch_lanes`` so the
+    two share machine state; the ratio of their minima is the recorded
+    ``priority_grid_speedup``.
+    """
+    cells = priority_cells()
+    results = benchmark.pedantic(lambda: _event_pass(cells)[1], rounds=5, iterations=1)
+    assert len(results) == len(cells)
+
+
+def test_priority_pass_batch_lanes(benchmark):
+    """Recorded lane-engine pass over the priority slice."""
+    cells = priority_cells()
     results = benchmark.pedantic(lambda: run_lanes(cells), rounds=5, iterations=1)
     assert all(r.collector.total_recorded == 250 for r in results)

@@ -9,10 +9,10 @@ an open-loop sweep at the same completion budget may cost at most 1.5x
 the closed-loop sweep it grew out of.
 
 Both passes run the event engine.  The open-loop cells carry the §5
-priority class, which keeps them off the lane engine, and every cell
-pins ``engine="event"``: open-loop r=1 cells without priority traffic
-are inside the lane domain, and comparing against lane-packed cells
-would measure the batch engine, not the arrival layer.  Two
+priority class, and every cell pins ``engine="event"``: open-loop r=1
+cells, priority-classed or not, are inside the lane domain, and
+comparing against lane-packed cells would measure the batch engine,
+not the arrival layer.  Two
 pytest-benchmark entries record the pair *adjacent in this file* (same
 machine state, drift-free ratio); ``scripts/run_benchmarks.py``
 condenses them into an ``openloop_overhead`` fraction that

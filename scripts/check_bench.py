@@ -2,7 +2,7 @@
 """CI bench guard: median drift plus the grid-wide speedup gate.
 
 Runs the engine benchmarks fresh (to a throwaway file — the committed
-``BENCH_engine.json`` is never overwritten here) and applies six
+``BENCH_engine.json`` is never overwritten here) and applies seven
 checks:
 
 1. **Median drift** — every median is compared against the committed
@@ -57,6 +57,12 @@ checks:
    exact bar is enforced on the recorded baseline and by
    ``benchmarks/test_grid_batch.py::test_sync_grid_speedup_gate``; the
    fresh run gets drift-scaled slack.
+
+7. **Priority speedup** — the same fixed 2.5x bar for the lane pass
+   over the two-class priority slice (§2.4), enforced exactly on the
+   recorded baseline and by
+   ``benchmarks/test_grid_batch.py::test_priority_grid_speedup_gate``;
+   the fresh run gets drift-scaled slack.
 
 Usage::
 
@@ -125,6 +131,11 @@ GATES = (
         "sync_grid_speedup", "synchronous grid speedup", None, FLOOR, 2.5,
         "synchronous grid benchmarks",
         "required synchronous-slice lane speedup at the recorded baseline",
+    ),
+    Gate(
+        "priority_grid_speedup", "priority grid speedup", None, FLOOR, 2.5,
+        "priority grid benchmarks",
+        "required priority-slice lane speedup at the recorded baseline",
     ),
 )
 

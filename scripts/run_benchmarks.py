@@ -49,6 +49,12 @@ GRID_BATCH = "test_grid_pass_batch_lanes"
 SYNC_EVENT = "test_sync_pass_event_engine"
 SYNC_BATCH = "test_sync_pass_batch_lanes"
 
+#: The two-class priority slice on both engines (adjacent in
+#: ``test_grid_batch.py``); their minima yield the recorded
+#: ``priority_grid_speedup``.
+PRIORITY_EVENT = "test_priority_pass_event_engine"
+PRIORITY_BATCH = "test_priority_pass_batch_lanes"
+
 #: The session-routed grid pass and its *paired* raw-lanes baseline
 #: (recorded back-to-back in ``test_session_overhead.py`` so the ratio
 #: is drift-free); their medians yield the ``session_overhead``
@@ -127,12 +133,14 @@ def condense(raw: dict) -> dict:
         summary["grid_speedup"] = round(
             grid_event["median_us"] / grid_batch["median_us"], 2
         )
-    sync_event = benchmarks.get(SYNC_EVENT)
-    sync_batch = benchmarks.get(SYNC_BATCH)
-    if sync_event and sync_batch:
-        summary["sync_grid_speedup"] = round(
-            sync_event["min_us"] / sync_batch["min_us"], 2
-        )
+    for key, event_name, batch_name in (
+        ("sync_grid_speedup", SYNC_EVENT, SYNC_BATCH),
+        ("priority_grid_speedup", PRIORITY_EVENT, PRIORITY_BATCH),
+    ):
+        slice_event = benchmarks.get(event_name)
+        slice_batch = benchmarks.get(batch_name)
+        if slice_event and slice_batch:
+            summary[key] = round(slice_event["min_us"] / slice_batch["min_us"], 2)
     grid_session = benchmarks.get(GRID_SESSION)
     grid_session_base = benchmarks.get(GRID_SESSION_BASE)
     if grid_session and grid_session_base:

@@ -2,10 +2,11 @@
 
 The event-driven engine (:mod:`repro.engine.simulator` driving
 :class:`~repro.bus.model.BusSystem`) is fully general: it handles
-priority classes, multiple outstanding requests, arbitrary fault hooks
-and the watchdog.  But the paper's experiments — single-outstanding
-agents on a self-timed or clocked bus — have a rigidly cyclic
-structure: request → arbitration rounds → tenure → release, repeat.
+multiple outstanding requests, arbitrary fault hooks, event budgets and
+every registered protocol.  But the paper's experiments —
+single-outstanding agents on a self-timed or clocked bus — have a
+rigidly cyclic structure: request → arbitration rounds → tenure →
+release, repeat.
 For that restricted (and dominant) domain this module provides a
 calendar-free engine that runs independent *lanes* through a collapsed
 timer dispatch, shedding the Python interpreter overhead of event
@@ -26,7 +27,17 @@ agent issues, blocks generation while its one request is in flight and
 resumes with a fresh think draw at completion (``BusAgent``) — the
 closed-loop cycle exactly, so the lane needs no arrival-clock timer.
 Their runs add the per-flow metric series the event engine emits for
-open-loop scenarios.
+open-loop and priority-classed scenarios.
+
+Two-class priority traffic (§2.4) is in-domain.  Every protocol
+prepends one priority bit to its arbitration number, so the kernels
+keep an ``urgent`` bitmask beside the pending one and the winner is
+still one maximum over bitmasks.  A lane draws each request's class as
+``BusAgent`` does: an agent with ``priority_fraction > 0`` draws its
+think times one at a time and one uniform at every issue, so its
+stream reads think, class, think, class...  Unclassed agents keep their
+``sample_batch`` think buffers, and a lane with no classed agent runs
+the class-blind kernel path, so classing costs it nothing.
 
 Synchronous buses (``BusTiming.clock_period > 0``, §2.1) are
 in-domain and need no timer class of their own.  The arbitration
@@ -129,49 +140,84 @@ LANE_WIDTH = _ADVANCE_BLOCK
 # ``arbitrate_keys``, the fault-domain variant that also returns the
 # per-agent arbitration numbers the event arbiter would put on the
 # lines, which is the surface the fault injector perturbs.
+#
+# Priority classing (§2.4) is a second bitmask, ``urgent``: ``request``
+# writes the agent's class bit, which stays valid while the request is
+# pending and while its tenure runs (an agent issues nothing between its
+# grant and its completion).  Every protocol prepends the class bit to
+# its own arbitration number, so an urgent request beats every normal
+# one and urgent requests compete by the protocol's own rule.
+# ``arbitrate`` is the class-blind fast path a lane without classed
+# agents runs; ``arbitrate_classed`` adds the class bit, and
+# ``arbitrate_keys`` always carries it.
 
 
-def _identity_keys(mask: int) -> Dict[int, int]:
-    """Key map ``{agent: agent}`` over a competitor bitmask.
+def _identity_keys(mask: int, urgent: int, bits: int) -> Dict[int, int]:
+    """Key map ``{agent: (class << bits) | agent}`` over a competitor bitmask.
 
-    The batch domain excludes priority classing, so every protocol whose
-    event arbiter applies ``(flag << k) | id`` with a constant-zero flag
-    puts the bare identity on the lines.
+    The layout every protocol that puts a bare identity on the lines
+    uses: the priority bit sits directly above the ``bits``-wide
+    identity, set for the agents in ``urgent``.
     """
     keys = {}
     while mask:
         bit = mask & -mask
         agent = bit.bit_length() - 1
         mask ^= bit
-        keys[agent] = agent
+        keys[agent] = ((urgent >> agent & 1) << bits) | agent
     return keys
 
 
-class _RoundRobinKernel:
-    """Distributed round-robin, implementations 1–3 (priority-free).
+class _Kernel:
+    """Request bookkeeping shared by every kernel."""
+
+    __slots__ = ("num_agents", "bits", "pending", "urgent", "issue")
+
+    def __init__(self, num_agents: int) -> None:
+        self.num_agents = num_agents
+        self.bits = identity_bits(num_agents)
+        self.pending = 0
+        self.urgent = 0
+        self.issue = [0.0] * (num_agents + 1)
+
+    def request(self, agent_id: int, now: float, urgent: bool = False) -> None:
+        bit = 1 << agent_id
+        self.pending |= bit
+        self.issue[agent_id] = now
+        if urgent:
+            self.urgent |= bit
+        elif self.urgent:
+            self.urgent &= ~bit
+
+    def grant(self, agent_id: int) -> float:
+        self.pending &= ~(1 << agent_id)
+        return self.issue[agent_id]
+
+
+class _RoundRobinKernel(_Kernel):
+    """Distributed round-robin, implementations 1–3.
 
     The event-engine arbiters build per-agent keys ``(rr_bit << k) | id``
     and take the wired-OR maximum; with unique identities that maximum
     is simply the highest id among the agents "below" the previous
     winner when any exist, else the highest id overall — a two-bitmask
     computation here.
+
+    With an urgent request pending the highest urgent id wins on every
+    implementation: implementation 1 sets an urgent request's RR bit
+    (the registry's ``IGNORE_RR`` policy), and 2 and 3 let urgent
+    requesters bypass the low-request gating.  Urgent wins are recorded
+    as the previous winner (``record_priority_winners=True``).
     """
 
-    __slots__ = ("num_agents", "impl", "bits", "pending", "last_winner", "issue")
+    __slots__ = ("impl", "last_winner")
 
     def __init__(self, num_agents: int, impl: int) -> None:
-        self.num_agents = num_agents
+        super().__init__(num_agents)
         self.impl = impl
-        self.bits = identity_bits(num_agents)
-        self.pending = 0
         # Implementation 3 starts with the fictitious identity N+1 so the
         # very first pass already sees a non-empty "low" set.
         self.last_winner = num_agents + 1 if impl == 3 else 0
-        self.issue = [0.0] * (num_agents + 1)
-
-    def request(self, agent_id: int, now: float) -> None:
-        self.pending |= 1 << agent_id
-        self.issue[agent_id] = now
 
     def arbitrate(self) -> Tuple[int, int, int]:
         pending = self.pending
@@ -193,88 +239,103 @@ class _RoundRobinKernel:
         self.last_winner = winner
         return winner, rounds, competitors
 
-    def arbitrate_keys(self) -> Tuple[int, int, int, Dict[int, int]]:
-        """:meth:`arbitrate`, also returning the applied key map.
+    def arbitrate_classed(self) -> Tuple[int, int, int]:
+        """:meth:`arbitrate` with the priority bit prepended."""
+        pending = self.pending
+        urgent = self.urgent & pending
+        if not urgent:
+            return self.arbitrate()
+        competitors = pending
+        if self.impl != 1:
+            # Urgent requesters compete whatever the low-request line
+            # says; implementation 2 falls back to everyone only when
+            # no normal requester is below the previous winner.
+            low = pending & ~urgent & ((1 << self.last_winner) - 1)
+            if low or self.impl == 3:
+                competitors = low | urgent
+        winner = urgent.bit_length() - 1
+        self.last_winner = winner
+        return winner, 1, competitors
 
-        Implementation 1 puts every pending agent on the lines with its
-        round-robin bit (set exactly for the "low" set); 2 and 3 gate
-        competitors through the low-request line first, so only bare
-        identities compete.  State updates are identical to
-        :meth:`arbitrate` — an anomalous (never granted) pass still
-        advances ``last_winner``, as the event arbiter's does.
+    def arbitrate_keys(self) -> Tuple[int, int, int, Dict[int, int]]:
+        """:meth:`arbitrate_classed`, also returning the applied key map.
+
+        Implementation 1 puts every pending agent on the lines as
+        ``[priority][RR bit][id]``, the RR bit set for the "low" set and
+        for every urgent request; 2 and 3 gate competitors through the
+        low-request line first, so ``[priority][id]`` keys compete.
+        State updates are identical to :meth:`arbitrate_classed` — an
+        anomalous (never granted) pass still advances ``last_winner``,
+        as the event arbiter's does.
         """
         pending = self.pending
+        urgent = self.urgent & pending
         last = self.last_winner
-        low = pending & ((1 << last) - 1)
+        bits = self.bits
+        low = pending & ~urgent & ((1 << last) - 1)
         rounds = 1
         if self.impl == 1:
             competitors = pending
-            winner = (low or pending).bit_length() - 1
-            high = 1 << self.bits
+            winner = (urgent or low or pending).bit_length() - 1
+            rr_bit = 1 << bits
+            top = rr_bit << 1 | rr_bit
             keys = {}
             mask = pending
             while mask:
                 bit = mask & -mask
                 agent = bit.bit_length() - 1
                 mask ^= bit
-                keys[agent] = (high | agent) if agent < last else agent
+                if urgent & bit:
+                    keys[agent] = top | agent
+                else:
+                    keys[agent] = (rr_bit | agent) if agent < last else agent
         else:
-            if self.impl == 2:
-                competitors = low or pending
-            elif low:
-                competitors = low
+            if low or (urgent and self.impl == 3):
+                competitors = low | urgent
             else:
                 competitors = pending
-                rounds = 2
-            winner = competitors.bit_length() - 1
-            keys = _identity_keys(competitors)
+                if self.impl == 3:
+                    rounds = 2
+            # Every urgent request is a competitor, whichever branch ran.
+            winner = (urgent or competitors).bit_length() - 1
+            keys = _identity_keys(competitors, urgent, bits)
         self.last_winner = winner
         return winner, rounds, competitors, keys
 
-    def grant(self, agent_id: int) -> float:
-        self.pending &= ~(1 << agent_id)
-        return self.issue[agent_id]
 
-
-class _FcfsKernel:
+class _FcfsKernel(_Kernel):
     """Distributed FCFS, counter strategies 1 (increment) and 2 (A-incr).
 
     Strategy 1 increments every loser's waiting counter after each
     arbitration; strategy 2 timestamps arrivals with a shared pulse tick
     (coincidence window 0, matching the event-engine default) and uses
     the tick age as the counter.  Keys are
-    ``(counter % modulus) << k | id`` with ``modulus = 2**k``; the
-    winner is the wired-OR maximum.
+    ``[priority] (counter % modulus) << k | id`` with ``modulus = 2**k``;
+    the winner is the wired-OR maximum, so with an urgent request
+    pending the oldest urgent request wins.  Both strategies keep one
+    counter stream for both classes (``PriorityCounterPolicy.OVERFLOW``):
+    strategy 1 ages every loser, whatever its class.
     """
 
-    __slots__ = (
-        "num_agents",
-        "strategy",
-        "bits",
-        "modulus",
-        "pending",
-        "issue",
-        "counter",
-        "tick",
-        "last_pulse",
-        "rtick",
-    )
+    __slots__ = ("strategy", "modulus", "counter", "tick", "last_pulse", "rtick")
 
     def __init__(self, num_agents: int, strategy: int) -> None:
-        self.num_agents = num_agents
+        super().__init__(num_agents)
         self.strategy = strategy
-        self.bits = identity_bits(num_agents)
         self.modulus = 1 << self.bits
-        self.pending = 0
-        self.issue = [0.0] * (num_agents + 1)
         self.counter = [0] * (num_agents + 1)
         self.tick = 0
         self.last_pulse = -_INF
         self.rtick = [0] * (num_agents + 1)
 
-    def request(self, agent_id: int, now: float) -> None:
-        self.pending |= 1 << agent_id
+    def request(self, agent_id: int, now: float, urgent: bool = False) -> None:
+        bit = 1 << agent_id
+        self.pending |= bit
         self.issue[agent_id] = now
+        if urgent:
+            self.urgent |= bit
+        elif self.urgent:
+            self.urgent &= ~bit
         if self.strategy == 1:
             self.counter[agent_id] = 0
         else:
@@ -320,36 +381,49 @@ class _FcfsKernel:
                     winner = agent
         return winner, 1, pending
 
+    def arbitrate_classed(self) -> Tuple[int, int, int]:
+        """:meth:`arbitrate` with the priority bit prepended."""
+        pending = self.pending
+        urgent = self.urgent & pending
+        if not urgent:
+            return self.arbitrate()
+        keys = self._keys(urgent)
+        winner = max(keys, key=keys.__getitem__)
+        self._age_losers(pending, winner)
+        return winner, 1, pending
+
     def arbitrate_keys(self) -> Tuple[int, int, int, Dict[int, int]]:
-        """:meth:`arbitrate`, also returning the applied key map.
+        """:meth:`arbitrate_classed`, also returning the applied key map.
 
         Keys are snapshotted *before* strategy 1's loser increments, as
         on the real lines; an anomalous pass still ages the losers.
         """
         pending = self.pending
+        urgent = self.urgent & pending
+        keys = self._keys(pending)
+        if urgent:
+            top = 1 << (2 * self.bits)
+            mask = urgent
+            while mask:
+                bit = mask & -mask
+                keys[bit.bit_length() - 1] |= top
+                mask ^= bit
+        winner = max(keys, key=keys.__getitem__)
+        self._age_losers(pending, winner)
+        return winner, 1, pending, keys
+
+    def _keys(self, mask: int) -> Dict[int, int]:
+        """Class-free keys ``(counter % modulus) << k | id`` over ``mask``."""
         bits = self.bits
         modulus = self.modulus
         keys: Dict[int, int] = {}
-        best_key = -1
-        winner = 0
-        mask = pending
         if self.strategy == 1:
             counter = self.counter
             while mask:
                 bit = mask & -mask
                 agent = bit.bit_length() - 1
                 mask ^= bit
-                key = ((counter[agent] % modulus) << bits) | agent
-                keys[agent] = key
-                if key > best_key:
-                    best_key = key
-                    winner = agent
-            # Every loser ages by one arbitration (strategy 1's pulse).
-            mask = pending & ~(1 << winner)
-            while mask:
-                bit = mask & -mask
-                counter[bit.bit_length() - 1] += 1
-                mask ^= bit
+                keys[agent] = ((counter[agent] % modulus) << bits) | agent
         else:
             tick = self.tick
             rtick = self.rtick
@@ -357,48 +431,46 @@ class _FcfsKernel:
                 bit = mask & -mask
                 agent = bit.bit_length() - 1
                 mask ^= bit
-                key = (((tick - rtick[agent]) % modulus) << bits) | agent
-                keys[agent] = key
-                if key > best_key:
-                    best_key = key
-                    winner = agent
-        return winner, 1, pending, keys
+                keys[agent] = (((tick - rtick[agent]) % modulus) << bits) | agent
+        return keys
 
-    def grant(self, agent_id: int) -> float:
-        self.pending &= ~(1 << agent_id)
-        return self.issue[agent_id]
+    def _age_losers(self, pending: int, winner: int) -> None:
+        """Strategy 1's pulse: every loser ages by one arbitration."""
+        if self.strategy != 1:
+            return
+        counter = self.counter
+        mask = pending & ~(1 << winner)
+        while mask:
+            bit = mask & -mask
+            counter[bit.bit_length() - 1] += 1
+            mask ^= bit
 
 
-class _FixedPriorityKernel:
-    """Static daisy-chain baseline: highest pending identity wins."""
+class _FixedPriorityKernel(_Kernel):
+    """Static daisy-chain baseline: highest pending identity wins.
 
-    __slots__ = ("num_agents", "pending", "issue")
+    The class bit sits above the identity, so an urgent request beats
+    every normal one and the highest urgent identity wins.
+    """
 
-    def __init__(self, num_agents: int) -> None:
-        self.num_agents = num_agents
-        self.pending = 0
-        self.issue = [0.0] * (num_agents + 1)
-
-    def request(self, agent_id: int, now: float) -> None:
-        self.pending |= 1 << agent_id
-        self.issue[agent_id] = now
+    __slots__ = ()
 
     def arbitrate(self) -> Tuple[int, int, int]:
         pending = self.pending
         return pending.bit_length() - 1, 1, pending
 
-    def arbitrate_keys(self) -> Tuple[int, int, int, Dict[int, int]]:
-        """:meth:`arbitrate`, also returning the applied key map.
-
-        Without priority classing (guaranteed on the batch domain) the
-        urgent bit is constant zero, so bare identities compete.
-        """
+    def arbitrate_classed(self) -> Tuple[int, int, int]:
+        """:meth:`arbitrate` with the priority bit prepended."""
         pending = self.pending
-        return pending.bit_length() - 1, 1, pending, _identity_keys(pending)
+        return ((self.urgent & pending) or pending).bit_length() - 1, 1, pending
 
-    def grant(self, agent_id: int) -> float:
-        self.pending &= ~(1 << agent_id)
-        return self.issue[agent_id]
+    def arbitrate_keys(self) -> Tuple[int, int, int, Dict[int, int]]:
+        """:meth:`arbitrate_classed`, also returning the applied key map:
+        ``[priority][id]`` for every pending agent."""
+        pending = self.pending
+        urgent = self.urgent & pending
+        keys = _identity_keys(pending, urgent, self.bits)
+        return (urgent or pending).bit_length() - 1, 1, pending, keys
 
 
 _KERNELS = {
@@ -458,7 +530,8 @@ def batch_capable(
     fault the spec admits; a watchdog policy alone (no plan) is always
     in-domain, since clean runs never consult it.  Open-loop agents are
     in-domain: with one request outstanding at most, generation blocks
-    at issue and resumes at completion, the closed-loop cycle.
+    at issue and resumes at completion, the closed-loop cycle.  Priority
+    classing is in-domain on every kernel.
     """
     spec = get_spec(protocol)
     if not spec.supports_batch or protocol not in _KERNELS:
@@ -466,8 +539,6 @@ def batch_capable(
     for agent in scenario.agents:
         if agent.max_outstanding != 1:
             return False, f"agent {agent.agent_id} has max_outstanding > 1"
-        if agent.priority_fraction > 0.0:
-            return False, f"agent {agent.agent_id} uses priority classing"
     plan = settings.fault_plan
     if plan is not None and len(plan):
         if not spec.supports_batch_faults:
@@ -484,6 +555,26 @@ def batch_capable(
 # ---------------------------------------------------------------------------
 # One lane's state machine
 # ---------------------------------------------------------------------------
+
+
+class _ThinkEach:
+    """Think-time source of an agent that draws a class per request.
+
+    Stands in for the agent's think buffer.  ``BusAgent`` draws such an
+    agent's think times one at a time with ``sample``, because the class
+    draw at each issue sits between two think draws on its stream.
+    ``pop`` does the same.  The object is always truthy, so the lane's
+    buffer refill never runs for it.
+    """
+
+    __slots__ = ("dist", "rng")
+
+    def __init__(self, dist, rng) -> None:
+        self.dist = dist
+        self.rng = rng
+
+    def pop(self) -> float:
+        return self.dist.sample(self.rng)
 
 
 class _Replication:
@@ -531,6 +622,7 @@ class _Replication:
         "rngs",
         "dists",
         "buffers",
+        "fractions",
         "now",
         "t_rel",
         "t_arb",
@@ -594,10 +686,9 @@ class _Replication:
                 sinks.append(MetricsSink(self.metrics))
         self.sinks = tuple(sinks)
         # The event engine's per-flow series, emitted only for scenarios
-        # with open-loop agents (BusSystem._flow_metrics; priority classes
-        # are outside the batch domain, so every request is "normal").
+        # with open-loop agents or a priority class (BusSystem._flow_metrics).
         self.flow_metrics = self.metrics is not None and any(
-            spec.open_loop for spec in scenario.agents
+            spec.open_loop or spec.priority_fraction > 0.0 for spec in scenario.agents
         )
         self.txn = settings.timing.transaction_time
         self.arbt = settings.timing.arbitration_time
@@ -637,7 +728,9 @@ class _Replication:
         streams = RandomStreams(settings.seed)
         self.rngs = [None] * (num_agents + 1)
         self.dists = [None] * (num_agents + 1)
-        self.buffers: List[list] = [[] for _ in range(num_agents + 1)]
+        self.buffers: list = [[] for _ in range(num_agents + 1)]
+        # Request-class probability per agent; 0.0 for unclassed agents.
+        self.fractions = [0.0] * (num_agents + 1)
         self.active = [True] * (num_agents + 1)
         self.woke = [False] * (num_agents + 1)
         self.seq = 0
@@ -650,9 +743,15 @@ class _Replication:
             rng = streams.agent_stream(agent)
             self.rngs[agent] = rng
             self.dists[agent] = spec.interrequest
-            buffer = self.buffers[agent]
-            buffer.extend(spec.interrequest.sample_batch(rng, _THINK_BLOCK))
-            buffer.reverse()
+            if spec.priority_fraction > 0.0:
+                # A classed agent's class draw falls between two think
+                # draws on its stream, so it draws them one at a time.
+                self.fractions[agent] = spec.priority_fraction
+                buffer = self.buffers[agent] = _ThinkEach(spec.interrequest, rng)
+            else:
+                buffer = self.buffers[agent]
+                buffer.extend(spec.interrequest.sample_batch(rng, _THINK_BLOCK))
+                buffer.reverse()
             t_first = 0.0 + buffer.pop()
             self.seq += 1
             heap.append((t_first, self.seq, agent))
@@ -699,14 +798,22 @@ class _Replication:
         # through the reference implementation.
         fast_record = not (collector.keep_order or collector.keep_records)
         kernel = self.kernel
-        kernel_request = kernel.request
-        kernel_arbitrate = kernel.arbitrate
+        # A lane picks its path once: only a lane with classed agents
+        # draws request classes and arbitrates on the class bit.
+        classed = any(self.fractions)
+        if classed:
+            kernel_request = self._classed_request
+            kernel_arbitrate = kernel.arbitrate_classed
+        else:
+            kernel_request = kernel.request
+            kernel_arbitrate = kernel.arbitrate
         # Every kernel's grant body is `pending &= ~bit; return issue`,
-        # and the RR/fixed request body is `pending |= bit; issue = now`
-        # (FCFS adds counter/tick bookkeeping) — both are inlined below;
-        # the method calls are measurable at two calls per completion.
+        # and the RR/fixed request body of a class-free lane is
+        # `pending |= bit; issue = now` (FCFS adds counter/tick
+        # bookkeeping) — both are inlined below; the method calls are
+        # measurable at two calls per completion.
         kernel_issue = kernel.issue
-        simple_request = not isinstance(kernel, _FcfsKernel)
+        simple_request = not (classed or isinstance(kernel, _FcfsKernel))
         req_heap = self.req_heap
         buffers = self.buffers
         dists = self.dists
@@ -853,15 +960,19 @@ class _Replication:
                         if batch.count == batch_size_n:
                             collector._last_boundary_time = now
                 else:
-                    record_completion(agent, issue, master_grant, now)
+                    # The master's class bit is intact until its release.
+                    record_completion(
+                        agent, issue, master_grant, now, bool(kernel.urgent >> agent & 1)
+                    )
                 if metrics is not None:
                     metrics.counter("completions").increment()
                     metrics.histogram(f"wait.agent.{agent}", WAIT_BUCKETS).observe(
                         now - issue
                     )
                     if flow_metrics:
-                        metrics.counter(f"flow.share.agent.{agent}.normal").increment()
-                        metrics.histogram("wait.class.normal", WAIT_BUCKETS).observe(
+                        label = "urgent" if kernel.urgent >> agent & 1 else "normal"
+                        metrics.counter(f"flow.share.agent.{agent}.{label}").increment()
+                        metrics.histogram(f"wait.class.{label}", WAIT_BUCKETS).observe(
                             now - issue
                         )
                 # Closed loop, or open loop blocked at one outstanding
@@ -1181,6 +1292,17 @@ class _Replication:
         self.arb_index = arb_index
         self.now = now
         return True
+
+    def _classed_request(self, agent: int, now: float) -> None:
+        """Issue a request with its class drawn as ``BusAgent`` does.
+
+        One uniform per request of a classed agent, even at fraction
+        1.0; an unclassed agent draws nothing.
+        """
+        fraction = self.fractions[agent]
+        self.kernel.request(
+            agent, now, fraction > 0.0 and self.rngs[agent].random() < fraction
+        )
 
     def _close_sinks(self) -> None:
         if self.jsonl is not None:

@@ -66,10 +66,11 @@ class SimulationSettings:
     ``"event"`` (the general event-driven simulator).  The batch engine
     produces bit-identical results on its conformance-verified domain —
     which includes bus-level fault plans and watchdog recovery — and is
-    a pure performance choice; cells outside that domain (priority
-    classes, more than one outstanding request per agent, out-of-domain
-    fault kinds, protocols without a batch kernel) transparently fall
-    back to the event engine, so the default is safe everywhere.
+    a pure performance choice; cells outside that domain (more than
+    one outstanding request per agent, out-of-domain fault kinds,
+    protocols without a batch kernel, a ``max_events`` budget)
+    transparently fall back to the event engine, so the default is
+    safe everywhere.
     """
 
     batches: int = 10

@@ -68,10 +68,10 @@ class GoldenScenario:
     #: Workload family behind the run.  ``closed`` is the original
     #: equal-load think-time population; ``mmpp-closed`` swaps the think
     #: times for closed-loop MMPP draws; ``poisson`` is an open-loop
-    #: arrival scenario with one outstanding request per agent.  All
-    #: three are inside the batch-lane domain, so each can have a batch
-    #: twin.  ``bursty-priority`` adds the two-class priority bit, which
-    #: keeps it on the event engine.
+    #: arrival scenario with one outstanding request per agent;
+    #: ``bursty-priority`` is open-loop on-off MMPP with the two-class
+    #: priority bit.  All four are inside the batch-lane domain, so each
+    #: can have a batch twin.
     workload: str = "closed"
     #: Bus clock period; non-zero pins the synchronous bus of §2.1,
     #: where arbitration starts and idle-bus grants wait for an edge.
@@ -175,12 +175,12 @@ GOLDEN_SCENARIOS: Dict[str, GoldenScenario] = {
         fault_rate=0.3,
         rationale="batch engine fault-timer class, byte-equal to rr-faults",
     ),
-    # Arrival-layer goldens.  The closed-loop MMPP pair and the open-loop
-    # Poisson pair (one outstanding request per agent) stay inside the
-    # batch-lane domain (stateful distributions ride the default
-    # sample_batch path), so they pin the engines against each other;
-    # the bursty-priority trace pins MMPP phase flips and the two-class
-    # priority bit, event engine only.
+    # Arrival-layer goldens.  The closed-loop MMPP pair, the open-loop
+    # Poisson pair (one outstanding request per agent) and the bursty
+    # two-class priority pair stay inside the batch-lane domain
+    # (stateful distributions ride the default sample_batch path, classed
+    # agents draw one think time per request), so they pin the engines
+    # against each other.
     "mmpp-closed": GoldenScenario(
         protocol="rr",
         agents=4,
@@ -219,6 +219,15 @@ GOLDEN_SCENARIOS: Dict[str, GoldenScenario] = {
         workload="bursty-priority",
         rationale="on-off bursty sources + §5 two-class overlay: pins MMPP "
         "phase flips and the priority bit in arbitration",
+    ),
+    "batch-openloop-bursty-priority": GoldenScenario(
+        protocol="rr",
+        agents=4,
+        load=0.8,
+        engine="batch",
+        workload="bursty-priority",
+        rationale="batch engine on bursty two-class sources, byte-equal to "
+        "openloop-bursty-priority",
     ),
     # Synchronous-bus pair.  The period divides neither the tenure nor
     # the settle time, so kicks after a release and grants after an

@@ -556,17 +556,32 @@ def test_open_loop_domain_is_single_outstanding(recwarn):
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
-def test_priority_class_cells_are_statically_out_of_domain(recwarn):
+def test_priority_class_cells_run_on_lanes(recwarn):
+    # Two-class priority cells are in-domain (§2.4: one class bit above
+    # each protocol's number): engine="batch" really takes the lane
+    # route — no RuntimeWarning, no silent fallback — and every
+    # observable, the urgent flags of the records included, matches the
+    # event engine on every lane protocol.
+    import pickle
+
     from repro.workload.arrivals import two_class_priority_load
 
     settings = replace(SETTINGS, seed=3)
     scenario = two_class_priority_load(4, 2.0, urgent_fraction=0.25)
-    capable, reason = batch_capable(scenario, "rr", settings)
-    assert not capable and "priority" in reason
-    ev, bt = _both_engines(
-        lambda: two_class_priority_load(4, 2.0, urgent_fraction=0.25), "rr", settings
-    )
-    _assert_identical(ev, bt)
+    for protocol in BATCH_PROTOCOLS:
+        capable, reason = batch_capable(scenario, protocol, settings)
+        assert capable, reason
+        ev, bt = _both_engines(
+            lambda: two_class_priority_load(4, 2.0, urgent_fraction=0.25),
+            protocol,
+            settings,
+        )
+        _assert_identical(ev, bt)
+        assert pickle.dumps(ev) == pickle.dumps(bt)
+        assert {record.priority for record in bt.collector.records} == {False, True}
+        assert {"wait.class.urgent", "wait.class.normal"} <= set(bt.metrics.histograms())
+        (lane,) = run_lanes([(scenario, protocol, settings)])
+        assert pickle.dumps(lane) == pickle.dumps(ev)
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 

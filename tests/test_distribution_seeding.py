@@ -19,8 +19,10 @@ Three pins per distribution family:
   byte, so even a coordinated change to both paths (which the equality
   checks cannot see) trips a failure that names the distribution.
 
-One end-to-end pin closes the loop through the lane engine: an open-loop
-on-off MMPP agent's issue gaps on lanes are exactly its sample loop.
+Two end-to-end pins close the loop through the lane engine: an open-loop
+on-off MMPP agent's issue gaps on lanes are exactly its sample loop, and
+a priority-classed agent's stream interleaves one think draw and one
+class draw per request while an unclassed neighbour keeps its batches.
 """
 
 import random
@@ -159,4 +161,81 @@ def test_open_loop_mmpp_agent_on_lanes_consumes_the_sample_loop(seed):
         assert record.issue_time == previous.completion_time + think
 
     event = run_simulation(scenario(), "rr", replace(settings, engine="event"))
+    assert event.collector.records == records
+
+
+def _classed_pair(fraction):
+    """Agent 1 draws a request class with ``fraction``; agent 2 does not."""
+    return ScenarioSpec(
+        name="classed-pair",
+        agents=(
+            AgentSpec(agent_id=1, interrequest=Exponential(2.0), priority_fraction=fraction),
+            AgentSpec(agent_id=2, interrequest=Exponential(3.0)),
+        ),
+    )
+
+
+@pytest.mark.parametrize("dropout", [False, True])
+@pytest.mark.parametrize("fraction", [0.5, 1.0])
+@pytest.mark.parametrize("seed", SEEDS)
+def test_classed_agent_on_lanes_interleaves_think_and_class_draws(seed, fraction, dropout):
+    # A classed agent's stream is think, class, think, class... — one
+    # sample() per think time and one uniform per issued request, even
+    # at fraction 1.0, where the class is certain but the draw is still
+    # consumed (BusAgent._draw_priority).  A think timer that expires
+    # while the agent is dropped out issues nothing and draws no class;
+    # the rejoin draws a fresh think time.  The unclassed agent beside
+    # it keeps its sample_batch think sequence and never draws a class.
+    from repro.faults.plan import FaultEvent, FaultKind, FaultPlan
+
+    window = (20.0, 50.0)
+    plan = None
+    if dropout:
+        plan = FaultPlan(
+            events=(
+                FaultEvent(
+                    time=window[0],
+                    kind=FaultKind.AGENT_DROPOUT,
+                    agent_id=1,
+                    duration=window[1] - window[0],
+                ),
+            )
+        )
+    settings = SimulationSettings(
+        batches=2, batch_size=75, warmup=0, seed=seed, keep_records=True, fault_plan=plan
+    )
+    assert batch_capable(_classed_pair(fraction), "fcfs", settings)[0]
+    (lane,) = run_lanes([(_classed_pair(fraction), "fcfs", settings)])
+    records = lane.collector.records
+
+    think = Exponential(2.0)
+    rng = RandomStreams(seed).agent_stream(1)
+    completed = 0.0
+    swallowed = 0
+    classed = [record for record in records if record.agent_id == 1]
+    for record in classed:
+        issue = completed + think.sample(rng)
+        if dropout and window[0] <= issue < window[1]:
+            swallowed += 1
+            issue = window[1] + think.sample(rng)
+        assert record.issue_time == issue
+        assert record.priority == (rng.random() < fraction)
+        completed = record.completion_time
+    assert swallowed == (1 if dropout else 0)
+    if fraction == 1.0:
+        assert all(record.priority for record in classed)
+
+    unclassed = [record for record in records if record.agent_id == 2]
+    draws = Exponential(3.0).sample_batch(
+        RandomStreams(seed).agent_stream(2), len(unclassed)
+    )
+    completed = 0.0
+    for record, drawn in zip(unclassed, draws):
+        assert record.issue_time == completed + drawn
+        assert not record.priority
+        completed = record.completion_time
+
+    event = run_simulation(
+        _classed_pair(fraction), "fcfs", replace(settings, engine="event")
+    )
     assert event.collector.records == records

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.bus.model import BusSystem
-from repro.experiments.runner import make_arbiter
+from repro.engine.batch import run_lanes
+from repro.experiments.runner import SimulationSettings, make_arbiter
 from repro.stats.collector import CompletionCollector
 from repro.workload.distributions import Exponential
 from repro.workload.scenarios import AgentSpec, ScenarioSpec
@@ -34,6 +35,20 @@ def _run(protocol, scenario=None, seed=5, completions=3000):
     return collector.records
 
 
+def _run_lanes(protocol, scenario=None, seed=5, completions=3000):
+    """:func:`_run`'s cell on the lane engine."""
+    scenario = scenario or _mixed_scenario()
+    settings = SimulationSettings(
+        batches=2,
+        batch_size=completions // 2,
+        warmup=0,
+        seed=seed,
+        keep_records=True,
+    )
+    (result,) = run_lanes([(scenario, protocol, settings)])
+    return result.collector.records
+
+
 def _mean_wait(records, priority):
     waits = [r.waiting_time for r in records if r.priority == priority]
     assert waits, f"no {'priority' if priority else 'normal'} completions"
@@ -41,6 +56,20 @@ def _mean_wait(records, priority):
 
 
 PROTOCOLS = ["rr", "rr-impl2", "rr-impl3", "fcfs", "fcfs-aincr", "aap1", "aap2"]
+
+#: The protocols with a lane kernel.
+LANE_PROTOCOLS = ["rr", "rr-impl2", "rr-impl3", "fcfs", "fcfs-aincr", "fixed"]
+
+
+class TestClaimsHoldOnLanes:
+    @pytest.mark.parametrize("protocol", LANE_PROTOCOLS)
+    def test_lane_records_equal_bus_system_records(self, protocol):
+        # The lane engine reproduces the bus model record for record,
+        # urgent flags included, so every claim this module pins on
+        # BusSystem records holds on lanes too.
+        records = _run_lanes(protocol)
+        assert records == _run(protocol)
+        assert _mean_wait(records, True) < _mean_wait(records, False)
 
 
 class TestUrgentTrafficAcrossProtocols:

@@ -65,12 +65,36 @@ class TestGenerateExperiments:
         assert module._fmt(Est()) == "2.50"
 
 
+class TestCondenseSliceRatios:
+    def test_each_slice_pair_yields_its_ratio_of_minima(self):
+        module = _load("run_benchmarks")
+
+        def bench(name, minimum):
+            stats = {"median": 2 * minimum, "mean": 2 * minimum, "stddev": 0.0}
+            return {"name": name, "stats": dict(stats, min=minimum, rounds=5)}
+
+        raw = {
+            "benchmarks": [
+                bench(module.SYNC_EVENT, 0.08),
+                bench(module.SYNC_BATCH, 0.02),
+                bench(module.PRIORITY_EVENT, 0.15),
+                bench(module.PRIORITY_BATCH, 0.03),
+            ]
+        }
+        summary = module.condense(raw)
+        assert summary["sync_grid_speedup"] == 4.0
+        assert summary["priority_grid_speedup"] == 5.0
+        raw["benchmarks"] = raw["benchmarks"][:3]
+        assert "priority_grid_speedup" not in module.condense(raw)
+
+
 class TestCheckBenchGates:
     """The bench guard's gate table, on synthetic summaries and baselines.
 
     One floor row (the grid speedup) and one ceiling row (the session
     overhead) cover both directions of the comparison; the synchronous
-    speedup row gets its own pass, recorded-miss and missing-key cases.
+    and priority speedup rows get their own pass, recorded-miss and
+    missing-key cases.
     """
 
     @pytest.fixture(scope="class")
@@ -95,13 +119,16 @@ class TestCheckBenchGates:
             "service_overhead",
             "openloop_overhead",
             "sync_grid_speedup",
+            "priority_grid_speedup",
         ]
         assert self._gate(module, "grid_speedup").bound == module.FLOOR
         assert {gate.bound for gate in module.GATES[1:4]} == {module.CEILING}
         assert self._gate(module, "sync_grid_speedup").bound == module.FLOOR
-        # A fixed bar: the synchronous row adds no CLI flag.
+        assert self._gate(module, "priority_grid_speedup").bound == module.FLOOR
+        # Fixed bars: the synchronous and priority rows add no CLI flag.
         assert [gate.key for gate in module.GATES if gate.flag is None] == [
-            "sync_grid_speedup"
+            "sync_grid_speedup",
+            "priority_grid_speedup",
         ]
 
     def test_floor_pass(self, module, capsys):
@@ -158,6 +185,40 @@ class TestCheckBenchGates:
         assert lines == [
             "  synchronous grid speedup: baseline records none  <-- REGRESSION",
             "  synchronous grid speedup (fresh): missing synchronous grid benchmarks"
+            "  <-- REGRESSION",
+        ]
+
+    def test_priority_floor_pass(self, module, capsys):
+        status, lines = self._check(module, capsys, "priority_grid_speedup", 5.0, 1.5)
+        assert status == 0
+        assert lines == [
+            "  priority grid speedup: baseline records 5.00x (gate >= 2.5x)",
+            "  priority grid speedup (fresh): 1.50x (floor 1.2x at 50% tolerance)",
+        ]
+
+    def test_priority_floor_recorded_miss(self, module, capsys):
+        status, lines = self._check(module, capsys, "priority_grid_speedup", 2.0, 5.0)
+        assert status == 1
+        assert lines[0] == (
+            "  priority grid speedup: baseline records 2.00x (gate >= 2.5x)"
+            "  <-- REGRESSION"
+        )
+        assert "REGRESSION" not in lines[1]
+
+    def test_priority_floor_fresh_miss(self, module, capsys):
+        status, lines = self._check(module, capsys, "priority_grid_speedup", 5.0, 1.0)
+        assert status == 1
+        assert lines[1] == (
+            "  priority grid speedup (fresh): 1.00x (floor 1.2x at 50% tolerance)"
+            "  <-- REGRESSION"
+        )
+
+    def test_priority_floor_missing_keys(self, module, capsys):
+        status, lines = self._check(module, capsys, "priority_grid_speedup", None, None)
+        assert status == 1
+        assert lines == [
+            "  priority grid speedup: baseline records none  <-- REGRESSION",
+            "  priority grid speedup (fresh): missing priority grid benchmarks"
             "  <-- REGRESSION",
         ]
 

@@ -105,8 +105,8 @@ class TestPlanRuns:
 
     def test_direct_runs_carry_their_refusal_reason(self):
         # One N of the event-heavy benchmark grid: open-loop r=1, bursty
-        # MMPP and synchronous-bus cells are lanes; two-class priority
-        # cells and kernel-less fault protocols run direct, and say why.
+        # MMPP, two-class priority and synchronous-bus cells are lanes;
+        # only the kernel-less fault protocols run direct, and say why.
         scale = Scale("plan", SETTINGS.batches, SETTINGS.batch_size, SETTINGS.warmup)
         clocked = replace(SETTINGS, timing=BusTiming(clock_period=0.25))
         requests = []
@@ -125,10 +125,16 @@ class TestPlanRuns:
                 RunRequest(equal_load(10, 2.0), protocol, replace(SETTINGS, fault_plan=plan))
             )
         plan = plan_runs(requests)
-        assert len(plan.lane_runs) == 9
+        assert len(plan.lane_runs) == 12
         assert sum(run.request.settings.timing.synchronous for run in plan.lane_runs) == 3
+        classed = [
+            run
+            for run in plan.lane_runs
+            if any(agent.priority_fraction > 0.0 for agent in run.request.scenario.agents)
+        ]
+        assert len(classed) == 3
         reasons = [run.reason for run in plan.direct_runs]
-        assert reasons == ["agent 1 uses priority classing"] * 3 + [
+        assert reasons == [
             "protocol 'rr-faulty-register' has no batch kernel",
             "protocol 'fcfs-glitchable' has no batch kernel",
         ]
