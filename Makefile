@@ -16,7 +16,7 @@ lint:
 	$(PYTHON) -m ruff check src tests scripts benchmarks examples
 
 # Engine micro-benchmarks -> BENCH_engine.json (median timings), plus the
-# sweep-executor wall-clock demos (parallel speedup, warm-cache replay).
+# session sweep wall-clock demos (parallel speedup, warm-cache replay).
 bench:
 	$(PYTHON) scripts/run_benchmarks.py
 	REPRO_SCALE=$(SCALE) PYTHONPATH=src $(PYTHON) -m pytest benchmarks/test_sweep_parallel.py -q -s

@@ -2,8 +2,8 @@
 
 One ``run_lanes`` pass over a whole experiment grid — every protocol
 family, eight seeds each — against the same grid run cell-by-cell on the
-event engine.  This is the workload the lane engine exists for (the
-sweep executor packs exactly this kind of grid), so its speedup gate is
+event engine.  This is the workload the lane engine exists for (a
+session packs exactly this kind of grid), so its speedup gate is
 the end-to-end acceptance bar, complementing the single-cell
 replication gate in ``test_engine_microbench.py``.
 

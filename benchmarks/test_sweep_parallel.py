@@ -1,4 +1,4 @@
-"""Wall-clock demonstrations of the sweep executor's two speed levers.
+"""Wall-clock demonstrations of a session's two sweep speed levers.
 
 Not pytest-benchmark calibrated runs: each is a single end-to-end Table
 4.1 regeneration, timed (the parallel case) or instrumented (the cache
@@ -18,7 +18,7 @@ import pytest
 from repro.experiments import table_4_1
 from repro.experiments.cache import ResultCache
 from repro.experiments.scale import SCALES
-from repro.experiments.sweep import SweepExecutor
+from repro.session import Session
 
 SCALE = SCALES["quick"]
 
@@ -30,15 +30,15 @@ SCALE = SCALES["quick"]
 def test_table_4_1_four_workers_beat_serial():
     """Full Table 4.1 with 4 workers: >= 2.5x faster, identical output."""
     serial_started = time.perf_counter()
-    serial = table_4_1.run(scale=SCALE, executor=SweepExecutor(jobs=1))
+    serial = table_4_1.run(scale=SCALE, executor=Session(jobs=1))
     serial_elapsed = time.perf_counter() - serial_started
 
-    parallel_executor = SweepExecutor(jobs=4)
+    parallel_session = Session(jobs=4)
     parallel_started = time.perf_counter()
-    parallel = table_4_1.run(scale=SCALE, executor=parallel_executor)
+    parallel = table_4_1.run(scale=SCALE, executor=parallel_session)
     parallel_elapsed = time.perf_counter() - parallel_started
 
-    assert parallel_executor.stats.parallel_batches > 0
+    assert parallel_session.stats.parallel_batches > 0
     assert [panel.render() for panel in parallel] == [
         panel.render() for panel in serial
     ]
@@ -52,12 +52,12 @@ def test_table_4_1_four_workers_beat_serial():
 
 def test_table_4_1_warm_cache_executes_zero_simulations(tmp_path):
     """A warm-cache rerun replays every cell; no simulation executes."""
-    cold = SweepExecutor(jobs=1, cache=ResultCache(tmp_path))
+    cold = Session(jobs=1, cache=ResultCache(tmp_path))
     cold_panel = table_4_1.run_panel(10, scale=SCALE, executor=cold)
     assert cold.stats.executed > 0
     assert cold.stats.cache_hits == 0
 
-    warm = SweepExecutor(jobs=1, cache=ResultCache(tmp_path))
+    warm = Session(jobs=1, cache=ResultCache(tmp_path))
     warm_panel = table_4_1.run_panel(10, scale=SCALE, executor=warm)
     assert warm.stats.executed == 0
     assert warm.stats.cache_hits == cold.stats.executed

@@ -24,7 +24,7 @@ from repro.experiments import figure_4_1, table_4_1, table_4_2, table_4_3, table
 from repro.experiments.cache import ResultCache
 from repro.experiments.scale import current_scale
 from repro.experiments.spec import build_tables
-from repro.experiments.sweep import SweepExecutor
+from repro.session import Session
 
 OUT = Path(__file__).resolve().parent.parent / "EXPERIMENTS.md"
 
@@ -202,9 +202,7 @@ def main():
         help="reuse cached cell results ($REPRO_CACHE_DIR or ~/.cache/repro-arb)",
     )
     args = parser.parse_args()
-    executor = SweepExecutor(
-        jobs=args.jobs, cache=ResultCache() if args.cache else None
-    )
+    executor = Session(jobs=args.jobs, cache=ResultCache() if args.cache else None)
     scale = current_scale()
     started = time.time()
     out = [

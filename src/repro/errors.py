@@ -65,8 +65,8 @@ class NoUniqueWinnerError(ArbitrationError):
 class SweepExecutionError(ReproError):
     """A sweep cell failed to execute even after being retried.
 
-    Carries the per-cell diagnostics collected by the sweep executor so
-    a failed grid names exactly which cells died and why.
+    Carries the per-cell diagnostics a session collected, so a failed
+    grid names exactly which cells died and why.
     """
 
 

@@ -30,7 +30,6 @@ from repro.experiments.spec import (
     run_cells,
     settings_for,
 )
-from repro.experiments.sweep import SweepCell, SweepExecutor
 from repro.observability import TelemetrySettings, merge_metrics
 
 __all__ = [
@@ -47,8 +46,6 @@ __all__ = [
     "fmt_estimate",
     "ResultCache",
     "cache_key",
-    "SweepCell",
-    "SweepExecutor",
     "CellSpec",
     "RowSpec",
     "PanelSpec",

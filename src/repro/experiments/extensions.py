@@ -44,10 +44,9 @@ from repro.experiments.spec import (
     build_table,
     settings_for,
 )
-from repro.experiments.spec import RunExecutor
-from repro.experiments.sweep import SweepExecutor
 from repro.faults import FaultyWinnerRegisterRR
 from repro.protocols.registry import get_spec, protocol_names
+from repro.session import Session
 from repro.workload.scenarios import AgentSpec, ScenarioSpec
 from repro.workload.traces import TraceDistribution, synthesize_program_trace
 
@@ -172,7 +171,7 @@ def run_table_e3(
     num_agents: int = 12,
     scale: Optional[Scale] = None,
     seed: int = DEFAULT_SEED,
-    executor: Optional[RunExecutor] = None,
+    executor: Optional[Session] = None,
 ) -> ExperimentTable:
     """Table E3: fairness under trace-driven workloads ([EgGi87] angle)."""
     scale = scale or current_scale()
@@ -239,7 +238,7 @@ def run_table_e4(
     load: float = 2.5,
     scale: Optional[Scale] = None,
     seed: int = DEFAULT_SEED,
-    executor: Optional[RunExecutor] = None,
+    executor: Optional[Session] = None,
 ) -> ExperimentTable:
     """Table E4: the urgent-traffic pointer-reset finding (§3.1).
 
@@ -335,7 +334,7 @@ def run_table_e5(
     urgent_fraction: float = 0.25,
     scale: Optional[Scale] = None,
     seed: int = DEFAULT_SEED,
-    executor: Optional[RunExecutor] = None,
+    executor: Optional[Session] = None,
 ) -> ExperimentTable:
     """Table E5: per-flow fairness under the open-loop arrival layer.
 

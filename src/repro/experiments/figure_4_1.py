@@ -16,8 +16,7 @@ from repro.experiments.formatting import ascii_plot
 from repro.experiments.params import DEFAULT_SEED
 from repro.experiments.scale import Scale, current_scale
 from repro.experiments.spec import CellSpec, run_cells, settings_for
-from repro.experiments.spec import RunExecutor
-from repro.experiments.sweep import SweepExecutor
+from repro.session import Session
 from repro.stats.cdf import EmpiricalCDF
 from repro.workload.scenarios import equal_load
 
@@ -70,7 +69,7 @@ def run(
     scale: Optional[Scale] = None,
     seed: int = DEFAULT_SEED,
     points: int = 60,
-    executor: Optional[RunExecutor] = None,
+    executor: Optional[Session] = None,
 ) -> FigureResult:
     """Reproduce Figure 4.1 (defaults: the paper's 30 agents, load 1.5)."""
     scale = scale or current_scale()

@@ -39,9 +39,9 @@ from repro.experiments.formatting import ExperimentTable
 from repro.experiments.params import DEFAULT_SEED
 from repro.experiments.scale import Scale, current_scale
 from repro.experiments.spec import (
-    CellSpec, ExperimentSpec, PanelSpec, RowSpec, RunExecutor, build_table, settings_for,
+    CellSpec, ExperimentSpec, PanelSpec, RowSpec, build_table, settings_for,
 )
-from repro.experiments.sweep import SweepExecutor
+from repro.session import Session
 from repro.session.planner import normalize_engine
 from repro.faults.plan import FaultKind, FaultPlan
 from repro.observability.events import TelemetrySettings
@@ -272,7 +272,7 @@ def run(
     rates: Sequence[float] = DEFAULT_FAULT_RATES,
     scale: Optional[Scale] = None,
     seed: int = DEFAULT_SEED,
-    executor: Optional[RunExecutor] = None,
+    executor: Optional[Session] = None,
     telemetry: Optional[TelemetrySettings] = None,
     engine: str = "batch",
     workload: str = "closed",
@@ -285,8 +285,8 @@ def run(
     is threaded into every fault cell (see :func:`panel_spec`).
     ``workload`` selects the grid population (see
     :data:`GRID_WORKLOADS`); the open-loop families (one outstanding
-    request per agent) are inside the batch lane domain, the two-class
-    family's priority bit is not and runs on the event engine.
+    request per agent) and the two-class priority family are all
+    inside the batch lane domain of every protocol with a kernel.
 
     ``engine`` selects the execution engine for the fault-free
     baselines — the grid's replication-heavy, batch-eligible cells.
@@ -296,7 +296,7 @@ def run(
     transparently whatever ``engine`` says — the batch engine's fault
     domain covers bus-level plans on the six core kernels only.
     """
-    executor = executor or SweepExecutor()
+    executor = executor or Session()
     scale = scale or current_scale()
     scenario = grid_scenario(workload)
     baseline_settings = settings_for(
@@ -322,10 +322,10 @@ def spec(
     rates: Sequence[float] = DEFAULT_FAULT_RATES,
     scale: Optional[Scale] = None,
     seed: int = DEFAULT_SEED,
-    executor: Optional[RunExecutor] = None,
+    executor: Optional[Session] = None,
 ) -> ExperimentSpec:
     """Declarative form of the grid (baselines run eagerly to anchor rows)."""
-    executor = executor or SweepExecutor()
+    executor = executor or Session()
     scale = scale or current_scale()
     scenario = equal_load(NUM_AGENTS, LOAD)
     baseline_settings = settings_for(scale, seed, keep_order=True)

@@ -21,17 +21,15 @@ cache-friendly), and assemble the rendered
 submitted in row-major declaration order, so results are byte-identical
 to the historical per-module loops at the same scale and seed.
 
-Any :data:`RunExecutor` can back a grid: a
-:class:`~repro.experiments.sweep.SweepExecutor` (the default) or a
-:class:`~repro.session.session.Session` — both expose
-``run_requests(requests) -> [RunOutcome]`` and ``simulate``.
+A :class:`~repro.session.session.Session` backs every grid: a fresh
+``Session()`` by default, or the caller's (its jobs, cache and engine
+override then apply to the whole grid).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import (
-    TYPE_CHECKING,
     Callable,
     Dict,
     Iterable,
@@ -40,21 +38,17 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
-    Union,
 )
 
 from repro.errors import ConfigurationError
 from repro.experiments.formatting import ExperimentTable
 from repro.experiments.runner import SimulationSettings
 from repro.experiments.scale import Scale
-from repro.experiments.sweep import SweepCell, SweepExecutor
 from repro.protocols.registry import get_spec
 from repro.session.request import RunRequest
+from repro.session.session import Session
 from repro.stats.summary import RunResult
 from repro.workload.scenarios import ScenarioSpec
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.session.session import Session
 
 __all__ = [
     "CellSpec",
@@ -62,17 +56,12 @@ __all__ = [
     "PanelSpec",
     "ExperimentSpec",
     "RowBuilder",
-    "RunExecutor",
     "settings_for",
     "grid_rows",
     "run_cells",
     "build_table",
     "build_tables",
 ]
-
-#: Anything that can back an experiment grid: duck-typed on
-#: ``run_requests(requests) -> [RunOutcome]`` plus ``simulate``.
-RunExecutor = Union[SweepExecutor, "Session"]
 
 #: ``build_row(label, results_by_key) -> (formatted_cells, record)``.
 RowBuilder = Callable[
@@ -113,10 +102,6 @@ class CellSpec:
         spec.check_outstanding(
             max(agent.max_outstanding for agent in self.scenario.agents)
         )
-
-    def sweep_cell(self) -> SweepCell:
-        """The executable form submitted to a sweep executor."""
-        return SweepCell(self.scenario, self.protocol, self.settings, tag=self.tag)
 
     def run_request(self) -> RunRequest:
         """The session-layer form of the cell."""
@@ -175,7 +160,7 @@ def grid_rows(
     """The common grid shape: one row per label, one cell per protocol.
 
     The scenario is built once per label and shared by that row's cells
-    (each cell still simulates against a private copy — the sweep layer
+    (each cell still simulates against a private copy — the session
     guarantees that), and cells are keyed by protocol name.
     """
     rows = []
@@ -201,17 +186,17 @@ def grid_rows(
 
 def run_cells(
     cells: Sequence[CellSpec],
-    executor: Optional[RunExecutor] = None,
+    executor: Optional[Session] = None,
 ) -> List[RunResult]:
     """Execute declared cells as one session batch; results in cell order."""
-    executor = executor or SweepExecutor()
+    executor = executor or Session()
     outcomes = executor.run_requests([cell.run_request() for cell in cells])
     return [outcome.result for outcome in outcomes]
 
 
 def build_table(
     panel: PanelSpec,
-    executor: Optional[RunExecutor] = None,
+    executor: Optional[Session] = None,
 ) -> ExperimentTable:
     """Compile one panel: run its grid, assemble the rendered table."""
     results = iter(run_cells(panel.cells(), executor))
@@ -227,8 +212,8 @@ def build_table(
 
 def build_tables(
     experiment: ExperimentSpec,
-    executor: Optional[RunExecutor] = None,
+    executor: Optional[Session] = None,
 ) -> Tuple[ExperimentTable, ...]:
     """Compile every panel of an experiment, sharing one executor."""
-    executor = executor or SweepExecutor()
+    executor = executor or Session()
     return tuple(build_table(panel, executor) for panel in experiment.panels)

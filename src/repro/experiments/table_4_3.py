@@ -18,8 +18,9 @@ from repro.experiments.formatting import ExperimentTable, fmt_estimate
 from repro.experiments.params import DEFAULT_SEED, PAPER_LOADS, PAPER_SIZES
 from repro.experiments.scale import Scale, current_scale
 from repro.experiments.spec import (
-    RunExecutor, ExperimentSpec, PanelSpec, build_table, build_tables, grid_rows, settings_for,
+    ExperimentSpec, PanelSpec, build_table, build_tables, grid_rows, settings_for,
 )
+from repro.session import Session
 from repro.stats.cdf import min_integer_crossing
 from repro.workload.scenarios import equal_load
 
@@ -98,14 +99,14 @@ def spec(sizes: Sequence[int] = PAPER_SIZES, loads: Sequence[float] = PAPER_LOAD
 
 def run_panel(num_agents: int, loads: Sequence[float] = PAPER_LOADS,
               scale: Optional[Scale] = None, seed: int = DEFAULT_SEED,
-              executor: Optional[RunExecutor] = None) -> ExperimentTable:
+              executor: Optional[Session] = None) -> ExperimentTable:
     """One panel of Table 4.3 (one system size)."""
     return build_table(panel_spec(num_agents, loads, scale, seed), executor)
 
 
 def run(sizes: Sequence[int] = PAPER_SIZES, loads: Sequence[float] = PAPER_LOADS,
         scale: Optional[Scale] = None, seed: int = DEFAULT_SEED,
-        executor: Optional[RunExecutor] = None) -> Tuple[ExperimentTable, ...]:
+        executor: Optional[Session] = None) -> Tuple[ExperimentTable, ...]:
     """All panels of Table 4.3."""
     return build_tables(spec(sizes, loads, scale, seed), executor)
 

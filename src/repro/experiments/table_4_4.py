@@ -17,8 +17,9 @@ from repro.experiments.formatting import ExperimentTable, fmt_estimate
 from repro.experiments.params import DEFAULT_SEED
 from repro.experiments.scale import Scale, current_scale
 from repro.experiments.spec import (
-    RunExecutor, ExperimentSpec, PanelSpec, build_table, build_tables, grid_rows, settings_for,
+    ExperimentSpec, PanelSpec, build_table, build_tables, grid_rows, settings_for,
 )
+from repro.session import Session
 from repro.workload.scenarios import unequal_load
 
 __all__ = ["run", "run_panel", "panel_spec", "spec", "BASE_LOADS"]
@@ -92,7 +93,7 @@ def spec(factors: Sequence[float] = (2.0, 4.0), num_agents: int = 30,
 def run_panel(factor: float, num_agents: int = 30,
               base_loads: Sequence[float] = BASE_LOADS,
               scale: Optional[Scale] = None, seed: int = DEFAULT_SEED,
-              executor: Optional[RunExecutor] = None) -> ExperimentTable:
+              executor: Optional[Session] = None) -> ExperimentTable:
     """One panel of Table 4.4 (one rate factor)."""
     return build_table(panel_spec(factor, num_agents, base_loads, scale, seed), executor)
 
@@ -100,7 +101,7 @@ def run_panel(factor: float, num_agents: int = 30,
 def run(factors: Sequence[float] = (2.0, 4.0), num_agents: int = 30,
         base_loads: Sequence[float] = BASE_LOADS,
         scale: Optional[Scale] = None, seed: int = DEFAULT_SEED,
-        executor: Optional[RunExecutor] = None) -> Tuple[ExperimentTable, ...]:
+        executor: Optional[Session] = None) -> Tuple[ExperimentTable, ...]:
     """Both panels of Table 4.4."""
     return build_tables(spec(factors, num_agents, base_loads, scale, seed), executor)
 

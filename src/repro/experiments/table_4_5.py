@@ -20,8 +20,9 @@ from repro.experiments.formatting import ExperimentTable, fmt_estimate
 from repro.experiments.params import DEFAULT_SEED, PAPER_CVS, PAPER_SIZES
 from repro.experiments.scale import Scale, current_scale
 from repro.experiments.spec import (
-    RunExecutor, ExperimentSpec, PanelSpec, build_table, build_tables, grid_rows, settings_for,
+    ExperimentSpec, PanelSpec, build_table, build_tables, grid_rows, settings_for,
 )
+from repro.session import Session
 from repro.stats.batch_means import BatchMeansEstimate, batch_means
 from repro.stats.summary import RunResult
 from repro.workload.scenarios import worst_case_rr
@@ -106,14 +107,14 @@ def spec(sizes: Sequence[int] = PAPER_SIZES, cvs: Optional[Sequence[float]] = No
 
 def run_panel(num_agents: int, cvs: Sequence[float] = PAPER_CVS,
               scale: Optional[Scale] = None, seed: int = DEFAULT_SEED,
-              executor: Optional[RunExecutor] = None) -> ExperimentTable:
+              executor: Optional[Session] = None) -> ExperimentTable:
     """One panel of Table 4.5 (one system size)."""
     return build_table(panel_spec(num_agents, cvs, scale, seed), executor)
 
 
 def run(sizes: Sequence[int] = PAPER_SIZES, cvs: Optional[Sequence[float]] = None,
         scale: Optional[Scale] = None, seed: int = DEFAULT_SEED,
-        executor: Optional[RunExecutor] = None) -> Tuple[ExperimentTable, ...]:
+        executor: Optional[Session] = None) -> Tuple[ExperimentTable, ...]:
     """All panels of Table 4.5."""
     return build_tables(spec(sizes, cvs, scale, seed), executor)
 

@@ -11,7 +11,7 @@ the golden-trace suite in ``tests/golden/`` relies on that.
 :class:`TelemetrySettings` is the declarative knob block embedded in
 :class:`~repro.experiments.runner.SimulationSettings`; it is frozen,
 picklable and cache-keyable, so telemetry-enabled cells flow through
-the parallel sweep executor and the result cache like any other cell.
+a parallel session and the result cache like any other cell.
 """
 
 from __future__ import annotations

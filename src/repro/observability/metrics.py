@@ -4,7 +4,7 @@ The registry is the aggregate face of the telemetry layer: where the
 event stream answers *what happened, in order*, the registry answers
 *how much of it happened* — arbitration counts, rounds-per-grant and
 settle-round distributions, per-agent waiting times, watchdog retry
-totals.  It is designed around the sweep executor's determinism
+totals.  It is designed around a parallel sweep's determinism
 contract:
 
 - every structure is pure Python and picklable, so a registry rides a

@@ -17,9 +17,9 @@ The package splits along the failure ladder it implements:
 
 The light vocabulary (backoff, jobs, admission, shards) imports
 eagerly; the heavier orchestration and I/O layers resolve lazily on
-first attribute access, so ``repro.experiments.sweep``'s import of the
-shared backoff policy does not drag asyncio and process pools into
-every sweep.
+first attribute access, so a :class:`~repro.session.session.Session`
+that reaches for :class:`ShardPool` does not drag asyncio and the
+socket front end into every grid.
 """
 
 from repro.service.admission import AdmissionController

@@ -1,13 +1,14 @@
 """Deterministic jittered exponential backoff, shared by every retrier.
 
-Two layers retry failed work and both must do it *deterministically*:
-the sweep executor's per-cell retry (:mod:`repro.experiments.sweep`)
-and the service's worker-crash respawn/replay loop
-(:mod:`repro.service.shards`).  A :class:`BackoffPolicy` gives them one
-vocabulary: exponential growth from ``base`` by ``multiplier`` per
-attempt, capped at ``cap``, with a *seeded* jitter so repeated runs of
-the same failure sequence wait the same amounts — reproducibility is
-this repository's core discipline, and "retry timing" is not exempt.
+Two kinds of retry must both happen *deterministically*: a raising
+cell's one in-process retry and a crashed worker's respawn/replay, both
+in :class:`~repro.service.shards.ShardPool`, which backs the
+:class:`~repro.session.session.Session` per-cell path and the service
+alike.  A :class:`BackoffPolicy` gives them one vocabulary:
+exponential growth from ``base`` by ``multiplier`` per attempt, capped
+at ``cap``, with a *seeded* jitter so repeated runs of the same failure
+sequence wait the same amounts — reproducibility is this repository's
+core discipline, and "retry timing" is not exempt.
 
 The jitter derives from SHA-256 over ``(seed, token, attempt)`` rather
 than a shared :mod:`random` stream, so concurrent retriers (several

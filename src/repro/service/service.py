@@ -30,8 +30,8 @@ state, liveness under contention, graceful degradation:
   :class:`~repro.observability.sinks.EventSink` protocol the simulation
   events use.
 
-The service also satisfies the ``Session``/``SweepExecutor`` executor
-duck type (``run_requests`` / ``simulate``), so an experiment grid can
+The service also has the executor surface ``Session(executor=...)``
+delegates to (``run_requests`` / ``stats``), so an experiment grid can
 be pointed at a running service unchanged.
 """
 
@@ -197,11 +197,8 @@ class ArbitrationService:
         )
         if self.config.serial:
             self.pool.degrade("serial execution configured")
-        #: Executor duck type: a service never overrides cell engines
-        #: (the planner respects each request's own declaration), and it
-        #: keeps the same :class:`SessionStats` accounting every other
-        #: orchestrator exposes, so ``Session(executor=service)`` works.
-        self.engine: Optional[str] = None
+        #: The same :class:`SessionStats` accounting a session keeps,
+        #: so ``Session(executor=service).stats`` is this one.
         self.stats = SessionStats()
         self._owns_sink = False
         if sink is None and self.config.jsonl_path is not None:
@@ -367,7 +364,7 @@ class ArbitrationService:
             "pool": self.pool.describe(),
         }
 
-    # -- executor duck type ---------------------------------------------------
+    # -- executor surface -----------------------------------------------------
 
     def run_requests(
         self,
@@ -376,9 +373,9 @@ class ArbitrationService:
     ) -> List[RunOutcome]:
         """Submit one job for ``requests`` and block for its outcomes.
 
-        Satisfies the executor duck type the experiment grids accept,
-        so a grid can run against a service (shared cache, sharded
-        pool) unchanged.  Raises on any non-``done`` terminal state.
+        The call ``Session(executor=service)`` delegates to, so a grid
+        can run against a service (shared cache, sharded pool)
+        unchanged.  Raises on any non-``done`` terminal state.
         """
         deadline = None
         if control is not None and control.remaining() is not None:

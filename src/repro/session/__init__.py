@@ -2,9 +2,9 @@
 
 The session layer is the single place engine selection, lane packing,
 cache lookup and graceful degradation are decided.  Every entry point —
-:func:`~repro.experiments.runner.run_simulation`, the
-:class:`~repro.experiments.sweep.SweepExecutor` backends, the
-robustness grid, all experiment tables and the CLI — routes through it:
+:func:`~repro.experiments.runner.run_simulation`, the robustness
+grid, all experiment tables, the arbitration service and the CLI —
+routes through it:
 
 - :class:`RunRequest` (:mod:`repro.session.request`): one requested
   simulation — scenario, protocol, settings, tag — with a
@@ -19,13 +19,14 @@ robustness grid, all experiment tables and the CLI — routes through it:
   provenance, the runtime batch→event fallback flag
   (:mod:`repro.session.fallback`) and :class:`CellFailure`
   degradation;
-- :class:`Session` (:mod:`repro.session.session`): the synchronous
-  submit/gather facade over an executor (a sweep executor or the
-  arbitration service).
+- :class:`Session` (:mod:`repro.session.session`): the one executor —
+  plans and executes request batches (submit/gather or
+  ``run_requests``) on a per-cell process pool, or delegates them to
+  another executor such as the arbitration service.
 
 The layering rule: this package never imports
-:mod:`repro.experiments` at module level (the experiments package
-imports session right back); those references resolve lazily at call
+:mod:`repro.experiments` or :mod:`repro.service` at module level (both
+import session right back); those references resolve lazily at call
 time.
 """
 

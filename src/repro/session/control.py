@@ -59,10 +59,6 @@ class RunControl:
         self._reason = reason
 
     @property
-    def cancelled(self) -> bool:
-        return self._cancelled
-
-    @property
     def expired(self) -> bool:
         """True once the deadline (if any) has passed."""
         return self.deadline_at is not None and self._clock() >= self.deadline_at
@@ -86,6 +82,6 @@ class RunControl:
         if self._cancelled:
             raise CancelledRunError(self._reason or "cancelled")
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+    def __repr__(self) -> str:
         state = "cancelled" if self._cancelled else "live"
         return f"RunControl({state}, deadline_at={self.deadline_at})"

@@ -1,8 +1,7 @@
 """Execute a :class:`~repro.session.planner.RunPlan`.
 
 :func:`execute_plan` is the single orchestration loop every entry point
-shares — :class:`~repro.experiments.sweep.SweepExecutor` (and the
-:class:`~repro.session.session.Session` facade over it) and the
+shares — :class:`~repro.session.session.Session` and the
 :class:`~repro.service.service.ArbitrationService` dispatcher.  It is
 the only code that turns planned runs into outcomes: it replays cached
 runs, packs the lane route into one lane pack, demotes a

@@ -15,9 +15,8 @@ Two kinds of cells reach the event path instead of the batch engine:
   handed to the event path (whose retry/diagnostic machinery reports
   real per-cell errors).
 
-Historically the single-run path and ``SweepExecutor`` each carried
-their own copy of this logic; :func:`warn_batch_fallback` is now the
-only place the warning is worded and counted.
+:func:`warn_batch_fallback` is the only place the warning is worded
+and counted.
 """
 
 from __future__ import annotations

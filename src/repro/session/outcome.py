@@ -10,7 +10,7 @@ runtime batch→event fallback flag and, for a cell whose retry failed
 too, its :class:`CellFailure` diagnostics.
 
 :class:`SessionStats` is the execution accounting every orchestration
-entry point shares; :class:`~repro.experiments.sweep.SweepExecutor` and
+entry point shares; :class:`~repro.session.session.Session` and
 :class:`~repro.service.service.ArbitrationService` expose it as
 ``stats``.
 """
@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, List, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
-    from repro.observability.metrics import MetricsRegistry
     from repro.session.request import RunRequest
     from repro.stats.summary import RunResult
 
@@ -97,20 +96,6 @@ class SessionStats:
     #: submitted the batch.
     deduplicated: int = 0
 
-    def snapshot(self) -> "SessionStats":
-        return SessionStats(
-            self.executed,
-            self.cache_hits,
-            self.parallel_batches,
-            self.serial_batches,
-            self.retries,
-            list(self.failures),
-            self.batch_groups,
-            self.batch_replications,
-            self.fallback_cells,
-            self.deduplicated,
-        )
-
 
 @dataclass(frozen=True)
 class RunOutcome:
@@ -158,13 +143,3 @@ class RunOutcome:
     def cached(self) -> bool:
         """True when the result was replayed from the cache."""
         return self.route == ROUTE_CACHE
-
-    @property
-    def events(self):
-        """The run's retained arbitration events (telemetry), if any."""
-        return self.result.events if self.result is not None else None
-
-    @property
-    def metrics(self) -> Optional["MetricsRegistry"]:
-        """The run's metrics registry (telemetry), if any."""
-        return self.result.metrics if self.result is not None else None

@@ -1,57 +1,107 @@
-"""The synchronous session facade: submit requests, gather outcomes.
+"""The session: the one executor every grid, table and CLI run uses.
 
 A :class:`Session` queues :class:`~repro.session.request.RunRequest`\\ s
 through :meth:`~Session.submit`, then :meth:`~Session.gather`\\ s the
 batch — one planned, deduplicated, lane-packed, cached, pool-backed run
-of its executor — and returns
-:class:`~repro.session.outcome.RunOutcome`\\ s in submission order.
-Identical requests within one gather (same epoch-6 content hash) run
-once and every repeat answers with ``route="dedup"``; that is a planner
-step (:func:`~repro.session.planner.plan_runs`), so it holds for every
-executor that plans with it — the sweep executor and the
-:class:`~repro.service.service.ArbitrationService` alike.
+— and returns :class:`~repro.session.outcome.RunOutcome`\\ s in
+submission order.  :meth:`~Session.run_requests` is the same run without
+the queue; the experiment grids, the robustness grid and the CLI call it
+directly.
 
-A session also satisfies the executor duck type the experiment grids
-accept (``run_requests`` / ``simulate``), so one session can back the
-tables, the robustness grid and ad-hoc runs alike.
+A run is :func:`~repro.session.planner.plan_runs` (engine choice,
+within-batch dedup, cache lookup, lane packing) followed by
+:func:`~repro.session.execute.execute_plan` (the lane pack in-process,
+the per-cell rest on a one-shard :class:`~repro.service.shards.ShardPool`
+with ``jobs`` workers, in-process when one worker suffices).  Identical
+requests within one run (same epoch-6 content hash) execute once and
+every repeat answers with ``route="dedup"``.
+
+Determinism guarantees (the common-random-numbers discipline the paper's
+protocol comparisons depend on):
+
+- every cell's random streams derive from ``settings.seed`` and the
+  agent identities only, so execution order and worker placement cannot
+  perturb results: serial and parallel runs return bit-identical
+  :class:`~repro.stats.summary.RunResult` metrics;
+- each cell executes against a private copy of its scenario
+  (:func:`repro.session.single.run_request`), so stateful workload
+  distributions — trace replay — start every cell from the same
+  position regardless of how many cells share a spec;
+- results are returned in request order, whatever order workers finish
+  in.
+
+``Session(executor=...)`` delegates every run to another object with the
+same ``run_requests(requests, control=)`` / ``stats`` surface — an
+:class:`~repro.service.service.ArbitrationService`, say — so a grid can
+run against a service unchanged.
 """
 
 from __future__ import annotations
 
+import os
 from typing import TYPE_CHECKING, List, Optional, Sequence
 
+from repro.errors import ConfigurationError, SweepExecutionError
 from repro.session.control import RunControl
-from repro.session.outcome import RunOutcome, SessionStats
+from repro.session.execute import execute_plan
+from repro.session.outcome import ROUTE_DEDUP, RunOutcome, SessionStats
+from repro.session.planner import normalize_engine, plan_runs
 from repro.session.request import RunRequest
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.experiments.cache import ResultCache
     from repro.experiments.runner import SimulationSettings
-    from repro.experiments.sweep import SweepExecutor
     from repro.stats.summary import RunResult
     from repro.workload.scenarios import ScenarioSpec
 
-__all__ = ["Session"]
+__all__ = ["Session", "resolve_jobs"]
+
+_ENV_JOBS = "REPRO_JOBS"
+
+
+def resolve_jobs(jobs: Optional[int] = None) -> int:
+    """Normalise a worker count: ``None`` -> ``$REPRO_JOBS`` (else 1), 0 -> all cores."""
+    if jobs is None:
+        raw = os.environ.get(_ENV_JOBS)
+        if raw is None:
+            return 1
+        try:
+            jobs = int(raw)
+        except ValueError:
+            raise ConfigurationError(f"${_ENV_JOBS} must be an integer, got {raw!r}")
+    if jobs < 0:
+        raise ConfigurationError(f"jobs must be >= 0, got {jobs}")
+    if jobs == 0:
+        return os.cpu_count() or 1
+    return jobs
 
 
 class Session:
-    """Synchronous run orchestration over one sweep executor.
+    """Plans, executes and caches batches of run requests.
 
     Parameters
     ----------
     jobs:
-        Worker processes for the executor backend (``0`` = one per
-        core; default ``$REPRO_JOBS`` or serial).
+        Worker processes for per-cell runs.  ``1`` (the default via
+        ``$REPRO_JOBS``) runs serially in-process; ``0`` means one per
+        CPU core.  Lane packs always run in-process.  The pool degrades
+        to serial execution where process pools are unavailable
+        (restricted environments, missing ``fork``/spawn support), so
+        callers never need two code paths.
     cache:
-        Optional :class:`~repro.experiments.cache.ResultCache` shared
-        by every gather.
+        Optional :class:`~repro.experiments.cache.ResultCache` shared by
+        every run: each request is looked up before execution and every
+        executed one is stored after.
     engine:
         Optional engine override applied to every request (validated;
-        ``None`` respects each request's own declaration).
+        ``None`` respects each request's own declaration).  The override
+        never changes cache keys — the engine selector is not part of a
+        cell's identity (epoch 6) — and cells outside the batch domain
+        still fall back to the event engine per cell.
     executor:
-        An existing :class:`~repro.experiments.sweep.SweepExecutor` to
-        reuse (its jobs/cache/engine then win); built from the other
-        arguments when omitted.
+        An object to delegate every run to (``run_requests(requests,
+        control=)`` plus ``stats``); ``jobs``, ``cache`` and ``engine``
+        are then the delegate's business.
     """
 
     def __init__(
@@ -59,19 +109,16 @@ class Session:
         jobs: Optional[int] = None,
         cache: Optional["ResultCache"] = None,
         engine: Optional[str] = None,
-        executor: Optional["SweepExecutor"] = None,
+        executor=None,
     ) -> None:
-        if executor is None:
-            from repro.experiments.sweep import SweepExecutor
-
-            executor = SweepExecutor(jobs=jobs, cache=cache, engine=engine)
+        self.jobs = resolve_jobs(jobs)
+        self.cache = cache
+        self.engine = normalize_engine(engine)
         self.executor = executor
+        #: Execution accounting, cumulative across runs (the delegate's
+        #: own when there is one).
+        self.stats: SessionStats = executor.stats if executor is not None else SessionStats()
         self._pending: List[RunRequest] = []
-
-    @property
-    def stats(self) -> SessionStats:
-        """The backing executor's accounting (shared, cumulative)."""
-        return self.executor.stats
 
     # -- submit / gather ------------------------------------------------------
 
@@ -97,24 +144,54 @@ class Session:
         requests, self._pending = self._pending, []
         return self.run_requests(requests, control=control)
 
-    # -- executor duck type ---------------------------------------------------
+    # -- execution ------------------------------------------------------------
 
     def run_requests(
         self,
         requests: Sequence[RunRequest],
         control: Optional[RunControl] = None,
     ) -> List[RunOutcome]:
-        """One deduplicated run of ``requests`` on the executor, in order.
+        """Plan and execute a request batch; outcomes in request order.
 
         ``control`` (a :class:`~repro.session.control.RunControl`)
-        installs cooperative cancellation/deadline checks for the whole
-        gather; see :func:`repro.session.execute.execute_plan`.
+        installs cooperative cancellation/deadline checks at the
+        execution stage boundaries; see
+        :func:`repro.session.execute.execute_plan`.  Raises
+        :class:`~repro.errors.SweepExecutionError` naming every cell
+        that failed even after its retry.
         """
-        if control is not None:
+        if self.executor is not None:
             return self.executor.run_requests(requests, control=control)
-        # Keep the bare duck-type call so minimal executors (tests,
-        # adapters) need not grow the keyword until they need it.
-        return self.executor.run_requests(requests)
+        plan = plan_runs(requests, cache=self.cache, engine=self.engine)
+        outcomes = execute_plan(
+            plan,
+            cache=self.cache,
+            stats=self.stats,
+            direct_runner=lambda batch: self._run_direct(batch, control),
+            control=control,
+        )
+        failures = [
+            outcome.failure
+            for outcome in outcomes
+            if outcome.failure is not None and outcome.route != ROUTE_DEDUP
+        ]
+        if failures:
+            details = "; ".join(str(failure) for failure in failures)
+            raise SweepExecutionError(
+                f"{len(failures)} sweep cell(s) failed after retry: {details}"
+            )
+        return outcomes
+
+    def _run_direct(self, batch: Sequence[RunRequest], control: Optional[RunControl]):
+        """The per-cell backend: a one-shard pool sized to the batch."""
+        from repro.service.shards import ShardPool
+
+        workers = min(self.jobs, len(batch))
+        pool = ShardPool.in_process() if workers == 1 else ShardPool(shards=1, workers=workers)
+        try:
+            return pool.run_cells(batch, stats=self.stats, control=control)
+        finally:
+            pool.close()
 
     def simulate(
         self,
@@ -122,12 +199,12 @@ class Session:
         protocol: str,
         settings: Optional["SimulationSettings"] = None,
     ) -> "RunResult":
-        """Single-run convenience: submit, gather, return the result."""
-        request = RunRequest(scenario, protocol, settings)
-        return self.run_requests([request])[0].result
+        """Single-run convenience: one request, its result."""
+        return self.run_requests([RunRequest(scenario, protocol, settings)])[0].result
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+    def __repr__(self) -> str:
+        backend = f"executor={self.executor!r}" if self.executor is not None else f"jobs={self.jobs}"
         return (
-            f"Session(pending={len(self._pending)}, "
-            f"executor={self.executor!r})"
+            f"Session({backend}, pending={len(self._pending)}, "
+            f"executed={self.stats.executed}, hits={self.stats.cache_hits})"
         )

@@ -91,3 +91,8 @@ def drive_arbiter(
         now += 1.0
         arbiter.release(outcome.winner, now)
     return served
+
+
+def run_results(session, requests) -> list:
+    """The results of one ``run_requests`` batch, in request order."""
+    return [outcome.result for outcome in session.run_requests(requests)]

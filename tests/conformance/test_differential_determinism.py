@@ -19,10 +19,13 @@ before it could corrupt a golden trace or a conformance result.
 import pytest
 
 from repro.experiments.runner import SimulationSettings, run_simulation
-from repro.experiments.sweep import SweepCell, SweepExecutor
 from repro.observability.events import TelemetrySettings
+from repro.observability.metrics import merge_metrics
 from repro.protocols.registry import protocol_names
+from repro.session import RunRequest, Session
 from repro.workload.scenarios import equal_load
+
+from _utils import run_results
 
 SETTINGS = SimulationSettings(
     batches=2,
@@ -49,12 +52,13 @@ def test_serial_and_parallel_sweeps_emit_identical_streams():
     # One grid over several protocols, run through a serial executor and
     # a 4-worker pool: telemetry must be bit-identical in cell order.
     cells = [
-        SweepCell(equal_load(6, 2.0), protocol, SETTINGS)
+        RunRequest(equal_load(6, 2.0), protocol, SETTINGS)
         for protocol in ("rr", "rr-impl3", "fcfs", "fcfs-aincr", "fixed", "aap1")
     ]
-    serial = SweepExecutor(jobs=1).run(cells)
-    parallel = SweepExecutor(jobs=4).run(cells)
+    serial = run_results(Session(jobs=1), cells)
+    parallel = run_results(Session(jobs=4), cells)
     for cell, left, right in zip(cells, serial, parallel):
         assert left.events == right.events, f"{cell.protocol} events diverged"
         assert left.metrics == right.metrics, f"{cell.protocol} metrics diverged"
-    assert SweepExecutor.merged_metrics(serial) == SweepExecutor.merged_metrics(parallel)
+    merged = merge_metrics(result.metrics for result in serial)
+    assert merged == merge_metrics(result.metrics for result in parallel)

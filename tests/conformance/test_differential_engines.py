@@ -21,7 +21,7 @@ The suite checks the contract four ways:
   ``run_lanes`` packs mixing agent counts, protocols and fault plans
   in one super-batch;
 - the integration seams: ``run_simulation``'s transparent dispatch and
-  fallback, and the sweep executor's lane packing and fallback counter.
+  fallback, and the session's lane packing and fallback counter.
 """
 
 from dataclasses import replace
@@ -33,11 +33,13 @@ from repro.bus.timing import BusTiming
 from repro.bus.watchdog import WatchdogPolicy
 from repro.engine.batch import batch_capable, run_lanes, run_replications
 from repro.experiments.runner import SimulationSettings, run_simulation
-from repro.experiments.sweep import SweepCell, SweepExecutor
 from repro.faults.plan import BUS_LEVEL_FAULTS, FaultKind, FaultPlan
 from repro.observability.events import TelemetrySettings
 from repro.protocols.registry import get_spec, protocol_names
+from repro.session import RunRequest, Session
 from repro.workload.scenarios import equal_load
+
+from _utils import run_results
 
 #: Every protocol whose registry spec declares a batch kernel.
 BATCH_PROTOCOLS = tuple(
@@ -359,15 +361,15 @@ def test_unsupported_cells_fall_back_to_event_engine():
 
 def test_sweep_executor_groups_batch_cells():
     cells = [
-        SweepCell(equal_load(4, 2.0), "rr", replace(SETTINGS, seed=seed, engine="batch"))
+        RunRequest(equal_load(4, 2.0), "rr", replace(SETTINGS, seed=seed, engine="batch"))
         for seed in SEEDS
     ]
-    executor = SweepExecutor(jobs=1)
-    grouped = executor.run(cells)
-    assert executor.stats.batch_groups == 1
-    assert executor.stats.batch_replications == len(SEEDS)
-    assert executor.stats.executed == len(SEEDS)
-    assert executor.stats.fallback_cells == 0
+    session = Session(jobs=1)
+    grouped = run_results(session, cells)
+    assert session.stats.batch_groups == 1
+    assert session.stats.batch_replications == len(SEEDS)
+    assert session.stats.executed == len(SEEDS)
+    assert session.stats.fallback_cells == 0
     for seed, result in zip(SEEDS, grouped):
         reference = run_simulation(
             equal_load(4, 2.0), "rr", replace(SETTINGS, seed=seed, engine="event")
@@ -376,17 +378,17 @@ def test_sweep_executor_groups_batch_cells():
 
 
 def test_executor_engine_override_reaches_declared_event_cells():
-    # The CLI's --engine batch lands on SweepExecutor(engine=...): cells
+    # The CLI's --engine batch lands on Session(engine=...): cells
     # explicitly declaring the event engine are rewritten and grouped,
     # and still produce the event engine's exact results.
     cells = [
-        SweepCell(equal_load(4, 2.0), "rr", replace(SETTINGS, seed=seed, engine="event"))
+        RunRequest(equal_load(4, 2.0), "rr", replace(SETTINGS, seed=seed, engine="event"))
         for seed in SEEDS
     ]
-    executor = SweepExecutor(jobs=1, engine="batch")
-    grouped = executor.run(cells)
-    assert executor.stats.batch_groups == 1
-    assert executor.stats.batch_replications == len(SEEDS)
+    session = Session(jobs=1, engine="batch")
+    grouped = run_results(session, cells)
+    assert session.stats.batch_groups == 1
+    assert session.stats.batch_replications == len(SEEDS)
     for seed, result in zip(SEEDS, grouped):
         reference = run_simulation(
             equal_load(4, 2.0), "rr", replace(SETTINGS, seed=seed, engine="event")
@@ -401,17 +403,17 @@ def test_sweep_executor_packs_fault_cells_into_lanes():
     for seed in (1, 2):
         plan = _bus_fault_plan("rr", 4, rate=0.3, seed=seed)
         cells.append(
-            SweepCell(
+            RunRequest(
                 equal_load(4, 2.0),
                 "rr",
                 replace(SETTINGS, seed=seed, fault_plan=plan, watchdog=WatchdogPolicy()),
             )
         )
-    executor = SweepExecutor(jobs=1)
-    results = executor.run(cells)
-    assert executor.stats.batch_groups == 1
-    assert executor.stats.batch_replications == 2
-    assert executor.stats.fallback_cells == 0
+    session = Session(jobs=1)
+    results = run_results(session, cells)
+    assert session.stats.batch_groups == 1
+    assert session.stats.batch_replications == 2
+    assert session.stats.fallback_cells == 0
     for cell, result in zip(cells, results):
         reference = run_simulation(
             cell.scenario, cell.protocol, replace(cell.settings, engine="event")
@@ -423,23 +425,23 @@ def test_sweep_executor_warns_and_counts_runtime_fallback(monkeypatch):
     # If the lane engine dies at runtime the sweep must not silently
     # absorb it: a RuntimeWarning fires, fallback_cells tallies the
     # demoted cells, and the event engine still produces exact results.
-    import repro.experiments.sweep as sweep_module
+    import repro.session.execute as execute_module
 
     def boom(cells):
         raise RuntimeError("lane engine exploded")
 
-    monkeypatch.setattr(sweep_module, "run_lanes", boom)
+    monkeypatch.setattr(execute_module, "_default_lane_runner", boom)
     seeds = (1, 2, 3)
     cells = [
-        SweepCell(equal_load(4, 2.0), "rr", replace(SETTINGS, seed=s))
+        RunRequest(equal_load(4, 2.0), "rr", replace(SETTINGS, seed=s))
         for s in seeds
     ]
-    executor = SweepExecutor(jobs=1)
+    session = Session(jobs=1)
     with pytest.warns(RuntimeWarning, match="fell back to the event engine"):
-        results = executor.run(cells)
-    assert executor.stats.fallback_cells == len(seeds)
-    assert executor.stats.batch_groups == 0
-    assert executor.stats.executed == len(seeds)
+        results = run_results(session, cells)
+    assert session.stats.fallback_cells == len(seeds)
+    assert session.stats.batch_groups == 0
+    assert session.stats.executed == len(seeds)
     for s, result in zip(seeds, results):
         reference = run_simulation(
             equal_load(4, 2.0), "rr", replace(SETTINGS, seed=s, engine="event")
@@ -451,7 +453,7 @@ def test_executor_rejects_unknown_engine():
     from repro.errors import ConfigurationError
 
     with pytest.raises(ConfigurationError):
-        SweepExecutor(engine="warp")
+        Session(engine="warp")
 
 
 def test_sweep_executor_leaves_declared_event_cells_alone():
@@ -459,14 +461,14 @@ def test_sweep_executor_leaves_declared_event_cells_alone():
     # never enters a lane pack (and is not a "fallback" — it was never
     # batch-eligible to begin with).
     cells = [
-        SweepCell(equal_load(4, 2.0), "rr", replace(SETTINGS, seed=s, engine="event"))
+        RunRequest(equal_load(4, 2.0), "rr", replace(SETTINGS, seed=s, engine="event"))
         for s in (1, 2)
     ]
-    executor = SweepExecutor(jobs=1)
-    executor.run(cells)
-    assert executor.stats.batch_groups == 0
-    assert executor.stats.executed == 2
-    assert executor.stats.fallback_cells == 0
+    session = Session(jobs=1)
+    run_results(session, cells)
+    assert session.stats.batch_groups == 0
+    assert session.stats.executed == 2
+    assert session.stats.fallback_cells == 0
 
 
 def test_batch_goldens_equal_their_event_twins():
@@ -591,24 +593,24 @@ def test_mixed_sweep_counts_only_in_domain_cells_as_fallback(monkeypatch):
     # runtime: the warning fires, fallback_cells counts ONLY the demoted
     # in-domain cells, and every cell still matches the event engine
     # exactly.
-    import repro.experiments.sweep as sweep_module
+    import repro.session.execute as execute_module
 
     def boom(cells):
         raise RuntimeError("lane engine exploded")
 
-    monkeypatch.setattr(sweep_module, "run_lanes", boom)
+    monkeypatch.setattr(execute_module, "_default_lane_runner", boom)
     in_domain = [
-        SweepCell(_mmpp_closed(), "rr", replace(SETTINGS, seed=s)) for s in (1, 2)
+        RunRequest(_mmpp_closed(), "rr", replace(SETTINGS, seed=s)) for s in (1, 2)
     ]
     out_of_domain = [
-        SweepCell(_open_loop_r2(), "fcfs", replace(SETTINGS, seed=s))
+        RunRequest(_open_loop_r2(), "fcfs", replace(SETTINGS, seed=s))
         for s in (1, 2, 3)
     ]
-    executor = SweepExecutor(jobs=1)
+    session = Session(jobs=1)
     with pytest.warns(RuntimeWarning, match="fell back to the event engine"):
-        results = executor.run(in_domain + out_of_domain)
-    assert executor.stats.fallback_cells == len(in_domain)
-    assert executor.stats.executed == len(in_domain) + len(out_of_domain)
+        results = run_results(session, in_domain + out_of_domain)
+    assert session.stats.fallback_cells == len(in_domain)
+    assert session.stats.executed == len(in_domain) + len(out_of_domain)
     for cell, result in zip(in_domain + out_of_domain, results):
         reference = run_simulation(
             cell.scenario, cell.protocol, replace(cell.settings, engine="event")

@@ -29,13 +29,13 @@ of service.  The claims have to be phrased carefully:
 import pytest
 
 from repro.experiments.runner import SimulationSettings, run_simulation
-from repro.experiments.sweep import SweepCell, SweepExecutor
 from repro.observability.events import TelemetrySettings
-from repro.session import Session
+from repro.observability.metrics import merge_metrics
+from repro.session import RunRequest, Session
 from repro.workload.arrivals import bursty_equal_load
 from repro.workload.scenarios import open_loop_equal_load
 
-from _utils import completion_records, grant_sequence
+from _utils import completion_records, grant_sequence, run_results
 
 SEEDS = [2, 11, 23, 47, 101]
 
@@ -171,7 +171,7 @@ class TestOpenLoopDeterminism:
 
     def cells(self):
         return [
-            SweepCell(build(), protocol, self.SETTINGS)
+            RunRequest(build(), protocol, self.SETTINGS)
             for _, build in sorted(ARRIVALS.items())
             for protocol in ("rr", "fcfs", "fcfs-aincr")
         ]
@@ -185,8 +185,8 @@ class TestOpenLoopDeterminism:
 
     def test_serial_parallel_and_session_runs_identical(self):
         cells = self.cells()
-        serial = SweepExecutor(jobs=1).run(cells)
-        parallel = SweepExecutor(jobs=4).run(cells)
+        serial = run_results(Session(jobs=1), cells)
+        parallel = run_results(Session(jobs=4), cells)
         session = Session(jobs=1)
         for cell in self.cells():
             session.submit(cell.scenario, cell.protocol, cell.settings)
@@ -198,6 +198,6 @@ class TestOpenLoopDeterminism:
             assert left.metrics == right.metrics, f"{label} parallel metrics diverged"
             assert left.events == third.events, f"{label} session events diverged"
             assert left.metrics == third.metrics, f"{label} session metrics diverged"
-        assert SweepExecutor.merged_metrics(serial) == SweepExecutor.merged_metrics(
-            parallel
+        assert merge_metrics(r.metrics for r in serial) == merge_metrics(
+            r.metrics for r in parallel
         )

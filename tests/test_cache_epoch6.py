@@ -26,9 +26,11 @@ import repro.experiments.cache as cache_module
 from repro.bus.watchdog import WatchdogPolicy
 from repro.experiments.cache import CACHE_EPOCH, ResultCache, cache_key
 from repro.experiments.runner import SimulationSettings, run_simulation
-from repro.experiments.sweep import SweepCell, SweepExecutor
 from repro.faults.plan import BUS_LEVEL_FAULTS, FaultPlan
+from repro.session import RunRequest, Session
 from repro.workload.scenarios import equal_load
+
+from _utils import run_results
 
 SETTINGS = SimulationSettings(batches=2, batch_size=50, warmup=5, seed=21)
 
@@ -143,7 +145,7 @@ def test_lane_packing_order_is_invisible_to_the_cache(tmp_path):
     # new declaration order.
     def grid():
         return [
-            SweepCell(equal_load(agents, load), protocol, replace(SETTINGS, seed=seed))
+            RunRequest(equal_load(agents, load), protocol, replace(SETTINGS, seed=seed))
             for agents, load, protocol, seed in (
                 (2, 1.0, "rr", 1),
                 (6, 3.0, "fcfs", 2),
@@ -152,14 +154,14 @@ def test_lane_packing_order_is_invisible_to_the_cache(tmp_path):
             )
         ]
 
-    warm = SweepExecutor(jobs=1, cache=ResultCache(tmp_path))
-    first = warm.run(grid())
+    warm = Session(jobs=1, cache=ResultCache(tmp_path))
+    first = run_results(warm, grid())
     assert warm.stats.cache_hits == 0
     assert warm.stats.executed == len(first)
 
-    replay = SweepExecutor(jobs=1, cache=ResultCache(tmp_path))
+    replay = Session(jobs=1, cache=ResultCache(tmp_path))
     shuffled = list(reversed(grid()))
-    second = replay.run(shuffled)
+    second = run_results(replay, shuffled)
     assert replay.stats.cache_hits == len(shuffled)
     assert replay.stats.executed == 0
     for fresh, cached in zip(first, reversed(second)):

@@ -49,7 +49,7 @@ class TestCellSpecValidation:
     def test_fcfs_cell_accepts_open_loop_scenario(self):
         scenario = open_loop_equal_load(4, 0.5, max_outstanding=4)
         cell = CellSpec("x", scenario, "fcfs", settings_for(SMOKE, 1))
-        assert cell.sweep_cell().protocol == "fcfs"
+        assert cell.run_request().protocol == "fcfs"
 
 
 class TestRowSpec:

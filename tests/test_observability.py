@@ -7,7 +7,6 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.experiments.cache import cache_key
 from repro.experiments.runner import SimulationSettings, run_simulation
-from repro.experiments.sweep import SweepCell, SweepExecutor
 from repro.observability import (
     ArbitrationEvent,
     Histogram,
@@ -23,9 +22,10 @@ from repro.observability import (
     merge_metrics,
     render_metrics,
 )
+from repro.session import RunRequest, Session
 from repro.workload.scenarios import equal_load
 
-from _utils import quick_settings
+from _utils import quick_settings, run_results
 
 
 EVENT = ArbitrationEvent(
@@ -217,13 +217,18 @@ class TestRunnerWiring:
         assert grants == clean
 
     def test_jsonl_path_streams_the_same_events(self, tmp_path):
-        path = tmp_path / "run.jsonl"
-        settings = quick_settings(
-            telemetry=TelemetrySettings(events=True, jsonl_path=str(path))
-        )
-        result = run_simulation(equal_load(4, 2.0), "rr", settings)
-        lines = path.read_text(encoding="utf-8").splitlines()
-        assert lines == [event.to_json() for event in result.events]
+        streams = []
+        for engine in ("batch", "event"):
+            path = tmp_path / f"{engine}.jsonl"
+            settings = quick_settings(
+                engine=engine,
+                telemetry=TelemetrySettings(events=True, jsonl_path=str(path)),
+            )
+            result = run_simulation(equal_load(4, 2.0), "rr", settings)
+            lines = path.read_text(encoding="utf-8").splitlines()
+            assert lines == [event.to_json() for event in result.events]
+            streams.append(lines)
+        assert streams[0] == streams[1]
 
     def test_telemetry_changes_the_cache_key(self):
         scenario = equal_load(4, 1.0)
@@ -250,26 +255,26 @@ class TestRunnerWiring:
 
 
 class TestSweepMetrics:
-    def test_merged_metrics_across_cells(self):
+    def test_merge_metrics_across_cells(self):
         settings = quick_settings(telemetry=TelemetrySettings(metrics=True))
         cells = [
-            SweepCell(equal_load(4, 2.0), protocol, settings)
+            RunRequest(equal_load(4, 2.0), protocol, settings)
             for protocol in ("rr", "fcfs")
         ]
-        results = SweepExecutor(jobs=1).run(cells)
-        merged = SweepExecutor.merged_metrics(results)
+        results = run_results(Session(jobs=1), cells)
+        merged = merge_metrics(result.metrics for result in results)
         total = sum(result.metrics.counter("grants").value for result in results)
         assert merged.counter("grants").value == total
 
-    def test_merged_metrics_skips_untelemetried_cells(self):
-        plain = SweepCell(equal_load(4, 2.0), "rr", quick_settings())
-        observed = SweepCell(
+    def test_merge_metrics_skips_untelemetried_cells(self):
+        plain = RunRequest(equal_load(4, 2.0), "rr", quick_settings())
+        observed = RunRequest(
             equal_load(4, 2.0),
             "rr",
             quick_settings(telemetry=TelemetrySettings(metrics=True)),
         )
-        results = SweepExecutor(jobs=1).run([plain, observed])
-        merged = SweepExecutor.merged_metrics(results)
+        results = run_results(Session(jobs=1), [plain, observed])
+        merged = merge_metrics(result.metrics for result in results)
         assert merged.counter("grants").value == results[1].metrics.counter(
             "grants"
         ).value

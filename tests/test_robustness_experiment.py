@@ -11,8 +11,8 @@ import pytest
 
 from repro.experiments import robustness
 from repro.experiments.scale import SCALES
-from repro.experiments.sweep import SweepExecutor
 from repro.faults.plan import FaultKind
+from repro.session import Session
 
 SMOKE = SCALES["smoke"]
 SEED = 19880530
@@ -25,7 +25,7 @@ def _render(tables):
 @pytest.fixture(scope="module")
 def grid_tables():
     """One full smoke-scale grid, shared by the assertion tests."""
-    return robustness.run(scale=SMOKE, seed=SEED, executor=SweepExecutor(jobs=1))
+    return robustness.run(scale=SMOKE, seed=SEED, executor=Session(jobs=1))
 
 
 class TestFaultPlanSelection:
@@ -49,12 +49,12 @@ class TestFaultPlanSelection:
 
 class TestGridDeterminism:
     def test_repeat_run_renders_byte_identical(self, grid_tables):
-        again = robustness.run(scale=SMOKE, seed=SEED, executor=SweepExecutor(jobs=1))
+        again = robustness.run(scale=SMOKE, seed=SEED, executor=Session(jobs=1))
         assert _render(again) == _render(grid_tables)
 
     def test_parallel_matches_serial_byte_for_byte(self, grid_tables):
         parallel = robustness.run(
-            scale=SMOKE, seed=SEED, executor=SweepExecutor(jobs=2)
+            scale=SMOKE, seed=SEED, executor=Session(jobs=2)
         )
         assert _render(parallel) == _render(grid_tables)
 

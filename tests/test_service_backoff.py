@@ -1,8 +1,8 @@
 """The shared retry-pacing vocabulary: deterministic jittered backoff.
 
 One :class:`~repro.service.backoff.BackoffPolicy` paces every retry in
-the repository — the sweep executor's per-cell retry, the service's
-shard respawns and payload replays.  The properties pinned here are the
+the repository — a session's per-cell retry, the service's shard
+respawns and payload replays.  The properties pinned here are the
 ones those layers rely on:
 
 - **deterministic**: the jitter derives from ``(seed, token, attempt)``
@@ -17,7 +17,6 @@ ones those layers rely on:
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.experiments.sweep import RETRY_BACKOFF
 from repro.service.backoff import BackoffPolicy
 
 
@@ -77,18 +76,18 @@ class TestValidation:
 
 class TestSweepIntegration:
     def test_sweep_retry_policy_is_a_backoff_policy(self):
-        assert isinstance(RETRY_BACKOFF, BackoffPolicy)
-        assert RETRY_BACKOFF.cap <= 1.0  # a single in-process retry stays snappy
+        from repro.service.shards import ShardPool
 
-    def test_sweep_executor_uses_the_shared_policy_by_default(self):
-        from repro.experiments.sweep import SweepExecutor
-
-        assert SweepExecutor(jobs=1).backoff is RETRY_BACKOFF
+        # A session's per-cell pools pace retries with the default policy.
+        assert ShardPool.in_process().backoff == BackoffPolicy()
+        for token in ("flaky", "0", "probe-cell"):
+            # A single in-process retry stays snappy.
+            assert BackoffPolicy().delay(0, token) <= 0.05
 
     def test_sweep_retry_sleeps_through_the_policy(self, monkeypatch):
         import repro.session.single as single_module
         from repro.experiments.runner import SimulationSettings
-        from repro.experiments.sweep import SweepCell, SweepExecutor
+        from repro.session import RunRequest, Session
         from repro.workload.scenarios import equal_load
 
         real = single_module.run_cell
@@ -102,14 +101,13 @@ class TestSweepIntegration:
 
         monkeypatch.setattr(single_module, "run_cell", flaky)
         slept = []
-        policy = BackoffPolicy(base=0.02, jitter=0.5, seed=3)
         monkeypatch.setattr(
             BackoffPolicy, "sleep", lambda self, attempt, token="": slept.append(
                 self.delay(attempt, token)
             )
         )
-        executor = SweepExecutor(jobs=1, backoff=policy)
+        session = Session(jobs=1)
         settings = SimulationSettings(batches=2, batch_size=20, seed=5, engine="event")
-        executor.run([SweepCell(equal_load(3, 0.5), "rr", settings, tag="flaky")])
-        assert executor.stats.retries == 1
-        assert slept == [policy.delay(0, "flaky")]
+        session.run_requests([RunRequest(equal_load(3, 0.5), "rr", settings, tag="flaky")])
+        assert session.stats.retries == 1
+        assert slept == [BackoffPolicy().delay(0, "flaky")]

@@ -1,8 +1,8 @@
 """Tests for the session layer: planner, executor, facade, fallback.
 
 The session package is the single orchestration path every entry point
-shares — :func:`repro.experiments.runner.run_simulation`, the sweep
-executor, the experiment grids and the CLI all route through
+shares — :func:`repro.experiments.runner.run_simulation`, the
+:class:`Session`, the experiment grids and the CLI all route through
 ``plan_runs`` → ``execute_plan``.  These tests pin the decision layer
 directly (routes, engine overrides, cache provenance), the degradation
 contract (one ``RuntimeWarning`` wording for every batch→event
@@ -11,6 +11,7 @@ fallback, tallied in ``fallback_cells``), the :class:`Session` facade
 of invalid engine/scale selectors.
 """
 
+import json
 from dataclasses import replace
 
 import pytest
@@ -23,7 +24,6 @@ from repro.experiments.cache import ResultCache
 from repro.experiments.robustness import fault_plan_for
 from repro.experiments.runner import SimulationSettings, run_simulation
 from repro.experiments.scale import Scale
-from repro.experiments.sweep import SweepExecutor
 from repro.observability import TelemetrySettings
 from repro.session import (
     RunRequest,
@@ -33,6 +33,7 @@ from repro.session import (
     normalize_engine,
     plan_runs,
 )
+from repro.session.control import RunControl
 from repro.session.outcome import (
     ROUTE_CACHE,
     ROUTE_DEDUP,
@@ -41,7 +42,8 @@ from repro.session.outcome import (
     SessionStats,
 )
 from repro.workload.arrivals import bursty_equal_load, two_class_priority_load
-from repro.workload.scenarios import equal_load, open_loop_equal_load
+from repro.workload.distributions import Distribution
+from repro.workload.scenarios import AgentSpec, ScenarioSpec, equal_load, open_loop_equal_load
 
 SETTINGS = SimulationSettings(batches=2, batch_size=50, warmup=5, seed=3)
 
@@ -293,6 +295,13 @@ class TestSingleRunFallback:
         run_simulation(open_loop_equal_load(4, 0.5), "fcfs", SETTINGS)
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
+    def test_omitted_settings_run_the_defaults(self):
+        scenario = equal_load(2, 1.0)
+        implicit = run_simulation(scenario, "rr")
+        assert _fingerprint(implicit) == _fingerprint(
+            run_simulation(scenario, "rr", SimulationSettings())
+        )
+
 
 class TestSessionFacade:
     def test_submit_gather_preserves_submission_order(self):
@@ -362,8 +371,8 @@ class TestSessionFacade:
         assert outcomes[0].route == ROUTE_DIRECT
 
     def test_session_backs_experiment_grids(self):
-        # The facade satisfies the executor duck type (run_requests /
-        # simulate), so it can replace a SweepExecutor behind a grid.
+        # A grid run through a session matches the same requests run
+        # through the session directly.
         from repro.experiments.spec import CellSpec, run_cells
 
         session = Session(jobs=1)
@@ -372,15 +381,94 @@ class TestSessionFacade:
             CellSpec(key="fcfs", scenario=equal_load(4, 2.0), protocol="fcfs", settings=SETTINGS),
         ]
         results = run_cells(cells, executor=session)
-        direct = SweepExecutor(jobs=1).run([cell.sweep_cell() for cell in cells])
+        direct = [
+            outcome.result
+            for outcome in Session(jobs=1).run_requests([cell.run_request() for cell in cells])
+        ]
         for mine, theirs in zip(results, direct):
             assert _fingerprint(mine) == _fingerprint(theirs)
 
     def test_session_reuses_a_supplied_executor(self):
-        executor = SweepExecutor(jobs=1)
+        class StubExecutor:
+            def __init__(self):
+                self.stats = SessionStats()
+                self.calls = []
+
+            def run_requests(self, requests, control=None):
+                self.calls.append((list(requests), control))
+                return ["stub-outcome"] * len(requests)
+
+        executor = StubExecutor()
         session = Session(executor=executor)
         assert session.executor is executor
         assert session.stats is executor.stats
+        request = RunRequest(equal_load(4, 2.0), "rr", SETTINGS)
+        control = RunControl()
+        assert session.run_requests([request], control=control) == ["stub-outcome"]
+        # Every run is delegated with its control, even a bare one.
+        session.submit_request(request)
+        assert session.gather() == ["stub-outcome"]
+        assert executor.calls == [([request], control), ([request], None)]
+
+    def test_session_repr_names_its_backend(self):
+        session = Session(jobs=2)
+        session.submit(equal_load(4, 2.0), "rr", SETTINGS)
+        assert repr(session) == "Session(jobs=2, pending=1, executed=0, hits=0)"
+        delegating = Session(executor=Session(jobs=1))
+        assert repr(delegating) == (
+            "Session(executor=Session(jobs=1, pending=0, executed=0, hits=0), "
+            "pending=0, executed=0, hits=0)"
+        )
+
+
+class _Uniform(Distribution):
+    """A distribution outside the wire format's vocabulary."""
+
+    mean = 1.0
+    cv = 0.5
+
+    def sample(self, rng):
+        return rng.uniform(0.0, 2.0)
+
+    def survival(self, x):
+        return min(1.0, max(0.0, 1.0 - x / 2.0))
+
+
+class TestWireFormatErrors:
+    def test_unknown_distribution_cannot_be_serialised(self):
+        scenario = ScenarioSpec(
+            name="odd", agents=(AgentSpec(agent_id=1, interrequest=_Uniform()),)
+        )
+        with pytest.raises(ConfigurationError, match="cannot serialise distribution type '_Uniform'"):
+            RunRequest(scenario, "rr", SETTINGS).to_json()
+
+    @pytest.mark.parametrize(
+        "mutate, message",
+        [
+            (lambda doc: doc.update(format=999), "unsupported RunRequest format 999"),
+            (
+                lambda doc: doc["settings"].update(turbo=True),
+                r"unknown settings field\(s\) in request: turbo",
+            ),
+            (
+                lambda doc: doc["scenario"]["agents"][0]["interrequest"].update(type="weibull"),
+                "unknown distribution type 'weibull'",
+            ),
+        ],
+    )
+    def test_bad_documents_are_rejected(self, mutate, message):
+        doc = RunRequest(equal_load(2, 1.0), "rr", SETTINGS).to_dict()
+        mutate(doc)
+        with pytest.raises(ConfigurationError, match=message):
+            RunRequest.from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "payload, message",
+        [("{not json", "malformed RunRequest JSON"), ("[1, 2]", "must be an object, got list")],
+    )
+    def test_bad_json_is_rejected(self, payload, message):
+        with pytest.raises(ConfigurationError, match=message):
+            RunRequest.from_json(payload)
 
 
 class TestCliValidation:

@@ -83,7 +83,7 @@ class TestDuplicatesRacingTheCache:
 
 class TestLaneDemotionInterleavedWithHits:
     def test_demoted_lanes_leave_cache_hits_untouched(self, tmp_path, monkeypatch):
-        import repro.experiments.sweep as sweep_module
+        import repro.session.execute as execute_module
 
         cache = ResultCache(tmp_path)
         hit_request = RunRequest(_scenario(), "rr", SETTINGS)
@@ -92,7 +92,7 @@ class TestLaneDemotionInterleavedWithHits:
         def explode(cells):
             raise RuntimeError("lane pack exploded")
 
-        monkeypatch.setattr(sweep_module, "run_lanes", explode)
+        monkeypatch.setattr(execute_module, "_default_lane_runner", explode)
         session = Session(cache=cache)
         session.submit_request(hit_request)  # cache hit
         miss = RunRequest(_scenario(), "fcfs", SETTINGS)  # lane -> demoted
@@ -114,10 +114,10 @@ class TestLaneDemotionInterleavedWithHits:
         assert pickle.dumps(outcomes[1].result) == pickle.dumps(reference)
 
     def test_demoted_cells_are_still_stored(self, tmp_path, monkeypatch):
-        import repro.experiments.sweep as sweep_module
+        import repro.session.execute as execute_module
 
         monkeypatch.setattr(
-            sweep_module, "run_lanes",
+            execute_module, "_default_lane_runner",
             lambda cells: (_ for _ in ()).throw(RuntimeError("boom")),
         )
         cache = ResultCache(tmp_path)
@@ -223,6 +223,13 @@ class TestRunControl:
         control.cancel("also cancelled")
         with pytest.raises(DeadlineExceededError):
             control.check()
+
+    def test_unbounded_control_reports_no_deadline(self):
+        control = RunControl()
+        assert control.remaining() is None
+        assert repr(control) == "RunControl(live, deadline_at=None)"
+        control.cancel()
+        assert repr(control) == "RunControl(cancelled, deadline_at=None)"
 
     def test_generous_deadline_completes_normally(self):
         control = RunControl.after(300.0)

@@ -1,9 +1,9 @@
-"""Tests for the sweep executor and the content-addressed result cache.
+"""Tests for sweeps through a session and the content-addressed result cache.
 
 The load-bearing property is *determinism*: a sweep's results must be a
-pure function of its cells — independent of worker count, execution
-order, cache state, and how many cells share a scenario object.  Every
-test here ultimately checks some facet of that.
+pure function of its requests — independent of worker count, execution
+order, cache state, and how many requests share a scenario object.
+Every test here ultimately checks some facet of that.
 """
 
 import pickle
@@ -18,10 +18,13 @@ from repro.service import shards as shards_module
 from repro.session import single as single_module
 from repro.experiments.cache import ResultCache, cache_key
 from repro.experiments.runner import SimulationSettings, run_simulation
-from repro.experiments.sweep import SweepCell, SweepExecutor, resolve_jobs
+from repro.session import RunRequest, Session
+from repro.session.session import resolve_jobs
 from repro.signals.contention import ParallelContention
 from repro.workload.scenarios import AgentSpec, ScenarioSpec, equal_load
 from repro.workload.traces import TraceDistribution
+
+from _utils import run_results
 
 SETTINGS = SimulationSettings(batches=3, batch_size=60, warmup=30, seed=424242)
 
@@ -54,7 +57,7 @@ def _fingerprint(result):
 
 def _grid(loads=(0.5, 1.5), protocols=("rr", "fcfs"), settings=SETTINGS):
     return [
-        SweepCell(equal_load(6, load), protocol, settings)
+        RunRequest(equal_load(6, load), protocol, settings)
         for load in loads
         for protocol in protocols
     ]
@@ -62,13 +65,13 @@ def _grid(loads=(0.5, 1.5), protocols=("rr", "fcfs"), settings=SETTINGS):
 
 class TestSerialExecution:
     def test_matches_direct_run_simulation(self):
-        result = SweepExecutor(jobs=1).simulate(equal_load(6, 1.5), "rr", SETTINGS)
+        result = Session(jobs=1).simulate(equal_load(6, 1.5), "rr", SETTINGS)
         direct = run_simulation(equal_load(6, 1.5), "rr", SETTINGS)
         assert _fingerprint(result) == _fingerprint(direct)
 
     def test_results_in_cell_order(self):
         cells = _grid()
-        results = SweepExecutor(jobs=1).run(cells)
+        results = run_results(Session(jobs=1), cells)
         assert [r.protocol for r in results] == [c.protocol for c in cells]
 
     def test_shared_trace_scenario_cells_are_independent(self):
@@ -85,46 +88,49 @@ class TestSerialExecution:
                 for i in range(1, 5)
             ),
         )
-        executor = SweepExecutor(jobs=1)
-        first, second = executor.run(
+        session = Session(jobs=1)
+        first, second = run_results(
+            session,
             [
-                SweepCell(scenario, "rr", SETTINGS),
-                SweepCell(scenario, "rr", replace(SETTINGS, confidence=0.95)),
+                RunRequest(scenario, "rr", SETTINGS),
+                RunRequest(scenario, "rr", replace(SETTINGS, confidence=0.95)),
             ]
         )
-        assert executor.stats.executed == 2
+        assert session.stats.executed == 2
         assert _fingerprint(first) == _fingerprint(second)
 
 
     def test_identical_cells_run_once(self):
-        executor = SweepExecutor(jobs=1)
-        first, second = executor.run(
-            [SweepCell(equal_load(4, 1.0), "rr", SETTINGS, tag=tag) for tag in "ab"]
+        session = Session(jobs=1)
+        first, second = run_results(
+            session,
+            [RunRequest(equal_load(4, 1.0), "rr", SETTINGS, tag=tag) for tag in "ab"]
         )
-        assert executor.stats.executed == 1
-        assert executor.stats.deduplicated == 1
+        assert session.stats.executed == 1
+        assert session.stats.deduplicated == 1
         assert pickle.dumps(first) == pickle.dumps(second)
 
 
 class TestParallelExecution:
     def test_bit_identical_to_serial(self):
         cells = _grid(loads=(0.5, 1.5, 2.5), settings=EVENT_SETTINGS)
-        serial = SweepExecutor(jobs=1).run(cells)
-        parallel_executor = SweepExecutor(jobs=2)
-        parallel = parallel_executor.run(cells)
+        serial = run_results(Session(jobs=1), cells)
+        parallel_session = Session(jobs=2)
+        parallel = run_results(parallel_session, cells)
         assert [_fingerprint(r) for r in parallel] == [
             _fingerprint(r) for r in serial
         ]
+        assert [pickle.dumps(r) for r in parallel] == [pickle.dumps(r) for r in serial]
         # One of the two backends must have run the batch; on platforms
         # without process pools the fallback path was exercised instead,
         # which the equality above covers identically.
-        stats = parallel_executor.stats
+        stats = parallel_session.stats
         assert stats.parallel_batches + stats.serial_batches == 1
 
     def test_single_cell_stays_serial(self):
-        executor = SweepExecutor(jobs=4)
-        executor.run([SweepCell(equal_load(4, 1.0), "rr", SETTINGS)])
-        assert executor.stats.parallel_batches == 0
+        session = Session(jobs=4)
+        run_results(session, [RunRequest(equal_load(4, 1.0), "rr", SETTINGS)])
+        assert session.stats.parallel_batches == 0
 
 
 class _BrokenSubmitPool:
@@ -168,13 +174,13 @@ class TestRetryAndDegradation:
 
         monkeypatch.setattr(single_module, "run_cell", flaky)
         cells = _grid(loads=(0.5,), protocols=("rr", "fcfs"), settings=EVENT_SETTINGS)
-        executor = SweepExecutor(jobs=1)
-        results = executor.run(cells)
+        session = Session(jobs=1)
+        results = run_results(session, cells)
         assert [r.protocol for r in results] == ["rr", "fcfs"]
-        assert executor.stats.retries == 1
-        assert executor.stats.failures == []
+        assert session.stats.retries == 1
+        assert session.stats.failures == []
         # The healed cell's result matches an untroubled run exactly.
-        clean = SweepExecutor(jobs=1).run(cells)
+        clean = run_results(Session(jobs=1), cells)
         assert [_fingerprint(r) for r in results] == [
             _fingerprint(r) for r in clean
         ]
@@ -184,46 +190,52 @@ class TestRetryAndDegradation:
             raise RuntimeError("deterministic bug")
 
         monkeypatch.setattr(single_module, "run_cell", doomed)
-        executor = SweepExecutor(jobs=1)
-        cells = [SweepCell(equal_load(4, 1.0), "rr", EVENT_SETTINGS, tag="probe-cell")]
+        session = Session(jobs=1)
+        cells = [
+            RunRequest(equal_load(4, 1.0), protocol, EVENT_SETTINGS, tag=f"probe-{protocol}")
+            for protocol in ("rr", "fcfs")
+        ]
         with pytest.raises(SweepExecutionError) as excinfo:
-            executor.run(cells)
+            run_results(session, cells)
         message = str(excinfo.value)
-        assert "probe-cell" in message and "deterministic bug" in message
-        assert len(executor.stats.failures) == 1
-        failure = executor.stats.failures[0]
+        # The message names every failed cell, not just the first.
+        assert message.startswith("2 sweep cell(s) failed after retry")
+        assert "probe-rr" in message and "probe-fcfs" in message
+        assert "deterministic bug" in message
+        assert len(session.stats.failures) == 2
+        failure = session.stats.failures[0]
         assert failure.protocol == "rr"
-        assert failure.tag == "probe-cell"
+        assert failure.tag == "probe-rr"
         assert failure.first_error == failure.error
-        assert executor.stats.retries == 1
+        assert session.stats.retries == 2
 
     def test_broken_pool_degrades_to_serial(self, monkeypatch):
         monkeypatch.setattr(shards_module, "ProcessPoolExecutor", _BrokenSubmitPool)
         cells = _grid(settings=EVENT_SETTINGS)
-        executor = SweepExecutor(jobs=2)
-        results = executor.run(cells)
-        serial = SweepExecutor(jobs=1).run(cells)
+        session = Session(jobs=2)
+        results = run_results(session, cells)
+        serial = run_results(Session(jobs=1), cells)
         assert [_fingerprint(r) for r in results] == [
             _fingerprint(r) for r in serial
         ]
         # A pool that tears at submit degrades the batch to the serial
         # path; nothing raised, so nothing needed a retry.
-        assert executor.stats.serial_batches == 1
-        assert executor.stats.retries == 0
-        assert executor.stats.failures == []
+        assert session.stats.serial_batches == 1
+        assert session.stats.retries == 0
+        assert session.stats.failures == []
 
     def test_unconstructible_pool_falls_back_to_plain_serial(self, monkeypatch):
         monkeypatch.setattr(shards_module, "ProcessPoolExecutor", _UnavailablePool)
         cells = _grid(settings=EVENT_SETTINGS)
-        executor = SweepExecutor(jobs=2)
-        results = executor.run(cells)
-        serial = SweepExecutor(jobs=1).run(cells)
+        session = Session(jobs=2)
+        results = run_results(session, cells)
+        serial = run_results(Session(jobs=1), cells)
         assert [_fingerprint(r) for r in results] == [
             _fingerprint(r) for r in serial
         ]
         # The whole batch re-ran serially without touching retry logic.
-        assert executor.stats.serial_batches == 1
-        assert executor.stats.retries == 0
+        assert session.stats.serial_batches == 1
+        assert session.stats.retries == 0
 
 
 class TestResolveJobs:
@@ -236,12 +248,12 @@ class TestResolveJobs:
 
     def test_env_default(self, monkeypatch):
         monkeypatch.setenv("REPRO_JOBS", "3")
-        assert SweepExecutor().jobs == 3
+        assert Session().jobs == 3
 
     def test_env_garbage_rejected(self, monkeypatch):
         monkeypatch.setenv("REPRO_JOBS", "many")
         with pytest.raises(ConfigurationError):
-            SweepExecutor()
+            Session()
 
 
 class TestCacheKey:
@@ -277,13 +289,13 @@ class TestCacheKey:
 class TestResultCache:
     def test_cold_run_executes_then_warm_run_replays(self, tmp_path):
         cells = _grid()
-        cold = SweepExecutor(jobs=1, cache=ResultCache(tmp_path))
-        cold_results = cold.run(cells)
+        cold = Session(jobs=1, cache=ResultCache(tmp_path))
+        cold_results = run_results(cold, cells)
         assert cold.stats.executed == len(cells)
         assert cold.stats.cache_hits == 0
 
-        warm = SweepExecutor(jobs=1, cache=ResultCache(tmp_path))
-        warm_results = warm.run(cells)
+        warm = Session(jobs=1, cache=ResultCache(tmp_path))
+        warm_results = run_results(warm, cells)
         assert warm.stats.executed == 0
         assert warm.stats.cache_hits == len(cells)
         assert [_fingerprint(r) for r in warm_results] == [
@@ -292,17 +304,17 @@ class TestResultCache:
 
     def test_seed_change_misses(self, tmp_path):
         cache = ResultCache(tmp_path)
-        SweepExecutor(jobs=1, cache=cache).run(_grid())
+        run_results(Session(jobs=1, cache=cache), _grid())
         reseeded = SimulationSettings(
             batches=SETTINGS.batches,
             batch_size=SETTINGS.batch_size,
             warmup=SETTINGS.warmup,
             seed=SETTINGS.seed + 1,
         )
-        executor = SweepExecutor(jobs=1, cache=ResultCache(tmp_path))
-        executor.run([SweepCell(equal_load(6, 0.5), "rr", reseeded)])
-        assert executor.stats.cache_hits == 0
-        assert executor.stats.executed == 1
+        session = Session(jobs=1, cache=ResultCache(tmp_path))
+        run_results(session, [RunRequest(equal_load(6, 0.5), "rr", reseeded)])
+        assert session.stats.cache_hits == 0
+        assert session.stats.executed == 1
 
     def test_corrupt_entry_is_a_miss_and_removed(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -349,14 +361,14 @@ class TestResultCache:
 
     def test_clear_and_len(self, tmp_path):
         cache = ResultCache(tmp_path)
-        SweepExecutor(jobs=1, cache=cache).run(_grid())
+        run_results(Session(jobs=1, cache=cache), _grid())
         assert len(cache) == 4
         assert cache.clear() == 4
         assert len(cache) == 0
 
     def test_entries_round_trip_through_pickle(self, tmp_path):
         cache = ResultCache(tmp_path)
-        result = SweepExecutor(jobs=1, cache=cache).simulate(
+        result = Session(jobs=1, cache=cache).simulate(
             equal_load(4, 1.0), "rr", SETTINGS
         )
         key = cache_key(equal_load(4, 1.0), "rr", SETTINGS)
