@@ -20,7 +20,9 @@ A second pair times the synchronous-bus slice of the event-heavy
 benchmark grid (12 clocked cells, §2.1) on both engines; its recorded
 ratio is the ``sync_grid_speedup`` the bench guard gates.  A third pair
 does the same for the grid's two-class priority slice (12 cells, §2.4),
-recorded as ``priority_grid_speedup``.
+recorded as ``priority_grid_speedup``, and a fourth for the robustness
+grid's fault-model slice (12 cells, §3.1/§3.2), recorded as
+``fault_grid_speedup``.
 """
 
 import pickle
@@ -28,8 +30,11 @@ import time
 from dataclasses import replace
 
 from repro.bus.timing import BusTiming
+from repro.bus.watchdog import WatchdogPolicy
 from repro.engine.batch import run_lanes
+from repro.experiments.robustness import DEFAULT_FAULT_RATES, fault_plan_for, grid_scenario
 from repro.experiments.runner import SimulationSettings, run_simulation
+from repro.experiments.scale import Scale
 from repro.workload.arrivals import two_class_priority_load
 from repro.workload.scenarios import equal_load
 
@@ -38,6 +43,9 @@ SYNC_SPEEDUP_GATE = 2.5
 
 #: The priority slice's floor over the event engine, per pass.
 PRIORITY_SPEEDUP_GATE = 2.5
+
+#: The fault-model slice's floor over the event engine, per pass.
+FAULT_SPEEDUP_GATE = 2.5
 
 #: One lane family per kernel implementation, both FCFS counter
 #: strategies included — the gate must pay every kernel's dispatch cost.
@@ -85,6 +93,33 @@ def priority_cells():
         for n in (10, 30)
         for seed in (12345, 12346)
         for protocol in ("rr", "fcfs", "fcfs-aincr")
+    ]
+
+
+def fault_cells():
+    """The 12-cell fault-model slice: RR register / FCFS counter faults.
+
+    The robustness grid's cells for its two fault-observable protocols
+    (10 agents at load 2.0, each default fault rate, default watchdog)
+    at two seeds, with the run length of the event-heavy benchmark grid.
+    """
+    scale = Scale("fault-slice", batches=2, batch_size=100, warmup=50)
+    settings = SimulationSettings(
+        batches=scale.batches,
+        batch_size=scale.batch_size,
+        warmup=scale.warmup,
+        keep_order=True,
+        watchdog=WatchdogPolicy(),
+    )
+    return [
+        (
+            grid_scenario(),
+            protocol,
+            replace(settings, seed=seed, fault_plan=fault_plan_for(protocol, rate, scale, seed)),
+        )
+        for protocol in ("rr-faulty-register", "fcfs-glitchable")
+        for rate in DEFAULT_FAULT_RATES
+        for seed in (12345, 12346)
     ]
 
 
@@ -242,5 +277,41 @@ def test_priority_pass_event_engine(benchmark):
 def test_priority_pass_batch_lanes(benchmark):
     """Recorded lane-engine pass over the priority slice."""
     cells = priority_cells()
+    results = benchmark.pedantic(lambda: run_lanes(cells), rounds=5, iterations=1)
+    assert all(r.collector.total_recorded == 250 for r in results)
+
+
+def test_fault_lanes_byte_identical_to_event_engine():
+    """The fault-model slice pickles identically on both engines."""
+    cells = fault_cells()
+    assert any(len(settings.fault_plan) for _, _, settings in cells)
+    _, batch_results = _batch_pass(cells)
+    _, event_results = _event_pass(cells)
+    for ours, theirs in zip(batch_results, event_results):
+        assert pickle.dumps(ours) == pickle.dumps(theirs)
+
+
+def test_fault_grid_speedup_gate():
+    """Lanes >= 2.5x the event engine on the fault-model slice, min-of-k."""
+    speedup = _speedup(fault_cells(), rounds=5)
+    print(f"\nfault-model slice speedup: {speedup:.2f}x (gate >= {FAULT_SPEEDUP_GATE})")
+    assert speedup >= FAULT_SPEEDUP_GATE
+
+
+def test_fault_pass_event_engine(benchmark):
+    """Recorded event-engine pass over the fault-model slice.
+
+    Runs immediately before ``test_fault_pass_batch_lanes`` so the two
+    share machine state; the ratio of their minima is the recorded
+    ``fault_grid_speedup``.
+    """
+    cells = fault_cells()
+    results = benchmark.pedantic(lambda: _event_pass(cells)[1], rounds=5, iterations=1)
+    assert len(results) == len(cells)
+
+
+def test_fault_pass_batch_lanes(benchmark):
+    """Recorded lane-engine pass over the fault-model slice."""
+    cells = fault_cells()
     results = benchmark.pedantic(lambda: run_lanes(cells), rounds=5, iterations=1)
     assert all(r.collector.total_recorded == 250 for r in results)

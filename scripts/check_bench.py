@@ -2,7 +2,7 @@
 """CI bench guard: median drift plus the grid-wide speedup gate.
 
 Runs the engine benchmarks fresh (to a throwaway file — the committed
-``BENCH_engine.json`` is never overwritten here) and applies seven
+``BENCH_engine.json`` is never overwritten here) and applies eight
 checks:
 
 1. **Median drift** — every median is compared against the committed
@@ -63,6 +63,13 @@ checks:
    recorded baseline and by
    ``benchmarks/test_grid_batch.py::test_priority_grid_speedup_gate``;
    the fresh run gets drift-scaled slack.
+
+8. **Fault speedup** — the same fixed 2.5x bar for the lane pass over
+   the robustness grid's fault-model slice (``rr-faulty-register`` and
+   ``fcfs-glitchable`` under their fault plans, §3.1/§3.2), enforced
+   exactly on the recorded baseline and by
+   ``benchmarks/test_grid_batch.py::test_fault_grid_speedup_gate``; the
+   fresh run gets drift-scaled slack.
 
 Usage::
 
@@ -136,6 +143,11 @@ GATES = (
         "priority_grid_speedup", "priority grid speedup", None, FLOOR, 2.5,
         "priority grid benchmarks",
         "required priority-slice lane speedup at the recorded baseline",
+    ),
+    Gate(
+        "fault_grid_speedup", "fault grid speedup", None, FLOOR, 2.5,
+        "fault grid benchmarks",
+        "required fault-model-slice lane speedup at the recorded baseline",
     ),
 )
 

@@ -55,6 +55,12 @@ SYNC_BATCH = "test_sync_pass_batch_lanes"
 PRIORITY_EVENT = "test_priority_pass_event_engine"
 PRIORITY_BATCH = "test_priority_pass_batch_lanes"
 
+#: The robustness grid's fault-model slice on both engines (adjacent in
+#: ``test_grid_batch.py``); their minima yield the recorded
+#: ``fault_grid_speedup``.
+FAULT_EVENT = "test_fault_pass_event_engine"
+FAULT_BATCH = "test_fault_pass_batch_lanes"
+
 #: The session-routed grid pass and its *paired* raw-lanes baseline
 #: (recorded back-to-back in ``test_session_overhead.py`` so the ratio
 #: is drift-free); their medians yield the ``session_overhead``
@@ -136,6 +142,7 @@ def condense(raw: dict) -> dict:
     for key, event_name, batch_name in (
         ("sync_grid_speedup", SYNC_EVENT, SYNC_BATCH),
         ("priority_grid_speedup", PRIORITY_EVENT, PRIORITY_BATCH),
+        ("fault_grid_speedup", FAULT_EVENT, FAULT_BATCH),
     ):
         slice_event = benchmarks.get(event_name)
         slice_batch = benchmarks.get(batch_name)

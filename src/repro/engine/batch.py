@@ -50,16 +50,25 @@ That is exact because the arbitration-complete in between only
 latches the winner, and no release, grant or other arbitration can be
 pending while the winner waits.
 
-Faults are in-domain.  Injected bus-level faults and watchdog recovery
-are modelled as two additional timer classes on the collapsed calendar:
+Faults are in-domain.  Injected faults and watchdog recovery are
+modelled as two additional timer classes on the collapsed calendar:
 ``t_retry`` (the watchdog's backed-off re-arbitration) and ``t_fault``
-(the plan's next agent dropout / hot re-insertion), turning the original
-four-way min dispatch (release, arbitration-complete or grant,
-request, kick) into a six-way one.  Line glitches and stuck-at windows
-never become timers: as in the event engine they perturb the
+(the plan's next point fault), turning the original four-way min
+dispatch (release, arbitration-complete or grant, request, kick) into a
+six-way one.  The point faults are agent dropout and hot re-insertion
+on every kernel, plus the arbiter-level fault of the two
+fault-observable protocols: a dropped winner broadcast on
+``rr-faulty-register`` (§3.1: one agent's replica of the last winner
+goes stale) and a counter upset on ``fcfs-glitchable`` (§3.2: one
+pending waiting counter is overwritten).  Line glitches and stuck-at
+windows never become timers: as in the event engine they perturb the
 arbitration numbers the kernel exposes via ``arbitrate_keys`` while
-the wired-OR settles, which is why only protocols whose registry spec
-sets ``supports_batch_faults`` admit fault plans here.
+the wired-OR settles, which is why every kernel exposes that key map.
+The perturbation is due-only: a pass builds and perturbs the key map only
+when a glitch is due or a stuck-line window covers it
+(``FaultInjector.line_fault_due``), or while a watchdog episode is
+open, since its events carry the attempt count.  Every other pass of a
+faulted lane is the clean, key-free kernel pass.
 
 Correctness contract
 --------------------
@@ -303,6 +312,120 @@ class _RoundRobinKernel(_Kernel):
         return winner, rounds, competitors, keys
 
 
+class _FaultyRegisterKernel(_RoundRobinKernel):
+    """``rr-faulty-register``: implementation 1 with per-agent winner views.
+
+    Mirrors :class:`~repro.faults.arbiters.FaultyWinnerRegisterRR`: each
+    agent sets its RR bit from its own copy of the last winner, an urgent
+    request's bit included (the ``IGNORE_RR`` forcing of implementation 1
+    does not apply), and a dropped broadcast makes the agent skip the
+    next winner it would have recorded.  Drops are used up on every
+    pass, anomalous ones included, and every agent records the kernel's
+    own (unperturbed) winner, as ``start_arbitration`` does.
+
+    ``last_winner`` is the view of every agent outside the ``stale``
+    mask; ``view`` holds the views of the agents inside it.  ``dropping``
+    marks the agents with drops left, so a pass with neither costs the
+    plain implementation-1 scan.
+    """
+
+    __slots__ = ("view", "drops", "stale", "dropping")
+
+    def __init__(self, num_agents: int) -> None:
+        super().__init__(num_agents, 1)
+        self.view = [0] * (num_agents + 1)
+        self.drops = [0] * (num_agents + 1)
+        self.stale = 0
+        self.dropping = 0
+
+    def drop_winner_observations(self, agent_id: int) -> None:
+        """Make ``agent_id`` miss one more winner broadcast."""
+        self.drops[agent_id] += 1
+        self.dropping |= 1 << agent_id
+
+    def _low(self, pending: int) -> int:
+        """The pending agents whose own view sets their RR bit."""
+        low = pending & ((1 << self.last_winner) - 1)
+        stale = self.stale & pending
+        if stale:
+            low &= ~stale
+            view = self.view
+            while stale:
+                bit = stale & -stale
+                agent = bit.bit_length() - 1
+                stale ^= bit
+                if agent < view[agent]:
+                    low |= bit
+        return low
+
+    def _observe(self, winner: int) -> None:
+        """Every agent without a drop left records ``winner``."""
+        dropping = self.dropping
+        stale = 0
+        if dropping:
+            view = self.view
+            drops = self.drops
+            last = self.last_winner
+            was_stale = self.stale
+            mask = dropping
+            while mask:
+                bit = mask & -mask
+                agent = bit.bit_length() - 1
+                mask ^= bit
+                if not was_stale & bit:
+                    view[agent] = last
+                if view[agent] != winner:
+                    stale |= bit
+                drops[agent] -= 1
+                if not drops[agent]:
+                    dropping ^= bit
+            self.dropping = dropping
+        self.stale = stale
+        self.last_winner = winner
+
+    def arbitrate(self) -> Tuple[int, int, int]:
+        pending = self.pending
+        if self.stale or self.dropping:
+            winner = (self._low(pending) or pending).bit_length() - 1
+            self._observe(winner)
+        else:
+            winner = ((pending & ((1 << self.last_winner) - 1)) or pending).bit_length() - 1
+            self.last_winner = winner
+        return winner, 1, pending
+
+    def arbitrate_classed(self) -> Tuple[int, int, int]:
+        """:meth:`arbitrate` with the priority bit prepended."""
+        pending = self.pending
+        urgent = self.urgent & pending
+        if not urgent:
+            return self.arbitrate()
+        winner = ((urgent & self._low(pending)) or urgent).bit_length() - 1
+        self._observe(winner)
+        return winner, 1, pending
+
+    def arbitrate_keys(self) -> Tuple[int, int, int, Dict[int, int]]:
+        """:meth:`arbitrate_classed`, also returning the applied key map:
+        ``[priority][RR bit from the agent's view][id]`` for every
+        pending agent."""
+        pending = self.pending
+        urgent = self.urgent & pending
+        low = self._low(pending)
+        rr_bit = 1 << self.bits
+        top = rr_bit << 1
+        keys = {}
+        mask = pending
+        while mask:
+            bit = mask & -mask
+            agent = bit.bit_length() - 1
+            mask ^= bit
+            keys[agent] = (
+                (top if urgent & bit else 0) | (rr_bit if low & bit else 0) | agent
+            )
+        winner = ((urgent & low) or urgent or low or pending).bit_length() - 1
+        self._observe(winner)
+        return winner, 1, pending, keys
+
+
 class _FcfsKernel(_Kernel):
     """Distributed FCFS, counter strategies 1 (increment) and 2 (A-incr).
 
@@ -446,6 +569,31 @@ class _FcfsKernel(_Kernel):
             mask ^= bit
 
 
+class _GlitchableFcfsKernel(_FcfsKernel):
+    """``fcfs-glitchable``: strategy 1 whose waiting counters can be upset.
+
+    Mirrors :class:`~repro.faults.arbiters.GlitchableFCFS`: an upset
+    overwrites the pending request's counter, and the next request
+    resets it (§3.2).
+    """
+
+    __slots__ = ()
+
+    def __init__(self, num_agents: int) -> None:
+        super().__init__(num_agents, 1)
+
+    def glitch_counter(self, agent_id: int, value: int) -> bool:
+        """Overwrite the agent's pending counter with ``value``.
+
+        Returns ``False``, changing nothing, when the agent has no
+        pending request (the upset hit an idle register).
+        """
+        if not self.pending >> agent_id & 1:
+            return False
+        self.counter[agent_id] = value % self.modulus
+        return True
+
+
 class _FixedPriorityKernel(_Kernel):
     """Static daisy-chain baseline: highest pending identity wins.
 
@@ -480,6 +628,8 @@ _KERNELS = {
     "fcfs": lambda n: _FcfsKernel(n, 1),
     "fcfs-aincr": lambda n: _FcfsKernel(n, 2),
     "fixed": lambda n: _FixedPriorityKernel(n),
+    "rr-faulty-register": _FaultyRegisterKernel,
+    "fcfs-glitchable": _GlitchableFcfsKernel,
 }
 
 #: Kernel implementation family of each batch protocol; the planner
@@ -491,7 +641,22 @@ _KERNEL_FAMILY = {
     "fcfs": "fcfs",
     "fcfs-aincr": "fcfs",
     "fixed": "fixed",
+    "rr-faulty-register": "rr",
+    "fcfs-glitchable": "fcfs",
 }
+
+#: Arbiter-level fault kinds a kernel executes as lane fault timers, on
+#: top of the bus-level kinds every fault-domain kernel takes.
+_ARBITER_FAULTS = {
+    "rr-faulty-register": frozenset({FaultKind.DROPPED_BROADCAST}),
+    "fcfs-glitchable": frozenset({FaultKind.COUNTER_UPSET}),
+}
+
+#: Plan kinds the lane runs as fault timers; line glitches and stuck
+#: lines act through ``FaultInjector.perturb`` instead.
+_POINT_FAULTS = frozenset(
+    {FaultKind.DROPPED_BROADCAST, FaultKind.COUNTER_UPSET, FaultKind.AGENT_DROPOUT}
+)
 
 
 def kernel_family(protocol: str) -> str:
@@ -525,13 +690,19 @@ def batch_capable(
     restriction (empty when capable).  Callers that want transparent
     behaviour fall back to the event-driven engine when not capable.
 
-    Fault plans are in-domain when the protocol's spec declares
-    ``supports_batch_faults`` and every planned kind is a bus-level
-    fault the spec admits; a watchdog policy alone (no plan) is always
-    in-domain, since clean runs never consult it.  Open-loop agents are
-    in-domain: with one request outstanding at most, generation blocks
-    at issue and resumes at completion, the closed-loop cycle.  Priority
-    classing is in-domain on every kernel.
+    Fault plans are in-domain when the spec admits every planned kind
+    and the lane executes it: the bus-level kinds on every kernel, plus
+    the arbiter-level kind a fault-observable kernel implements
+    (dropped winner broadcasts on ``rr-faulty-register``, counter
+    upsets on ``fcfs-glitchable``), which the lane runs as fault timers
+    beside dropout and rejoin.  Line glitches and stuck lines cost a
+    faulted lane a key map and a perturbation only on the passes where
+    one is due or a watchdog episode is open; its other passes are
+    clean kernel passes.  A watchdog policy alone (no plan) is
+    always in-domain, since clean runs never consult it.  Open-loop
+    agents are in-domain: with one request outstanding at most,
+    generation blocks at issue and resumes at completion, the
+    closed-loop cycle.  Priority classing is in-domain on every kernel.
     """
     spec = get_spec(protocol)
     if not spec.supports_batch or protocol not in _KERNELS:
@@ -541,9 +712,8 @@ def batch_capable(
             return False, f"agent {agent.agent_id} has max_outstanding > 1"
     plan = settings.fault_plan
     if plan is not None and len(plan):
-        if not spec.supports_batch_faults:
-            return False, f"protocol {protocol!r} has no fault-domain batch kernel"
-        outside = plan.kinds() - (spec.injectable_faults & BUS_LEVEL_FAULTS)
+        lane_kinds = BUS_LEVEL_FAULTS | _ARBITER_FAULTS.get(protocol, frozenset())
+        outside = plan.kinds() - (spec.injectable_faults & lane_kinds)
         if outside:
             names = ", ".join(sorted(kind.value for kind in outside))
             return False, f"fault kind(s) {names} are outside the batch domain"
@@ -640,7 +810,6 @@ class _Replication:
         "busy_time",
         "transactions",
         "arb_index",
-        "done",
         "active",
         "woke",
         "injector",
@@ -710,15 +879,18 @@ class _Replication:
         self.watchdog = watchdog
         # The plan's point faults, as a time-sorted action list replacing
         # the calendar events FaultInjector.attach would schedule: one
-        # (time, is_drop, event) pair per dropout window.  The stable
-        # sort preserves the plan's scheduling order for equal times —
-        # the calendar's insertion-sequence rule at equal priority.
-        actions: List[Tuple[float, bool, FaultEvent]] = []
+        # (time, kind, event) entry per dropped broadcast, counter upset
+        # and dropout, plus a (end, None, event) rejoin per dropout
+        # window.  The stable sort preserves the plan's scheduling order
+        # for equal times — the calendar's insertion-sequence rule at
+        # equal priority.
+        actions: List[Tuple[float, Optional[FaultKind], FaultEvent]] = []
         if injector is not None:
             for fevent in plan.events:
+                if fevent.kind in _POINT_FAULTS:
+                    actions.append((max(0.0, fevent.time), fevent.kind, fevent))
                 if fevent.kind is FaultKind.AGENT_DROPOUT:
-                    actions.append((max(0.0, fevent.time), True, fevent))
-                    actions.append((max(0.0, fevent.end_time), False, fevent))
+                    actions.append((max(0.0, fevent.end_time), None, fevent))
             actions.sort(key=lambda entry: entry[0])
         self.fault_actions = actions
         self.fault_idx = 0
@@ -771,7 +943,6 @@ class _Replication:
         self.busy_time = 0.0
         self.transactions = 0
         self.arb_index = 0
-        self.done = False
 
     def advance(self, completions: int) -> bool:
         """Advance until ``completions`` more completions are recorded.
@@ -785,8 +956,6 @@ class _Replication:
         is the sweep bottleneck, and attribute traffic dominates once
         event objects are gone.
         """
-        if self.done:
-            return False
         collector = self.collector
         record_completion = collector.record_completion
         needed = collector.needed
@@ -879,7 +1048,8 @@ class _Replication:
                 # suppressed kick guard) can absorb them without a full
                 # dispatch round.  Strictly earlier only: a request at
                 # exactly t_rel fires after the release, as in the
-                # calendar's priority order.
+                # calendar's priority order.  Fault-free lanes only, so
+                # no agent is ever dropped out here.
                 while tr < t_rel:
                     fire = tr
                     agent = ra
@@ -891,14 +1061,11 @@ class _Replication:
                     else:
                         tr = _INF
                         ra = 0
-                    if active[agent]:
-                        if simple_request:
-                            kernel.pending |= 1 << agent
-                            kernel_issue[agent] = fire
-                        else:
-                            kernel_request(agent, fire)
+                    if simple_request:
+                        kernel.pending |= 1 << agent
+                        kernel_issue[agent] = fire
                     else:
-                        woke[agent] = True
+                        kernel_request(agent, fire)
             tmin = t_rel
             if t_arb < tmin:
                 tmin = t_arb
@@ -1000,7 +1167,6 @@ class _Replication:
                     self.arb_index = arb_index
                     self.fault_idx = fault_idx
                     self.now = now
-                    self.done = True
                     self._close_sinks()
                     return False
                 if pending_winner is not None:
@@ -1082,64 +1248,31 @@ class _Replication:
                 else:
                     t_retry = _INF
                 if t_arb == _INF and pending_winner is None and kernel.pending:
-                    if not faulty:
-                        winner, rounds, competitors = kernel_arbitrate()
-                        settle = arbt * rounds
-                        if sinks:
-                            event = ArbitrationEvent(
-                                index=arb_index,
-                                time=now,
-                                competitors=_mask_ids(competitors),
-                                winner=winner,
-                                rounds=rounds,
-                                settle_time=settle,
-                            )
-                            arb_index += 1
-                            for sink in sinks:
-                                sink.emit(event)
-                        t_settled = now + settle
-                        if busy and t_settled < t_rel:
-                            # The current master still owns the bus when
-                            # the lines settle, so the arbitration-
-                            # complete event's only effect would be to
-                            # latch the winner — fold it into this
-                            # instant and save a dispatch round per
-                            # saturated transaction.  Strict `<`: at a
-                            # settle/release tie the calendar fires the
-                            # release first and the arbitration lands on
-                            # an idle bus, a different handler.
-                            pending_winner = winner
-                        else:
-                            # The lines settle on an idle bus; a clocked
-                            # one hands over at the next edge.  The
-                            # winner is not latched while it waits, so
-                            # request absorption stays off until then.
-                            arb_winner = winner
-                            t_arb = t_settled + edge(t_settled) if clocked else t_settled
+                    if injector is None or not (
+                        watchdog.attempts or injector.line_fault_due(now)
+                    ):
+                        # A clean pass: perturb would hand the outcome
+                        # back untouched, and with no open recovery
+                        # episode the event carries no attempt count,
+                        # so the key-free pass below is exact.
+                        kick_now = True
                     else:
-                        # Fault-domain pass: expose the applied keys,
-                        # perturb them, and route anomalies through the
-                        # watchdog — mirroring _maybe_start_arbitration.
+                        # Fault-domain pass: a line fault is due or a
+                        # recovery episode is open.  Expose the applied
+                        # keys, perturb them, and route anomalies through
+                        # the watchdog — mirroring _maybe_start_arbitration.
                         winner, rounds, competitors, keys = kernel.arbitrate_keys()
                         settle = arbt * rounds
-                        anomaly = None
-                        fault_tags: Tuple[str, ...] = ()
-                        if injector is not None:
-                            perturbed = injector.perturb(
-                                ArbitrationOutcome(
-                                    winner=winner,
-                                    rounds=rounds,
-                                    competitors=frozenset(keys),
-                                    keys=keys,
-                                ),
-                                now,
-                            )
-                            anomaly = perturbed.anomaly
-                            if anomaly is None:
-                                if perturbed.deviated:
-                                    collector.record_deviation()
-                                    fault_tags = ("deviated",)
-                                winner = perturbed.winner
+                        perturbed = injector.perturb(
+                            ArbitrationOutcome(
+                                winner=winner,
+                                rounds=rounds,
+                                competitors=frozenset(keys),
+                                keys=keys,
+                            ),
+                            now,
+                        )
+                        anomaly = perturbed.anomaly
                         if anomaly is not None:
                             # Emit before consulting the watchdog: the
                             # event carries the episode's attempt count
@@ -1169,11 +1302,13 @@ class _Replication:
                                 self.arb_index = arb_index
                                 self.fault_idx = fault_idx
                                 self.now = now
-                                self.done = True
                                 self._close_sinks()
                                 return False
                             t_retry = now + (settle + delay)
                         else:
+                            winner = perturbed.winner
+                            if perturbed.deviated:
+                                collector.record_deviation()
                             if sinks:
                                 event = ArbitrationEvent(
                                     index=arb_index,
@@ -1182,27 +1317,23 @@ class _Replication:
                                     winner=winner,
                                     rounds=rounds,
                                     settle_time=settle,
-                                    watchdog_attempt=(
-                                        watchdog.attempts
-                                        if watchdog is not None
-                                        else 0
-                                    ),
-                                    fault_tags=fault_tags,
+                                    watchdog_attempt=watchdog.attempts,
+                                    fault_tags=("deviated",) if perturbed.deviated else (),
                                 )
                                 arb_index += 1
                                 for sink in sinks:
                                     sink.emit(event)
                             t_settled = now + settle
                             if busy and t_settled < t_rel:
-                                # Same fusion as the fault-free path: a
-                                # clean (or deviated) outcome on a busy
-                                # bus only latches the winner.
+                                # Same latch as the clean path: a clean
+                                # (or deviated) outcome on a busy bus
+                                # only latches the winner.
                                 pending_winner = winner
                             else:
                                 arb_winner = winner
                                 t_arb = t_settled + edge(t_settled)
-            else:  # FAULT — the plan's next dropout / hot re-insertion
-                _, is_drop, fevent = fault_actions[fault_idx]
+            else:  # FAULT — the plan's next point fault or rejoin
+                _, kind, fevent = fault_actions[fault_idx]
                 fault_idx += 1
                 t_fault = (
                     fault_actions[fault_idx][0]
@@ -1210,16 +1341,32 @@ class _Replication:
                     else _INF
                 )
                 aid = fevent.agent_id
-                present = 0 < aid <= num_agents and rngs[aid] is not None
-                if is_drop:
+                on_bus = 0 < aid <= num_agents
+                present = on_bus and rngs[aid] is not None
+                if kind is FaultKind.DROPPED_BROADCAST:
+                    # FaultInjector._drop_broadcast: the victim skips the
+                    # next winner it would record.
+                    if on_bus:
+                        kernel.drop_winner_observations(aid)
+                        injector.count_applied(kind)
+                    else:
+                        injector.count_skipped(kind)
+                elif kind is FaultKind.COUNTER_UPSET:
+                    # FaultInjector._upset_counter: only a pending
+                    # request's counter can be hit.
+                    if on_bus and kernel.glitch_counter(aid, fevent.value):
+                        injector.count_applied(kind)
+                    else:
+                        injector.count_skipped(kind)
+                elif kind is not None:  # AGENT_DROPOUT
                     if present and active[aid]:
                         # Asserted requests stay on the arbiter — the
                         # hardware cannot recall a request line; only
                         # new generation stops (BusAgent.drop_out).
                         active[aid] = False
-                        injector.count_applied(fevent.kind)
+                        injector.count_applied(kind)
                     else:
-                        injector.count_skipped(fevent.kind)
+                        injector.count_skipped(kind)
                 elif present and not active[aid]:
                     active[aid] = True
                     if woke[aid]:
@@ -1240,14 +1387,15 @@ class _Replication:
                             tr = t_next
                             ra = aid
             if kick_now:
-                # Same-instant kick fusion: the handler above scheduled
-                # a kick "for now" and proved no other event shares the
-                # timestamp (the earliest request timer is strictly
-                # later, every other timer infinite), so the kick's
-                # competitor snapshot is already final — run it in this
-                # dispatch round instead of paying another.  Fault-
-                # domain runs keep the scheduled kick, since their
-                # handler needs the full anomaly machinery, and so do
+                # A key-free arbitration pass at ``now``.  Either a kick
+                # or retry handler above found the pass clean, or a
+                # handler scheduled a kick "for now" and proved no other
+                # event shares the timestamp (the earliest request timer
+                # is strictly later, every other timer infinite), so the
+                # kick's competitor snapshot is already final — run it
+                # in this dispatch round instead of paying another.
+                # Fault-domain runs never fuse, since their kick must
+                # first check for a due line fault, and neither do
                 # synchronous runs, whose kick waits for a clock edge.
                 kick_now = False
                 if kernel.pending:
@@ -1267,10 +1415,23 @@ class _Replication:
                             sink.emit(event)
                     t_settled = now + settle
                     if busy and t_settled < t_rel:
+                        # The current master still owns the bus when the
+                        # lines settle, so the arbitration-complete
+                        # event's only effect would be to latch the
+                        # winner — fold it into this instant and save a
+                        # dispatch round per saturated transaction.
+                        # Strict `<`: at a settle/release tie the
+                        # calendar fires the release first and the
+                        # arbitration lands on an idle bus, a different
+                        # handler.
                         pending_winner = winner
                     else:
+                        # The lines settle on an idle bus; a clocked one
+                        # hands over at the next edge.  The winner is
+                        # not latched while it waits, so request
+                        # absorption stays off until then.
                         arb_winner = winner
-                        t_arb = t_settled
+                        t_arb = t_settled + edge(t_settled) if clocked else t_settled
             if recorded >= completions:
                 break
 

@@ -289,12 +289,10 @@ def run(
     inside the batch lane domain of every protocol with a kernel.
 
     ``engine`` selects the execution engine for the fault-free
-    baselines — the grid's replication-heavy, batch-eligible cells.
-    The grid's *fault* cells run the fault-specialised protocol
-    variants (faulty-register RR, rotating RR, glitchable FCFS), none
-    of which has a batch kernel, so they fall back to the event engine
-    transparently whatever ``engine`` says — the batch engine's fault
-    domain covers bus-level plans on the six core kernels only.
+    baselines.  The grid's *fault* cells keep their own declaration
+    (the batch engine): faulty-register RR and glitchable FCFS run on
+    lanes, dropped broadcasts and counter upsets included, while
+    rotating RR has no kernel and falls back to the event engine.
     """
     executor = executor or Session()
     scale = scale or current_scale()

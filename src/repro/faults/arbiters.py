@@ -46,7 +46,10 @@ class FaultyWinnerRegisterRR(DistributedRoundRobin):
     replicates the register per agent so a broadcast fault can be
     injected at one of them, and implements the §3.1 recovery story:
     the protocol keeps running through the fault and heals at the next
-    observed arbitration.
+    observed arbitration.  Its keys are ``[priority][RR bit][id]``, and
+    an urgent request's RR bit comes from the agent's own register too:
+    unlike the production arbiter's ``IGNORE_RR`` policy, urgent
+    requests do not force it.
     """
 
     name = "rr-faulty-register"

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Mapping, Optional
 
 from repro.engine.event import EventPriority
+from repro.errors import ProtocolError
 from repro.faults.plan import FaultEvent, FaultKind, FaultPlan
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -140,12 +141,16 @@ class FaultInjector:
         if drop is None:
             self._count(self.skipped, event.kind)
             return
-        drop(event.agent_id, 1)
+        try:
+            drop(event.agent_id, 1)
+        except ProtocolError:
+            # The victim is not on this bus (a plan drawn for a wider
+            # one): no register missed the broadcast.
+            self._count(self.skipped, event.kind)
+            return
         self._count(self.applied, event.kind)
 
     def _upset_counter(self, event: FaultEvent) -> None:
-        from repro.errors import ProtocolError
-
         arbiter = self._system.arbiter
         glitch = getattr(arbiter, "glitch_counter", None)
         if glitch is None:
@@ -173,6 +178,21 @@ class FaultInjector:
             agent.rejoin()
 
     # -- line faults ---------------------------------------------------------
+
+    def line_fault_due(self, now: float) -> bool:
+        """Whether :meth:`perturb` at ``now`` would touch any line.
+
+        True when a glitch is due (its time has arrived) or a stuck-line
+        window covers ``now``.  When it is False, ``perturb`` returns
+        the outcome unchanged and counts nothing, so an engine may skip
+        building the key map for that pass.
+        """
+        if self._glitches and self._glitches[0].time <= now:
+            return True
+        for window in self._stuck:
+            if window.time <= now < window.end_time:
+                return True
+        return False
 
     def perturb(
         self, outcome: "ArbitrationOutcome", now: float

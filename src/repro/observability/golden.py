@@ -58,12 +58,13 @@ class GoldenScenario:
     #: golden equals its event twin — pinning both means a divergence
     #: names the engine that moved.
     engine: str = "event"
-    #: Bus-level faults per unit simulated time.  Non-zero turns the run
-    #: into a fault-domain golden: a deterministic
+    #: Faults per unit simulated time.  Non-zero turns the run into a
+    #: fault-domain golden: a deterministic
     #: :class:`~repro.faults.plan.FaultPlan` (seeded from
-    #: :data:`GOLDEN_SEED`, bus-level kinds only) plus the default
-    #: watchdog policy, so the trace pins anomaly emission, watchdog
-    #: attempt counting and recovery scheduling — not just clean grants.
+    #: :data:`GOLDEN_SEED`, drawing every kind the protocol declares
+    #: injectable) plus the default watchdog policy, so the trace pins
+    #: anomaly emission, watchdog attempt counting and recovery
+    #: scheduling — not just clean grants.
     fault_rate: float = 0.0
     #: Workload family behind the run.  ``closed`` is the original
     #: equal-load think-time population; ``mmpp-closed`` swaps the think
@@ -175,6 +176,42 @@ GOLDEN_SCENARIOS: Dict[str, GoldenScenario] = {
         fault_rate=0.3,
         rationale="batch engine fault-timer class, byte-equal to rr-faults",
     ),
+    # Arbiter-level fault twins: the §3.1 and §3.2 fault targets, whose
+    # plans mix their own fault kind (dropped broadcasts, counter
+    # upsets) with every bus-level one, so the trace pins those lane
+    # fault timers next to line faults, dropout and watchdog recovery.
+    "rr-register-faults": GoldenScenario(
+        protocol="rr-faulty-register",
+        agents=4,
+        load=2.0,
+        fault_rate=0.3,
+        rationale="per-agent winner registers under dropped broadcasts (§3.1)",
+    ),
+    "batch-rr-register-faults": GoldenScenario(
+        protocol="rr-faulty-register",
+        agents=4,
+        load=2.0,
+        engine="batch",
+        fault_rate=0.3,
+        rationale="batch engine broadcast-drop timers, byte-equal to "
+        "rr-register-faults",
+    ),
+    "fcfs-counter-faults": GoldenScenario(
+        protocol="fcfs-glitchable",
+        agents=4,
+        load=2.0,
+        fault_rate=0.3,
+        rationale="FCFS counters under single-event upsets (§3.2)",
+    ),
+    "batch-fcfs-counter-faults": GoldenScenario(
+        protocol="fcfs-glitchable",
+        agents=4,
+        load=2.0,
+        engine="batch",
+        fault_rate=0.3,
+        rationale="batch engine counter-upset timers, byte-equal to "
+        "fcfs-counter-faults",
+    ),
     # Arrival-layer goldens.  The closed-loop MMPP pair, the open-loop
     # Poisson pair (one outstanding request per agent) and the bursty
     # two-class priority pair stay inside the batch-lane domain
@@ -274,7 +311,7 @@ def golden_trace_lines(name: str) -> List[str]:
     from repro.bus.timing import BusTiming
     from repro.bus.watchdog import WatchdogPolicy
     from repro.experiments.runner import SimulationSettings, run_simulation
-    from repro.faults.plan import BUS_LEVEL_FAULTS, FaultPlan
+    from repro.faults.plan import FaultPlan
     from repro.observability.events import TelemetrySettings
     from repro.protocols.registry import get_spec
     from repro.workload.arrivals import MarkovModulatedPoisson, bursty_equal_load
@@ -320,7 +357,7 @@ def golden_trace_lines(name: str) -> List[str]:
             seed=GOLDEN_SEED,
             rate=golden.fault_rate,
             horizon=float(golden.completions + golden.warmup),
-            kinds=tuple(sorted(BUS_LEVEL_FAULTS, key=lambda kind: kind.value)),
+            kinds=spec.injectable_faults,
             num_agents=golden.agents,
             line_span=spec.number_width(golden.agents) if spec.number_width else 4,
         )

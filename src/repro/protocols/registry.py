@@ -135,15 +135,14 @@ class ProtocolSpec:
         Empty for ad-hoc specs: fault plans are refused at config time.
     supports_batch:
         Whether the batch lane engine (:mod:`repro.engine.batch`)
-        has an exact kernel for the protocol.  Only the paper's core
-        protocols qualify; everything else transparently
-        falls back to the event-driven engine.
-    supports_batch_faults:
-        Whether that batch kernel also exposes the exact per-agent
-        arbitration numbers the fault injector perturbs, extending the
-        kernel's verified domain to bus-level fault plans (line
-        glitches, stuck lines, agent dropout) plus watchdog recovery.
-        Never true without ``supports_batch``.
+        has an exact kernel for the protocol.  The paper's core
+        protocols and the two fault-observable variants qualify;
+        everything else transparently falls back to the event-driven
+        engine.  Every kernel also exposes the exact per-agent
+        arbitration numbers the fault injector perturbs, so its domain
+        covers bus-level fault plans (line glitches, stuck lines, agent
+        dropout) with watchdog recovery, plus the arbiter-level kind the
+        kernel implements (dropped broadcasts, counter upsets).
     """
 
     name: str
@@ -156,7 +155,6 @@ class ProtocolSpec:
     common_random_numbers: bool = True
     injectable_faults: FrozenSet[FaultKind] = field(default_factory=frozenset)
     supports_batch: bool = False
-    supports_batch_faults: bool = False
 
     def check_outstanding(self, max_outstanding: int) -> None:
         """Reject a per-agent capacity the protocol cannot serve."""
@@ -334,7 +332,6 @@ _BUILTIN_SPECS: Tuple[ProtocolSpec, ...] = (
         number_width=_width_rr,
         injectable_faults=BUS_LEVEL_FAULTS,
         supports_batch=True,
-        supports_batch_faults=True,
     ),
     ProtocolSpec(
         name="rr-impl2",
@@ -345,7 +342,6 @@ _BUILTIN_SPECS: Tuple[ProtocolSpec, ...] = (
         number_width=_width_rr,
         injectable_faults=BUS_LEVEL_FAULTS,
         supports_batch=True,
-        supports_batch_faults=True,
     ),
     ProtocolSpec(
         name="rr-impl3",
@@ -356,7 +352,6 @@ _BUILTIN_SPECS: Tuple[ProtocolSpec, ...] = (
         number_width=_width_rr,
         injectable_faults=BUS_LEVEL_FAULTS,
         supports_batch=True,
-        supports_batch_faults=True,
     ),
     # the frozen-pointer amendment studied in extension Table E4
     ProtocolSpec(
@@ -378,7 +373,6 @@ _BUILTIN_SPECS: Tuple[ProtocolSpec, ...] = (
         number_width=_width_fcfs,
         injectable_faults=BUS_LEVEL_FAULTS,
         supports_batch=True,
-        supports_batch_faults=True,
     ),
     ProtocolSpec(
         name="fcfs-aincr",
@@ -390,7 +384,6 @@ _BUILTIN_SPECS: Tuple[ProtocolSpec, ...] = (
         number_width=_width_fcfs,
         injectable_faults=BUS_LEVEL_FAULTS,
         supports_batch=True,
-        supports_batch_faults=True,
     ),
     # §5 future-work extensions
     ProtocolSpec(
@@ -421,7 +414,6 @@ _BUILTIN_SPECS: Tuple[ProtocolSpec, ...] = (
         number_width=_width_static_plus_priority,
         injectable_faults=BUS_LEVEL_FAULTS,
         supports_batch=True,
-        supports_batch_faults=True,
     ),
     ProtocolSpec(
         name="aap1",
@@ -488,6 +480,7 @@ _BUILTIN_SPECS: Tuple[ProtocolSpec, ...] = (
         extra_lines=1,
         number_width=_width_rr,
         injectable_faults=_BROADCAST_FAULTS,
+        supports_batch=True,
     ),
     ProtocolSpec(
         name="fcfs-glitchable",
@@ -498,6 +491,7 @@ _BUILTIN_SPECS: Tuple[ProtocolSpec, ...] = (
         extra_lines=0,
         number_width=_width_fcfs,
         injectable_faults=BUS_LEVEL_FAULTS | {FaultKind.COUNTER_UPSET},
+        supports_batch=True,
     ),
 )
 

@@ -105,9 +105,10 @@ def _bus_fault_plan(protocol, agents, rate, seed, horizon=100.0, **overrides):
     )
 
 
-def test_batch_capable_protocol_set_is_the_expected_six():
+def test_batch_capable_protocol_set_is_the_expected_eight():
     assert sorted(BATCH_PROTOCOLS) == [
-        "fcfs", "fcfs-aincr", "fixed", "rr", "rr-impl2", "rr-impl3",
+        "fcfs", "fcfs-aincr", "fcfs-glitchable", "fixed", "rr",
+        "rr-faulty-register", "rr-impl2", "rr-impl3",
     ]
 
 
@@ -346,6 +347,54 @@ def test_run_lanes_rejects_shared_jsonl_path(tmp_path):
         run_lanes(cells)
 
 
+def test_run_lanes_rejects_a_cell_outside_the_batch_domain():
+    from repro.errors import ConfigurationError
+
+    cells = [(equal_load(4, 2.0), "rr", SETTINGS), (equal_load(4, 2.0), "aap1", SETTINGS)]
+    with pytest.raises(ConfigurationError, match="'aap1' has no batch kernel"):
+        run_lanes(cells)
+
+
+def test_lane_that_never_requests_raises_instead_of_spinning():
+    # Agents whose think times never end leave the lane nothing to
+    # dispatch: it must stop with the event engine's drained-calendar
+    # error, not loop on an infinite timestamp.
+    import math
+
+    from repro.errors import SimulationError
+    from repro.workload.distributions import Distribution
+    from repro.workload.scenarios import AgentSpec, ScenarioSpec
+
+    class Never(Distribution):
+        mean = math.inf
+        cv = 0.0
+
+        def sample(self, rng):
+            return math.inf
+
+        def survival(self, x):
+            return 1.0
+
+    scenario = ScenarioSpec(
+        name="never", agents=(AgentSpec(agent_id=1, interrequest=Never()),)
+    )
+    with pytest.raises(SimulationError, match="drained its event calendar"):
+        run_lanes([(scenario, "rr", replace(SETTINGS, telemetry=None))])
+
+
+def test_engines_identical_when_a_rejoin_refills_the_think_buffer():
+    # One agent, long dropout windows: this seed's agent rejoins with
+    # its block of pre-drawn think times used up, so the rejoin draws
+    # the next block before its fresh think period.
+    plan = _bus_fault_plan(
+        "rr", 1, rate=0.05, seed=1, horizon=400.0,
+        kinds=(FaultKind.AGENT_DROPOUT,), mean_duration=20.0,
+    )
+    settings = replace(SETTINGS, batch_size=100, seed=1, fault_plan=plan)
+    ev, bt = _both_engines(lambda: equal_load(1, 0.3), "rr", settings)
+    _assert_identical(ev, bt)
+
+
 def test_unsupported_cells_fall_back_to_event_engine():
     # A protocol without a batch kernel: engine="batch" must degrade to
     # the event engine and produce its exact results.
@@ -478,6 +527,7 @@ def test_batch_goldens_equal_their_event_twins():
 
     for name in (
         "rr", "rr-impl3", "fcfs", "fcfs-aincr", "fixed", "rr-faults", "mmpp-closed",
+        "rr-register-faults", "fcfs-counter-faults",
     ):
         assert golden_trace_lines(name) == golden_trace_lines(f"batch-{name}")
 

@@ -79,13 +79,17 @@ class TestCondenseSliceRatios:
                 bench(module.SYNC_BATCH, 0.02),
                 bench(module.PRIORITY_EVENT, 0.15),
                 bench(module.PRIORITY_BATCH, 0.03),
+                bench(module.FAULT_EVENT, 0.09),
+                bench(module.FAULT_BATCH, 0.015),
             ]
         }
         summary = module.condense(raw)
         assert summary["sync_grid_speedup"] == 4.0
         assert summary["priority_grid_speedup"] == 5.0
+        assert summary["fault_grid_speedup"] == 6.0
         raw["benchmarks"] = raw["benchmarks"][:3]
         assert "priority_grid_speedup" not in module.condense(raw)
+        assert "fault_grid_speedup" not in module.condense(raw)
 
 
 class TestCheckBenchGates:
@@ -120,15 +124,18 @@ class TestCheckBenchGates:
             "openloop_overhead",
             "sync_grid_speedup",
             "priority_grid_speedup",
+            "fault_grid_speedup",
         ]
         assert self._gate(module, "grid_speedup").bound == module.FLOOR
         assert {gate.bound for gate in module.GATES[1:4]} == {module.CEILING}
         assert self._gate(module, "sync_grid_speedup").bound == module.FLOOR
         assert self._gate(module, "priority_grid_speedup").bound == module.FLOOR
-        # Fixed bars: the synchronous and priority rows add no CLI flag.
+        assert self._gate(module, "fault_grid_speedup").bound == module.FLOOR
+        # Fixed bars: the slice speedup rows add no CLI flag.
         assert [gate.key for gate in module.GATES if gate.flag is None] == [
             "sync_grid_speedup",
             "priority_grid_speedup",
+            "fault_grid_speedup",
         ]
 
     def test_floor_pass(self, module, capsys):
@@ -220,6 +227,22 @@ class TestCheckBenchGates:
             "  priority grid speedup: baseline records none  <-- REGRESSION",
             "  priority grid speedup (fresh): missing priority grid benchmarks"
             "  <-- REGRESSION",
+        ]
+
+    def test_fault_floor_pass(self, module, capsys):
+        status, lines = self._check(module, capsys, "fault_grid_speedup", 6.0, 1.5)
+        assert status == 0
+        assert lines == [
+            "  fault grid speedup: baseline records 6.00x (gate >= 2.5x)",
+            "  fault grid speedup (fresh): 1.50x (floor 1.2x at 50% tolerance)",
+        ]
+
+    def test_fault_floor_recorded_miss_and_missing_fresh(self, module, capsys):
+        status, lines = self._check(module, capsys, "fault_grid_speedup", 2.4, None)
+        assert status == 1
+        assert lines == [
+            "  fault grid speedup: baseline records 2.40x (gate >= 2.5x)  <-- REGRESSION",
+            "  fault grid speedup (fresh): missing fault grid benchmarks  <-- REGRESSION",
         ]
 
     def test_ceiling_pass(self, module, capsys):

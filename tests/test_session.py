@@ -107,8 +107,9 @@ class TestPlanRuns:
 
     def test_direct_runs_carry_their_refusal_reason(self):
         # One N of the event-heavy benchmark grid: open-loop r=1, bursty
-        # MMPP, two-class priority and synchronous-bus cells are lanes;
-        # only the kernel-less fault protocols run direct, and say why.
+        # MMPP, two-class priority, synchronous-bus and fault-model
+        # cells are all lanes.  A protocol that still has no kernel
+        # runs direct and says why.
         scale = Scale("plan", SETTINGS.batches, SETTINGS.batch_size, SETTINGS.warmup)
         clocked = replace(SETTINGS, timing=BusTiming(clock_period=0.25))
         requests = []
@@ -127,7 +128,8 @@ class TestPlanRuns:
                 RunRequest(equal_load(10, 2.0), protocol, replace(SETTINGS, fault_plan=plan))
             )
         plan = plan_runs(requests)
-        assert len(plan.lane_runs) == 12
+        assert len(plan.lane_runs) == 14
+        assert not plan.direct_runs
         assert sum(run.request.settings.timing.synchronous for run in plan.lane_runs) == 3
         classed = [
             run
@@ -135,13 +137,15 @@ class TestPlanRuns:
             if any(agent.priority_fraction > 0.0 for agent in run.request.scenario.agents)
         ]
         assert len(classed) == 3
-        reasons = [run.reason for run in plan.direct_runs]
-        assert reasons == [
-            "protocol 'rr-faulty-register' has no batch kernel",
-            "protocol 'fcfs-glitchable' has no batch kernel",
-        ]
+        assert sum(run.request.settings.fault_plan is not None for run in plan.lane_runs) == 2
         assert all(run.reason is None for run in plan.lane_runs)
-        assert not any("synchronous" in reason for reason in reasons)
+        rotating = fault_plan_for("rotating-rr", 0.01, scale, SETTINGS.seed)
+        plan = plan_runs(
+            [RunRequest(equal_load(10, 2.0), "rotating-rr", replace(SETTINGS, fault_plan=rotating))]
+        )
+        assert [run.reason for run in plan.direct_runs] == [
+            "protocol 'rotating-rr' has no batch kernel",
+        ]
 
     def test_planner_names_engine_and_jsonl_refusals(self, tmp_path):
         telemetry = TelemetrySettings(jsonl_path=str(tmp_path / "trace.jsonl"))
