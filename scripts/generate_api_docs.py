@@ -6,15 +6,22 @@ docstring's first paragraph plus each public class/function signature
 and summary line, and writes a single browsable markdown page.  Run
 after any API change:
 
-    python scripts/generate_api_docs.py
+    PYTHONPATH=src python scripts/generate_api_docs.py [--check]
+
+``--check`` compares without writing: it prints a unified diff and
+exits 1 when the committed page is stale.
 """
 
 from __future__ import annotations
 
+import argparse
+import difflib
 import importlib
 import inspect
 import pkgutil
+import sys
 from pathlib import Path
+from typing import Sequence
 
 import repro
 
@@ -76,7 +83,8 @@ def _document_class(name, cls, out):
         out.append("")
 
 
-def main() -> None:
+def render() -> str:
+    """The API reference page, as markdown."""
     out = [
         "# API reference",
         "",
@@ -110,9 +118,37 @@ def main() -> None:
                         f"#### `{name}{_signature(member)}`\n"
                     )
                     out.append(_first_paragraph(inspect.getdoc(member)) + "\n")
-    OUT.write_text("\n".join(out) + "\n", encoding="utf-8")
-    print(f"wrote {OUT} ({len(out)} blocks)")
+    return "\n".join(out) + "\n"
+
+
+def main(argv: Sequence[str] = ()) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--check",
+        action="store_true",
+        help="compare only; print the diff and exit 1 if the page is stale",
+    )
+    args = parser.parse_args(argv)
+    new = render()
+    if not args.check:
+        OUT.write_text(new, encoding="utf-8")
+        print(f"wrote {OUT} ({len(new.splitlines())} lines)")
+        return 0
+    old = OUT.read_text(encoding="utf-8") if OUT.exists() else ""
+    if old == new:
+        print(f"{OUT.name}: current")
+        return 0
+    sys.stdout.writelines(
+        difflib.unified_diff(
+            old.splitlines(keepends=True),
+            new.splitlines(keepends=True),
+            fromfile="docs/api.md (committed)",
+            tofile="docs/api.md (regenerated)",
+        )
+    )
+    print(f"{OUT.name}: STALE; run scripts/generate_api_docs.py to regenerate")
+    return 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main(sys.argv[1:]))

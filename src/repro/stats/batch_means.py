@@ -11,62 +11,77 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 from typing import Sequence
 
 from repro.errors import StatisticsError
 
 __all__ = ["BatchMeansEstimate", "batch_means", "t_quantile"]
 
-# Two-sided Student-t critical values, indexed by degrees of freedom.
-# Row p = 0.95 serves 90% confidence; p = 0.975 serves 95% confidence.
-_T_TABLE = {
-    0.95: {
-        1: 6.314, 2: 2.920, 3: 2.353, 4: 2.132, 5: 2.015, 6: 1.943,
-        7: 1.895, 8: 1.860, 9: 1.833, 10: 1.812, 11: 1.796, 12: 1.782,
-        13: 1.771, 14: 1.761, 15: 1.753, 16: 1.746, 17: 1.740, 18: 1.734,
-        19: 1.729, 20: 1.725, 25: 1.708, 30: 1.697, 40: 1.684, 60: 1.671,
-        120: 1.658,
-    },
-    0.975: {
-        1: 12.706, 2: 4.303, 3: 3.182, 4: 2.776, 5: 2.571, 6: 2.447,
-        7: 2.365, 8: 2.306, 9: 2.262, 10: 2.228, 11: 2.201, 12: 2.179,
-        13: 2.160, 14: 2.145, 15: 2.131, 16: 2.120, 17: 2.110, 18: 2.101,
-        19: 2.093, 20: 2.086, 25: 2.060, 30: 2.042, 40: 2.021, 60: 2.000,
-        120: 1.980,
-    },
-}
-_T_INFINITY = {0.95: 1.645, 0.975: 1.960}
+
+def _central_probability(t: float, df: int) -> float:
+    """``P(|T| <= t)`` for ``t >= 0``: the finite series of Abramowitz &
+    Stegun 26.7.3 (odd ``df``) and 26.7.4 (even ``df``) in powers of
+    ``cos θ``, ``θ = atan(t / √df)``.
+
+    Each power is taken as ``exp(k/2 · log cos²θ)`` from one ``log1p``,
+    so a rounded ``cos²θ`` is not raised to the ``k``-th power: the
+    sum stays accurate to ~1e-13 relative even at ``df = 10⁴``.
+    """
+    log_cos2 = -math.log1p(t * t / df)
+    sin_theta = t / math.sqrt(df + t * t)
+    odd = df % 2
+    coeff, total = 1.0, 0.0
+    for power in range(odd, df - 1, 2):
+        total += coeff * math.exp(power / 2 * log_cos2)
+        coeff *= (power + 1) / (power + 2)
+    if odd:
+        return 2.0 / math.pi * (math.atan(t / math.sqrt(df)) + sin_theta * total)
+    return sin_theta * total
 
 
 def t_quantile(p: float, df: int) -> float:
-    """Student-t quantile ``t_{p, df}``.
+    """Student-t quantile ``t_{p, df}``, computed the same way on every host.
 
-    Uses :mod:`scipy` when importable (exact), otherwise a standard table
-    for the two confidence levels the library reports (90% and 95%),
-    interpolating between tabulated degrees of freedom.
+    Inverts the exact cdf for integer ``df`` (the finite series of
+    Abramowitz & Stegun 26.7.3/26.7.4) with Newton steps kept inside a
+    bisection bracket.  The start is the normal quantile, which lies
+    below ``|t_{p, df}|``; the density comes from :func:`math.lgamma`.
+    Pure standard library and valid for every ``p`` in (0, 1) and every
+    ``df >= 1``.  The relative error is ~1e-13 while ``min(p, 1 - p) >=
+    1e-3`` (checked against mpmath up to ``df = 10⁴``); further out the
+    tail mass is formed as ``1 - P(|T| <= t)`` and the error grows like
+    ``1e-16 / min(p, 1 - p)``.
     """
     if df < 1:
         raise StatisticsError(f"degrees of freedom must be >= 1, got {df}")
-    try:
-        from scipy.stats import t as student_t  # type: ignore
-
-        return float(student_t.ppf(p, df))
-    except ImportError:
-        pass
-    if p not in _T_TABLE:
-        raise StatisticsError(
-            f"without scipy, only p in {sorted(_T_TABLE)} is tabulated; got {p}"
-        )
-    table = _T_TABLE[p]
-    if df in table:
-        return table[df]
-    keys = sorted(table)
-    if df > keys[-1]:
-        return _T_INFINITY[p]
-    below = max(key for key in keys if key < df)
-    above = min(key for key in keys if key > df)
-    weight = (df - below) / (above - below)
-    return table[below] * (1.0 - weight) + table[above] * weight
+    if not 0.0 < p < 1.0:
+        raise StatisticsError(f"quantile probability must be in (0, 1), got {p}")
+    if p == 0.5:
+        return 0.0
+    target = abs(2.0 * p - 1.0)  # P(|T| <= |t_p|); symmetric in p <-> 1 - p
+    log_norm = (
+        math.lgamma((df + 1) / 2) - math.lgamma(df / 2) - 0.5 * math.log(df * math.pi)
+    )
+    low, high = 0.0, math.inf
+    t = abs(NormalDist().inv_cdf(p))
+    for _ in range(200):
+        excess = _central_probability(t, df) - target
+        if excess == 0.0:
+            break
+        if excess < 0.0:
+            low = t
+        else:
+            high = t
+        density = 2.0 * math.exp(log_norm - (df + 1) / 2 * math.log1p(t * t / df))  # of |T|
+        step = t - excess / density
+        if not low < step < high:
+            step = 2.0 * t if high == math.inf else (low + high) / 2.0
+        converged = abs(step - t) <= 4.0 * math.ulp(t)
+        t = step
+        if converged:
+            break
+    return t if p > 0.5 else -t
 
 
 @dataclass(frozen=True)

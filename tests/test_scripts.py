@@ -36,6 +36,28 @@ class TestGenerateApiDocs:
         assert "DistributedRoundRobin" in text
         assert "min_integer_crossing" in text
 
+    def test_check_passes_on_a_current_page_and_writes_nothing(self, tmp_path, monkeypatch, capsys):
+        module = _load("generate_api_docs")
+        page = tmp_path / "api.md"
+        page.write_text(module.render(), encoding="utf-8")
+        before = page.stat().st_mtime_ns
+        monkeypatch.setattr(module, "OUT", page)
+        assert module.main(["--check"]) == 0
+        assert page.stat().st_mtime_ns == before
+        assert "current" in capsys.readouterr().out
+
+    def test_check_prints_the_diff_and_fails_on_a_stale_page(self, tmp_path, monkeypatch, capsys):
+        module = _load("generate_api_docs")
+        page = tmp_path / "api.md"
+        stale = module.render().replace("#### `t_quantile", "#### `old_quantile", 1)
+        page.write_text(stale, encoding="utf-8")
+        monkeypatch.setattr(module, "OUT", page)
+        assert module.main(["--check"]) == 1
+        out = capsys.readouterr().out
+        assert "-#### `old_quantile" in out and "+#### `t_quantile" in out
+        assert "STALE" in out
+        assert page.read_text(encoding="utf-8") == stale
+
     def test_committed_api_doc_is_current_enough(self):
         # The committed docs/api.md must at least know every top-level
         # subpackage (regen with `make apidocs` after API changes).

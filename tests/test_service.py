@@ -19,6 +19,7 @@ pools where the platform allows and the serial path everywhere else:
 
 import pickle
 import threading
+import time
 from concurrent.futures import Future
 
 import pytest
@@ -36,6 +37,7 @@ from repro.service import (
     ServiceEvent,
     ShardPool,
 )
+from repro.session.control import RunControl
 from repro.session.request import RunRequest
 from repro.session.session import Session
 from repro.workload.scenarios import equal_load
@@ -583,3 +585,113 @@ class TestTelemetry:
         assert snapshot["queue_limit"] == 64
         assert snapshot["jobs"] == {"done": 1}
         assert snapshot["pool"]["degraded"] is True  # serial config
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"gather_limit": 0}, "gather_limit must be >= 1"),
+            ({"max_replays": -1}, "max_replays must be >= 0"),
+            ({"poll_interval": 0.0}, "poll_interval must be > 0"),
+            ({"default_deadline": -0.5}, "default_deadline must be >= 0"),
+        ],
+    )
+    def test_invalid_tunables_are_refused(self, overrides, message):
+        with pytest.raises(ConfigurationError, match=message):
+            ServiceConfig(**overrides)
+
+
+def _stall_lanes_until_deadline(service):
+    """Run lane packs for real, then hold until the job control expires:
+    the deadline passes while the plan is executing."""
+    run_lanes = service.pool.run_lanes
+
+    def stalled(cells, keys, control):
+        results = run_lanes(cells, keys, control)
+        while not control.expired:
+            time.sleep(0.005)
+        return results
+
+    service.pool.run_lanes = stalled
+
+
+class TestDeadlinesDuringExecution:
+    def test_deadline_passing_mid_plan_cancels_the_rest(self, tmp_path):
+        with _service(tmp_path, serial=True) as service:
+            _stall_lanes_until_deadline(service)
+            lane = _request(seed=21)
+            direct = _request(seed=22, engine="event")
+            job = service.submit([lane, direct], deadline=1.0)
+            assert job.wait(30)
+        assert job.state == "timeout"
+        assert "deadline expired" in job.error
+        # The lane cell ran (and was cached); the direct cell never started.
+        assert service.stats.executed == 1
+        assert service.stats_snapshot()["counters"]["service.deadline_exceeded"] == 1
+
+    def test_deadline_passing_after_the_last_cell_still_times_out(self, tmp_path):
+        with _service(tmp_path, serial=True) as service:
+            _stall_lanes_until_deadline(service)
+            job = service.submit([_request(seed=23)], deadline=1.0)
+            assert job.wait(30)
+        assert job.state == "timeout"
+        assert job.outcomes is None
+        assert service.stats.executed == 1
+
+
+class TestEdgePaths:
+    def test_single_request_submits_as_a_one_cell_job(self, tmp_path):
+        with _service(tmp_path, serial=True) as service:
+            job = service.submit(_request(seed=31))
+            assert job.cells == 1
+            assert job.wait(60) and job.state == "done"
+
+    def test_run_requests_turns_the_control_into_a_deadline(self, tmp_path):
+        with _service(tmp_path, serial=True) as service:
+            outcomes = service.run_requests([_request(seed=32)], control=RunControl.after(60.0))
+            assert [outcome.request.settings.seed for outcome in outcomes] == [32]
+            job = service.job("job-000001")
+            assert job.budget.deadline is not None and 0.0 < job.budget.deadline <= 60.0
+
+    def test_run_requests_raises_unless_the_job_is_done(self, tmp_path):
+        with _service(tmp_path, serial=True) as service:
+            with pytest.raises(ServiceError, match="finished 'timeout': deadline expired"):
+                service.run_requests([_request(seed=33)], control=RunControl.after(-1.0))
+
+    def test_a_raising_sink_never_perturbs_the_service(self, tmp_path):
+        class BrokenSink:
+            def __init__(self):
+                self.calls = 0
+
+            def emit(self, event):
+                self.calls += 1
+                raise OSError("disk full")
+
+            def close(self):
+                pass
+
+        sink = BrokenSink()
+        cache = ResultCache(tmp_path / "cache")
+        config = ServiceConfig(serial=True, backoff=FAST, poll_interval=0.02)
+        with ArbitrationService(cache=cache, config=config, sink=sink) as service:
+            job = service.submit([_request(seed=34)])
+            assert job.wait(60)
+        assert job.state == "done"
+        assert sink.calls >= 3  # admit, dispatch, terminal
+
+    def test_internal_dispatch_failure_fails_the_gather_loudly(self, tmp_path):
+        with _service(tmp_path, serial=True) as service:
+            def broken(live):
+                raise RuntimeError("planner exploded")
+
+            service._execute = broken
+            job = service.submit([_request(seed=35)])
+            assert job.wait(30)
+            # The dispatcher survives and serves the next job.
+            del service._execute
+            healthy = service.submit([_request(seed=36)])
+            assert healthy.wait(60)
+        assert job.state == "failed"
+        assert job.error == "internal dispatch failure (RuntimeError: planner exploded)"
+        assert healthy.state == "done"
