@@ -15,7 +15,7 @@ checks:
    for, on quiet hardware.
 
 2. **Grid speedup** — the recorded baseline must demonstrate at least
-   ``--grid-speedup`` (default 10x) end-to-end over the full
+   10x end-to-end over the full
    peak-contention grid, and the fresh run must stay above that bar
    scaled by the drift tolerance (so 5x at the default 50%).  The
    ratio is machine-relative, so the fresh check mostly absorbs runner
@@ -25,7 +25,7 @@ checks:
    with its interleaved min-of-k discipline.
 
 3. **Session overhead** — the recorded baseline's session-routed grid
-   pass must sit within ``--session-overhead`` (default 2%) of the raw
+   pass must sit within 2% of the raw
    lane-engine pass.  Orchestration (planning, routing, outcome
    assembly) is pure bookkeeping; if it shows up in grid timings, the
    session layer grew a per-cell cost it must not have.  The exact bar
@@ -34,8 +34,7 @@ checks:
    the fresh run gets the same drift-scaled slack as the speedup.
 
 4. **Service overhead** — the recorded baseline's service-routed
-   cached grid pass must sit within ``--service-overhead`` (default
-   50%) of the direct session gather.  The job layer's cost is a fixed
+   cached grid pass must sit within 50% of the direct session gather.  The job layer's cost is a fixed
    sub-millisecond handoff per gather; a per-cell cost on the hit path
    (re-serialization, re-hashing, per-cell events) lands hundreds of
    percent above the bar.  The exact bar is enforced on the recorded
@@ -43,8 +42,7 @@ checks:
    test_service_overhead_gate``; the fresh run gets drift-scaled slack.
 
 5. **Open-loop overhead** — the recorded baseline's open-loop bursty
-   sweep must cost at most ``--openloop-overhead`` (default 50%, i.e.
-   1.5x) more per completion than the paired closed-loop sweep.  The
+   sweep must cost at most 50% (i.e. 1.5x) more per completion than the paired closed-loop sweep.  The
    arrival layer's MMPP phase walks and class coin flips run once per
    request on the event engine's hot path; this bar keeps them there.
    The exact bar is enforced on the recorded baseline and by
@@ -53,7 +51,7 @@ checks:
 
 6. **Synchronous speedup** — the recorded baseline's lane pass over the
    synchronous-bus slice must be at least 2.5x faster than the same
-   slice on the event engine (a fixed bar, with no flag).  The
+   slice on the event engine.  The
    exact bar is enforced on the recorded baseline and by
    ``benchmarks/test_grid_batch.py::test_sync_grid_speedup_gate``; the
    fresh run gets drift-scaled slack.
@@ -71,14 +69,14 @@ checks:
    ``benchmarks/test_grid_batch.py::test_fault_grid_speedup_gate``; the
    fresh run gets drift-scaled slack.
 
+Each ratio, its benchmark pair and its bar are one row of
+``run_benchmarks.GATES``; ``condense`` derives the ratios from the same
+rows.
+
 Usage::
 
     python scripts/check_bench.py [--baseline BENCH_engine.json]
                                   [--tolerance 0.5]
-                                  [--grid-speedup 10.0]
-                                  [--session-overhead 0.02]
-                                  [--service-overhead 0.5]
-                                  [--openloop-overhead 0.5]
 """
 
 from __future__ import annotations
@@ -88,73 +86,25 @@ import json
 import sys
 import tempfile
 from pathlib import Path
-from typing import NamedTuple, Optional
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from run_benchmarks import DEFAULT_OUT, compare, condense, run_microbench
-
-#: A gate's bar is a lower bound (the ratio must reach it) or an upper
-#: bound (the ratio must stay under it).
-FLOOR = "floor"
-CEILING = "ceiling"
-
-
-class Gate(NamedTuple):
-    """One recorded ratio, checked on the baseline and the fresh run."""
-
-    #: Key of the ratio in ``BENCH_engine.json`` and the fresh summary.
-    key: str
-    label: str
-    #: CLI flag that overrides ``default``; None for a fixed bar.
-    flag: Optional[str]
-    bound: str
-    default: float
-    #: What a fresh run lacks when the ratio is missing.
-    missing: str
-    help: str
-
-
-GATES = (
-    Gate(
-        "grid_speedup", "grid speedup", "--grid-speedup", FLOOR, 10.0,
-        "grid benchmarks", "required end-to-end grid speedup at the recorded baseline",
-    ),
-    Gate(
-        "session_overhead", "session overhead", "--session-overhead", CEILING, 0.02,
-        "session benchmark", "allowed session-layer grid overhead at the recorded baseline",
-    ),
-    Gate(
-        "service_overhead", "service overhead", "--service-overhead", CEILING, 0.5,
-        "service benchmark",
-        "allowed service-layer cached-hit overhead at the recorded baseline",
-    ),
-    Gate(
-        "openloop_overhead", "open-loop overhead", "--openloop-overhead", CEILING, 0.5,
-        "sweep benchmark",
-        "allowed open-loop per-completion overhead at the recorded baseline",
-    ),
-    Gate(
-        "sync_grid_speedup", "synchronous grid speedup", None, FLOOR, 2.5,
-        "synchronous grid benchmarks",
-        "required synchronous-slice lane speedup at the recorded baseline",
-    ),
-    Gate(
-        "priority_grid_speedup", "priority grid speedup", None, FLOOR, 2.5,
-        "priority grid benchmarks",
-        "required priority-slice lane speedup at the recorded baseline",
-    ),
-    Gate(
-        "fault_grid_speedup", "fault grid speedup", None, FLOOR, 2.5,
-        "fault grid benchmarks",
-        "required fault-model-slice lane speedup at the recorded baseline",
-    ),
+from run_benchmarks import (
+    CEILING,
+    DEFAULT_OUT,
+    FLOOR,
+    GATES,
+    Gate,
+    compare,
+    condense,
+    run_microbench,
 )
 
 
-def check_gate(gate: Gate, summary: dict, baseline: dict, bar: float, tolerance: float) -> int:
+def check_gate(gate: Gate, summary: dict, baseline: dict, tolerance: float) -> int:
     """Check one gate's ratio on the baseline (exact bar) and the fresh
     run (bar widened by ``tolerance``); 1 on any regression."""
+    bar = gate.bar
     floor = gate.bound == FLOOR
     if floor:
         shown, limit, relation = "{:.2f}x", "{:.1f}x", ">="
@@ -204,9 +154,6 @@ def main() -> int:
         default=0.5,
         help="allowed fractional median slowdown (default 0.5, i.e. 1.5x)",
     )
-    for gate in GATES:
-        if gate.flag is not None:
-            parser.add_argument(gate.flag, type=float, default=gate.default, help=gate.help)
     args = parser.parse_args()
 
     if not args.baseline.exists():
@@ -223,11 +170,7 @@ def main() -> int:
     status = compare(summary, args.baseline, args.tolerance)
     baseline_doc = json.loads(args.baseline.read_text(encoding="utf-8"))
     gate_status = [
-        check_gate(
-            gate, summary, baseline_doc, getattr(args, gate.key, gate.default),
-            args.tolerance,
-        )
-        for gate in GATES
+        check_gate(gate, summary, baseline_doc, args.tolerance) for gate in GATES
     ]
     return status or max(gate_status)
 

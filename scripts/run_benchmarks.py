@@ -25,6 +25,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_OUT = ROOT / "BENCH_engine.json"
@@ -35,51 +36,76 @@ BENCH_FILES = [
     "benchmarks/test_service_overhead.py",
     "benchmarks/test_openloop_overhead.py",
 ]
-#: Backwards-compatible alias (pre-grid callers imported the scalar).
-BENCH_FILE = BENCH_FILES[0]
 
-#: The grid benchmark pair whose median ratio is the recorded grid
-#: speedup; ``check_bench.py`` gates on it.
-GRID_EVENT = "test_grid_pass_event_engine"
-GRID_BATCH = "test_grid_pass_batch_lanes"
+#: A gate's bar is a lower bound (the ratio must reach it) or an upper
+#: bound (the ratio must stay under it).
+FLOOR = "floor"
+CEILING = "ceiling"
 
-#: The synchronous-bus slice on both engines (adjacent in
-#: ``test_grid_batch.py``); their minima yield the recorded
-#: ``sync_grid_speedup``.
-SYNC_EVENT = "test_sync_pass_event_engine"
-SYNC_BATCH = "test_sync_pass_batch_lanes"
 
-#: The two-class priority slice on both engines (adjacent in
-#: ``test_grid_batch.py``); their minima yield the recorded
-#: ``priority_grid_speedup``.
-PRIORITY_EVENT = "test_priority_pass_event_engine"
-PRIORITY_BATCH = "test_priority_pass_batch_lanes"
+class Gate(NamedTuple):
+    """One recorded ratio: how :func:`condense` derives it from a pair
+    of benchmarks, and the bar ``check_bench.py`` holds it to."""
 
-#: The robustness grid's fault-model slice on both engines (adjacent in
-#: ``test_grid_batch.py``); their minima yield the recorded
-#: ``fault_grid_speedup``.
-FAULT_EVENT = "test_fault_pass_event_engine"
-FAULT_BATCH = "test_fault_pass_batch_lanes"
+    #: Key of the ratio in ``BENCH_engine.json`` and the fresh summary.
+    key: str
+    label: str
+    #: The benchmark pair, adjacent in its file so the ratio is
+    #: drift-free; the numerator is the event-engine or extra-layer pass.
+    numerator: str
+    denominator: str
+    #: Condensed statistic the ratio divides: ``median_us``, or
+    #: ``min_us`` (min-over-min strips scheduler and GC noise, which a
+    #: median-of-5 ratio of two ~100ms passes cannot at a 2% bar).
+    statistic: str
+    #: The bound also fixes the form: a FLOOR row records a speedup,
+    #: numerator / denominator; a CEILING row records an overhead,
+    #: numerator / denominator - 1.
+    bound: str
+    bar: float
+    #: Decimal places the recorded ratio is rounded to.
+    digits: int
+    #: What a fresh run lacks when the ratio is missing.
+    missing: str
 
-#: The session-routed grid pass and its *paired* raw-lanes baseline
-#: (recorded back-to-back in ``test_session_overhead.py`` so the ratio
-#: is drift-free); their medians yield the ``session_overhead``
-#: fraction ``check_bench.py`` gates.
-GRID_SESSION = "test_grid_pass_session_routed"
-GRID_SESSION_BASE = "test_grid_pass_lanes_paired"
 
-#: The service-routed cached grid pass and its paired direct-session
-#: baseline (adjacent in ``test_service_overhead.py``); their minima
-#: yield the ``service_overhead`` fraction ``check_bench.py`` gates.
-GRID_SERVICE = "test_grid_pass_cached_service"
-GRID_SERVICE_BASE = "test_grid_pass_cached_session"
-
-#: The open-loop event sweep and its paired closed-loop baseline
-#: (adjacent in ``test_openloop_overhead.py``, same completion budget);
-#: their minima yield the per-completion ``openloop_overhead`` fraction
-#: ``check_bench.py`` gates.
-SWEEP_OPENLOOP = "test_sweep_pass_open_loop"
-SWEEP_OPENLOOP_BASE = "test_sweep_pass_closed_loop_paired"
+GATES = (
+    Gate(
+        "grid_speedup", "grid speedup",
+        "test_grid_pass_event_engine", "test_grid_pass_batch_lanes", "median_us",
+        FLOOR, 10.0, 2, "grid benchmarks",
+    ),
+    Gate(
+        "session_overhead", "session overhead",
+        "test_grid_pass_session_routed", "test_grid_pass_lanes_paired", "min_us",
+        CEILING, 0.02, 4, "session benchmark",
+    ),
+    Gate(
+        "service_overhead", "service overhead",
+        "test_grid_pass_cached_service", "test_grid_pass_cached_session", "min_us",
+        CEILING, 0.5, 4, "service benchmark",
+    ),
+    Gate(
+        "openloop_overhead", "open-loop overhead",
+        "test_sweep_pass_open_loop", "test_sweep_pass_closed_loop_paired", "min_us",
+        CEILING, 0.5, 4, "sweep benchmark",
+    ),
+    Gate(
+        "sync_grid_speedup", "synchronous grid speedup",
+        "test_sync_pass_event_engine", "test_sync_pass_batch_lanes", "min_us",
+        FLOOR, 2.5, 2, "synchronous grid benchmarks",
+    ),
+    Gate(
+        "priority_grid_speedup", "priority grid speedup",
+        "test_priority_pass_event_engine", "test_priority_pass_batch_lanes", "min_us",
+        FLOOR, 2.5, 2, "priority grid benchmarks",
+    ),
+    Gate(
+        "fault_grid_speedup", "fault grid speedup",
+        "test_fault_pass_event_engine", "test_fault_pass_batch_lanes", "min_us",
+        FLOOR, 2.5, 2, "fault grid benchmarks",
+    ),
+)
 
 
 def run_microbench(raw_path: Path) -> dict:
@@ -133,43 +159,14 @@ def condense(raw: dict) -> dict:
         "engine": engine_metadata(),
         "benchmarks": benchmarks,
     }
-    grid_event = benchmarks.get(GRID_EVENT)
-    grid_batch = benchmarks.get(GRID_BATCH)
-    if grid_event and grid_batch:
-        summary["grid_speedup"] = round(
-            grid_event["median_us"] / grid_batch["median_us"], 2
-        )
-    for key, event_name, batch_name in (
-        ("sync_grid_speedup", SYNC_EVENT, SYNC_BATCH),
-        ("priority_grid_speedup", PRIORITY_EVENT, PRIORITY_BATCH),
-        ("fault_grid_speedup", FAULT_EVENT, FAULT_BATCH),
-    ):
-        slice_event = benchmarks.get(event_name)
-        slice_batch = benchmarks.get(batch_name)
-        if slice_event and slice_batch:
-            summary[key] = round(slice_event["min_us"] / slice_batch["min_us"], 2)
-    grid_session = benchmarks.get(GRID_SESSION)
-    grid_session_base = benchmarks.get(GRID_SESSION_BASE)
-    if grid_session and grid_session_base:
-        # Min-over-min, the same discipline as the in-test overhead
-        # gate: the minimum of each series estimates the true cost with
-        # scheduler/GC noise stripped, which a median-of-5 ratio of two
-        # ~100ms passes cannot do at the 2% resolution the gate needs.
-        summary["session_overhead"] = round(
-            grid_session["min_us"] / grid_session_base["min_us"] - 1.0, 4
-        )
-    grid_service = benchmarks.get(GRID_SERVICE)
-    grid_service_base = benchmarks.get(GRID_SERVICE_BASE)
-    if grid_service and grid_service_base:
-        summary["service_overhead"] = round(
-            grid_service["min_us"] / grid_service_base["min_us"] - 1.0, 4
-        )
-    sweep_open = benchmarks.get(SWEEP_OPENLOOP)
-    sweep_open_base = benchmarks.get(SWEEP_OPENLOOP_BASE)
-    if sweep_open and sweep_open_base:
-        summary["openloop_overhead"] = round(
-            sweep_open["min_us"] / sweep_open_base["min_us"] - 1.0, 4
-        )
+    for gate in GATES:
+        numerator = benchmarks.get(gate.numerator)
+        denominator = benchmarks.get(gate.denominator)
+        if numerator and denominator:
+            ratio = numerator[gate.statistic] / denominator[gate.statistic]
+            if gate.bound == CEILING:
+                ratio -= 1.0
+            summary[gate.key] = round(ratio, gate.digits)
     return summary
 
 

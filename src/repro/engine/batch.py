@@ -103,14 +103,14 @@ from repro.bus.agent import _THINK_BLOCK
 from repro.bus.watchdog import BusWatchdog
 from repro.core.base import ArbitrationOutcome, identity_bits
 from repro.engine.rng import RandomStreams
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import ConfigurationError, SimulationError, StatisticsError
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import BUS_LEVEL_FAULTS, FaultEvent, FaultKind
 from repro.observability.events import ArbitrationEvent
 from repro.observability.metrics import WAIT_BUCKETS, MetricsRegistry, MetricsSink
 from repro.observability.sinks import InMemorySink, JsonlSink
 from repro.protocols.registry import get_spec
-from repro.stats.collector import CompletionCollector
+from repro.stats.collector import CompletionCollector, check_run_length
 from repro.stats.summary import RunResult
 from repro.workload.scenarios import ScenarioSpec
 
@@ -703,6 +703,9 @@ def batch_capable(
     agents are in-domain: with one request outstanding at most,
     generation blocks at issue and resumes at completion, the
     closed-loop cycle.  Priority classing is in-domain on every kernel.
+    A run length the collector refuses is out of domain: the cell goes
+    to the event engine, which reports the error for that cell alone
+    instead of failing a whole lane pack.
     """
     spec = get_spec(protocol)
     if not spec.supports_batch or protocol not in _KERNELS:
@@ -719,6 +722,10 @@ def batch_capable(
             return False, f"fault kind(s) {names} are outside the batch domain"
     if settings.max_events is not None:
         return False, "max_events budget set"
+    try:
+        check_run_length(settings.batches, settings.batch_size, settings.warmup)
+    except StatisticsError as exc:
+        return False, str(exc)
     return True, ""
 
 

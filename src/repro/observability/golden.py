@@ -14,6 +14,10 @@ the regeneration script (``scripts/regen_golden.py``) call
 :func:`golden_trace_lines`, so they can never disagree about the
 scenario behind a file.
 
+A golden pins a scenario, not an engine: every scenario sits inside the
+lane engine's domain, and both engines must reproduce its one stored
+file.  The event engine is the reference the files are written from.
+
 The runs are deliberately tiny (a few hundred events) and pin *every*
 knob explicitly — scale presets and environment variables have no say —
 so the bytes depend only on the engine's code.  Floats serialise via
@@ -48,16 +52,12 @@ class GoldenScenario:
     protocol: str
     agents: int
     load: float
-    #: Post-warmup completions retained (2 batches of this many halves).
+    #: Post-warmup completions retained, split into two batches of half
+    #: this many each.
     completions: int = 80
     warmup: int = 10
     #: Why this particular cell is worth pinning.
     rationale: str = ""
-    #: Execution engine the trace pins ("event" or "batch").  The batch
-    #: engine is contractually bit-identical on its domain, so a batch
-    #: golden equals its event twin — pinning both means a divergence
-    #: names the engine that moved.
-    engine: str = "event"
     #: Faults per unit simulated time.  Non-zero turns the run into a
     #: fault-domain golden: a deterministic
     #: :class:`~repro.faults.plan.FaultPlan` (seeded from
@@ -71,8 +71,8 @@ class GoldenScenario:
     #: times for closed-loop MMPP draws; ``poisson`` is an open-loop
     #: arrival scenario with one outstanding request per agent;
     #: ``bursty-priority`` is open-loop on-off MMPP with the two-class
-    #: priority bit.  All four are inside the batch-lane domain, so each
-    #: can have a batch twin.
+    #: priority bit.  All four are inside the lane domain, so the
+    #: golden suite replays each on both engines.
     workload: str = "closed"
     #: Bus clock period; non-zero pins the synchronous bus of §2.1,
     #: where arbitration starts and idle-bus grants wait for an edge.
@@ -88,6 +88,12 @@ GOLDEN_SCENARIOS: Dict[str, GoldenScenario] = {
         agents=4,
         load=2.0,
         rationale="RR implementation 1: the §3.1 reference grant order",
+    ),
+    "rr-impl2": GoldenScenario(
+        protocol="rr-impl2",
+        agents=4,
+        load=2.0,
+        rationale="RR implementation 2: pins the low-request-line scan",
     ),
     "rr-impl3": GoldenScenario(
         protocol="rr-impl3",
@@ -113,70 +119,18 @@ GOLDEN_SCENARIOS: Dict[str, GoldenScenario] = {
         load=2.0,
         rationale="fixed priority: the starvation baseline of Table 4.1",
     ),
-    # Batch-engine twins: one per batch-capable protocol, same seed and
-    # workload as the event goldens so any divergence is the engine's.
-    "batch-rr": GoldenScenario(
-        protocol="rr",
-        agents=4,
-        load=2.0,
-        engine="batch",
-        rationale="batch engine, RR implementation 1",
-    ),
-    "batch-rr-impl2": GoldenScenario(
-        protocol="rr-impl2",
-        agents=4,
-        load=2.0,
-        engine="batch",
-        rationale="batch engine, RR implementation 2 (no event twin: pins it)",
-    ),
-    "batch-rr-impl3": GoldenScenario(
-        protocol="rr-impl3",
-        agents=4,
-        load=2.0,
-        engine="batch",
-        rationale="batch engine, RR implementation 3 extra-round passes",
-    ),
-    "batch-fcfs": GoldenScenario(
-        protocol="fcfs",
-        agents=4,
-        load=2.0,
-        engine="batch",
-        rationale="batch engine, FCFS strategy 1 loss counting",
-    ),
-    "batch-fcfs-aincr": GoldenScenario(
-        protocol="fcfs-aincr",
-        agents=4,
-        load=2.0,
-        engine="batch",
-        rationale="batch engine, FCFS strategy 2 arrival ticks",
-    ),
-    "batch-fixed": GoldenScenario(
-        protocol="fixed",
-        agents=4,
-        load=2.0,
-        engine="batch",
-        rationale="batch engine, fixed-priority baseline",
-    ),
-    # Fault-domain twins: the same seeded bus-level fault plan and
-    # default watchdog on both engines.  The rate is tuned so the run
-    # completes while exercising anomalies, deviated grants and
-    # watchdog retries — the whole fault-recovery event vocabulary.
+    # Fault-domain goldens: a seeded bus-level fault plan and the
+    # default watchdog.  The rate is tuned so the run completes while
+    # exercising anomalies, deviated grants and watchdog retries — the
+    # whole fault-recovery event vocabulary.
     "rr-faults": GoldenScenario(
         protocol="rr",
         agents=4,
         load=2.0,
         fault_rate=0.3,
-        rationale="event engine under bus-level faults: anomaly/retry pinning",
+        rationale="bus-level faults: anomaly/retry pinning",
     ),
-    "batch-rr-faults": GoldenScenario(
-        protocol="rr",
-        agents=4,
-        load=2.0,
-        engine="batch",
-        fault_rate=0.3,
-        rationale="batch engine fault-timer class, byte-equal to rr-faults",
-    ),
-    # Arbiter-level fault twins: the §3.1 and §3.2 fault targets, whose
+    # Arbiter-level fault goldens: the §3.1 and §3.2 fault targets, whose
     # plans mix their own fault kind (dropped broadcasts, counter
     # upsets) with every bus-level one, so the trace pins those lane
     # fault timers next to line faults, dropout and watchdog recovery.
@@ -187,15 +141,6 @@ GOLDEN_SCENARIOS: Dict[str, GoldenScenario] = {
         fault_rate=0.3,
         rationale="per-agent winner registers under dropped broadcasts (§3.1)",
     ),
-    "batch-rr-register-faults": GoldenScenario(
-        protocol="rr-faulty-register",
-        agents=4,
-        load=2.0,
-        engine="batch",
-        fault_rate=0.3,
-        rationale="batch engine broadcast-drop timers, byte-equal to "
-        "rr-register-faults",
-    ),
     "fcfs-counter-faults": GoldenScenario(
         protocol="fcfs-glitchable",
         agents=4,
@@ -203,21 +148,11 @@ GOLDEN_SCENARIOS: Dict[str, GoldenScenario] = {
         fault_rate=0.3,
         rationale="FCFS counters under single-event upsets (§3.2)",
     ),
-    "batch-fcfs-counter-faults": GoldenScenario(
-        protocol="fcfs-glitchable",
-        agents=4,
-        load=2.0,
-        engine="batch",
-        fault_rate=0.3,
-        rationale="batch engine counter-upset timers, byte-equal to "
-        "fcfs-counter-faults",
-    ),
-    # Arrival-layer goldens.  The closed-loop MMPP pair, the open-loop
-    # Poisson pair (one outstanding request per agent) and the bursty
-    # two-class priority pair stay inside the batch-lane domain
-    # (stateful distributions ride the default sample_batch path, classed
-    # agents draw one think time per request), so they pin the engines
-    # against each other.
+    # Arrival-layer goldens.  Closed-loop MMPP, open-loop Poisson (one
+    # outstanding request per agent) and bursty two-class priority all
+    # stay inside the lane domain (stateful distributions ride the
+    # default sample_batch path, classed agents draw one think time per
+    # request).
     "mmpp-closed": GoldenScenario(
         protocol="rr",
         agents=4,
@@ -225,29 +160,12 @@ GOLDEN_SCENARIOS: Dict[str, GoldenScenario] = {
         workload="mmpp-closed",
         rationale="closed-loop MMPP think times: pins modulated RNG draws",
     ),
-    "batch-mmpp-closed": GoldenScenario(
-        protocol="rr",
-        agents=4,
-        load=2.0,
-        engine="batch",
-        workload="mmpp-closed",
-        rationale="batch engine on closed-loop MMPP, byte-equal to mmpp-closed",
-    ),
     "openloop-poisson": GoldenScenario(
         protocol="fcfs",
         agents=4,
         load=0.8,
         workload="poisson",
         rationale="open-loop Poisson arrivals: pins the free-running arrival clock",
-    ),
-    "batch-openloop-poisson": GoldenScenario(
-        protocol="fcfs",
-        agents=4,
-        load=0.8,
-        engine="batch",
-        workload="poisson",
-        rationale="batch engine on open-loop r=1 Poisson, byte-equal to "
-        "openloop-poisson",
     ),
     "openloop-bursty-priority": GoldenScenario(
         protocol="rr",
@@ -257,17 +175,8 @@ GOLDEN_SCENARIOS: Dict[str, GoldenScenario] = {
         rationale="on-off bursty sources + §5 two-class overlay: pins MMPP "
         "phase flips and the priority bit in arbitration",
     ),
-    "batch-openloop-bursty-priority": GoldenScenario(
-        protocol="rr",
-        agents=4,
-        load=0.8,
-        engine="batch",
-        workload="bursty-priority",
-        rationale="batch engine on bursty two-class sources, byte-equal to "
-        "openloop-bursty-priority",
-    ),
-    # Synchronous-bus pair.  The period divides neither the tenure nor
-    # the settle time, so kicks after a release and grants after an
+    # Synchronous bus.  The period divides neither the tenure nor the
+    # settle time, so kicks after a release and grants after an
     # idle-bus settle both wait for an edge.
     "rr-sync": GoldenScenario(
         protocol="rr",
@@ -275,14 +184,6 @@ GOLDEN_SCENARIOS: Dict[str, GoldenScenario] = {
         load=2.0,
         clock_period=0.3,
         rationale="synchronous bus: pins edge-aligned arbitration starts and grants",
-    ),
-    "batch-rr-sync": GoldenScenario(
-        protocol="rr",
-        agents=4,
-        load=2.0,
-        engine="batch",
-        clock_period=0.3,
-        rationale="batch engine on the synchronous bus, byte-equal to rr-sync",
     ),
 }
 
@@ -292,12 +193,16 @@ def golden_names() -> Tuple[str, ...]:
     return tuple(GOLDEN_SCENARIOS)
 
 
-def golden_trace_lines(name: str) -> List[str]:
-    """Run one golden scenario and return its canonical JSON lines.
+def golden_trace_lines(name: str, engine: str) -> List[str]:
+    """Run one golden scenario on ``engine`` and return its JSON lines.
 
     The returned list is exactly the content of
     ``tests/golden/<name>.jsonl`` (one line per event, no trailing
-    newline included per line).
+    newline included per line) on either engine.  ``"event"`` runs the
+    event engine; ``"batch"`` calls the lane engine directly, so a
+    scenario outside the lane domain raises
+    :class:`~repro.errors.ConfigurationError` instead of falling back
+    to the event engine.
     """
     try:
         golden = GOLDEN_SCENARIOS[name]
@@ -310,6 +215,7 @@ def golden_trace_lines(name: str) -> List[str]:
     # a cycle one refactor away.
     from repro.bus.timing import BusTiming
     from repro.bus.watchdog import WatchdogPolicy
+    from repro.engine.batch import run_simulation_batch
     from repro.experiments.runner import SimulationSettings, run_simulation
     from repro.faults.plan import FaultPlan
     from repro.observability.events import TelemetrySettings
@@ -371,8 +277,9 @@ def golden_trace_lines(name: str) -> List[str]:
         watchdog=watchdog,
         timing=BusTiming(clock_period=golden.clock_period),
         telemetry=TelemetrySettings(events=True),
-        engine=golden.engine,
+        engine=engine,
     )
-    result = run_simulation(scenario, golden.protocol, settings)
+    run = run_simulation_batch if engine == "batch" else run_simulation
+    result = run(scenario, golden.protocol, settings)
     assert result.events is not None
     return [event.to_json() for event in result.events]

@@ -248,9 +248,9 @@ def merge_metrics(
 ) -> MetricsRegistry:
     """Merge per-cell registries, in iteration order, skipping ``None``.
 
-    Iteration order only affects nothing observable — counter addition
-    and bucket-count addition commute — but taking cells in grid order
-    keeps the reduction reproducible by construction.
+    Iteration order affects nothing observable, since counter addition
+    and bucket-count addition commute; taking cells in grid order keeps
+    the reduction reproducible by construction anyway.
     """
     merged = MetricsRegistry()
     for registry in registries:

@@ -24,8 +24,9 @@ state, liveness under contention, graceful degradation:
   ``done`` / ``failed`` / ``rejected`` / ``timeout``, carrying
   :class:`~repro.session.outcome.RunOutcome` provenance or a
   :class:`~repro.session.outcome.CellFailure` diagnostic;
-- **observability**: ``service.*`` counters on a
-  :class:`~repro.observability.metrics.MetricsRegistry` and JSONL
+- **observability**: ``service.*`` counters (job lifecycle counts on a
+  :class:`~repro.observability.metrics.MetricsRegistry`, plan and pool
+  counts read from ``SessionStats`` and ``ShardPool``) and JSONL
   lifecycle telemetry through the same
   :class:`~repro.observability.sinks.EventSink` protocol the simulation
   events use.
@@ -352,11 +353,17 @@ class ArbitrationService:
             jobs = list(self._jobs.values())
         for job in jobs:
             states[job.state] = states.get(job.state, 0) + 1
+        # Plan and pool counts are read from their owners, live.
+        counters = {
+            "service.cache_hits": self.stats.cache_hits,
+            "service.executed": self.stats.executed,
+            "service.deduplicated": self.stats.deduplicated,
+            "service.crashes": self.pool.crashes,
+            "service.retried": self.pool.replays,
+        }
+        counters.update((name, c.value) for name, c in self.metrics.counters().items())
         return {
-            "counters": {
-                name: counter.value
-                for name, counter in self.metrics.counters().items()
-            },
+            "counters": counters,
             "backlog": len(self.admission),
             "queue_limit": self.admission.limit,
             "high_water": self.admission.high_water,
@@ -508,7 +515,8 @@ class ArbitrationService:
         (cross-client dedup, cache replay, lane packs, the pool's crash
         ladder), stopped early only once every live job's deadline has
         passed (then ``None``).  The pool's and the plan's accounting
-        lands on the ``service.*`` counters.
+        stays on :attr:`pool` and :attr:`stats`, where
+        :meth:`stats_snapshot` reads it.
         """
         plan = plan_runs([request for job in live for request in job.requests], self.cache)
         keys = {id(run.request): run.key for run in plan.runs}
@@ -516,8 +524,7 @@ class ArbitrationService:
         deadlines = [job.deadline_at for job in live]
         control = RunControl(None if None in deadlines else max(deadlines))
         pool, stats = self.pool, self.stats
-        before = (stats.cache_hits, stats.executed, stats.deduplicated)
-        crashes, replays, degraded = pool.crashes, pool.replays, pool.degraded
+        replays, degraded = pool.replays, pool.degraded
         outcomes: Optional[List[RunOutcome]] = None
         try:
             outcomes = execute_plan(
@@ -533,15 +540,6 @@ class ArbitrationService:
         except CancelledRunError:
             pass  # every live job's deadline passed mid-run
         replayed = pool.replays - replays
-        for name, delta in (
-            ("cache_hits", stats.cache_hits - before[0]),
-            ("executed", stats.executed - before[1]),
-            ("deduplicated", stats.deduplicated - before[2]),
-            ("crashes", pool.crashes - crashes),
-            ("retried", replayed),
-        ):
-            if delta:
-                self._count(f"service.{name}", delta)
         if replayed:
             for job in live:
                 job.attempts += replayed

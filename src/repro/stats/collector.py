@@ -18,7 +18,12 @@ from typing import Dict, List, Optional
 from repro.bus.records import CompletionRecord
 from repro.errors import StatisticsError
 
-__all__ = ["CompletionCollector", "BatchStats", "service_order_deviation"]
+__all__ = [
+    "CompletionCollector",
+    "BatchStats",
+    "check_run_length",
+    "service_order_deviation",
+]
 
 
 def service_order_deviation(reference: List[int], observed: List[int]) -> float:
@@ -37,6 +42,18 @@ def service_order_deviation(reference: List[int], observed: List[int]) -> float:
         1 for ref, obs in zip(reference[:length], observed[:length]) if ref != obs
     )
     return mismatches / length
+
+
+def check_run_length(batches: int, batch_size: int, warmup: int) -> None:
+    """Raise :class:`StatisticsError` unless the run length is usable:
+    at least two batches of at least one completion, and a non-negative
+    warmup."""
+    if batches < 2:
+        raise StatisticsError(f"need >= 2 batches for batch means, got {batches}")
+    if batch_size < 1:
+        raise StatisticsError(f"batch_size must be >= 1, got {batch_size}")
+    if warmup < 0:
+        raise StatisticsError(f"warmup must be >= 0, got {warmup}")
 
 
 # ``slots`` lands in dataclasses at 3.10; on 3.9 the class simply keeps
@@ -130,12 +147,7 @@ class CompletionCollector:
         keep_order: bool = False,
         keep_records: bool = False,
     ) -> None:
-        if batches < 2:
-            raise StatisticsError(f"need >= 2 batches for batch means, got {batches}")
-        if batch_size < 1:
-            raise StatisticsError(f"batch_size must be >= 1, got {batch_size}")
-        if warmup < 0:
-            raise StatisticsError(f"warmup must be >= 0, got {warmup}")
+        check_run_length(batches, batch_size, warmup)
         self.batches = batches
         self.batch_size = batch_size
         self.warmup = warmup

@@ -520,18 +520,6 @@ def test_sweep_executor_leaves_declared_event_cells_alone():
     assert session.stats.fallback_cells == 0
 
 
-def test_batch_goldens_equal_their_event_twins():
-    # The golden grid pins both engines on the same cells; the batch
-    # file must be byte-identical to the event file where both exist.
-    from repro.observability.golden import golden_trace_lines
-
-    for name in (
-        "rr", "rr-impl3", "fcfs", "fcfs-aincr", "fixed", "rr-faults", "mmpp-closed",
-        "rr-register-faults", "fcfs-counter-faults",
-    ):
-        assert golden_trace_lines(name) == golden_trace_lines(f"batch-{name}")
-
-
 # -- arrival-layer cells ------------------------------------------------------
 
 

@@ -21,7 +21,6 @@ perturb, winners and the replicated fault state.
 import copy
 import pickle
 from dataclasses import replace
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
@@ -37,7 +36,7 @@ from repro.experiments.scale import current_scale
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import BUS_LEVEL_FAULTS, FaultKind, FaultPlan
 from repro.observability.events import TelemetrySettings
-from repro.observability.golden import GOLDEN_SCENARIOS, golden_trace_lines
+from repro.observability.golden import GOLDEN_SCENARIOS
 from repro.protocols.registry import get_spec
 from repro.session import Session, plan_runs
 from repro.session.outcome import ROUTE_DIRECT
@@ -343,16 +342,12 @@ def test_faulted_lane_builds_key_maps_only_when_a_line_fault_is_due(monkeypatch,
 
 
 @pytest.mark.parametrize("name", ("rr-register-faults", "fcfs-counter-faults"))
-def test_arbiter_fault_golden_twin_runs_on_lanes_byte_equal(name):
-    golden = GOLDEN_SCENARIOS[f"batch-{name}"]
-    assert golden.engine == "batch"
+def test_arbiter_fault_golden_plans_draw_the_arbiter_level_kind(name):
+    # The golden suite replays these on both engines; here the plan
+    # must be able to draw the protocol's own arbiter-level kind.
+    golden = GOLDEN_SCENARIOS[name]
     assert golden.fault_rate > 0.0
     assert ARBITER_FAULT[golden.protocol] in get_spec(golden.protocol).injectable_faults
-    assert golden_trace_lines(f"batch-{name}") == golden_trace_lines(name)
-    stored = Path(__file__).resolve().parent.parent / "golden"
-    assert (stored / f"batch-{name}.jsonl").read_bytes() == (
-        stored / f"{name}.jsonl"
-    ).read_bytes()
 
 
 def test_batch_capable_admits_only_the_kinds_a_kernel_executes():

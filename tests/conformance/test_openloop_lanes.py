@@ -136,24 +136,3 @@ def test_open_loop_metrics_carry_the_flow_series():
     assert _canonical(lane) == _canonical(event)
     assert "flow.share.agent.1.normal" in lane.metrics.counters()
     assert "wait.class.normal" in lane.metrics.histograms()
-
-
-def test_open_loop_golden_twin_runs_on_lanes_byte_equal():
-    # batch-openloop-poisson twins openloop-poisson the way
-    # batch-mmpp-closed twins mmpp-closed; the twin must really take the
-    # lane route, not fall back silently to the event engine.
-    from pathlib import Path
-
-    from repro.observability.golden import GOLDEN_SCENARIOS, golden_trace_lines
-
-    golden = GOLDEN_SCENARIOS["batch-openloop-poisson"]
-    assert golden.engine == "batch"
-    scenario = open_loop_equal_load(golden.agents, golden.load, max_outstanding=1)
-    assert batch_capable(scenario, golden.protocol, SimulationSettings())[0]
-    assert golden_trace_lines("batch-openloop-poisson") == golden_trace_lines(
-        "openloop-poisson"
-    )
-    stored = Path(__file__).resolve().parent.parent / "golden"
-    assert (stored / "batch-openloop-poisson.jsonl").read_bytes() == (
-        stored / "openloop-poisson.jsonl"
-    ).read_bytes()

@@ -176,24 +176,3 @@ def test_kernel_keys_equal_event_arbiter_keys(protocol, agents, steps):
             assert competitors == sum(1 << agent for agent in outcome.competitors)
             arbiter.grant(winner, now)
             kernel.grant(winner)
-
-
-def test_priority_golden_twin_runs_on_lanes_byte_equal():
-    # batch-openloop-bursty-priority must really take the lane route,
-    # not fall back silently to the event engine, and match
-    # openloop-bursty-priority byte for byte.
-    from pathlib import Path
-
-    from repro.observability.golden import GOLDEN_SCENARIOS, golden_trace_lines
-
-    golden = GOLDEN_SCENARIOS["batch-openloop-bursty-priority"]
-    assert golden.engine == "batch"
-    scenario = bursty_equal_load(golden.agents, golden.load, urgent_fraction=0.3)
-    assert batch_capable(scenario, golden.protocol, SimulationSettings())[0]
-    assert golden_trace_lines("batch-openloop-bursty-priority") == golden_trace_lines(
-        "openloop-bursty-priority"
-    )
-    stored = Path(__file__).resolve().parent.parent / "golden"
-    assert (stored / "batch-openloop-bursty-priority.jsonl").read_bytes() == (
-        stored / "openloop-bursty-priority.jsonl"
-    ).read_bytes()

@@ -95,21 +95,3 @@ def test_synchronous_lane_equals_event_engine(cell):
     assert capable, reason
     (lane,) = run_lanes([cell])
     assert _canonical(lane) == _canonical(_event(cell))
-
-
-def test_synchronous_golden_twin_runs_on_lanes_byte_equal():
-    # batch-rr-sync must really take the lane route, not fall back
-    # silently to the event engine, and match rr-sync byte for byte.
-    from pathlib import Path
-
-    from repro.observability.golden import GOLDEN_SCENARIOS, golden_trace_lines
-
-    golden = GOLDEN_SCENARIOS["batch-rr-sync"]
-    assert golden.engine == "batch"
-    settings = SimulationSettings(timing=BusTiming(clock_period=golden.clock_period))
-    assert batch_capable(equal_load(golden.agents, golden.load), golden.protocol, settings)[0]
-    assert golden_trace_lines("batch-rr-sync") == golden_trace_lines("rr-sync")
-    stored = Path(__file__).resolve().parent.parent / "golden"
-    assert (stored / "batch-rr-sync.jsonl").read_bytes() == (
-        stored / "rr-sync.jsonl"
-    ).read_bytes()

@@ -1,6 +1,7 @@
 """Tests for the repository's utility scripts."""
 
 import importlib.util
+import shutil
 import sys
 from pathlib import Path
 
@@ -97,12 +98,12 @@ class TestCondenseSliceRatios:
 
         raw = {
             "benchmarks": [
-                bench(module.SYNC_EVENT, 0.08),
-                bench(module.SYNC_BATCH, 0.02),
-                bench(module.PRIORITY_EVENT, 0.15),
-                bench(module.PRIORITY_BATCH, 0.03),
-                bench(module.FAULT_EVENT, 0.09),
-                bench(module.FAULT_BATCH, 0.015),
+                bench("test_sync_pass_event_engine", 0.08),
+                bench("test_sync_pass_batch_lanes", 0.02),
+                bench("test_priority_pass_event_engine", 0.15),
+                bench("test_priority_pass_batch_lanes", 0.03),
+                bench("test_fault_pass_event_engine", 0.09),
+                bench("test_fault_pass_batch_lanes", 0.015),
             ]
         }
         summary = module.condense(raw)
@@ -112,6 +113,31 @@ class TestCondenseSliceRatios:
         raw["benchmarks"] = raw["benchmarks"][:3]
         assert "priority_grid_speedup" not in module.condense(raw)
         assert "fault_grid_speedup" not in module.condense(raw)
+
+    def test_median_speedup_and_min_overhead_rows(self):
+        module = _load("run_benchmarks")
+
+        def bench(name, median, minimum):
+            stats = {"median": median, "mean": median, "stddev": 0.0, "min": minimum}
+            return {"name": name, "stats": dict(stats, rounds=5)}
+
+        raw = {
+            "benchmarks": [
+                bench("test_grid_pass_event_engine", 1.0, 0.5),
+                bench("test_grid_pass_batch_lanes", 0.08, 0.01),
+                bench("test_grid_pass_session_routed", 9.0, 0.10123),
+                bench("test_grid_pass_lanes_paired", 1.0, 0.1),
+                bench("test_grid_pass_cached_service", 1.0, 0.003),
+                bench("test_grid_pass_cached_session", 1.0, 0.002),
+                bench("test_sweep_pass_open_loop", 1.0, 0.11),
+                bench("test_sweep_pass_closed_loop_paired", 1.0, 0.1),
+            ]
+        }
+        summary = module.condense(raw)
+        assert summary["grid_speedup"] == 12.5  # medians, not 50x of minima
+        assert summary["session_overhead"] == 0.0123
+        assert summary["service_overhead"] == 0.5
+        assert summary["openloop_overhead"] == 0.1
 
 
 class TestCheckBenchGates:
@@ -135,7 +161,7 @@ class TestCheckBenchGates:
         gate = self._gate(module, key)
         baseline = {} if recorded is None else {key: recorded}
         summary = {} if fresh is None else {key: fresh}
-        status = module.check_gate(gate, summary, baseline, gate.default, 0.5)
+        status = module.check_gate(gate, summary, baseline, 0.5)
         return status, capsys.readouterr().out.splitlines()
 
     def test_table_covers_every_recorded_ratio(self, module):
@@ -153,11 +179,19 @@ class TestCheckBenchGates:
         assert self._gate(module, "sync_grid_speedup").bound == module.FLOOR
         assert self._gate(module, "priority_grid_speedup").bound == module.FLOOR
         assert self._gate(module, "fault_grid_speedup").bound == module.FLOOR
-        # Fixed bars: the slice speedup rows add no CLI flag.
-        assert [gate.key for gate in module.GATES if gate.flag is None] == [
-            "sync_grid_speedup",
-            "priority_grid_speedup",
-            "fault_grid_speedup",
+        assert {gate.key: gate.bar for gate in module.GATES} == {
+            "grid_speedup": 10.0,
+            "session_overhead": 0.02,
+            "service_overhead": 0.5,
+            "openloop_overhead": 0.5,
+            "sync_grid_speedup": 2.5,
+            "priority_grid_speedup": 2.5,
+            "fault_grid_speedup": 2.5,
+        }
+        # The grid speedup is a ratio of medians; every other row
+        # divides minima.
+        assert [gate.key for gate in module.GATES if gate.statistic == "median_us"] == [
+            "grid_speedup"
         ]
 
     def test_floor_pass(self, module, capsys):
@@ -298,3 +332,61 @@ class TestCheckBenchGates:
             "  session overhead: baseline records none  <-- REGRESSION",
             "  session overhead (fresh): missing session benchmark  <-- REGRESSION",
         ]
+
+
+class TestRegenGolden:
+    """``regen_golden.py --check`` replays every golden on both engines."""
+
+    @pytest.fixture
+    def module(self, tmp_path, monkeypatch):
+        module = _load("regen_golden")
+        golden = tmp_path / "golden"
+        shutil.copytree(module.GOLDEN_DIR, golden)
+        monkeypatch.setattr(module, "GOLDEN_DIR", golden)
+        return module
+
+    def test_check_passes_on_the_committed_tree(self, capsys):
+        from repro.observability.golden import golden_names
+
+        assert _load("regen_golden").main(["--check"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == len(golden_names())
+        assert all("unchanged" in line and "event, batch" in line for line in lines)
+
+    def test_check_prints_the_diff_and_fails_on_an_altered_line(self, module, capsys):
+        path = module.GOLDEN_DIR / "fcfs.jsonl"
+        lines = path.read_text(encoding="utf-8").splitlines()
+        original = lines[5]
+        lines[5] = original.replace('"index":5,', '"index":50,')
+        assert lines[5] != original
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        before = path.read_bytes()
+        assert module.main(["--check"]) == 1
+        captured = capsys.readouterr()
+        assert "fcfs: DRIFTED on every engine" in captured.out
+        assert f"-{lines[5]}" in captured.out and f"+{original}" in captured.out
+        assert "1 golden trace(s) drifted" in captured.err
+        assert path.read_bytes() == before
+
+    @pytest.mark.parametrize("check", (True, False))
+    def test_a_lane_only_drift_names_the_lane_engine_and_writes_nothing(
+        self, module, monkeypatch, capsys, check
+    ):
+        import repro.engine.batch as batch
+
+        real = batch.run_simulation_batch
+
+        def drifting(*args):
+            result = real(*args)
+            result.events.pop()
+            return result
+
+        monkeypatch.setattr(batch, "run_simulation_batch", drifting)
+        path = module.GOLDEN_DIR / "rr.jsonl"
+        before = path.read_bytes()
+        assert module.main(["--check", "rr"] if check else ["rr"]) == 1
+        out = capsys.readouterr().out
+        assert "rr: batch engine DRIFTED from the stored trace; not written" in out
+        assert "event engine DRIFTED" not in out
+        assert f"-{before.decode().splitlines()[-1]}" in out
+        assert path.read_bytes() == before

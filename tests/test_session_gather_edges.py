@@ -27,6 +27,7 @@ from repro.errors import CancelledRunError, DeadlineExceededError
 from repro.experiments.cache import ResultCache
 from repro.experiments.runner import SimulationSettings
 from repro.session.control import RunControl
+from repro.session.outcome import CellFailure, SessionStats
 from repro.session.request import RunRequest
 from repro.session.session import Session
 from repro.workload.scenarios import equal_load
@@ -131,6 +132,33 @@ class TestLaneDemotionInterleavedWithHits:
         follow = Session(cache=cache)
         follow.submit(_scenario(), "rr", SETTINGS)
         assert [outcome.route for outcome in follow.gather()] == ["cache"]
+
+    def test_an_invalid_run_length_fails_alone_and_demotes_no_pack(self):
+        # batches=1 passes every other lane check, but the collector
+        # refuses it: planned as a lane, it failed the whole pack and
+        # dragged its valid neighbours onto the event engine.
+        import warnings
+        from dataclasses import replace
+
+        from repro.session import execute_plan, plan_runs
+
+        plan = plan_runs(
+            [
+                RunRequest(_scenario(), "rr", SETTINGS),
+                RunRequest(_scenario(), "fcfs", SETTINGS),
+                RunRequest(_scenario(), "rr", replace(SETTINGS, batches=1)),
+            ]
+        )
+        stats = SessionStats()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            outcomes = execute_plan(plan, stats=stats)
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        assert [outcome.route for outcome in outcomes[:2]] == ["lanes", "lanes"]
+        assert [outcome.failure for outcome in outcomes[:2]] == [None, None]
+        assert isinstance(outcomes[2].failure, CellFailure)
+        assert "need >= 2 batches" in str(outcomes[2].failure)
+        assert stats.fallback_cells == 0
 
 
 class TestEmptyGather:
