@@ -34,6 +34,7 @@ BENCH_FILES = [
     "benchmarks/test_grid_batch.py",
     "benchmarks/test_session_overhead.py",
     "benchmarks/test_service_overhead.py",
+    "benchmarks/test_service_hit.py",
     "benchmarks/test_openloop_overhead.py",
 ]
 
@@ -104,6 +105,11 @@ GATES = (
         "fault_grid_speedup", "fault grid speedup",
         "test_fault_pass_event_engine", "test_fault_pass_batch_lanes", "min_us",
         FLOOR, 2.5, 2, "fault grid benchmarks",
+    ),
+    Gate(
+        "hot_hit_speedup", "hot hit speedup",
+        "test_hit_pass_cold", "test_hit_pass_hot", "min_us",
+        FLOOR, 10.0, 1, "service hit benchmarks",
     ),
 )
 

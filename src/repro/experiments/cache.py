@@ -31,14 +31,17 @@ trace is a side effect, not part of the result object.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
 import pickle
 import tempfile
+import threading
 import warnings
+from collections import OrderedDict
 from pathlib import Path
-from typing import Optional, Union
+from typing import Optional, Tuple, Union
 
 import repro
 from repro.errors import ConfigurationError
@@ -68,6 +71,9 @@ __all__ = ["CACHE_EPOCH", "cache_key", "ResultCache", "default_cache_dir"]
 CACHE_EPOCH = 6
 
 _ENV_DIR = "REPRO_CACHE_DIR"
+
+#: Most results one :class:`ResultCache` keeps in memory.
+HOT_LIMIT = 256
 
 
 def default_cache_dir() -> Path:
@@ -145,6 +151,33 @@ class ResultCache:
     misses: the offending file is *quarantined* — renamed aside with a
     ``.corrupt`` suffix so it can be inspected rather than silently lost
     — and a warning names it.
+
+    **Hot tier.**  The cache keeps the :data:`HOT_LIMIT` most recently
+    read results in memory, each with the ``(st_ino, st_size,
+    st_mtime_ns)`` of the file it was read from.  A later ``get`` of the
+    key costs one ``os.stat``: when the signature still matches, it
+    returns the same result object (treat results as read-only, as a
+    ``"dedup"`` outcome already shares its first occurrence's); when it
+    does not, the entry is dropped and the read goes to disk.  A ``put``
+    never fills the hot tier, so the next ``get`` of a freshly written
+    key reads the disk.
+
+    **Guarantees when another instance or process changes an entry**
+    that is hot here:
+
+    - replaced by another valid pickle (``os.replace``, as every
+      ``put`` does): the next ``get`` re-reads and returns the new
+      result;
+    - overwritten with garbage: the next ``get`` quarantines it, warns
+      and misses;
+    - quarantined, removed or ``clear()``-ed: the next ``get`` misses;
+    - two readers quarantining one corrupt entry both miss, neither
+      raises, and one ``<key>.corrupt`` file remains.
+
+    The signature cannot see an in-place rewrite that keeps the inode
+    and the size within the filesystem's timestamp granularity; writers
+    that go through ``put`` never do that.  Counters and the hot tier
+    are safe to use from several threads.
     """
 
     def __init__(self, directory: Union[str, Path, None] = None) -> None:
@@ -157,9 +190,19 @@ class ResultCache:
         self.misses = 0
         self.stores = 0
         self.quarantined = 0
+        #: key -> (file signature, result), least recently used first.
+        self._hot: "OrderedDict[str, Tuple[Tuple[int, int, int], RunResult]]" = OrderedDict()
+        self._lock = threading.Lock()
+        #: ``directory`` as a string prefix: the hot path's ``os.stat``
+        #: skips building a ``Path``.
+        self._prefix = os.path.join(self.directory, "")
 
     def _path(self, key: str) -> Path:
         return self.directory / f"{key}.pkl"
+
+    def _miss(self) -> None:
+        with self._lock:
+            self.misses += 1
 
     def get(self, key: str) -> Optional[RunResult]:
         """The cached result for ``key``, or ``None`` on a miss.
@@ -172,12 +215,27 @@ class ResultCache:
         are all quarantined as misses, so one bad entry can never fail
         the whole gather that touched it.
         """
+        with self._lock:
+            entry = self._hot.get(key)
+        if entry is not None:
+            try:
+                stat = os.stat(f"{self._prefix}{key}.pkl")
+                current = (stat.st_ino, stat.st_size, stat.st_mtime_ns)
+            except OSError:
+                current = None
+            with self._lock:
+                if current == entry[0]:
+                    self._hot.move_to_end(key)
+                    self.hits += 1
+                    return entry[1]
+                self._hot.pop(key, None)
         path = self._path(key)
         try:
             with path.open("rb") as handle:
+                stat = os.fstat(handle.fileno())
                 result = pickle.load(handle)
         except FileNotFoundError:
-            self.misses += 1
+            self._miss()
             return None
         except Exception as exc:
             # OSError while opening/reading, truncated pickles
@@ -185,7 +243,7 @@ class ResultCache:
             # AttributeError, ImportError): everything the entry alone
             # can cause quarantines as a miss and the cell re-runs.
             self._quarantine(path, exc)
-            self.misses += 1
+            self._miss()
             return None
         if not isinstance(result, RunResult):
             self._quarantine(
@@ -194,9 +252,13 @@ class ResultCache:
                     f"cached payload is {type(result).__name__}, not RunResult"
                 ),
             )
-            self.misses += 1
+            self._miss()
             return None
-        self.hits += 1
+        with self._lock:
+            self._hot[key] = ((stat.st_ino, stat.st_size, stat.st_mtime_ns), result)
+            if len(self._hot) > HOT_LIMIT:
+                self._hot.popitem(last=False)
+            self.hits += 1
         return result
 
     def _quarantine(self, path: Path, exc: Exception) -> None:
@@ -214,7 +276,8 @@ class ResultCache:
         except OSError:
             # Renaming failed (e.g. the file vanished); nothing to keep.
             moved = False
-        self.quarantined += 1
+        with self._lock:
+            self.quarantined += 1
         location = f"; entry moved to {quarantine}" if moved else ""
         warnings.warn(
             f"corrupt cache entry {path.name} treated as a miss "
@@ -234,12 +297,11 @@ class ResultCache:
                 pickle.dump(result, handle, protocol=pickle.HIGHEST_PROTOCOL)
             os.replace(temp_name, self._path(key))
         except BaseException:
-            try:
+            with contextlib.suppress(OSError):
                 os.unlink(temp_name)
-            except OSError:
-                pass
             raise
-        self.stores += 1
+        with self._lock:
+            self.stores += 1
 
     def __len__(self) -> int:
         """Number of entries currently on disk."""
@@ -249,6 +311,8 @@ class ResultCache:
 
     def clear(self) -> int:
         """Delete every entry; returns how many were removed."""
+        with self._lock:
+            self._hot.clear()
         removed = 0
         if self.directory.is_dir():
             for path in self.directory.glob("*.pkl"):

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import threading
 from collections import deque
-from typing import Deque, List, Optional
+from typing import Callable, Deque, List, Optional
 
 from repro.errors import ConfigurationError
 from repro.service.jobs import Job
@@ -55,17 +55,24 @@ class AdmissionController:
         #: Peak backlog ever observed (observability; no control role).
         self.high_water = 0
 
-    def offer(self, job: Job) -> Optional[float]:
+    def offer(
+        self, job: Job, admitted: Optional[Callable[[], None]] = None
+    ) -> Optional[float]:
         """Admit ``job`` or refuse it.
 
         Returns ``None`` on admission; on refusal (queue full, or the
         controller closed) returns the ``retry_after`` hint in seconds.
+        ``admitted`` runs once the job is queued and before any
+        :meth:`take` can see it, so whatever it records (the service's
+        ``admit`` event) precedes the job's dispatch.
         """
         with self._available:
             if self._closed or len(self._queue) >= self.limit:
                 return self.retry_after * max(1, len(self._queue))
             self._queue.append(job)
             self.high_water = max(self.high_water, len(self._queue))
+            if admitted is not None:
+                admitted()
             self._available.notify()
             return None
 

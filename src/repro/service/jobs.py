@@ -129,6 +129,9 @@ class Job:
         self.failure: Optional["CellFailure"] = None
         #: Backpressure hint on rejection: seconds to wait before retrying.
         self.retry_after: Optional[float] = None
+        #: The requests' epoch-6 keys, planned at admission, so the
+        #: dispatcher does not hash them again.
+        self.keys: Optional[Tuple[str, ...]] = None
         self._finished = threading.Event()
 
     # -- observation ----------------------------------------------------------

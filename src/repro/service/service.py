@@ -61,8 +61,14 @@ from repro.service.jobs import (
 from repro.service.shards import ShardPool
 from repro.session.control import RunControl
 from repro.session.execute import execute_plan
-from repro.session.outcome import CellFailure, RunOutcome, SessionStats
-from repro.session.planner import plan_runs
+from repro.session.outcome import (
+    ROUTE_CACHE,
+    ROUTE_DEDUP,
+    CellFailure,
+    RunOutcome,
+    SessionStats,
+)
+from repro.session.planner import RunPlan, plan_runs
 from repro.session.request import RunRequest
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
@@ -265,11 +271,16 @@ class ArbitrationService:
     ) -> Job:
         """Admit a job (one or more requests) and return it immediately.
 
-        The returned :class:`~repro.service.jobs.Job` may already be
-        terminal: ``rejected`` when the queue is full (backpressure —
-        honour ``retry_after``) or the cell budget is exceeded.
-        Otherwise it is ``queued`` and will reach a terminal state
-        without further action from the caller.
+        The job is planned here, in the caller's thread.  When every
+        request is a cache hit or a repeat of an earlier request of the
+        job, it is answered here too: it is ``done`` (or ``timeout``, if
+        its deadline has already passed) on return, without entering the
+        queue, so backpressure never refuses it.  Any other returned
+        :class:`~repro.service.jobs.Job` may already be terminal:
+        ``rejected`` when the queue is full (backpressure — honour
+        ``retry_after``) or the cell budget is exceeded.  Otherwise it is
+        ``queued`` and will reach a terminal state without further
+        action from the caller.
         """
         if isinstance(requests, RunRequest):
             requests = [requests]
@@ -301,7 +312,21 @@ class ArbitrationService:
             self._count("service.rejected")
             self._emit("reject", job, "closing")
             return job
-        retry_after = self.admission.offer(job)
+        try:
+            plan = plan_runs(job.requests, self.cache)
+        except Exception:
+            plan = None  # the dispatcher meets the error again and fails the job
+        if plan is not None:
+            if all(run.route in (ROUTE_CACHE, ROUTE_DEDUP) for run in plan.runs):
+                self._answer(job, plan)
+                return job
+            job.keys = tuple(run.key for run in plan.runs)
+
+        def admitted() -> None:
+            self._count("service.queued")
+            self._emit("admit", job)
+
+        retry_after = self.admission.offer(job, admitted)
         if retry_after is not None:
             job._finish(
                 JOB_REJECTED,
@@ -314,8 +339,6 @@ class ArbitrationService:
             self._count("service.rejected")
             self._emit("reject", job, "backpressure")
             return job
-        self._count("service.queued")
-        self._emit("admit", job)
         self.start()
         return job
 
@@ -342,7 +365,10 @@ class ArbitrationService:
         excess = len(self._jobs) - self.config.job_retention
         if excess <= 0:
             return
-        for job_id in [j for j, job in self._jobs.items() if job.terminal][:excess]:
+        # The oldest jobs are usually terminal, so this stops after
+        # ``excess`` of them instead of walking the whole registry.
+        terminal = (j for j, job in self._jobs.items() if job.terminal)
+        for job_id in list(itertools.islice(terminal, excess)):
             job = self._jobs.pop(job_id)
             self._evicted[job.state] = self._evicted.get(job.state, 0) + 1
 
@@ -351,6 +377,7 @@ class ArbitrationService:
         with self._lock:
             states: Dict[str, int] = dict(self._evicted)
             jobs = list(self._jobs.values())
+            own = {name: c.value for name, c in self.metrics.counters().items()}
         for job in jobs:
             states[job.state] = states.get(job.state, 0) + 1
         # Plan and pool counts are read from their owners, live.
@@ -361,7 +388,7 @@ class ArbitrationService:
             "service.crashes": self.pool.crashes,
             "service.retried": self.pool.replays,
         }
-        counters.update((name, c.value) for name, c in self.metrics.counters().items())
+        counters.update(own)
         return {
             "counters": counters,
             "backlog": len(self.admission),
@@ -409,7 +436,8 @@ class ArbitrationService:
     # -- internals ------------------------------------------------------------
 
     def _count(self, name: str, amount: int = 1) -> None:
-        self.metrics.counter(name).increment(amount)
+        with self._lock:  # client threads and the dispatcher both count
+            self.metrics.counter(name).increment(amount)
 
     def _emit(self, kind: str, job: Optional[Job] = None, detail: str = "") -> None:
         if self._sink is None:
@@ -430,17 +458,37 @@ class ArbitrationService:
             pass
 
     def _fail(self, job: Job, error: str, failure: Optional[CellFailure] = None) -> None:
-        job._finish(JOB_FAILED, error=error, failure=failure)
+        # Count before finishing: a waiter that wakes on the terminal
+        # state must already see the counter.
         self._count("service.failed")
+        job._finish(JOB_FAILED, error=error, failure=failure)
         self._emit("terminal", job, error)
 
     def _expire(self, job: Job) -> None:
+        self._count("service.deadline_exceeded")
         job._finish(
             JOB_TIMEOUT,
             error=f"deadline expired after {job.budget.deadline:.3f}s",
         )
-        self._count("service.deadline_exceeded")
         self._emit("deadline", job)
+
+    def _answer(self, job: Job, plan: RunPlan) -> None:
+        """Finish an all-hit job in the submitting thread.
+
+        The plan holds only ``cache`` and ``dedup`` runs, so the same
+        :func:`~repro.session.execute.execute_plan` answers it without a
+        backend: the job goes ``admit`` -> ``terminal`` with no queue
+        wait and no ``dispatch`` event.
+        """
+        self._emit("admit", job)
+        if job.expired():
+            self._expire(job)
+            return
+        job._start()
+        outcomes = execute_plan(plan, self.cache, self.stats)
+        self._count("service.done")
+        job._finish(JOB_DONE, outcomes=outcomes)
+        self._emit("terminal", job)
 
     def _dispatch_loop(self) -> None:
         try:
@@ -504,8 +552,8 @@ class ArbitrationService:
             if failure is not None:
                 self._fail(job, str(failure), failure)
             else:
-                job._finish(JOB_DONE, outcomes=mine)
                 self._count("service.done")
+                job._finish(JOB_DONE, outcomes=mine)
                 self._emit("terminal", job)
 
     def _execute(self, live: List[Job]) -> Optional[List[RunOutcome]]:
@@ -514,11 +562,16 @@ class ArbitrationService:
         The same ``plan_runs`` + ``execute_plan`` core every caller runs
         (cross-client dedup, cache replay, lane packs, the pool's crash
         ladder), stopped early only once every live job's deadline has
-        passed (then ``None``).  The pool's and the plan's accounting
-        stays on :attr:`pool` and :attr:`stats`, where
+        passed (then ``None``).  The requests are not hashed again: the
+        keys planned at admission are passed in.  The pool's and the
+        plan's accounting stays on :attr:`pool` and :attr:`stats`, where
         :meth:`stats_snapshot` reads it.
         """
-        plan = plan_runs([request for job in live for request in job.requests], self.cache)
+        requests = [request for job in live for request in job.requests]
+        planned = None
+        if all(job.keys is not None for job in live):
+            planned = [key for job in live for key in job.keys]
+        plan = plan_runs(requests, self.cache, keys=planned)
         keys = {id(run.request): run.key for run in plan.runs}
         lane_keys = [run.key for run in plan.lane_runs]
         deadlines = [job.deadline_at for job in live]

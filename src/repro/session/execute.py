@@ -88,14 +88,6 @@ def execute_plan(
     """
     stats = stats if stats is not None else SessionStats()
     lane_runner = lane_runner or _default_lane_runner
-    if direct_runner is None:
-        from repro.service.shards import ShardPool
-
-        pool = ShardPool.in_process()
-
-        def direct_runner(requests: Sequence[RunRequest]):
-            return pool.run_cells(requests, stats=stats, control=control)
-
     if control is not None:
         control.check()
     outcomes: List[Optional[RunOutcome]] = [None] * len(plan.runs)
@@ -107,7 +99,7 @@ def execute_plan(
             stats.failures.append(failure)
             result = None
         else:
-            stats.executed += 1
+            stats.add(executed=1)
             if cache is not None:
                 cache.put(run.key, result)
         outcomes[run.index] = RunOutcome(
@@ -120,8 +112,9 @@ def execute_plan(
             failure=failure,
         )
 
-    for run in plan.cached_runs:
-        stats.cache_hits += 1
+    cached_runs = plan.cached_runs
+    stats.add(cache_hits=len(cached_runs))
+    for run in cached_runs:
         outcomes[run.index] = RunOutcome(
             request=run.request,
             result=run.cached,
@@ -151,12 +144,19 @@ def execute_plan(
         if control is not None:
             control.check()
         direct.sort(key=lambda entry: entry[0].index)
-        fresh = direct_runner([run.request for run, _ in direct])
+        requests = [run.request for run, _ in direct]
+        if direct_runner is None:
+            from repro.service.shards import ShardPool
+
+            fresh = ShardPool.in_process().run_cells(requests, stats=stats, control=control)
+        else:
+            fresh = direct_runner(requests)
         for (run, demoted), result in zip(direct, fresh):
             record(run, result, ROUTE_DIRECT, demoted)
 
-    for run in plan.dedup_runs:
-        stats.deduplicated += 1
+    dedup_runs = plan.dedup_runs
+    stats.add(deduplicated=len(dedup_runs))
+    for run in dedup_runs:
         first = outcomes[run.first]
         outcomes[run.index] = RunOutcome(
             request=run.request,

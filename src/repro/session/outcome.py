@@ -17,6 +17,7 @@ entry point shares; :class:`~repro.session.session.Session` and
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, List, Optional
 
@@ -95,6 +96,19 @@ class SessionStats:
     #: batch (the planner's ``"dedup"`` route), whichever entry point
     #: submitted the batch.
     deduplicated: int = 0
+    _lock: threading.Lock = field(
+        default_factory=threading.Lock, init=False, repr=False, compare=False
+    )
+
+    def add(self, **counts: int) -> None:
+        """Add to counters as one step, safe across threads.
+
+        The service executes cache hits in submitting threads while its
+        dispatcher executes the rest, so shared counters move here.
+        """
+        with self._lock:
+            for name, count in counts.items():
+                setattr(self, name, getattr(self, name) + count)
 
 
 @dataclass(frozen=True)

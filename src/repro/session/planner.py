@@ -132,6 +132,7 @@ def plan_runs(
     requests: Sequence[RunRequest],
     cache: Optional["ResultCache"] = None,
     engine: Optional[str] = None,
+    keys: Optional[Sequence[str]] = None,
 ) -> RunPlan:
     """Resolve a batch of requests into a :class:`RunPlan`.
 
@@ -139,14 +140,16 @@ def plan_runs(
     ``requests``.  ``engine`` (validated against :data:`ENGINES`)
     overrides every request's own declaration; ``None`` respects them.
     Each request is hashed exactly once; the key serves both the dedup
-    and the cache lookup.
+    and the cache lookup.  ``keys``, when given, are the requests'
+    epoch-6 keys from an earlier plan, in request order; they are used
+    as they are and nothing is hashed.
     """
     engine = normalize_engine(engine)
     runs: List[PlannedRun] = []
     first_by_key: Dict[str, int] = {}
     for index, request in enumerate(requests):
         resolved = request.resolved(engine)
-        key = resolved.cache_key()
+        key = keys[index] if keys is not None else resolved.cache_key()
         first = first_by_key.setdefault(key, index)
         if first != index:
             runs.append(PlannedRun(index, resolved, ROUTE_DEDUP, key=key, first=first))

@@ -16,11 +16,24 @@ cache key is byte-identical to the original's — the invariance the
 round-trip property suite pins down.  Floats survive exactly: JSON
 carries their shortest ``repr``, which CPython parses back to the same
 IEEE-754 double.
+
+A request hashes itself once: :meth:`RunRequest.cache_key` keeps its
+digest on the object, and :meth:`RunRequest.resolved` hands it on, so a
+popular request pays for SHA-256 the first time only.
+:meth:`RunRequest.from_json` interns what it decodes in a bounded table
+keyed by the exact payload, so the same wire text decodes to the same
+object (and the same memoized key) without re-parsing.  Requests whose
+scenario carries a stateful distribution (MMPP phase, trace-replay
+cursor) are neither memoized nor interned: their key follows their
+state.  :meth:`RunRequest.from_dict` does not intern; it builds a fresh
+request on every call.
 """
 
 from __future__ import annotations
 
 import json
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, fields, replace
 from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
 
@@ -48,10 +61,24 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.experiments.runner import SimulationSettings
     from repro.stats.summary import RunResult  # noqa: F401
 
-__all__ = ["RunRequest"]
+__all__ = ["RunRequest", "clear_interned"]
 
 #: Wire-format version; bump on incompatible codec changes.
 FORMAT_VERSION = 1
+
+#: Most decoded requests :meth:`RunRequest.from_json` keeps interned.
+INTERN_LIMIT = 256
+
+#: ``(cls, payload) -> request``, least recently used first.  Keyed on
+#: the class too, so a subclass's ``from_json`` yields its own instances.
+_interned: "OrderedDict[Tuple[type, str], RunRequest]" = OrderedDict()
+_intern_lock = threading.Lock()
+
+
+def clear_interned() -> None:
+    """Empty :meth:`RunRequest.from_json`'s intern table."""
+    with _intern_lock:
+        _interned.clear()
 
 
 def _distribution_to_dict(dist: Distribution) -> Dict[str, Any]:
@@ -263,13 +290,31 @@ class RunRequest:
             settings = replace(settings, engine=engine)
         if settings is self.settings:
             return self
-        return replace(self, settings=settings)
+        resolved = replace(self, settings=settings)
+        key = self.__dict__.get("_key")
+        if key is not None:
+            object.__setattr__(resolved, "_key", key)
+        return resolved
+
+    @property
+    def stateful(self) -> bool:
+        """True when a distribution of the scenario carries sampling state."""
+        return any(agent.interrequest.stateful for agent in self.scenario.agents)
 
     def cache_key(self) -> str:
-        """The request's epoch-6 content hash (engine-independent)."""
-        from repro.experiments.cache import cache_key
+        """The request's epoch-6 content hash (engine-independent).
 
-        return cache_key(*self.resolved().as_cell())
+        Computed once per request object and kept on it, unless the
+        request is :attr:`stateful` (its key follows the state).
+        """
+        key = self.__dict__.get("_key")
+        if key is None:
+            from repro.experiments.cache import cache_key
+
+            key = cache_key(*self.resolved().as_cell())
+            if not self.stateful:
+                object.__setattr__(self, "_key", key)
+        return key
 
     def as_cell(self) -> Tuple[ScenarioSpec, str, "SimulationSettings"]:
         """The ``(scenario, protocol, settings)`` tuple engines consume."""
@@ -310,7 +355,30 @@ class RunRequest:
 
     @classmethod
     def from_json(cls, payload: str) -> "RunRequest":
-        """Rebuild a request from :meth:`to_json`'s output."""
+        """Rebuild a request from :meth:`to_json`'s output.
+
+        Decoded requests are interned (see the module docstring): the
+        same payload returns the same object while it stays among the
+        :data:`INTERN_LIMIT` most recently decoded.  A payload that
+        fails to decode, or decodes to a :attr:`stateful` request, is
+        never stored.
+        """
+        entry = (cls, payload)
+        with _intern_lock:
+            request = _interned.get(entry)
+            if request is not None:
+                _interned.move_to_end(entry)
+                return request
+        request = cls._decode_json(payload)
+        if not request.stateful:
+            with _intern_lock:
+                _interned[entry] = request
+                if len(_interned) > INTERN_LIMIT:
+                    _interned.popitem(last=False)
+        return request
+
+    @classmethod
+    def _decode_json(cls, payload: str) -> "RunRequest":
         try:
             doc = json.loads(payload)
         except json.JSONDecodeError as exc:

@@ -5,7 +5,10 @@ A :class:`~repro.session.request.RunRequest` can reach a
 engine, the lane-packed batch engine, the per-cell ``run_cell`` path, a
 replay from the content-addressed cache, a duplicate answered inside one
 ``Session`` gather, a job on the arbitration service, and a request that
-crossed the JSON wire first.  The orchestration layers in between plan,
+crossed the JSON wire first.  The hit path adds three more: a request
+decoded twice (the second decode comes from the intern table), a second
+read of one ``ResultCache`` (served from its hot tier), and an all-hit
+service job answered inside ``submit``.  The orchestration layers in between plan,
 dedup, cache and recover — none of that may change a single byte of the
 answer.
 
@@ -34,7 +37,7 @@ from hypothesis import given, settings as hyp_settings
 from test_cache_epoch6_session import _requests
 
 from repro.engine.batch import batch_capable, run_lanes
-from repro.experiments.cache import ResultCache
+from repro.experiments.cache import ResultCache, cache_key
 from repro.experiments.runner import SimulationSettings
 from repro.observability import TelemetrySettings
 from repro.service import ArbitrationService, BackoffPolicy, ServiceConfig
@@ -103,6 +106,41 @@ def _wire(request):
     return _direct(RunRequest.from_json(request.to_json()))
 
 
+def _interned(request):
+    wire = request.to_json()
+    first = RunRequest.from_json(wire)
+    second = RunRequest.from_json(wire)
+    assert (second is first) == (not first.stateful)
+    return _direct(second)
+
+
+def _hot_replay(request, directory):
+    cache = ResultCache(directory)
+    cache.put(request.cache_key(), _direct(request))
+    first = cache.get(request.cache_key())
+    second = cache.get(request.cache_key())
+    assert second is first
+    return second
+
+
+def _answered_at_admission(request, directory):
+    config = ServiceConfig(serial=True, poll_interval=0.01, backoff=BackoffPolicy.none())
+    with ArbitrationService(cache=ResultCache(directory), config=config) as service:
+        _served(service, request)  # a miss: dispatched, run and stored
+        job = service.submit([request])
+        assert job.state == "done", "an all-hit job must finish inside submit"
+        assert job.outcomes[0].route == "cache"
+        return job.results()[0]
+
+
+def _check_memoized_key(request):
+    fresh = cache_key(*request.resolved().as_cell())
+    assert request.cache_key() == fresh
+    assert request.cache_key() == fresh  # the memoized key
+    for engine in ("event", "batch"):
+        assert request.resolved(engine).cache_key() == fresh
+
+
 class TestEveryRouteSameBytes:
     @hyp_settings(max_examples=EXAMPLES, deadline=None)
     @given(request=_requests)
@@ -120,12 +158,16 @@ class TestEveryRouteSameBytes:
             assert job.state == "failed"
             return
         expected = _canonical(reference)
+        _check_memoized_key(request)
         results = {
             "direct": _direct(request),
             "lanes": _lanes(request),
             "cache": _cache_replay(request, tmp_path_factory.mktemp("cache")),
             "service": _served(service, request),
             "wire": _wire(request),
+            "interned": _interned(request),
+            "hot": _hot_replay(request, tmp_path_factory.mktemp("hot")),
+            "admission": _answered_at_admission(request, tmp_path_factory.mktemp("admit")),
         }
         first, duplicate = _session_twice(request)
         results["session"] = first

@@ -104,12 +104,15 @@ class TestCondenseSliceRatios:
                 bench("test_priority_pass_batch_lanes", 0.03),
                 bench("test_fault_pass_event_engine", 0.09),
                 bench("test_fault_pass_batch_lanes", 0.015),
+                bench("test_hit_pass_cold", 0.03),
+                bench("test_hit_pass_hot", 0.0008),
             ]
         }
         summary = module.condense(raw)
         assert summary["sync_grid_speedup"] == 4.0
         assert summary["priority_grid_speedup"] == 5.0
         assert summary["fault_grid_speedup"] == 6.0
+        assert summary["hot_hit_speedup"] == 37.5
         raw["benchmarks"] = raw["benchmarks"][:3]
         assert "priority_grid_speedup" not in module.condense(raw)
         assert "fault_grid_speedup" not in module.condense(raw)
@@ -173,12 +176,14 @@ class TestCheckBenchGates:
             "sync_grid_speedup",
             "priority_grid_speedup",
             "fault_grid_speedup",
+            "hot_hit_speedup",
         ]
         assert self._gate(module, "grid_speedup").bound == module.FLOOR
         assert {gate.bound for gate in module.GATES[1:4]} == {module.CEILING}
         assert self._gate(module, "sync_grid_speedup").bound == module.FLOOR
         assert self._gate(module, "priority_grid_speedup").bound == module.FLOOR
         assert self._gate(module, "fault_grid_speedup").bound == module.FLOOR
+        assert self._gate(module, "hot_hit_speedup").bound == module.FLOOR
         assert {gate.key: gate.bar for gate in module.GATES} == {
             "grid_speedup": 10.0,
             "session_overhead": 0.02,
@@ -187,6 +192,7 @@ class TestCheckBenchGates:
             "sync_grid_speedup": 2.5,
             "priority_grid_speedup": 2.5,
             "fault_grid_speedup": 2.5,
+            "hot_hit_speedup": 10.0,
         }
         # The grid speedup is a ratio of medians; every other row
         # divides minima.
@@ -299,6 +305,20 @@ class TestCheckBenchGates:
         assert lines == [
             "  fault grid speedup: baseline records 2.40x (gate >= 2.5x)  <-- REGRESSION",
             "  fault grid speedup (fresh): missing fault grid benchmarks  <-- REGRESSION",
+        ]
+
+    def test_hot_hit_floor_pass_and_recorded_miss(self, module, capsys):
+        status, lines = self._check(module, capsys, "hot_hit_speedup", 38.9, 6.0)
+        assert status == 0
+        assert lines == [
+            "  hot hit speedup: baseline records 38.90x (gate >= 10.0x)",
+            "  hot hit speedup (fresh): 6.00x (floor 5.0x at 50% tolerance)",
+        ]
+        status, lines = self._check(module, capsys, "hot_hit_speedup", 9.0, None)
+        assert status == 1
+        assert lines == [
+            "  hot hit speedup: baseline records 9.00x (gate >= 10.0x)  <-- REGRESSION",
+            "  hot hit speedup (fresh): missing service hit benchmarks  <-- REGRESSION",
         ]
 
     def test_ceiling_pass(self, module, capsys):
