@@ -16,7 +16,7 @@ A lane is one (scenario, protocol, settings) cell.  One call may mix
 bus sizes (a ragged n=2 lane next to an n=32 lane), request rates,
 seeds and protocol variants.  Each lane keeps struct-of-arrays state
 sized to its own agent count — flat per-agent arrays (next-request
-timers, think-time buffers, FCFS counters, activity masks) plus a
+timers, think-time buffers, FCFS stamps, activity masks) plus a
 handful of scalar timers — and its protocol kernel resolves
 arbitrations on integer bitmasks of pending requesters (the wired-OR
 maximum-finding of §2).  :func:`run_lanes` builds, runs and drops one
@@ -94,10 +94,11 @@ request tie-break.
 from __future__ import annotations
 
 import copy
+from collections import deque
 from dataclasses import replace
 from heapq import heapify, heappop, heappush
 from math import inf as _INF
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.bus.agent import _THINK_BLOCK
 from repro.bus.watchdog import BusWatchdog
@@ -432,24 +433,39 @@ class _FcfsKernel(_Kernel):
     Strategy 1 increments every loser's waiting counter after each
     arbitration; strategy 2 timestamps arrivals with a shared pulse tick
     (coincidence window 0, matching the event-engine default) and uses
-    the tick age as the counter.  Keys are
+    the tick age as the counter.  Either way a counter is a difference
+    of two stamps, ``clock - stamp[agent]``: the clock counts
+    arbitration passes (strategy 1) or a-incr ticks (strategy 2), and a
+    request is stamped with its value at issue.  Strategy 1's pulse, one
+    increment per loser, is then one clock step plus one stamp step for
+    the winner, which does not age.  Keys are
     ``[priority] (counter % modulus) << k | id`` with ``modulus = 2**k``;
     the winner is the wired-OR maximum, so with an urgent request
     pending the oldest urgent request wins.  Both strategies keep one
     counter stream for both classes (``PriorityCounterPolicy.OVERFLOW``):
     strategy 1 ages every loser, whatever its class.
+
+    This kernel scans every pending requester on every pass.  It serves
+    the lanes with a fault injector and ``fcfs-glitchable``, where the
+    counters leave stamp order: an anomalous pass leaves its winner
+    pending but un-aged, and a counter upset rewrites a counter.  A
+    fault-free lane runs :class:`_FcfsGroupKernel` instead, which picks
+    the winner from the oldest arrival group.  By §3.2 the counter of an
+    unclassed request never wraps there: a request waits behind at most
+    the N-1 other agents' requests, each served once before it (a later
+    request is younger), so its counter stays at most N-1, and
+    ``2**k > N-1``.
     """
 
-    __slots__ = ("strategy", "modulus", "counter", "tick", "last_pulse", "rtick")
+    __slots__ = ("strategy", "modulus", "clock", "stamp", "last_pulse")
 
     def __init__(self, num_agents: int, strategy: int) -> None:
         super().__init__(num_agents)
         self.strategy = strategy
         self.modulus = 1 << self.bits
-        self.counter = [0] * (num_agents + 1)
-        self.tick = 0
+        self.clock = 0
+        self.stamp = [0] * (num_agents + 1)
         self.last_pulse = -_INF
-        self.rtick = [0] * (num_agents + 1)
 
     def request(self, agent_id: int, now: float, urgent: bool = False) -> None:
         bit = 1 << agent_id
@@ -459,60 +475,29 @@ class _FcfsKernel(_Kernel):
             self.urgent |= bit
         elif self.urgent:
             self.urgent &= ~bit
-        if self.strategy == 1:
-            self.counter[agent_id] = 0
-        else:
-            if now - self.last_pulse > 0.0:
-                self.tick += 1
-                self.last_pulse = now
-            self.rtick[agent_id] = self.tick
+        if self.strategy == 2 and now - self.last_pulse > 0.0:
+            self.clock += 1
+            self.last_pulse = now
+        self.stamp[agent_id] = self.clock
+
+    @property
+    def counter(self) -> List[int]:
+        """Every agent's waiting counter, unwrapped; read it for the
+        agents with a pending request."""
+        clock = self.clock
+        return [clock - stamp for stamp in self.stamp]
 
     def arbitrate(self) -> Tuple[int, int, int]:
-        # The fault-free hot path: one bit-scan, no key map.  Strategy
-        # 1 ages every competitor in the same pass and un-ages the
-        # winner afterwards — value-identical to snapshotting keys
-        # first and incrementing only the losers, and one loop cheaper.
         pending = self.pending
-        bits = self.bits
-        modulus = self.modulus
-        best_key = -1
-        winner = 0
-        mask = pending
-        if self.strategy == 1:
-            counter = self.counter
-            while mask:
-                bit = mask & -mask
-                agent = bit.bit_length() - 1
-                mask ^= bit
-                aged = counter[agent]
-                counter[agent] = aged + 1
-                key = ((aged % modulus) << bits) | agent
-                if key > best_key:
-                    best_key = key
-                    winner = agent
-            counter[winner] -= 1
-        else:
-            tick = self.tick
-            rtick = self.rtick
-            while mask:
-                bit = mask & -mask
-                agent = bit.bit_length() - 1
-                mask ^= bit
-                key = (((tick - rtick[agent]) % modulus) << bits) | agent
-                if key > best_key:
-                    best_key = key
-                    winner = agent
+        winner = self._scan(pending)
+        self._age_losers(winner)
         return winner, 1, pending
 
     def arbitrate_classed(self) -> Tuple[int, int, int]:
         """:meth:`arbitrate` with the priority bit prepended."""
         pending = self.pending
-        urgent = self.urgent & pending
-        if not urgent:
-            return self.arbitrate()
-        keys = self._keys(urgent)
-        winner = max(keys, key=keys.__getitem__)
-        self._age_losers(pending, winner)
+        winner = self._scan((self.urgent & pending) or pending)
+        self._age_losers(winner)
         return winner, 1, pending
 
     def arbitrate_keys(self) -> Tuple[int, int, int, Dict[int, int]]:
@@ -532,41 +517,152 @@ class _FcfsKernel(_Kernel):
                 keys[bit.bit_length() - 1] |= top
                 mask ^= bit
         winner = max(keys, key=keys.__getitem__)
-        self._age_losers(pending, winner)
+        self._age_losers(winner)
         return winner, 1, pending, keys
+
+    def _scan(self, mask: int) -> int:
+        """The agent of ``mask`` with the highest class-free key."""
+        bits = self.bits
+        modulus = self.modulus
+        clock = self.clock
+        stamp = self.stamp
+        best_key = -1
+        winner = 0
+        while mask:
+            bit = mask & -mask
+            agent = bit.bit_length() - 1
+            mask ^= bit
+            key = (((clock - stamp[agent]) % modulus) << bits) | agent
+            if key > best_key:
+                best_key = key
+                winner = agent
+        return winner
 
     def _keys(self, mask: int) -> Dict[int, int]:
         """Class-free keys ``(counter % modulus) << k | id`` over ``mask``."""
         bits = self.bits
         modulus = self.modulus
+        clock = self.clock
+        stamp = self.stamp
         keys: Dict[int, int] = {}
-        if self.strategy == 1:
-            counter = self.counter
-            while mask:
-                bit = mask & -mask
-                agent = bit.bit_length() - 1
-                mask ^= bit
-                keys[agent] = ((counter[agent] % modulus) << bits) | agent
-        else:
-            tick = self.tick
-            rtick = self.rtick
-            while mask:
-                bit = mask & -mask
-                agent = bit.bit_length() - 1
-                mask ^= bit
-                keys[agent] = (((tick - rtick[agent]) % modulus) << bits) | agent
-        return keys
-
-    def _age_losers(self, pending: int, winner: int) -> None:
-        """Strategy 1's pulse: every loser ages by one arbitration."""
-        if self.strategy != 1:
-            return
-        counter = self.counter
-        mask = pending & ~(1 << winner)
         while mask:
             bit = mask & -mask
-            counter[bit.bit_length() - 1] += 1
+            agent = bit.bit_length() - 1
             mask ^= bit
+            keys[agent] = (((clock - stamp[agent]) % modulus) << bits) | agent
+        return keys
+
+    def _age_losers(self, winner: int) -> None:
+        """Strategy 1's pulse: every loser ages by one arbitration (the
+        clock steps, and the winner's stamp with it)."""
+        if self.strategy == 1:
+            self.clock += 1
+            self.stamp[winner] += 1
+
+
+class _FcfsGroupKernel(_FcfsKernel):
+    """FCFS on a fault-free lane: the winner comes from the oldest group.
+
+    Requests that share a stamp share a counter, so they form an
+    arrival group, and groups are created in stamp order.  While no
+    counter has wrapped, the wired-OR maximum is the highest id of the
+    oldest group, or of the oldest group holding an urgent request when
+    one is pending.  ``groups`` maps each live stamp to the bitmask of
+    its requesters and ``order`` holds the live stamps oldest first.  A
+    request joins the group of the current clock; a pass takes its
+    winner out of its group and drops the group once it is empty.  That
+    is exact because a fault-free lane grants every pass's winner before
+    the next pass.
+
+    An urgent request waits only behind older urgent requests, so the
+    bound of :class:`_FcfsKernel` holds for it and the urgent pick never
+    wraps.  A normal request can wrap: urgent traffic can hold it back
+    for ``2**k`` passes or more (``OVERFLOW`` ages it all the while).  A
+    class-blind pass whose oldest group is that old falls back to the
+    scan.
+    """
+
+    __slots__ = ("groups", "order")
+
+    def __init__(self, num_agents: int, strategy: int) -> None:
+        super().__init__(num_agents, strategy)
+        self.groups: Dict[int, int] = {}
+        self.order: Deque[int] = deque()
+
+    def request(self, agent_id: int, now: float, urgent: bool = False) -> None:
+        # The base request inlined, plus the group join: one call per
+        # completion on the lane's hot path.
+        bit = 1 << agent_id
+        self.pending |= bit
+        self.issue[agent_id] = now
+        if urgent:
+            self.urgent |= bit
+        elif self.urgent:
+            self.urgent &= ~bit
+        if self.strategy == 2 and now - self.last_pulse > 0.0:
+            self.clock += 1
+            self.last_pulse = now
+        stamp = self.stamp[agent_id] = self.clock
+        group = self.groups.get(stamp)
+        if group is None:
+            self.groups[stamp] = bit
+            self.order.append(stamp)
+        else:
+            self.groups[stamp] = group | bit
+
+    def arbitrate(self) -> Tuple[int, int, int]:
+        # The lane's hot path, with _leave and _age_losers inlined.
+        pending = self.pending
+        order = self.order
+        oldest = order[0]
+        clock = self.clock
+        if clock - oldest < self.modulus:
+            # The oldest group's highest id wins.
+            groups = self.groups
+            group = groups[oldest]
+            winner = group.bit_length() - 1
+            group ^= 1 << winner
+            if group:
+                groups[oldest] = group
+            else:
+                del groups[oldest]
+                order.popleft()
+        else:
+            winner = self._scan(pending)
+            self._leave(winner)
+        if self.strategy == 1:
+            self.clock = clock + 1
+            self.stamp[winner] += 1
+        return winner, 1, pending
+
+    def arbitrate_classed(self) -> Tuple[int, int, int]:
+        """:meth:`arbitrate` with the priority bit prepended."""
+        pending = self.pending
+        urgent = self.urgent & pending
+        if not urgent:
+            return self.arbitrate()
+        groups = self.groups
+        for stamp in self.order:
+            group = groups[stamp] & urgent
+            if group:
+                break
+        winner = group.bit_length() - 1
+        self._leave(winner)
+        self._age_losers(winner)
+        return winner, 1, pending
+
+    def _leave(self, agent: int) -> None:
+        """Take ``agent`` out of its group, dropping the group once empty."""
+        stamp = self.stamp[agent]
+        group = self.groups[stamp] ^ (1 << agent)
+        if group:
+            self.groups[stamp] = group
+            return
+        del self.groups[stamp]
+        if self.order[0] == stamp:
+            self.order.popleft()
+        else:
+            self.order.remove(stamp)
 
 
 class _GlitchableFcfsKernel(_FcfsKernel):
@@ -590,7 +686,7 @@ class _GlitchableFcfsKernel(_FcfsKernel):
         """
         if not self.pending >> agent_id & 1:
             return False
-        self.counter[agent_id] = value % self.modulus
+        self.stamp[agent_id] = self.clock - value % self.modulus
         return True
 
 
@@ -630,6 +726,13 @@ _KERNELS = {
     "fixed": lambda n: _FixedPriorityKernel(n),
     "rr-faulty-register": _FaultyRegisterKernel,
     "fcfs-glitchable": _GlitchableFcfsKernel,
+}
+
+#: The kernels a lane without a fault injector runs in place of
+#: :data:`_KERNELS`' entry: every pass of such a lane is granted.
+_FAULT_FREE_KERNELS = {
+    "fcfs": lambda n: _FcfsGroupKernel(n, 1),
+    "fcfs-aincr": lambda n: _FcfsGroupKernel(n, 2),
 }
 
 #: Kernel implementation family of each batch protocol; the planner
@@ -836,7 +939,6 @@ class _Replication:
         self.settings = settings
         num_agents = scenario.num_agents
         self.num_agents = num_agents
-        self.kernel = _KERNELS[protocol](num_agents)
         self.collector = CompletionCollector(
             batches=settings.batches,
             batch_size=settings.batch_size,
@@ -884,6 +986,12 @@ class _Replication:
             watchdog.bind(self.collector)
         self.injector = injector
         self.watchdog = watchdog
+        # A lane picks its kernel once, like its classed path: only a
+        # lane without an injector grants the winner of every pass.
+        kernel = _KERNELS[protocol]
+        if injector is None:
+            kernel = _FAULT_FREE_KERNELS.get(protocol, kernel)
+        self.kernel = kernel(num_agents)
         # The plan's point faults, as a time-sorted action list replacing
         # the calendar events FaultInjector.attach would schedule: one
         # (time, kind, event) entry per dropped broadcast, counter upset
@@ -985,7 +1093,7 @@ class _Replication:
             kernel_arbitrate = kernel.arbitrate
         # Every kernel's grant body is `pending &= ~bit; return issue`,
         # and the RR/fixed request body of a class-free lane is
-        # `pending |= bit; issue = now` (FCFS adds counter/tick
+        # `pending |= bit; issue = now` (FCFS adds stamp and group
         # bookkeeping) — both are inlined below; the method calls are
         # measurable at two calls per completion.
         kernel_issue = kernel.issue

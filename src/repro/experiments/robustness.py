@@ -39,7 +39,7 @@ from repro.experiments.formatting import ExperimentTable
 from repro.experiments.params import DEFAULT_SEED
 from repro.experiments.scale import Scale, current_scale
 from repro.experiments.spec import (
-    CellSpec, ExperimentSpec, PanelSpec, RowSpec, build_table, settings_for,
+    CellSpec, PanelSpec, RowSpec, build_table, settings_for,
 )
 from repro.session import Session
 from repro.session.planner import normalize_engine
@@ -313,25 +313,6 @@ def run(
             )
         )
     return tuple(tables)
-
-
-def spec(
-    protocols: Sequence[str] = ROBUSTNESS_PROTOCOLS,
-    rates: Sequence[float] = DEFAULT_FAULT_RATES,
-    scale: Optional[Scale] = None,
-    seed: int = DEFAULT_SEED,
-    executor: Optional[Session] = None,
-) -> ExperimentSpec:
-    """Declarative form of the grid (baselines run eagerly to anchor rows)."""
-    executor = executor or Session()
-    scale = scale or current_scale()
-    scenario = equal_load(NUM_AGENTS, LOAD)
-    baseline_settings = settings_for(scale, seed, keep_order=True)
-    panels = []
-    for protocol in protocols:
-        baseline = executor.simulate(scenario, protocol, baseline_settings)
-        panels.append(panel_spec(protocol, baseline, rates, scale, seed))
-    return ExperimentSpec(name="robustness", panels=tuple(panels))
 
 
 if __name__ == "__main__":  # pragma: no cover - manual harness

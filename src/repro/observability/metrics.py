@@ -121,27 +121,6 @@ class Histogram:
             return None
         return self.total / self.count
 
-    def quantile(self, q: float) -> Optional[float]:
-        """Upper bound of the bucket holding the q-quantile observation.
-
-        A bucketed quantile is an upper bound, not an estimate: the
-        true order statistic is <= the returned bound (``inf`` when it
-        falls in the overflow bucket).  Coarse but merge-safe — the
-        per-class latency percentiles of merged grid registries come
-        from here.  ``None`` when the histogram is empty.
-        """
-        if not 0.0 < q <= 1.0:
-            raise ConfigurationError(f"quantile must be in (0, 1], got {q}")
-        if self.count == 0:
-            return None
-        rank = q * self.count
-        cumulative = 0
-        for slot, bound in enumerate(self.bounds):
-            cumulative += self.counts[slot]
-            if cumulative >= rank:
-                return bound
-        return float("inf")
-
     def merge(self, other: "Histogram") -> None:
         """Fold another histogram's counts into this one."""
         if other.bounds != self.bounds:

@@ -35,6 +35,7 @@ from repro.errors import ConfigurationError, ServiceError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.session.outcome import CellFailure, RunOutcome
+    from repro.session.planner import RunPlan
     from repro.session.request import RunRequest
     from repro.stats.summary import RunResult
 
@@ -129,9 +130,9 @@ class Job:
         self.failure: Optional["CellFailure"] = None
         #: Backpressure hint on rejection: seconds to wait before retrying.
         self.retry_after: Optional[float] = None
-        #: The requests' epoch-6 keys, planned at admission, so the
-        #: dispatcher does not hash them again.
-        self.keys: Optional[Tuple[str, ...]] = None
+        #: The job's plan from admission, so the dispatcher neither
+        #: hashes its requests again nor re-reads its cache hits.
+        self.plan: Optional["RunPlan"] = None
         self._finished = threading.Event()
 
     # -- observation ----------------------------------------------------------

@@ -320,7 +320,7 @@ class ArbitrationService:
             if all(run.route in (ROUTE_CACHE, ROUTE_DEDUP) for run in plan.runs):
                 self._answer(job, plan)
                 return job
-            job.keys = tuple(run.key for run in plan.runs)
+            job.plan = plan
 
         def admitted() -> None:
             self._count("service.queued")
@@ -562,16 +562,17 @@ class ArbitrationService:
         The same ``plan_runs`` + ``execute_plan`` core every caller runs
         (cross-client dedup, cache replay, lane packs, the pool's crash
         ladder), stopped early only once every live job's deadline has
-        passed (then ``None``).  The requests are not hashed again: the
-        keys planned at admission are passed in.  The pool's and the
+        passed (then ``None``).  The admission plans are passed in, so
+        no request is hashed again, and a request that hit the cache at
+        admission is not read from it again.  The pool's and the
         plan's accounting stays on :attr:`pool` and :attr:`stats`, where
         :meth:`stats_snapshot` reads it.
         """
         requests = [request for job in live for request in job.requests]
-        planned = None
-        if all(job.keys is not None for job in live):
-            planned = [key for job in live for key in job.keys]
-        plan = plan_runs(requests, self.cache, keys=planned)
+        earlier = None
+        if all(job.plan is not None for job in live):
+            earlier = [run for job in live for run in job.plan.runs]
+        plan = plan_runs(requests, self.cache, earlier=earlier)
         keys = {id(run.request): run.key for run in plan.runs}
         lane_keys = [run.key for run in plan.lane_runs]
         deadlines = [job.deadline_at for job in live]

@@ -132,7 +132,7 @@ def plan_runs(
     requests: Sequence[RunRequest],
     cache: Optional["ResultCache"] = None,
     engine: Optional[str] = None,
-    keys: Optional[Sequence[str]] = None,
+    earlier: Optional[Sequence[PlannedRun]] = None,
 ) -> RunPlan:
     """Resolve a batch of requests into a :class:`RunPlan`.
 
@@ -140,22 +140,28 @@ def plan_runs(
     ``requests``.  ``engine`` (validated against :data:`ENGINES`)
     overrides every request's own declaration; ``None`` respects them.
     Each request is hashed exactly once; the key serves both the dedup
-    and the cache lookup.  ``keys``, when given, are the requests'
-    epoch-6 keys from an earlier plan, in request order; they are used
-    as they are and nothing is hashed.
+    and the cache lookup.  ``earlier``, when given, holds the requests'
+    runs from an earlier plan, in request order: their keys are used as
+    they are and nothing is hashed, and their cache hits are replayed
+    without reading the cache again (a result stored under an epoch-6
+    key never changes).  Only the other requests are looked up.
     """
     engine = normalize_engine(engine)
     runs: List[PlannedRun] = []
     first_by_key: Dict[str, int] = {}
     for index, request in enumerate(requests):
         resolved = request.resolved(engine)
-        key = keys[index] if keys is not None else resolved.cache_key()
+        before = earlier[index] if earlier is not None else None
+        key = before.key if before is not None else resolved.cache_key()
         first = first_by_key.setdefault(key, index)
         if first != index:
             runs.append(PlannedRun(index, resolved, ROUTE_DEDUP, key=key, first=first))
             continue
         if cache is not None:
-            hit = cache.get(key)
+            if before is not None and before.route == ROUTE_CACHE:
+                hit = before.cached
+            else:
+                hit = cache.get(key)
             if hit is not None:
                 runs.append(
                     PlannedRun(index, resolved, ROUTE_CACHE, key=key, cached=hit)

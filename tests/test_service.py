@@ -155,6 +155,17 @@ class TestHappyPath:
             assert counters["service.cache_hits"] == 1
             assert counters["service.executed"] == 1
 
+    def test_a_job_with_a_miss_reads_each_hit_once(self, tmp_path):
+        # The dispatcher replays the admission plan's hits: the cache
+        # counts every request of the mixed job once, as the service does.
+        with _service(tmp_path, serial=True) as service:
+            warm = service.submit([_request(seed=1), _request(seed=2)])
+            warm.wait(60)
+            mixed = service.submit([_request(seed=1), _request(seed=3), _request(seed=2)])
+            assert mixed.wait(60)
+            assert [outcome.route for outcome in mixed.outcomes] == ["cache", "lanes", "cache"]
+            assert service.cache.hits == service.stats.cache_hits == 2
+
     def test_identical_requests_in_one_gather_dedup(self, tmp_path):
         with _service(tmp_path, serial=True) as service:
             job = service.submit([_request(), _request()])
