@@ -11,17 +11,58 @@ while requests are pending, pausing generation only when
 from __future__ import annotations
 
 import random
-from typing import Callable, Optional
+from collections import Counter
+from typing import Callable, Dict, List, Sequence
 
 from repro.errors import SimulationError
+from repro.workload.distributions import Distribution
 from repro.workload.scenarios import AgentSpec
 
-__all__ = ["BusAgent"]
+__all__ = ["BusAgent", "first_think_blocks", "refill_think_buffer"]
 
-#: Think times drawn per batched RNG call.  Batching amortises the
-#: per-draw dispatch through the Distribution interface; the variate
-#: *sequence* is unchanged, so results stay bit-identical.
+#: Most think times one batched RNG call draws.  Batching amortises the
+#: per-draw dispatch through the Distribution interface.  Think times are
+#: drawn on demand: an agent's first block is :data:`_FIRST_THINK_BLOCK`
+#: and each refill doubles it up to this cap, so a short run does not
+#: draw variates it never uses.  The variate *sequence* of an agent's own
+#: stream does not depend on the block sizes, so results stay
+#: bit-identical; only a stateful distribution's post-run state (an MMPP
+#: phase, a trace cursor) tells how far ahead the agent drew.
 _THINK_BLOCK = 64
+
+#: An agent's first think-time block (see :data:`_THINK_BLOCK`).
+_FIRST_THINK_BLOCK = 8
+
+
+def first_think_blocks(agents: Sequence[AgentSpec]) -> Dict[int, int]:
+    """Each agent's first think-time block, by agent id.
+
+    The one block policy both engines follow.  Agents that share one
+    stateful distribution object interleave their draws from it block
+    by block, so the block sizes decide which agent gets which variate:
+    those agents keep the fixed :data:`_THINK_BLOCK`, which
+    :func:`refill_think_buffer` never grows past.
+    """
+    owners = Counter(
+        id(spec.interrequest) for spec in agents if spec.interrequest.stateful
+    )
+    return {
+        spec.agent_id: (
+            _THINK_BLOCK if owners[id(spec.interrequest)] > 1 else _FIRST_THINK_BLOCK
+        )
+        for spec in agents
+    }
+
+
+def refill_think_buffer(
+    buffer: List[float], dist: Distribution, rng: random.Random, block: int
+) -> int:
+    """Fill the empty ``buffer`` with ``block`` think times, last draw
+    first (consumers ``pop()`` them in draw order), and return the next
+    refill's block: double this one, at most :data:`_THINK_BLOCK`."""
+    buffer.extend(dist.sample_batch(rng, block))
+    buffer.reverse()
+    return min(2 * block, _THINK_BLOCK)
 
 
 class BusAgent:
@@ -42,6 +83,8 @@ class BusAgent:
     schedule:
         Callback ``schedule(delay, action)`` that defers an action;
         installed by the bus system.
+    think_block:
+        The first think-time block (:func:`first_think_blocks`).
     """
 
     def __init__(
@@ -50,6 +93,7 @@ class BusAgent:
         rng: random.Random,
         issue: Callable[[int, bool], None],
         schedule: Callable[[float, Callable[[], None]], None],
+        think_block: int = _FIRST_THINK_BLOCK,
     ) -> None:
         self.spec = spec
         self.rng = rng
@@ -71,7 +115,8 @@ class BusAgent:
         #: sequence-preserving when think draws are the *only* draws on
         #: this agent's stream; priority classing interleaves a uniform
         #: draw per request, so such agents fall back to one-at-a-time.
-        self._think_buffer: list = []
+        self._think_buffer: List[float] = []
+        self._think_block = think_block
         self._batch_draws = spec.priority_fraction <= 0.0
 
     @property
@@ -87,10 +132,9 @@ class BusAgent:
         if self._batch_draws:
             buffer = self._think_buffer
             if not buffer:
-                buffer.extend(
-                    self.spec.interrequest.sample_batch(self.rng, _THINK_BLOCK)
+                self._think_block = refill_think_buffer(
+                    buffer, self.spec.interrequest, self.rng, self._think_block
                 )
-                buffer.reverse()  # consume in draw order via pop()
             think = buffer.pop()
         else:
             think = self.spec.interrequest.sample(self.rng)
@@ -109,12 +153,10 @@ class BusAgent:
             # so rejoin() can resume the generation loop.
             self._woke_while_inactive = True
             return
-        if self.outstanding >= self.spec.max_outstanding:
-            # Open loop at capacity: the source blocks; generation resumes
-            # at the next completion.  (A closed-loop agent cannot reach
-            # this: it only draws a think time after completing.)
-            self._generation_blocked = True
-            return
+        # There is room for the request: a think timer is only started
+        # with fewer than max_outstanding requests in flight (after an
+        # issue that left room, at a completion, at a rejoin), and
+        # nothing else issues while it runs.
         self.outstanding += 1
         self.requests_issued += 1
         self._issue(self.agent_id, self._draw_priority())

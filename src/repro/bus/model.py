@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.bus.agent import BusAgent
+from repro.bus.agent import BusAgent, first_think_blocks
 from repro.bus.records import CompletionRecord
 from repro.bus.timing import BusTiming
 from repro.bus.watchdog import BusWatchdog
@@ -109,12 +109,14 @@ class BusSystem:
         self.streams = RandomStreams(seed)
 
         self.agents: Dict[int, BusAgent] = {}
+        blocks = first_think_blocks(scenario.agents)
         for spec in scenario.agents:
             agent = BusAgent(
                 spec,
                 rng=self.streams.agent_stream(spec.agent_id),
                 issue=self._on_request,
                 schedule=self._schedule_agent_action,
+                think_block=blocks[spec.agent_id],
             )
             self.agents[spec.agent_id] = agent
 

@@ -22,6 +22,15 @@ arbitrations on integer bitmasks of pending requesters (the wired-OR
 maximum-finding of §2).  :func:`run_lanes` builds, runs and drops one
 lane at a time, so a call's peak memory is one lane's.
 
+Think times are drawn on demand, in the blocks ``BusAgent`` draws
+(:func:`~repro.bus.agent.first_think_blocks` and
+:func:`~repro.bus.agent.refill_think_buffer`): a small first block that
+doubles at each refill up to ``_THINK_BLOCK``, so a short lane does not
+pre-draw variates it never uses.  The blocks never change a variate, but
+both engines must take the same ones: they decide how far a stateful
+distribution (an MMPP phase, a trace cursor) has advanced when the run
+stops, and that state is pickled with the result's scenario.
+
 Open-loop agents are in-domain at ``max_outstanding == 1``: such an
 agent issues, blocks generation while its one request is in flight and
 resumes with a fresh think draw at completion (``BusAgent``) — the
@@ -93,14 +102,13 @@ request tie-break.
 
 from __future__ import annotations
 
-import copy
 from collections import deque
 from dataclasses import replace
 from heapq import heapify, heappop, heappush
 from math import inf as _INF
 from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Sequence, Tuple
 
-from repro.bus.agent import _THINK_BLOCK
+from repro.bus.agent import first_think_blocks, refill_think_buffer
 from repro.bus.watchdog import BusWatchdog
 from repro.core.base import ArbitrationOutcome, identity_bits
 from repro.engine.rng import RandomStreams
@@ -113,7 +121,7 @@ from repro.observability.sinks import InMemorySink, JsonlSink
 from repro.protocols.registry import get_spec
 from repro.stats.collector import CompletionCollector, check_run_length
 from repro.stats.summary import RunResult
-from repro.workload.scenarios import ScenarioSpec
+from repro.workload.scenarios import ScenarioSpec, fresh_scenario
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.experiments.runner import SimulationSettings
@@ -902,6 +910,7 @@ class _Replication:
         "rngs",
         "dists",
         "buffers",
+        "blocks",
         "fractions",
         "now",
         "t_rel",
@@ -1016,12 +1025,15 @@ class _Replication:
         self.rngs = [None] * (num_agents + 1)
         self.dists = [None] * (num_agents + 1)
         self.buffers: list = [[] for _ in range(num_agents + 1)]
+        # Each agent's next think-time block (BusAgent's policy).
+        self.blocks = [0] * (num_agents + 1)
         # Request-class probability per agent; 0.0 for unclassed agents.
         self.fractions = [0.0] * (num_agents + 1)
         self.active = [True] * (num_agents + 1)
         self.woke = [False] * (num_agents + 1)
         self.seq = 0
         heap: list = []
+        blocks = first_think_blocks(scenario.agents)
         # Start every agent with one think period, in declaration order —
         # the same order BusSystem.run() starts them, so the streams and
         # the request-timer tie-break sequence numbers line up.
@@ -1037,8 +1049,9 @@ class _Replication:
                 buffer = self.buffers[agent] = _ThinkEach(spec.interrequest, rng)
             else:
                 buffer = self.buffers[agent]
-                buffer.extend(spec.interrequest.sample_batch(rng, _THINK_BLOCK))
-                buffer.reverse()
+                self.blocks[agent] = refill_think_buffer(
+                    buffer, spec.interrequest, rng, blocks[agent]
+                )
             t_first = 0.0 + buffer.pop()
             self.seq += 1
             heap.append((t_first, self.seq, agent))
@@ -1100,6 +1113,7 @@ class _Replication:
         simple_request = not (classed or isinstance(kernel, _FcfsKernel))
         req_heap = self.req_heap
         buffers = self.buffers
+        blocks = self.blocks
         dists = self.dists
         rngs = self.rngs
         metrics = self.metrics
@@ -1262,8 +1276,9 @@ class _Replication:
                 # (even while dropped out — its timer then wakes it).
                 buffer = buffers[agent]
                 if not buffer:
-                    buffer.extend(dists[agent].sample_batch(rngs[agent], _THINK_BLOCK))
-                    buffer.reverse()
+                    blocks[agent] = refill_think_buffer(
+                        buffer, dists[agent], rngs[agent], blocks[agent]
+                    )
                 t_next = now + buffer.pop()
                 seq += 1
                 heappush(req_heap, (t_next, seq, agent))
@@ -1491,10 +1506,9 @@ class _Replication:
                         woke[aid] = False
                         buffer = buffers[aid]
                         if not buffer:
-                            buffer.extend(
-                                dists[aid].sample_batch(rngs[aid], _THINK_BLOCK)
+                            blocks[aid] = refill_think_buffer(
+                                buffer, dists[aid], rngs[aid], blocks[aid]
                             )
-                            buffer.reverse()
                         t_next = now + buffer.pop()
                         seq += 1
                         heappush(req_heap, (t_next, seq, aid))
@@ -1606,20 +1620,6 @@ class _Replication:
 # ---------------------------------------------------------------------------
 
 
-def _fresh_scenario(scenario: ScenarioSpec) -> ScenarioSpec:
-    """A scenario safe to hand one lane exclusive use of.
-
-    Renewal distributions are stateless (sampling is a pure function of
-    the rng), so the shared object is already safe; only scenarios
-    carrying stateful distributions — trace-replay cursors, MMPP
-    phases — need a private deep copy, and the copy is expensive enough
-    to matter at lane-pack setup.
-    """
-    if any(agent.interrequest.stateful for agent in scenario.agents):
-        return copy.deepcopy(scenario)
-    return scenario
-
-
 def run_simulation_batch(
     scenario: ScenarioSpec,
     protocol: str,
@@ -1644,10 +1644,10 @@ def run_lanes(
     plans freely — every cell just has to be :func:`batch_capable` on
     its own; all are checked before any runs.  Each lane is built, run
     to completion and dropped before the next is built, so peak memory
-    is one lane's RNGs and think buffers.  A lane deep-copies its
-    scenario only when it carries stateful (trace-replay, MMPP)
-    distributions, which must not be shared between lanes built from
-    one scenario object.
+    is one lane's RNGs and think buffers.  A lane copies only the
+    stateful (trace-replay, MMPP) distributions of its scenario
+    (:func:`~repro.workload.scenarios.fresh_scenario`), which must not
+    be shared between lanes built from one scenario object.
 
     Results are returned in ``cells`` order and are identical to
     independent :func:`run_simulation` calls — the order cells are
@@ -1674,7 +1674,7 @@ def run_lanes(
             )
     results = []
     for scenario, protocol, settings in cells:
-        lane = _Replication(_fresh_scenario(scenario), protocol, settings)
+        lane = _Replication(fresh_scenario(scenario), protocol, settings)
         try:
             while lane.advance(_ADVANCE_BLOCK):
                 pass

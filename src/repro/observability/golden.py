@@ -151,8 +151,8 @@ GOLDEN_SCENARIOS: Dict[str, GoldenScenario] = {
     # Arrival-layer goldens.  Closed-loop MMPP, open-loop Poisson (one
     # outstanding request per agent) and bursty two-class priority all
     # stay inside the lane domain (stateful distributions ride the
-    # default sample_batch path, classed agents draw one think time per
-    # request).
+    # default sample_batch path in the growing blocks both engines draw
+    # on demand, classed agents draw one think time per request).
     "mmpp-closed": GoldenScenario(
         protocol="rr",
         agents=4,

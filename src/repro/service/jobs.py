@@ -133,6 +133,10 @@ class Job:
         #: The job's plan from admission, so the dispatcher neither
         #: hashes its requests again nor re-reads its cache hits.
         self.plan: Optional["RunPlan"] = None
+        #: The service's store count before that plan was made: the
+        #: dispatcher re-reads a miss of the plan only if the service
+        #: stored its key after this mark.
+        self.stores_before = 0
         self._finished = threading.Event()
 
     # -- observation ----------------------------------------------------------

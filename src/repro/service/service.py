@@ -42,7 +42,7 @@ import itertools
 import threading
 import time
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Union
 
 from repro.errors import CancelledRunError, ConfigurationError, ServiceError
 from repro.observability.metrics import MetricsRegistry
@@ -64,6 +64,8 @@ from repro.session.execute import execute_plan
 from repro.session.outcome import (
     ROUTE_CACHE,
     ROUTE_DEDUP,
+    ROUTE_DIRECT,
+    ROUTE_LANES,
     CellFailure,
     RunOutcome,
     SessionStats,
@@ -78,6 +80,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.workload.scenarios import ScenarioSpec
 
 __all__ = ["ServiceConfig", "ArbitrationService"]
+
+#: Most stored keys a service remembers for the dispatcher's re-read of
+#: admission misses; a job admitted before the oldest of them is
+#: planned afresh at dispatch.
+_STORE_WINDOW = 4096
 
 
 @dataclass(frozen=True)
@@ -221,6 +228,12 @@ class ArbitrationService:
         self._dispatcher: Optional[threading.Thread] = None
         self._stopped = threading.Event()
         self._closing = False
+        #: Keys this service stored in the cache, oldest first, each with
+        #: its store number; ``_stores`` counts stores, ``_forgotten`` is
+        #: the newest store number dropped past :data:`_STORE_WINDOW`.
+        self._stored: Dict[str, int] = {}
+        self._stores = 0
+        self._forgotten = 0
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -312,6 +325,7 @@ class ArbitrationService:
             self._count("service.rejected")
             self._emit("reject", job, "closing")
             return job
+        job.stores_before = self._stores
         try:
             plan = plan_runs(job.requests, self.cache)
         except Exception:
@@ -490,6 +504,31 @@ class ArbitrationService:
         job._finish(JOB_DONE, outcomes=outcomes)
         self._emit("terminal", job)
 
+    def _record_stores(self, plan: RunPlan) -> None:
+        """Note the keys ``plan`` ran (and so may have stored)."""
+        with self._lock:
+            stored = self._stored
+            for run in plan.runs:
+                if run.route in (ROUTE_LANES, ROUTE_DIRECT):
+                    self._stores += 1
+                    stored.pop(run.key, None)
+                    stored[run.key] = self._stores
+            while len(stored) > _STORE_WINDOW:
+                self._forgotten = stored.pop(next(iter(stored)))
+
+    def _stored_since(self, mark: int) -> Optional[Set[str]]:
+        """The keys stored after store number ``mark``; ``None`` when
+        some of them have been forgotten."""
+        with self._lock:
+            if mark < self._forgotten:
+                return None
+            keys = set()
+            for key in reversed(self._stored):
+                if self._stored[key] <= mark:
+                    break
+                keys.add(key)
+            return keys
+
     def _dispatch_loop(self) -> None:
         try:
             while True:
@@ -563,15 +602,23 @@ class ArbitrationService:
         (cross-client dedup, cache replay, lane packs, the pool's crash
         ladder), stopped early only once every live job's deadline has
         passed (then ``None``).  The admission plans are passed in, so
-        no request is hashed again, and a request that hit the cache at
-        admission is not read from it again.  The pool's and the
-        plan's accounting stays on :attr:`pool` and :attr:`stats`, where
-        :meth:`stats_snapshot` reads it.
+        no request is hashed again, a request that hit the cache at
+        admission is not read from it again, and a miss is read again
+        only if this service has stored its key since (an earlier
+        gather ran it).  The pool's and the plan's accounting stays on
+        :attr:`pool` and :attr:`stats`, where :meth:`stats_snapshot`
+        reads it.
         """
         requests = [request for job in live for request in job.requests]
         earlier = None
         if all(job.plan is not None for job in live):
-            earlier = [run for job in live for run in job.plan.runs]
+            stored = self._stored_since(min(job.stores_before for job in live))
+            if stored is not None:
+                earlier = [
+                    None if run.key in stored else run
+                    for job in live
+                    for run in job.plan.runs
+                ]
         plan = plan_runs(requests, self.cache, earlier=earlier)
         keys = {id(run.request): run.key for run in plan.runs}
         lane_keys = [run.key for run in plan.lane_runs]
@@ -593,6 +640,9 @@ class ArbitrationService:
             )
         except CancelledRunError:
             pass  # every live job's deadline passed mid-run
+        finally:
+            if self.cache is not None:
+                self._record_stores(plan)
         replayed = pool.replays - replays
         if replayed:
             for job in live:

@@ -132,7 +132,7 @@ def plan_runs(
     requests: Sequence[RunRequest],
     cache: Optional["ResultCache"] = None,
     engine: Optional[str] = None,
-    earlier: Optional[Sequence[PlannedRun]] = None,
+    earlier: Optional[Sequence[Optional[PlannedRun]]] = None,
 ) -> RunPlan:
     """Resolve a batch of requests into a :class:`RunPlan`.
 
@@ -141,10 +141,11 @@ def plan_runs(
     overrides every request's own declaration; ``None`` respects them.
     Each request is hashed exactly once; the key serves both the dedup
     and the cache lookup.  ``earlier``, when given, holds the requests'
-    runs from an earlier plan, in request order: their keys are used as
-    they are and nothing is hashed, and their cache hits are replayed
-    without reading the cache again (a result stored under an epoch-6
-    key never changes).  Only the other requests are looked up.
+    runs from an earlier plan, in request order, each taken as it is:
+    its key is not hashed again, a cache hit is replayed (a result
+    stored under an epoch-6 key never changes) and a miss stays a miss,
+    without reading the cache.  A request whose entry is ``None`` is
+    planned afresh.
     """
     engine = normalize_engine(engine)
     runs: List[PlannedRun] = []
@@ -158,10 +159,7 @@ def plan_runs(
             runs.append(PlannedRun(index, resolved, ROUTE_DEDUP, key=key, first=first))
             continue
         if cache is not None:
-            if before is not None and before.route == ROUTE_CACHE:
-                hit = before.cached
-            else:
-                hit = cache.get(key)
+            hit = before.cached if before is not None else cache.get(key)
             if hit is not None:
                 runs.append(
                     PlannedRun(index, resolved, ROUTE_CACHE, key=key, cached=hit)

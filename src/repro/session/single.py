@@ -16,7 +16,6 @@ an orchestrated cell runs: ``run_cell`` on a private scenario copy.
 
 from __future__ import annotations
 
-import copy
 from typing import TYPE_CHECKING, Optional
 
 from repro.bus.model import BusSystem
@@ -30,7 +29,7 @@ from repro.session.fallback import warn_batch_fallback
 from repro.session.outcome import SessionStats
 from repro.stats.collector import CompletionCollector
 from repro.stats.summary import RunResult
-from repro.workload.scenarios import ScenarioSpec
+from repro.workload.scenarios import ScenarioSpec, fresh_scenario
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.experiments.runner import SimulationSettings
@@ -65,15 +64,17 @@ def run_cell(
 
 
 def run_request(request: "RunRequest") -> RunResult:
-    """Run one request against a private copy of its scenario.
+    """Run one request against a private copy of its scenario's state.
 
     Every orchestrated per-cell run — in-process or in a pool worker —
-    goes through here.  The copy makes stateful distributions (trace
-    replay) start from the same position however many requests share
-    one scenario object, exactly as a payload that crossed a process
-    boundary would.
+    goes through here.  The copy
+    (:func:`~repro.workload.scenarios.fresh_scenario`) makes stateful
+    distributions (MMPP phases, trace replay) start from the same
+    position however many requests share one scenario object, exactly as
+    a payload that crossed a process boundary would; a scenario without
+    one needs no copy.
     """
-    return run_cell(copy.deepcopy(request.scenario), request.protocol, request.settings)
+    return run_cell(fresh_scenario(request.scenario), request.protocol, request.settings)
 
 
 def run_cell_event(

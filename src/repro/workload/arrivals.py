@@ -27,8 +27,9 @@ urgent/normal request classes.  This module supplies that vocabulary:
 The MMPP is *stateful* (the modulating phase persists across draws, so
 consecutive inter-arrival times are correlated — the whole point of the
 model); like :class:`~repro.workload.traces.TraceDistribution` it
-carries ``stateful = True`` so engines deep-copy scenarios instead of
-sharing one object across replications.
+carries ``stateful = True`` so every run copies it
+(:func:`~repro.workload.scenarios.fresh_scenario`) instead of sharing
+one object across replications.
 """
 
 from __future__ import annotations

@@ -31,9 +31,12 @@ class Distribution(abc.ABC):
     """A non-negative random variable with known mean and CV."""
 
     #: Whether sampling mutates the distribution object itself (trace
-    #: replay cursors).  Engines that run several simulations from one
-    #: scenario object only need private copies when this is set —
-    #: renewal distributions are pure functions of the passed-in rng.
+    #: replay cursors, MMPP phases).  Engines that run several
+    #: simulations from one scenario object only need private copies
+    #: when this is set — renewal distributions are pure functions of
+    #: the passed-in rng.  The copy is shallow
+    #: (:func:`~repro.workload.scenarios.fresh_scenario`), so sampling
+    #: may rebind the object's attributes but not mutate their values.
     stateful: bool = False
 
     @property

@@ -21,8 +21,9 @@ time), i.e. the bus fraction it would consume with zero interference.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Tuple
+import copy
+from dataclasses import dataclass, replace
+from typing import Dict, List, Tuple
 
 from repro.errors import ConfigurationError
 from repro.workload.distributions import Distribution, from_mean_cv
@@ -30,6 +31,7 @@ from repro.workload.distributions import Distribution, from_mean_cv
 __all__ = [
     "AgentSpec",
     "ScenarioSpec",
+    "fresh_scenario",
     "mean_interrequest_for_load",
     "equal_load",
     "unequal_load",
@@ -132,6 +134,32 @@ class ScenarioSpec:
             if spec.agent_id == agent_id:
                 return spec
         raise ConfigurationError(f"no agent {agent_id} in scenario {self.name!r}")
+
+
+def fresh_scenario(scenario: ScenarioSpec) -> ScenarioSpec:
+    """A scenario one run may use, and advance, on its own.
+
+    Renewal distributions are stateless (sampling is a pure function of
+    the rng), so a scenario without a stateful distribution is returned
+    as it is.  Otherwise each distinct stateful distribution (an MMPP
+    phase, a trace cursor) is ``copy.copy``'d once, so agents that
+    shared one object share its copy, and only the agents carrying one
+    get a new :class:`AgentSpec`.  Sampling must therefore only rebind a
+    stateful distribution's attributes, never mutate what they refer to.
+    """
+    copies: Dict[int, Distribution] = {}
+    agents: List[AgentSpec] = []
+    for agent in scenario.agents:
+        dist = agent.interrequest
+        if dist.stateful:
+            private = copies.get(id(dist))
+            if private is None:
+                private = copies[id(dist)] = copy.copy(dist)
+            agent = replace(agent, interrequest=private)
+        agents.append(agent)
+    if not copies:
+        return scenario
+    return replace(scenario, agents=tuple(agents))
 
 
 def equal_load(

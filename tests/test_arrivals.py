@@ -210,6 +210,38 @@ class TestBuilderAlgebra:
         assert sum(loads) == pytest.approx(0.8)
         assert loads[-1] / loads[0] == pytest.approx(3.0)
 
+    def test_heterogeneous_closed_loop_ramps_offered_load(self):
+        scenario = heterogeneous_load(4, 2.0, skew=2.0, open_loop=False, max_outstanding=3)
+        loads = [spec.offered_load() for spec in scenario.agents]
+        assert sum(loads) == pytest.approx(2.0)
+        assert loads[-1] / loads[0] == pytest.approx(2.0)
+        assert all(not spec.open_loop and spec.max_outstanding == 1 for spec in scenario.agents)
+        (single,) = heterogeneous_load(1, 0.5, skew=4.0).agents
+        assert 1.0 / single.interrequest.mean == pytest.approx(0.5)
+
+    def test_two_class_open_loop_offers_arrival_rates(self):
+        scenario = two_class_priority_load(4, 0.8, open_loop=True, max_outstanding=2)
+        assert sum(1.0 / spec.interrequest.mean for spec in scenario.agents) == pytest.approx(0.8)
+        assert all(spec.open_loop and spec.max_outstanding == 2 for spec in scenario.agents)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: bursty_equal_load(0, 0.5),
+            lambda: bursty_equal_load(4, 1.0),
+            lambda: bursty_equal_load(4, 0.5, on_fraction=1.0),
+            lambda: bursty_equal_load(4, 0.5, cycle_time=0.0),
+            lambda: heterogeneous_load(0, 0.5),
+            lambda: heterogeneous_load(4, 0.5, skew=0.0),
+            lambda: heterogeneous_load(4, 1.5),
+            lambda: two_class_priority_load(0, 2.0),
+            lambda: two_class_priority_load(4, 1.5, open_loop=True),
+        ],
+    )
+    def test_builders_reject_invalid_shapes(self, build):
+        with pytest.raises(ConfigurationError):
+            build()
+
     def test_two_class_sets_the_urgent_fraction_everywhere(self):
         scenario = two_class_priority_load(5, 2.0, urgent_fraction=0.35)
         assert all(spec.priority_fraction == 0.35 for spec in scenario.agents)

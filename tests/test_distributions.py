@@ -62,6 +62,11 @@ class TestExponential:
         rng = random.Random(1)
         assert all(dist.sample(rng) >= 0 for _ in range(1000))
 
+    def test_survival(self):
+        dist = Exponential(2.0)
+        assert dist.survival(-1.0) == dist.survival(0.0) == 1.0
+        assert dist.survival(2.0) == pytest.approx(math.exp(-1.0))
+
 
 class TestErlang:
     def test_declared_cv(self):
@@ -81,6 +86,25 @@ class TestErlang:
         with pytest.raises(ConfigurationError):
             Erlang(1.0, 0)
 
+    def test_non_positive_mean_rejected(self):
+        with pytest.raises(ConfigurationError):
+            Erlang(0.0, 2)
+
+    def test_survival_is_the_truncated_poisson_sum(self):
+        # Erlang-2 with phase rate 1: P(X > x) = e^-x (1 + x).
+        dist = Erlang(2.0, 2)
+        assert dist.survival(0.0) == 1.0
+        assert dist.survival(1.5) == pytest.approx(math.exp(-1.5) * 2.5)
+        assert Erlang(3.0, 1).survival(3.0) == pytest.approx(Exponential(3.0).survival(3.0))
+
+    def test_survival_matches_the_empirical_tail(self):
+        dist = Erlang(6.0, 9)
+        rng = random.Random(4)
+        samples = [dist.sample(rng) for _ in range(20000)]
+        for x in (4.0, 6.0, 9.0):
+            empirical = sum(1 for value in samples if value > x) / len(samples)
+            assert dist.survival(x) == pytest.approx(empirical, abs=0.015)
+
 
 class TestHyperexponential:
     def test_declared_moments(self):
@@ -96,6 +120,19 @@ class TestHyperexponential:
     def test_cv_below_one_rejected(self):
         with pytest.raises(ConfigurationError):
             Hyperexponential(5.0, 0.8)
+
+    def test_non_positive_mean_rejected(self):
+        with pytest.raises(ConfigurationError):
+            Hyperexponential(0.0, 2.0)
+
+    def test_survival_matches_the_empirical_tail(self):
+        dist = Hyperexponential(5.0, 2.0)
+        assert dist.survival(0.0) == 1.0
+        rng = random.Random(5)
+        samples = [dist.sample(rng) for _ in range(40000)]
+        for x in (1.0, 5.0, 20.0):
+            empirical = sum(1 for value in samples if value > x) / len(samples)
+            assert dist.survival(x) == pytest.approx(empirical, abs=0.01)
 
 
 class TestFromMeanCV:

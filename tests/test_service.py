@@ -165,6 +165,47 @@ class TestHappyPath:
             assert mixed.wait(60)
             assert [outcome.route for outcome in mixed.outcomes] == ["cache", "lanes", "cache"]
             assert service.cache.hits == service.stats.cache_hits == 2
+            # ...and each admission miss once: nothing stored its key since.
+            assert service.cache.misses == 3
+
+    def test_a_store_between_admission_and_dispatch_is_replayed(self, tmp_path):
+        # Both jobs miss at admission; the first one's dispatch stores
+        # the result, so the second one's dispatch reads it back.
+        with _service(tmp_path, serial=True, gather_limit=1) as service:
+            start = service.start
+            service.start = lambda: service
+            first = service.submit([_request(seed=5)])
+            second = service.submit([_request(seed=6), _request(seed=5)])
+            service.start = start
+            service.start()
+            assert first.wait(60) and second.wait(60)
+            assert [outcome.route for outcome in first.outcomes] == ["lanes"]
+            assert [outcome.route for outcome in second.outcomes] == ["lanes", "cache"]
+            assert second.outcomes[1].result.elapsed == first.outcomes[0].result.elapsed
+            assert service.stats.executed == 2
+            assert (service.cache.hits, service.cache.misses) == (1, 3)
+
+    def test_a_job_older_than_the_store_window_is_planned_afresh(
+        self, tmp_path, monkeypatch
+    ):
+        # With room for one remembered store, the second job's store
+        # pushes out the first one's, so the third job (admitted before
+        # both) cannot tell which of its misses were stored: it reads
+        # them all again and still finds the first job's result.
+        monkeypatch.setattr("repro.service.service._STORE_WINDOW", 1)
+        with _service(tmp_path, serial=True, gather_limit=1) as service:
+            start = service.start
+            service.start = lambda: service
+            jobs = [
+                service.submit([_request(seed=5)]),
+                service.submit([_request(seed=6)]),
+                service.submit([_request(seed=7), _request(seed=5)]),
+            ]
+            service.start = start
+            service.start()
+            assert all(job.wait(60) for job in jobs)
+            assert [outcome.route for outcome in jobs[2].outcomes] == ["lanes", "cache"]
+            assert service.stats.executed == 3
 
     def test_identical_requests_in_one_gather_dedup(self, tmp_path):
         with _service(tmp_path, serial=True) as service:
