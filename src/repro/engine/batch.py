@@ -129,7 +129,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "LANE_WIDTH",
     "batch_capable",
-    "kernel_family",
     "run_lanes",
     "run_simulation_batch",
     "run_replications",
@@ -743,19 +742,6 @@ _FAULT_FREE_KERNELS = {
     "fcfs-aincr": lambda n: _FcfsGroupKernel(n, 2),
 }
 
-#: Kernel implementation family of each batch protocol; the planner
-#: counts one batch group per family in a lane pack.
-_KERNEL_FAMILY = {
-    "rr": "rr",
-    "rr-impl2": "rr",
-    "rr-impl3": "rr",
-    "fcfs": "fcfs",
-    "fcfs-aincr": "fcfs",
-    "fixed": "fixed",
-    "rr-faulty-register": "rr",
-    "fcfs-glitchable": "fcfs",
-}
-
 #: Arbiter-level fault kinds a kernel executes as lane fault timers, on
 #: top of the bus-level kinds every fault-domain kernel takes.
 _ARBITER_FAULTS = {
@@ -768,11 +754,6 @@ _ARBITER_FAULTS = {
 _POINT_FAULTS = frozenset(
     {FaultKind.DROPPED_BROADCAST, FaultKind.COUNTER_UPSET, FaultKind.AGENT_DROPOUT}
 )
-
-
-def kernel_family(protocol: str) -> str:
-    """Kernel family a batch protocol's lanes are grouped under."""
-    return _KERNEL_FAMILY[protocol]
 
 
 def _mask_ids(mask: int) -> Tuple[int, ...]:
@@ -798,8 +779,8 @@ def batch_capable(
     """Whether (scenario, protocol, settings) fits the batch engine.
 
     Returns ``(capable, reason)``; ``reason`` names the first violated
-    restriction (empty when capable).  Callers that want transparent
-    behaviour fall back to the event-driven engine when not capable.
+    restriction (empty when capable).  Callers run a cell that is not
+    capable on the event-driven engine instead.
 
     Fault plans are in-domain when the spec admits every planned kind
     and the lane executes it: the bus-level kinds on every kernel, plus
@@ -1629,8 +1610,8 @@ def run_simulation_batch(
 
     Raises :class:`~repro.errors.ConfigurationError` when the cell is
     outside the batch domain; use :func:`batch_capable` first (or go
-    through :func:`repro.experiments.runner.run_simulation`, which falls
-    back to the event engine transparently).
+    through :func:`repro.experiments.runner.run_simulation`, which runs
+    such a cell on the event engine).
     """
     return run_lanes([(scenario, protocol, settings)])[0]
 

@@ -3,10 +3,10 @@
 :func:`run_simulation` is the one place a scenario, a protocol name and
 run-length settings meet; every experiment module and every example goes
 through it.  Since the session refactor it is a thin delegate to
-:func:`repro.session.single.run_cell` — engine dispatch, the runtime
-batch→event fallback and the event-simulation body all live in
-:mod:`repro.session` now — kept here so the historical import path (and
-the process-pool pickling of sweep payloads) stays stable.
+:func:`repro.session.single.run_cell` — engine dispatch and the
+event-simulation body live in :mod:`repro.session` now — kept here so
+the historical import path (and the process-pool pickling of sweep
+payloads) stays stable.
 
 Protocols live in the first-class registry
 (:mod:`repro.protocols.registry`): each is a

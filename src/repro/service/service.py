@@ -620,7 +620,6 @@ class ArbitrationService:
                     for run in job.plan.runs
                 ]
         plan = plan_runs(requests, self.cache, earlier=earlier)
-        keys = {id(run.request): run.key for run in plan.runs}
         lane_keys = [run.key for run in plan.lane_runs]
         deadlines = [job.deadline_at for job in live]
         control = RunControl(None if None in deadlines else max(deadlines))
@@ -634,7 +633,7 @@ class ArbitrationService:
                 stats,
                 lane_runner=lambda cells: pool.run_lanes(cells, lane_keys, control),
                 direct_runner=lambda requests: pool.run_cells(
-                    requests, [keys[id(request)] for request in requests], stats, control
+                    requests, [request.cache_key() for request in requests], stats, control
                 ),
                 control=control,
             )

@@ -157,12 +157,8 @@ class ShardPool:
     # -- routing --------------------------------------------------------------
 
     def shard_for(self, key: str) -> int:
-        """The shard a content key routes to (stable across calls)."""
-        try:
-            prefix = int(key[:8], 16)
-        except ValueError:
-            prefix = hash(key)
-        return prefix % self.shards
+        """The shard an epoch-6 content key (SHA-256 hex) routes to."""
+        return int(key[:8], 16) % self.shards
 
     def generation(self, shard: int) -> int:
         """The shard's current pool generation (see ``_generations``)."""

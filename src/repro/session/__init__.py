@@ -16,9 +16,9 @@ routes through it:
 - :func:`execute_plan` (:mod:`repro.session.execute`): runs the plan
   against injected backends and returns :class:`RunOutcome`\\ s
   carrying the :class:`~repro.stats.summary.RunResult`, cache
-  provenance, the runtime batch→event fallback flag
-  (:mod:`repro.session.fallback`) and :class:`CellFailure`
-  degradation;
+  provenance, whether a failed lane pack demoted the run to the event
+  engine (the one place a batch-capable cell is demoted) and
+  :class:`CellFailure` degradation;
 - :class:`Session` (:mod:`repro.session.session`): the one executor —
   plans and executes request batches (submit/gather or
   ``run_requests``) on a per-cell process pool, or delegates them to
@@ -31,7 +31,6 @@ time.
 """
 
 from repro.session.execute import execute_plan
-from repro.session.fallback import batch_fallback_message, warn_batch_fallback
 from repro.session.outcome import CellFailure, RunOutcome, SessionStats
 from repro.session.planner import (
     ENGINES,
@@ -58,6 +57,4 @@ __all__ = [
     "Session",
     "ENGINES",
     "normalize_engine",
-    "batch_fallback_message",
-    "warn_batch_fallback",
 ]

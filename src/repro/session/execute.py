@@ -4,10 +4,10 @@
 shares — :class:`~repro.session.session.Session` and the
 :class:`~repro.service.service.ArbitrationService` dispatcher.  It is
 the only code that turns planned runs into outcomes: it replays cached
-runs, packs the lane route into one lane pack, demotes a
-lane pack that fails at runtime to the direct path (loudly — see
-:mod:`repro.session.fallback`), hands the direct route to the supplied
-backend, writes fresh results back to the cache, attaches the
+runs, packs the lane route into one lane pack, demotes a lane pack
+that fails at runtime to the event engine (loudly, and the only place
+a batch-capable cell is ever demoted), hands the direct route to the
+supplied backend, writes fresh results back to the cache, attaches the
 :class:`~repro.session.outcome.CellFailure` of a cell that failed for
 good, answers ``"dedup"`` runs from their first occurrence, and
 accounts everything on a shared
@@ -23,11 +23,11 @@ after its retry.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import replace
-from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Union
 
 from repro.session.control import RunControl
-from repro.session.fallback import warn_batch_fallback
 from repro.session.outcome import (
     ROUTE_CACHE,
     ROUTE_DEDUP,
@@ -68,10 +68,12 @@ def execute_plan(
 ) -> List[RunOutcome]:
     """Run every planned cell; outcomes in plan (= request) order.
 
-    A lane pack that fails at runtime demotes its cells to the direct
-    path with one ``RuntimeWarning`` and a ``fallback_cells`` tally
-    (those cells were promised the batch engine; the direct path's
-    retry/diagnostic machinery then reports real per-cell errors).
+    A lane pack that fails at runtime hands each of its cells to the
+    direct backend on the event engine, with one ``RuntimeWarning`` and
+    a ``fallback_cells`` tally (those cells were promised the batch
+    engine; the direct path's retry/diagnostic machinery then reports
+    real per-cell errors).  A demoted cell keeps its key, so its result
+    is stored where the lane's would have been.
     Fresh results are written back to ``cache`` under their planned
     keys.  ``stats`` accumulates across calls when the caller owns it.
     The default direct backend is an in-process
@@ -92,7 +94,7 @@ def execute_plan(
         control.check()
     outcomes: List[Optional[RunOutcome]] = [None] * len(plan.runs)
 
-    def record(run: PlannedRun, result, route: str, demoted: bool = False) -> None:
+    def record(run: PlannedRun, result, route: str) -> None:
         failure = None
         if isinstance(result, CellFailure):
             failure = replace(result, index=run.index)
@@ -108,7 +110,8 @@ def execute_plan(
             route=route,
             cache_key=run.key,
             stored=cache is not None and failure is None,
-            fallback=demoted,
+            # A lane run recorded on the direct route was demoted.
+            fallback=route != run.route,
             failure=failure,
         )
 
@@ -122,9 +125,7 @@ def execute_plan(
             cache_key=run.key,
         )
 
-    direct: List[Tuple[PlannedRun, bool]] = [
-        (run, False) for run in plan.direct_runs
-    ]
+    direct = plan.direct_runs
     lane_runs = plan.lane_runs
     if lane_runs:
         if control is not None:
@@ -132,27 +133,34 @@ def execute_plan(
         try:
             fresh = lane_runner([run.request.as_cell() for run in lane_runs])
         except Exception as exc:
-            warn_batch_fallback(len(lane_runs), exc, stats)
-            direct.extend((run, True) for run in lane_runs)
+            stats.add(fallback_cells=len(lane_runs))
+            warnings.warn(
+                f"{len(lane_runs)} batch-capable cell(s) fell back to the event "
+                f"engine ({type(exc).__name__}: {exc})",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+            demoted = [
+                replace(run, request=run.request.resolved("event")) for run in lane_runs
+            ]
+            direct = sorted(direct + demoted, key=lambda run: run.index)
         else:
-            stats.batch_groups += len({run.family for run in lane_runs})
-            stats.batch_replications += len(lane_runs)
+            stats.add(batch_replications=len(lane_runs))
             for run, result in zip(lane_runs, fresh):
                 record(run, result, ROUTE_LANES)
 
     if direct:
         if control is not None:
             control.check()
-        direct.sort(key=lambda entry: entry[0].index)
-        requests = [run.request for run, _ in direct]
+        requests = [run.request for run in direct]
         if direct_runner is None:
             from repro.service.shards import ShardPool
 
             fresh = ShardPool.in_process().run_cells(requests, stats=stats, control=control)
         else:
             fresh = direct_runner(requests)
-        for (run, demoted), result in zip(direct, fresh):
-            record(run, result, ROUTE_DIRECT, demoted)
+        for run, result in zip(direct, fresh):
+            record(run, result, ROUTE_DIRECT)
 
     dedup_runs = plan.dedup_runs
     stats.add(deduplicated=len(dedup_runs))

@@ -5,9 +5,9 @@ A :class:`RunOutcome` is the uniform answer to "what happened to this
 :class:`~repro.stats.summary.RunResult` (when the run succeeded), says
 *how* the result was obtained — replayed from the content-addressed
 cache, executed as a lane of the batch engine, or run through
-the per-cell path — and records graceful degradation: the
-runtime batch→event fallback flag and, for a cell whose retry failed
-too, its :class:`CellFailure` diagnostics.
+the per-cell path — and records graceful degradation: whether a
+failed lane pack demoted the run to the event engine and, for a cell
+whose retry failed too, its :class:`CellFailure` diagnostics.
 
 :class:`SessionStats` is the execution accounting every orchestration
 entry point shares; :class:`~repro.session.session.Session` and
@@ -82,12 +82,10 @@ class SessionStats:
     retries: int = 0
     #: Per-cell diagnostics for cells whose retry failed too.
     failures: List[CellFailure] = field(default_factory=list)
-    #: Kernel-family groups executed by the lane-packed batch
-    #: engine, and the lanes (cells) they covered.
-    batch_groups: int = 0
+    #: Cells executed as lanes of the batch engine.
     batch_replications: int = 0
-    #: Batch-capable cells that *silently degraded* to the per-cell
-    #: event path because the lane pack failed at runtime.  Statically
+    #: Lane cells demoted to the event engine because their lane pack
+    #: raised; each then ran once, on the direct path.  Statically
     #: out-of-domain cells (no kernel, JSONL telemetry, event cells) are
     #: not counted — they were never promised the batch engine.  The
     #: fault-free differential suite asserts this stays zero.
@@ -118,8 +116,9 @@ class RunOutcome:
     Attributes
     ----------
     request:
-        The resolved request (engine overrides already applied), so the
-        outcome is self-describing.
+        The resolved request (engine overrides already applied, and
+        ``engine="event"`` for a demoted lane run), so the outcome is
+        self-describing.
     result:
         The run's :class:`~repro.stats.summary.RunResult`; ``None``
         only when the run failed terminally (then ``failure`` says why
@@ -138,9 +137,9 @@ class RunOutcome:
         True when this outcome executed fresh and was written back to
         the cache.
     fallback:
-        True when the run was promised the batch engine but degraded to
-        the event path at runtime (tallied in
-        :attr:`SessionStats.fallback_cells`).
+        True when the run was planned as a lane but its lane pack raised,
+        so it ran once on the event engine instead (route ``"direct"``;
+        tallied in :attr:`SessionStats.fallback_cells`).
     failure:
         Terminal :class:`CellFailure` diagnostics, if any.
     """

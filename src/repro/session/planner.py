@@ -20,7 +20,10 @@ For every :class:`~repro.session.request.RunRequest` it
   direct path (which may still use the batch engine for one cell —
   JSONL telemetry is only excluded from *lane packs*, where several
   lanes could contend for one trace file).  A direct run carries the
-  reason it could not join a lane pack.
+  reason it could not join a lane pack.  The route is the one engine
+  decision a cell gets: only a lane pack that raises changes it,
+  demoting its cells to the event engine once
+  (:func:`repro.session.execute.execute_plan`).
 
 The resulting :class:`RunPlan` is pure data; executing it is
 :func:`repro.session.execute.execute_plan`'s job, so backends (process
@@ -32,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-from repro.engine.batch import batch_capable, kernel_family
+from repro.engine.batch import batch_capable
 from repro.errors import ConfigurationError
 from repro.session.outcome import ROUTE_CACHE, ROUTE_DEDUP, ROUTE_DIRECT, ROUTE_LANES
 from repro.session.request import RunRequest
@@ -80,8 +83,6 @@ class PlannedRun:
     key: Optional[str] = None
     #: The replayed result, for ``route == "cache"``.
     cached: Optional["RunResult"] = None
-    #: The lane kernel family, for ``route == "lanes"``.
-    family: Optional[str] = None
     #: Index of the identical request this run repeats, for
     #: ``route == "dedup"``.
     first: Optional[int] = None
@@ -167,15 +168,7 @@ def plan_runs(
                 continue
         reason = _lane_refusal(resolved)
         if not reason:
-            runs.append(
-                PlannedRun(
-                    index,
-                    resolved,
-                    ROUTE_LANES,
-                    key=key,
-                    family=kernel_family(resolved.protocol),
-                )
-            )
+            runs.append(PlannedRun(index, resolved, ROUTE_LANES, key=key))
         else:
             runs.append(
                 PlannedRun(index, resolved, ROUTE_DIRECT, key=key, reason=reason)

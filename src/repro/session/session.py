@@ -96,8 +96,9 @@ class Session:
         Optional engine override applied to every request (validated;
         ``None`` respects each request's own declaration).  The override
         never changes cache keys — the engine selector is not part of a
-        cell's identity (epoch 6) — and cells outside the batch domain
-        still fall back to the event engine per cell.
+        cell's identity (epoch 6).  Under ``"batch"``, cells outside the
+        batch domain run on the event engine, and a lane pack that raises
+        is demoted to it once, cell by cell.
     executor:
         An object to delegate every run to (``run_requests(requests,
         control=)`` plus ``stats``); ``jobs``, ``cache`` and ``engine``

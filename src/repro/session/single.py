@@ -1,17 +1,15 @@
 """The per-cell execution path: engine dispatch plus the event body.
 
 :func:`run_cell` is what
-:func:`~repro.experiments.runner.run_simulation` delegates to: it
-dispatches ``engine="batch"`` cells inside the batch domain to
-:func:`repro.engine.batch.run_simulation_batch`, degrades *runtime*
-batch failures to the event engine through the one shared fallback
-helper (:mod:`repro.session.fallback` — a ``RuntimeWarning`` plus the
-:data:`stats` tally; statically out-of-domain cells fall through
-silently, they were never promised the batch engine), and otherwise
-runs :func:`run_cell_event`, the general event-driven simulation
-assembled from the bus model, fault injector, watchdog, telemetry
-sinks and completion collector.  :func:`run_request` is the one place
-an orchestrated cell runs: ``run_cell`` on a private scenario copy.
+:func:`~repro.experiments.runner.run_simulation` delegates to: it runs
+``engine="batch"`` cells inside the batch domain on
+:func:`repro.engine.batch.run_simulation_batch` and everything else on
+:func:`run_cell_event`, the general event-driven simulation assembled
+from the bus model, fault injector, watchdog, telemetry sinks and
+completion collector.  An error either engine raises propagates: the
+engines are bit-identical, errors included, so a rerun on the other
+would only raise it again.  :func:`run_request` is the one place an
+orchestrated cell runs: ``run_cell`` on a private scenario copy.
 """
 
 from __future__ import annotations
@@ -25,8 +23,6 @@ from repro.faults.injector import FaultInjector
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.sinks import EventSink, InMemorySink, JsonlSink, TeeSink
 from repro.protocols.registry import get_spec, make_arbiter
-from repro.session.fallback import warn_batch_fallback
-from repro.session.outcome import SessionStats
 from repro.stats.collector import CompletionCollector
 from repro.stats.summary import RunResult
 from repro.workload.scenarios import ScenarioSpec, fresh_scenario
@@ -35,12 +31,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.experiments.runner import SimulationSettings
     from repro.session.request import RunRequest
 
-__all__ = ["run_cell", "run_cell_event", "run_request", "stats"]
-
-#: Degradation accounting for the single-run path (sweeps tally on
-#: their executor's own stats); ``stats.fallback_cells`` counts runs
-#: that were promised the batch engine but degraded at runtime.
-stats = SessionStats()
+__all__ = ["run_cell", "run_cell_event", "run_request"]
 
 
 def run_cell(
@@ -54,12 +45,7 @@ def run_cell(
 
         settings = SimulationSettings()
     if settings.engine == "batch" and batch_capable(scenario, protocol, settings)[0]:
-        try:
-            return run_simulation_batch(scenario, protocol, settings)
-        except Exception as exc:
-            # The cell was promised the batch engine; degrade loudly so
-            # a broken kernel cannot hide behind the event path.
-            warn_batch_fallback(1, exc, stats)
+        return run_simulation_batch(scenario, protocol, settings)
     return run_cell_event(scenario, protocol, settings)
 
 

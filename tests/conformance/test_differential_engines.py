@@ -20,8 +20,9 @@ The suite checks the contract four ways:
   protocol, seed), both as single runs and as heterogeneous
   ``run_lanes`` packs mixing agent counts, protocols and fault plans
   in one super-batch;
-- the integration seams: ``run_simulation``'s transparent dispatch and
-  fallback, and the session's lane packing and fallback counter.
+- the integration seams: ``run_simulation``'s dispatch (out-of-domain
+  cells run on the event engine), and the session's lane packing,
+  demotion of a failed lane pack and its ``fallback_cells`` counter.
 """
 
 from dataclasses import replace
@@ -414,8 +415,9 @@ def test_sweep_executor_groups_batch_cells():
         for seed in SEEDS
     ]
     session = Session(jobs=1)
-    grouped = run_results(session, cells)
-    assert session.stats.batch_groups == 1
+    outcomes = session.run_requests(cells)
+    grouped = [outcome.result for outcome in outcomes]
+    assert [outcome.route for outcome in outcomes] == ["lanes"] * len(SEEDS)
     assert session.stats.batch_replications == len(SEEDS)
     assert session.stats.executed == len(SEEDS)
     assert session.stats.fallback_cells == 0
@@ -435,8 +437,10 @@ def test_executor_engine_override_reaches_declared_event_cells():
         for seed in SEEDS
     ]
     session = Session(jobs=1, engine="batch")
-    grouped = run_results(session, cells)
-    assert session.stats.batch_groups == 1
+    outcomes = session.run_requests(cells)
+    grouped = [outcome.result for outcome in outcomes]
+    assert [outcome.route for outcome in outcomes] == ["lanes"] * len(SEEDS)
+    assert all(outcome.request.settings.engine == "batch" for outcome in outcomes)
     assert session.stats.batch_replications == len(SEEDS)
     for seed, result in zip(SEEDS, grouped):
         reference = run_simulation(
@@ -459,8 +463,9 @@ def test_sweep_executor_packs_fault_cells_into_lanes():
             )
         )
     session = Session(jobs=1)
-    results = run_results(session, cells)
-    assert session.stats.batch_groups == 1
+    outcomes = session.run_requests(cells)
+    results = [outcome.result for outcome in outcomes]
+    assert [outcome.route for outcome in outcomes] == ["lanes", "lanes"]
     assert session.stats.batch_replications == 2
     assert session.stats.fallback_cells == 0
     for cell, result in zip(cells, results):
@@ -473,7 +478,7 @@ def test_sweep_executor_packs_fault_cells_into_lanes():
 def test_sweep_executor_warns_and_counts_runtime_fallback(monkeypatch):
     # If the lane engine dies at runtime the sweep must not silently
     # absorb it: a RuntimeWarning fires, fallback_cells tallies the
-    # demoted cells, and the event engine still produces exact results.
+    # demoted cells, and the event engine runs them with exact results.
     import repro.session.execute as execute_module
 
     def boom(cells):
@@ -487,9 +492,12 @@ def test_sweep_executor_warns_and_counts_runtime_fallback(monkeypatch):
     ]
     session = Session(jobs=1)
     with pytest.warns(RuntimeWarning, match="fell back to the event engine"):
-        results = run_results(session, cells)
+        outcomes = session.run_requests(cells)
+    results = [outcome.result for outcome in outcomes]
+    assert [outcome.route for outcome in outcomes] == ["direct"] * len(seeds)
+    assert all(outcome.request.settings.engine == "event" for outcome in outcomes)
     assert session.stats.fallback_cells == len(seeds)
-    assert session.stats.batch_groups == 0
+    assert session.stats.batch_replications == 0
     assert session.stats.executed == len(seeds)
     for s, result in zip(seeds, results):
         reference = run_simulation(
@@ -514,8 +522,9 @@ def test_sweep_executor_leaves_declared_event_cells_alone():
         for s in (1, 2)
     ]
     session = Session(jobs=1)
-    run_results(session, cells)
-    assert session.stats.batch_groups == 0
+    outcomes = session.run_requests(cells)
+    assert [outcome.route for outcome in outcomes] == ["direct", "direct"]
+    assert session.stats.batch_replications == 0
     assert session.stats.executed == 2
     assert session.stats.fallback_cells == 0
 

@@ -24,7 +24,7 @@ from concurrent.futures import Future
 
 import pytest
 
-from repro.errors import ConfigurationError, ServiceError
+from repro.errors import ConfigurationError, DeadlineExceededError, ServiceError
 from repro.experiments.cache import ResultCache
 from repro.experiments.runner import SimulationSettings
 from repro.service import (
@@ -38,6 +38,7 @@ from repro.service import (
     ShardPool,
 )
 from repro.session.control import RunControl
+from repro.session.outcome import SessionStats
 from repro.session.request import RunRequest
 from repro.session.session import Session
 from repro.workload.scenarios import equal_load
@@ -440,19 +441,7 @@ class TestCrashRecovery:
         # shard 0 down cancels them the way ProcessPoolExecutor does,
         # without waking wait(): nothing is running, so an unclaimed
         # future would block the first wait() forever.
-        class Queued:
-            def __init__(self):
-                self.futures = []
-
-            def submit(self, *args):
-                self.futures.append(Future())
-                return self.futures[-1]
-
-            def shutdown(self, wait=True, cancel_futures=False):
-                for future in self.futures if cancel_futures else ():
-                    future.cancel()
-
-        queued = Queued()
+        queued = _QueuedExecutor()
 
         def pool_for(shard):
             if shard == 1:
@@ -475,6 +464,89 @@ class TestCrashRecovery:
         clean = Session().run_requests(requests)
         for mine, theirs in zip(outs[0], clean):
             assert pickle.dumps(mine) == pickle.dumps(theirs.result)
+
+
+class _QueuedExecutor:
+    """A shard executor that queues every payload and never starts one;
+    shutting it down cancels the queue the way ProcessPoolExecutor does."""
+
+    def __init__(self):
+        self.futures = []
+
+    def submit(self, *args):
+        self.futures.append(Future())
+        return self.futures[-1]
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        for future in self.futures if cancel_futures else ():
+            future.cancel()
+
+
+class TestShardPoolEdges:
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"shards": 0}, "shards must be >= 1, got 0"),
+            ({"workers": 0}, "workers must be >= 1, got 0"),
+        ],
+    )
+    def test_empty_pools_are_refused(self, overrides, message):
+        with pytest.raises(ConfigurationError, match=message):
+            ShardPool(**overrides)
+
+    def test_keys_route_by_their_hex_prefix(self):
+        pool = ShardPool(shards=3)
+        key = "0000000b" + "f" * 56
+        assert pool.shard_for(key) == 11 % 3
+        assert pool.shard_for(key) == ShardPool(shards=3).shard_for(key)
+
+    def test_a_tripped_control_cancels_pending_futures_and_raises(self, monkeypatch):
+        # Nothing ever completes, and the control's deadline has passed:
+        # the first wait() returns empty, the check trips, and every
+        # queued future is cancelled before the error leaves the pool.
+        queued = _QueuedExecutor()
+        pool = ShardPool(shards=2, workers=1, backoff=FAST)
+        monkeypatch.setattr(pool, "_pool", lambda shard: queued)
+        requests = [_request(seed=s, engine="event") for s in (1, 2, 3)]
+        keys = ["00000000", "00000001", "00000001"]
+        control = RunControl(deadline_at=time.monotonic() - 1.0)
+        with pytest.raises(DeadlineExceededError):
+            pool.run_cells(requests, keys, control=control)
+        assert len(queued.futures) == 3
+        assert all(future.cancelled() for future in queued.futures)
+        assert not pool.degraded
+
+    def test_a_cell_raising_in_a_worker_is_retried_in_process(self, monkeypatch):
+        class Raising(_QueuedExecutor):
+            def submit(self, *args):
+                future = super().submit(*args)
+                future.set_exception(RuntimeError("worker-side failure"))
+                return future
+
+        pool = ShardPool(shards=1, workers=1, backoff=FAST)
+        monkeypatch.setattr(pool, "_pool", lambda shard: Raising())
+        stats = SessionStats()
+        request = _request(engine="event")
+        (result,) = pool.run_cells([request], stats=stats)
+        assert stats.retries == 1 and stats.parallel_batches == 1
+        clean = Session().run_requests([request])[0].result
+        assert pickle.dumps(result) == pickle.dumps(clean)
+
+    def test_a_respawn_that_cannot_build_a_pool_reports_failure(self, monkeypatch):
+        pool = ShardPool(shards=1, workers=1, backoff=FAST)
+
+        def unavailable(shard):
+            raise OSError("no process pool")
+
+        monkeypatch.setattr(pool, "_pool", unavailable)
+        assert pool.respawn(0) is False
+        assert pool.respawns == 1 and pool.generation(0) == 1
+
+    def test_close_is_idempotent(self):
+        pool = ShardPool(shards=1, workers=1)
+        pool.close()
+        pool.close()
+        assert pool._pools == [None]
 
 
 class TestFailureDiagnostics:

@@ -5,21 +5,25 @@ shares — :func:`repro.experiments.runner.run_simulation`, the
 :class:`Session`, the experiment grids and the CLI all route through
 ``plan_runs`` → ``execute_plan``.  These tests pin the decision layer
 directly (routes, engine overrides, cache provenance), the degradation
-contract (one ``RuntimeWarning`` wording for every batch→event
-fallback, tallied in ``fallback_cells``), the :class:`Session` facade
+contract (a lane pack that raises demotes each of its cells once, to
+the event engine, with one ``RuntimeWarning`` tallied in
+``fallback_cells``; a single run that raises propagates the error
+without a rerun), the :class:`Session` facade
 (submission order, within-gather dedup), and the CLI's clean rejection
 of invalid engine/scale selectors.
 """
 
 import json
+import warnings
 from dataclasses import replace
 
 import pytest
 
+import repro.engine.batch as batch_module
 import repro.session.single as single_module
 from repro.cli import main
 from repro.bus.timing import BusTiming
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SweepExecutionError
 from repro.experiments.cache import ResultCache
 from repro.experiments.robustness import fault_plan_for
 from repro.experiments.runner import SimulationSettings, run_simulation
@@ -28,7 +32,6 @@ from repro.observability import TelemetrySettings
 from repro.session import (
     RunRequest,
     Session,
-    batch_fallback_message,
     execute_plan,
     normalize_engine,
     plan_runs,
@@ -44,8 +47,33 @@ from repro.session.outcome import (
 from repro.workload.arrivals import bursty_equal_load, two_class_priority_load
 from repro.workload.distributions import Distribution
 from repro.workload.scenarios import AgentSpec, ScenarioSpec, equal_load, open_loop_equal_load
+from repro.workload.traces import TraceDistribution, synthesize_program_trace
 
 SETTINGS = SimulationSettings(batches=2, batch_size=50, warmup=5, seed=3)
+
+
+def _short_trace():
+    """Two agents on 40-sample traces that do not cycle: a run of
+    ``SETTINGS``' length draws past their end on either engine."""
+    agents = tuple(
+        AgentSpec(i, TraceDistribution(synthesize_program_trace(40, seed=i), cycle=False))
+        for i in (1, 2)
+    )
+    return ScenarioSpec("short-trace", agents)
+
+
+def _spy(monkeypatch, module, name):
+    """Replace ``module.name`` with a pass-through that logs the
+    arguments of each call; returns the log."""
+    real = getattr(module, name)
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, spy)
+    return calls
 
 
 def _fingerprint(result):
@@ -81,8 +109,12 @@ class TestPlanRuns:
         plan = plan_runs([RunRequest(equal_load(4, 2.0), "rr", SETTINGS)])
         (run,) = plan.runs
         assert run.route == ROUTE_LANES
-        assert run.family is not None
+        assert run.reason is None
         assert run.index == 0
+        stats = SessionStats()
+        (outcome,) = execute_plan(plan, stats=stats)
+        assert outcome.route == ROUTE_LANES
+        assert stats.batch_replications == 1
 
     def test_event_engine_cells_route_direct(self):
         request = RunRequest(
@@ -273,26 +305,99 @@ class TestExecutePlan:
             )
             assert _fingerprint(outcome.result) == _fingerprint(event)
 
-    def test_fallback_message_wording_is_shared(self):
-        message = batch_fallback_message(3, ValueError("boom"))
-        assert message == (
+    def test_failed_lane_pack_runs_each_cell_once_on_the_event_engine(
+        self, tmp_path, monkeypatch
+    ):
+        packs = []
+
+        def broken_lanes(cells):
+            packs.append(cells)
+            raise ValueError("boom")
+
+        lanes = _spy(monkeypatch, batch_module, "run_lanes")
+        events = _spy(monkeypatch, single_module, "run_cell_event")
+        requests = [
+            RunRequest(equal_load(4, 2.0), "rr", SETTINGS),
+            RunRequest(equal_load(4, 2.0), "fcfs", SETTINGS),
+            RunRequest(equal_load(3, 1.0), "fcfs-aincr", SETTINGS),
+        ]
+        cache = ResultCache(tmp_path)
+        stats = SessionStats()
+        with pytest.warns(RuntimeWarning) as caught:
+            outcomes = execute_plan(
+                plan_runs(requests, cache=cache),
+                cache=cache,
+                stats=stats,
+                lane_runner=broken_lanes,
+            )
+        assert [str(w.message) for w in caught] == [
             "3 batch-capable cell(s) fell back to the event engine (ValueError: boom)"
-        )
+        ]
+        assert len(packs) == 1 and lanes == []
+        assert [call[1] for call in events] == ["rr", "fcfs", "fcfs-aincr"]
+        assert stats.fallback_cells == 3
+        assert stats.batch_replications == 0
+        for request, outcome in zip(requests, outcomes):
+            assert outcome.route == ROUTE_DIRECT and outcome.fallback
+            assert outcome.request.settings.engine == "event"
+            # The demoted run keeps its key: stored where the lane's would be.
+            assert outcome.cache_key == request.cache_key()
+            assert outcome.stored
+            assert cache.get(outcome.cache_key) is not None
 
 
 class TestSingleRunFallback:
-    def test_runtime_batch_failure_warns_once_and_matches_event(self, monkeypatch):
+    def test_runtime_batch_failure_raises_once_without_event_rerun(self, monkeypatch):
+        calls = []
+
         def broken_batch(scenario, protocol, settings):
+            calls.append(protocol)
             raise RuntimeError("lane kernel diverged")
 
         monkeypatch.setattr(single_module, "run_simulation_batch", broken_batch)
-        before = single_module.stats.fallback_cells
-        scenario = equal_load(4, 2.0)
-        with pytest.warns(RuntimeWarning, match="fell back to the event engine"):
-            degraded = run_simulation(scenario, "rr", SETTINGS)
-        assert single_module.stats.fallback_cells == before + 1
-        event = run_simulation(scenario, "rr", replace(SETTINGS, engine="event"))
-        assert _fingerprint(degraded) == _fingerprint(event)
+        events = _spy(monkeypatch, single_module, "run_cell_event")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(RuntimeError, match="lane kernel diverged"):
+                run_simulation(equal_load(4, 2.0), "rr", SETTINGS)
+        assert calls == ["rr"]
+        assert events == []
+
+    def test_exhausted_trace_raises_once_on_the_batch_engine(self, monkeypatch):
+        batch = _spy(monkeypatch, single_module, "run_simulation_batch")
+        events = _spy(monkeypatch, single_module, "run_cell_event")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ConfigurationError, match="exhausted"):
+                run_simulation(_short_trace(), "rr", replace(SETTINGS, engine="batch"))
+        assert len(batch) == 1
+        assert events == []
+
+    def test_exhausted_trace_in_a_gather_demotes_its_pack_once(self, monkeypatch):
+        # The bad cell fails the lane pack, which demotes both cells to
+        # the event engine: the healthy one runs there once, the bad one
+        # raises there and again on its retry.
+        lanes = _spy(monkeypatch, batch_module, "run_lanes")
+        events = _spy(monkeypatch, single_module, "run_cell_event")
+        settings = replace(SETTINGS, engine="batch")
+        session = Session(jobs=1)
+        healthy = session.submit(equal_load(2, 1.0), "rr", settings)
+        session.submit(_short_trace(), "rr", settings, tag="short")
+        with pytest.warns(RuntimeWarning) as caught:
+            with pytest.raises(SweepExecutionError, match="exhausted"):
+                session.gather()
+        assert len(caught) == 1
+        assert str(caught[0].message).startswith(
+            "2 batch-capable cell(s) fell back to the event engine (ConfigurationError:"
+        )
+        assert len(lanes) == 1
+        assert [call[0].name for call in events] == [
+            healthy.scenario.name, "short-trace", "short-trace"
+        ]
+        assert session.stats.fallback_cells == 2
+        assert session.stats.retries == 1
+        (failure,) = session.stats.failures
+        assert failure.tag == "short" and "exhausted" in failure.error
 
     def test_statically_out_of_domain_cells_fall_through_silently(self, recwarn):
         # Open-loop cells were never promised the batch engine: no warning.
