@@ -23,6 +23,11 @@ does the same for the grid's two-class priority slice (12 cells, §2.4),
 recorded as ``priority_grid_speedup``, and a fourth for the robustness
 grid's fault-model slice (12 cells, §3.1/§3.2), recorded as
 ``fault_grid_speedup``.
+
+A last pair times the six lane protocols at one (N, load, seed) as one
+lane pack against six one-cell packs.  The pack seeds and draws each
+agent's think-time stream once and shares it between its lanes; the
+ratio is the recorded ``shared_tape_speedup``.
 """
 
 import pickle
@@ -46,6 +51,9 @@ PRIORITY_SPEEDUP_GATE = 2.5
 
 #: The fault-model slice's floor over the event engine, per pass.
 FAULT_SPEEDUP_GATE = 2.5
+
+#: One six-protocol pack's floor over six one-cell packs, per pass.
+SHARED_TAPE_SPEEDUP_GATE = 1.1
 
 #: One lane family per kernel implementation, both FCFS counter
 #: strategies included — the gate must pay every kernel's dispatch cost.
@@ -121,6 +129,16 @@ def fault_cells():
         for rate in DEFAULT_FAULT_RATES
         for seed in (12345, 12346)
     ]
+
+
+def shared_tape_cells():
+    """The six lane protocols at N = 64, total load 2.0, one seed.
+
+    The run length of perfbench's ``grid-lanes`` cells: 1,050
+    completions, about 17 think times per agent.
+    """
+    settings = SimulationSettings(batches=2, batch_size=500, warmup=50, seed=7)
+    return [(equal_load(64, 2.0), protocol, settings) for protocol in PROTOCOLS]
 
 
 def _event_pass(cells):
@@ -315,3 +333,50 @@ def test_fault_pass_batch_lanes(benchmark):
     cells = fault_cells()
     results = benchmark.pedantic(lambda: run_lanes(cells), rounds=5, iterations=1)
     assert all(r.collector.total_recorded == 250 for r in results)
+
+
+def _one_cell_packs(cells):
+    return [result for cell in cells for result in run_lanes([cell])]
+
+
+def test_shared_pack_byte_identical_to_one_cell_packs():
+    """A cell pickles the same in the six-protocol pack and alone."""
+    cells = shared_tape_cells()
+    for ours, theirs in zip(run_lanes(cells), _one_cell_packs(cells)):
+        assert pickle.dumps(ours) == pickle.dumps(theirs)
+
+
+def test_shared_tape_speedup_gate():
+    """One pack >= 1.1x six one-cell packs, interleaved min-of-k."""
+    cells = shared_tape_cells()
+    run_lanes(cells)  # warm allocator / code caches
+    packed, alone = [], []
+    for _ in range(5):
+        start = time.perf_counter()
+        _one_cell_packs(cells)
+        alone.append(time.perf_counter() - start)
+        start = time.perf_counter()
+        run_lanes(cells)
+        packed.append(time.perf_counter() - start)
+    speedup = min(alone) / min(packed)
+    print(f"\nshared tape speedup: {speedup:.2f}x (gate >= {SHARED_TAPE_SPEEDUP_GATE})")
+    assert speedup >= SHARED_TAPE_SPEEDUP_GATE
+
+
+def test_shared_pass_one_cell_packs(benchmark):
+    """Recorded pass of the six cells as six one-cell packs.
+
+    Runs immediately before ``test_shared_pass_one_pack`` so the two
+    share machine state; the ratio of their minima is the recorded
+    ``shared_tape_speedup``.
+    """
+    cells = shared_tape_cells()
+    results = benchmark.pedantic(lambda: _one_cell_packs(cells), rounds=7, iterations=1)
+    assert all(r.collector.total_recorded == 1050 for r in results)
+
+
+def test_shared_pass_one_pack(benchmark):
+    """Recorded pass of the same six cells as one lane pack."""
+    cells = shared_tape_cells()
+    results = benchmark.pedantic(lambda: run_lanes(cells), rounds=7, iterations=1)
+    assert all(r.collector.total_recorded == 1050 for r in results)

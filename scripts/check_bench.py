@@ -2,7 +2,7 @@
 """CI bench guard: median drift plus the grid-wide speedup gate.
 
 Runs the engine benchmarks fresh (to a throwaway file — the committed
-``BENCH_engine.json`` is never overwritten here) and applies nine
+``BENCH_engine.json`` is never overwritten here) and applies ten
 checks:
 
 1. **Median drift** — every median is compared against the committed
@@ -78,6 +78,14 @@ checks:
    The exact bar is enforced on the recorded baseline and by
    ``benchmarks/test_service_hit.py::test_hot_hit_speedup_gate``; the
    fresh run gets drift-scaled slack.
+
+10. **Shared tape speedup** — the recorded baseline's one lane pack of
+    the six lane protocols at one (N, load, seed) must be at least 1.1x
+    faster than the same six cells as six one-cell packs: the pack
+    seeds and draws each agent's think-time stream once.  The exact
+    bar is enforced on the recorded baseline and by
+    ``benchmarks/test_grid_batch.py::test_shared_tape_speedup_gate``;
+    the fresh run gets drift-scaled slack.
 
 Each ratio, its benchmark pair and its bar are one row of
 ``run_benchmarks.GATES``; ``condense`` derives the ratios from the same

@@ -111,6 +111,11 @@ GATES = (
         "test_hit_pass_cold", "test_hit_pass_hot", "min_us",
         FLOOR, 10.0, 1, "service hit benchmarks",
     ),
+    Gate(
+        "shared_tape_speedup", "shared tape speedup",
+        "test_shared_pass_one_cell_packs", "test_shared_pass_one_pack", "min_us",
+        FLOOR, 1.1, 2, "shared tape benchmarks",
+    ),
 )
 
 

@@ -20,16 +20,27 @@ timers, think-time buffers, FCFS stamps, activity masks) plus a
 handful of scalar timers — and its protocol kernel resolves
 arbitrations on integer bitmasks of pending requesters (the wired-OR
 maximum-finding of §2).  :func:`run_lanes` builds, runs and drops one
-lane at a time, so a call's peak memory is one lane's.
+lane at a time.
 
-Think times are drawn on demand, in the blocks ``BusAgent`` draws
+Think times come from *tapes*.  A tape is one agent stream: its seeded
+generator plus the variates drawn from it so far.  The lanes of one
+call that share a ``(seed, agent id, distribution spec key)`` read one
+tape, so the call seeds and draws that stream once, however many
+protocols run on it (common random numbers, as the paper's tables
+compare protocols at one seed).  That is exact because equal spec keys
+give equal variates from equal generators (the cache key relies on
+it), and because block sizes never change a variate.  A lane refills
+its buffer in the blocks ``BusAgent`` draws
 (:func:`~repro.bus.agent.first_think_blocks` and
 :func:`~repro.bus.agent.refill_think_buffer`): a small first block that
-doubles at each refill up to ``_THINK_BLOCK``, so a short lane does not
-pre-draw variates it never uses.  The blocks never change a variate, but
-both engines must take the same ones: they decide how far a stateful
-distribution (an MMPP phase, a trace cursor) has advanced when the run
-stops, and that state is pickled with the result's scenario.
+doubles at each refill up to ``_THINK_BLOCK``.  A tape is extended only
+to the end of the block a lane asks for, so a pack draws what its most
+demanding lane uses.  A stateful distribution (an MMPP phase, a trace
+cursor) gets a tape private to its lane, extended block by block as
+``BusAgent`` draws: the blocks decide how far its state has advanced
+when the run stops, and that state is pickled with the result's
+scenario.  A classed agent draws its class between two think times on
+its stream, so it keeps a generator of its own (:class:`_ThinkEach`).
 
 Open-loop agents are in-domain at ``max_outstanding == 1``: such an
 agent issues, blocks generation while its one request is in flight and
@@ -102,7 +113,7 @@ request tie-break.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import replace
 from heapq import heapify, heappop, heappush
 from math import inf as _INF
@@ -846,6 +857,125 @@ class _ThinkEach:
         return self.dist.sample(self.rng)
 
 
+class _Tape:
+    """One think-time stream of a lane pack: a seeded generator plus the
+    variates drawn from it so far.
+
+    ``values[i]`` is variate ``start + i`` of the stream.  ``readers``
+    counts the lanes still to open the tape; once the last one has
+    opened it, nothing rereads a variate, so a read drops what it hands
+    out.
+    """
+
+    __slots__ = ("dist", "rng", "values", "start", "readers")
+
+    def __init__(self, dist, rng, readers: int) -> None:
+        self.dist = dist
+        self.rng = rng
+        self.values: List[float] = []
+        self.start = 0
+        self.readers = readers
+
+    def read(self, pos: int, end: int) -> List[float]:
+        """Variates ``pos`` to ``end`` (exclusive), drawing those no
+        earlier read drew."""
+        values = self.values
+        low = pos - self.start
+        high = end - self.start
+        missing = high - len(values)
+        if missing > 0:
+            values += self.dist.sample_batch(self.rng, missing)
+        block = values[low:high]
+        if not self.readers:
+            del values[:high]
+            self.start = end
+        return block
+
+
+class _TapeCursor:
+    """One lane agent's read position on a :class:`_Tape`.
+
+    Stands in for the agent's distribution in
+    :func:`~repro.bus.agent.refill_think_buffer` (as :class:`_ThinkEach`
+    stands in for a buffer), so a lane refills its buffers in
+    ``BusAgent``'s blocks: ``sample_batch`` hands out the tape's next
+    ``count`` variates.  It ignores ``rng``; the tape owns the generator.
+    """
+
+    __slots__ = ("tape", "pos")
+
+    def __init__(self, tape: _Tape) -> None:
+        self.tape = tape
+        self.pos = 0
+
+    def sample_batch(self, rng, count: int) -> List[float]:
+        pos = self.pos
+        self.pos = pos + count
+        return self.tape.read(pos, pos + count)
+
+
+#: A shared tape's key: ``(seed, agent id, distribution spec key)``.
+_TapeKey = Tuple[int, int, Tuple[object, ...]]
+
+
+def _tape_keys(scenario: ScenarioSpec, seed: int) -> List[Optional[_TapeKey]]:
+    """Each agent's shared-tape key, in declaration order.
+
+    ``None`` for the agents that read no shared tape: a classed agent
+    (:class:`_ThinkEach`) and a stateful distribution, whose tape is
+    private to its lane.
+    """
+    return [
+        None
+        if spec.priority_fraction > 0.0 or spec.interrequest.stateful
+        else (seed, spec.agent_id, spec.interrequest.spec_key())
+        for spec in scenario.agents
+    ]
+
+
+class _TapeShelf:
+    """The shared tapes of one :func:`run_lanes` call, by key.
+
+    ``keys[i]`` holds lane ``i``'s :func:`_tape_keys`, equal keys as one
+    object.  The shelf counts the lanes that read each tape, and
+    :meth:`release` drops a tape after the last of them.
+    """
+
+    __slots__ = ("keys", "tapes", "readers")
+
+    def __init__(self, cells: Sequence[Tuple[ScenarioSpec, str, "SimulationSettings"]]) -> None:
+        interned: Dict[_TapeKey, _TapeKey] = {}
+        self.keys = [
+            [
+                key if key is None else interned.setdefault(key, key)
+                for key in _tape_keys(scenario, settings.seed)
+            ]
+            for scenario, _, settings in cells
+        ]
+        self.tapes: Dict[_TapeKey, _Tape] = {}
+        self.readers = Counter(key for keys in self.keys for key in keys if key is not None)
+
+    def cursor(self, key: Optional[_TapeKey], dist, streams: RandomStreams, agent: int):
+        """A cursor at the start of ``key``'s tape, opened for one more
+        lane; a private tape when ``key`` is ``None``."""
+        if key is None:
+            return _TapeCursor(_Tape(dist, streams.agent_stream(agent), 0))
+        tape = self.tapes.get(key)
+        if tape is None:
+            tape = self.tapes[key] = _Tape(
+                dist, streams.agent_stream(agent), self.readers[key]
+            )
+        tape.readers -= 1
+        return _TapeCursor(tape)
+
+    def release(self, keys: Sequence[Optional[_TapeKey]]) -> None:
+        """Drop the tapes among ``keys`` that no lane still to run reads."""
+        tapes = self.tapes
+        for key in keys:
+            if key is not None and not tapes[key].readers:
+                del tapes[key]
+
+
 class _Replication:
     """One lane's complete simulation state, calendar-free.
 
@@ -889,7 +1019,7 @@ class _Replication:
         "txn",
         "arbt",
         "rngs",
-        "dists",
+        "tapes",
         "buffers",
         "blocks",
         "fractions",
@@ -923,6 +1053,8 @@ class _Replication:
         scenario: ScenarioSpec,
         protocol: str,
         settings: "SimulationSettings",
+        shelf: _TapeShelf,
+        tape_keys: Sequence[Optional[_TapeKey]],
     ) -> None:
         self.scenario = scenario
         self.protocol = protocol
@@ -1003,9 +1135,12 @@ class _Replication:
         self.t_retry = _INF
 
         streams = RandomStreams(settings.seed)
+        # A classed agent's own generator (its class draws).
         self.rngs = [None] * (num_agents + 1)
-        self.dists = [None] * (num_agents + 1)
-        self.buffers: list = [[] for _ in range(num_agents + 1)]
+        # An unclassed agent's cursor on its think-time tape.
+        self.tapes: List[Optional[_TapeCursor]] = [None] * (num_agents + 1)
+        # None marks an agent id the scenario does not declare.
+        self.buffers: list = [None] * (num_agents + 1)
         # Each agent's next think-time block (BusAgent's policy).
         self.blocks = [0] * (num_agents + 1)
         # Request-class probability per agent; 0.0 for unclassed agents.
@@ -1018,21 +1153,20 @@ class _Replication:
         # Start every agent with one think period, in declaration order —
         # the same order BusSystem.run() starts them, so the streams and
         # the request-timer tie-break sequence numbers line up.
-        for spec in scenario.agents:
+        for spec, key in zip(scenario.agents, tape_keys):
             agent = spec.agent_id
-            rng = streams.agent_stream(agent)
-            self.rngs[agent] = rng
-            self.dists[agent] = spec.interrequest
             if spec.priority_fraction > 0.0:
                 # A classed agent's class draw falls between two think
                 # draws on its stream, so it draws them one at a time.
+                rng = self.rngs[agent] = streams.agent_stream(agent)
                 self.fractions[agent] = spec.priority_fraction
                 buffer = self.buffers[agent] = _ThinkEach(spec.interrequest, rng)
             else:
-                buffer = self.buffers[agent]
-                self.blocks[agent] = refill_think_buffer(
-                    buffer, spec.interrequest, rng, blocks[agent]
+                tape = self.tapes[agent] = shelf.cursor(
+                    key, spec.interrequest, streams, agent
                 )
+                buffer = self.buffers[agent] = []
+                self.blocks[agent] = refill_think_buffer(buffer, tape, None, blocks[agent])
             t_first = 0.0 + buffer.pop()
             self.seq += 1
             heap.append((t_first, self.seq, agent))
@@ -1095,8 +1229,7 @@ class _Replication:
         req_heap = self.req_heap
         buffers = self.buffers
         blocks = self.blocks
-        dists = self.dists
-        rngs = self.rngs
+        tapes = self.tapes
         metrics = self.metrics
         flow_metrics = self.flow_metrics
         sinks = self.sinks
@@ -1258,7 +1391,7 @@ class _Replication:
                 buffer = buffers[agent]
                 if not buffer:
                     blocks[agent] = refill_think_buffer(
-                        buffer, dists[agent], rngs[agent], blocks[agent]
+                        buffer, tapes[agent], None, blocks[agent]
                     )
                 t_next = now + buffer.pop()
                 seq += 1
@@ -1453,7 +1586,7 @@ class _Replication:
                 )
                 aid = fevent.agent_id
                 on_bus = 0 < aid <= num_agents
-                present = on_bus and rngs[aid] is not None
+                present = on_bus and buffers[aid] is not None
                 if kind is FaultKind.DROPPED_BROADCAST:
                     # FaultInjector._drop_broadcast: the victim skips the
                     # next winner it would record.
@@ -1488,7 +1621,7 @@ class _Replication:
                         buffer = buffers[aid]
                         if not buffer:
                             blocks[aid] = refill_think_buffer(
-                                buffer, dists[aid], rngs[aid], blocks[aid]
+                                buffer, tapes[aid], None, blocks[aid]
                             )
                         t_next = now + buffer.pop()
                         seq += 1
@@ -1624,16 +1757,21 @@ def run_lanes(
     ``cells`` may mix agent counts, loads, seeds, protocols and fault
     plans freely — every cell just has to be :func:`batch_capable` on
     its own; all are checked before any runs.  Each lane is built, run
-    to completion and dropped before the next is built, so peak memory
-    is one lane's RNGs and think buffers.  A lane copies only the
-    stateful (trace-replay, MMPP) distributions of its scenario
+    to completion and dropped before the next is built.  Lanes that
+    share a think-time stream (same seed, agent id and distribution
+    spec key) read one tape of it, and run one after another: the call
+    runs its lanes grouped by their tape keys, and drops each tape
+    after the last lane that reads it, so peak memory is one group's
+    tapes plus one lane.  A lane copies only the stateful
+    (trace-replay, MMPP) distributions of its scenario
     (:func:`~repro.workload.scenarios.fresh_scenario`), which must not
     be shared between lanes built from one scenario object.
 
     Results are returned in ``cells`` order and are identical to
-    independent :func:`run_simulation` calls — the order cells are
-    handed in cannot influence any observable (each lane owns all of
-    its state; nothing is shared).
+    independent :func:`run_simulation` calls — neither the order cells
+    are handed in nor the company a cell keeps can influence any
+    observable (a shared tape hands every lane the variates its own
+    stream would draw).
     """
     paths = [
         cell[2].telemetry.jsonl_path
@@ -1653,16 +1791,26 @@ def run_lanes(
                 f"batch engine cannot run {protocol!r} on scenario "
                 f"{scenario.name!r}: {reason}"
             )
-    results = []
-    for scenario, protocol, settings in cells:
-        lane = _Replication(fresh_scenario(scenario), protocol, settings)
+    shelf = _TapeShelf(cells)
+    lane_keys = shelf.keys
+    groups: Dict[Tuple[Optional[_TapeKey], ...], List[int]] = {}
+    for index, keys in enumerate(lane_keys):
+        groups.setdefault(tuple(keys), []).append(index)
+    results: List[Optional[RunResult]] = [None] * len(cells)
+    for index in [index for group in groups.values() for index in group]:
+        scenario, protocol, settings = cells[index]
+        lane = _Replication(
+            fresh_scenario(scenario), protocol, settings, shelf, lane_keys[index]
+        )
         try:
             while lane.advance(_ADVANCE_BLOCK):
                 pass
         finally:
             lane._close_sinks()
-        results.append(lane.result())
-    return results
+        results[index] = lane.result()
+        del lane  # its cursors, before the release drops their tapes
+        shelf.release(lane_keys[index])
+    return results  # type: ignore[return-value]  # every lane ran
 
 
 def run_replications(

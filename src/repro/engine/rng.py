@@ -7,6 +7,12 @@ an agent, or changing how often one agent samples, does not perturb the
 variate sequences seen by the others — the standard variance-reduction
 hygiene for comparing arbitration protocols on *identical* arrival
 processes (common random numbers).
+
+Because a stream is a pure function of ``(master seed, name)``, every
+protocol run at one seed sees the same think times.  The lane engine
+uses that: the lanes of one pack that share a seed, an agent and a
+distribution read one tape of the agent's stream, seeded and drawn
+once (:mod:`repro.engine.batch`).
 """
 
 from __future__ import annotations

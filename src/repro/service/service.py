@@ -602,10 +602,11 @@ class ArbitrationService:
         (cross-client dedup, cache replay, lane packs, the pool's crash
         ladder), stopped early only once every live job's deadline has
         passed (then ``None``).  The admission plans are passed in, so
-        no request is hashed again, a request that hit the cache at
-        admission is not read from it again, and a miss is read again
-        only if this service has stored its key since (an earlier
-        gather ran it).  The pool's and the plan's accounting stays on
+        no request is hashed again (the pool routes lane packs and
+        direct cells, demoted ones included, by their planned keys), a
+        request that hit the cache at admission is not read from it
+        again, and a miss is read again only if this service has stored
+        its key since (an earlier gather ran it).  The pool's and the plan's accounting stays on
         :attr:`pool` and :attr:`stats`, where :meth:`stats_snapshot`
         reads it.
         """
@@ -632,8 +633,8 @@ class ArbitrationService:
                 self.cache,
                 stats,
                 lane_runner=lambda cells: pool.run_lanes(cells, lane_keys, control),
-                direct_runner=lambda requests: pool.run_cells(
-                    requests, [request.cache_key() for request in requests], stats, control
+                direct_runner=lambda requests, keys: pool.run_cells(
+                    requests, keys, stats, control
                 ),
                 control=control,
             )

@@ -48,8 +48,11 @@ __all__ = ["execute_plan"]
 
 #: A lane backend: cells in, results in lane order.
 LaneRunner = Callable[[Sequence[tuple]], Sequence["RunResult"]]
-#: A per-cell backend: requests in, results (or failures) in request order.
-DirectRunner = Callable[[Sequence[RunRequest]], Sequence[Union["RunResult", CellFailure]]]
+#: A per-cell backend: requests and their planned cache keys in, results
+#: (or failures) in request order.
+DirectRunner = Callable[
+    [Sequence[RunRequest], Sequence[str]], Sequence[Union["RunResult", CellFailure]]
+]
 
 
 def _default_lane_runner(cells: Sequence[tuple]) -> Sequence["RunResult"]:
@@ -73,7 +76,9 @@ def execute_plan(
     a ``fallback_cells`` tally (those cells were promised the batch
     engine; the direct path's retry/diagnostic machinery then reports
     real per-cell errors).  A demoted cell keeps its key, so its result
-    is stored where the lane's would have been.
+    is stored where the lane's would have been.  The direct backend
+    gets each request's planned key with it, so no backend hashes a
+    request again.
     Fresh results are written back to ``cache`` under their planned
     keys.  ``stats`` accumulates across calls when the caller owns it.
     The default direct backend is an in-process
@@ -158,7 +163,7 @@ def execute_plan(
 
             fresh = ShardPool.in_process().run_cells(requests, stats=stats, control=control)
         else:
-            fresh = direct_runner(requests)
+            fresh = direct_runner(requests, [run.key for run in direct])
         for run, result in zip(direct, fresh):
             record(run, result, ROUTE_DIRECT)
 

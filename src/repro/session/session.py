@@ -168,7 +168,7 @@ class Session:
             plan,
             cache=self.cache,
             stats=self.stats,
-            direct_runner=lambda batch: self._run_direct(batch, control),
+            direct_runner=lambda batch, keys: self._run_direct(batch, control),
             control=control,
         )
         failures = [

@@ -21,6 +21,7 @@ import pickle
 import threading
 import time
 from concurrent.futures import Future
+from dataclasses import replace
 
 import pytest
 
@@ -41,7 +42,8 @@ from repro.session.control import RunControl
 from repro.session.outcome import SessionStats
 from repro.session.request import RunRequest
 from repro.session.session import Session
-from repro.workload.scenarios import equal_load
+from repro.workload.arrivals import MarkovModulatedPoisson
+from repro.workload.scenarios import AgentSpec, ScenarioSpec, equal_load
 
 #: Fast, jitter-free pacing so crash tests never wait on real backoff.
 FAST = BackoffPolicy(base=0.001, cap=0.01, jitter=0.0)
@@ -242,6 +244,27 @@ class TestHappyPath:
             service.submit(requests).wait(60)
             service.submit(requests[:1]).wait(60)  # a cache hit
         assert len(hashed) == 4
+
+    def test_a_stateful_direct_request_is_hashed_once(self, tmp_path):
+        # A stateful request never memoises its key, so only passing the
+        # planned key to the direct runner keeps it from a second hash.
+        hashed = []
+
+        class CountingRequest(RunRequest):
+            def cache_key(self):
+                hashed.append(self.protocol)
+                return super().cache_key()
+
+        shared = MarkovModulatedPoisson(rates=(0.4, 0.05), switch_rates=(0.05, 0.1))
+        scenario = ScenarioSpec("mmpp", (AgentSpec(1, shared), AgentSpec(2, shared)))
+        request = CountingRequest(scenario, "rr", replace(SETTINGS, engine="event"))
+        assert request.stateful
+        with _service(tmp_path, serial=True) as service:
+            job = service.submit([request])
+            job.wait(60)
+        assert job.state == "done"
+        assert [outcome.route for outcome in job.outcomes] == ["direct"]
+        assert len(hashed) == 1
 
     def test_empty_job_is_done_immediately(self, tmp_path):
         with _service(tmp_path, serial=True) as service:

@@ -285,7 +285,7 @@ class TestRunControl:
             RunRequest(_scenario(), "fcfs", EVENT_SETTINGS),
         ]
 
-        def counting_runner(batch):
+        def counting_runner(batch, keys):
             results = []
             for request in batch:
                 control.check()
