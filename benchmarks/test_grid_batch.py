@@ -27,7 +27,10 @@ grid's fault-model slice (12 cells, §3.1/§3.2), recorded as
 A last pair times the six lane protocols at one (N, load, seed) as one
 lane pack against six one-cell packs.  The pack seeds and draws each
 agent's think-time stream once and shares it between its lanes; the
-ratio is the recorded ``shared_tape_speedup``.
+ratio is the recorded ``shared_tape_speedup``.  Another pair does the
+same for the stateful and classed streams of perfbench's ``grid-event``
+(bursty MMPP and two-class cells), recorded as
+``stateful_tape_speedup``.
 """
 
 import pickle
@@ -40,7 +43,7 @@ from repro.engine.batch import run_lanes
 from repro.experiments.robustness import DEFAULT_FAULT_RATES, fault_plan_for, grid_scenario
 from repro.experiments.runner import SimulationSettings, run_simulation
 from repro.experiments.scale import Scale
-from repro.workload.arrivals import two_class_priority_load
+from repro.workload.arrivals import bursty_equal_load, two_class_priority_load
 from repro.workload.scenarios import equal_load
 
 #: The synchronous slice's floor over the event engine, per pass.
@@ -54,6 +57,9 @@ FAULT_SPEEDUP_GATE = 2.5
 
 #: One six-protocol pack's floor over six one-cell packs, per pass.
 SHARED_TAPE_SPEEDUP_GATE = 1.1
+
+#: The bursty and two-class pack's floor over its one-cell packs.
+STATEFUL_TAPE_SPEEDUP_GATE = 1.15
 
 #: One lane family per kernel implementation, both FCFS counter
 #: strategies included — the gate must pay every kernel's dispatch cost.
@@ -139,6 +145,18 @@ def shared_tape_cells():
     """
     settings = SimulationSettings(batches=2, batch_size=500, warmup=50, seed=7)
     return [(equal_load(64, 2.0), protocol, settings) for protocol in PROTOCOLS]
+
+
+def stateful_tape_cells():
+    """Bursty (MMPP) and two-class N = 30 cells under ``grid-event``'s
+    protocols, at its run length (250 completions) and one seed."""
+    settings = SimulationSettings(batches=2, batch_size=100, warmup=50, seed=300)
+    scenarios = (bursty_equal_load(30, 0.9), two_class_priority_load(30, 2.0, urgent_fraction=0.2))
+    return [
+        (scenario, protocol, settings)
+        for scenario in scenarios
+        for protocol in ("rr", "fcfs", "fcfs-aincr")
+    ]
 
 
 def _event_pass(cells):
@@ -346,19 +364,23 @@ def test_shared_pack_byte_identical_to_one_cell_packs():
         assert pickle.dumps(ours) == pickle.dumps(theirs)
 
 
-def test_shared_tape_speedup_gate():
-    """One pack >= 1.1x six one-cell packs, interleaved min-of-k."""
-    cells = shared_tape_cells()
+def _pack_speedup(cells, rounds=5):
+    """One-cell packs over one pack, interleaved min-of-k."""
     run_lanes(cells)  # warm allocator / code caches
     packed, alone = [], []
-    for _ in range(5):
+    for _ in range(rounds):
         start = time.perf_counter()
         _one_cell_packs(cells)
         alone.append(time.perf_counter() - start)
         start = time.perf_counter()
         run_lanes(cells)
         packed.append(time.perf_counter() - start)
-    speedup = min(alone) / min(packed)
+    return min(alone) / min(packed)
+
+
+def test_shared_tape_speedup_gate():
+    """One pack >= 1.1x six one-cell packs, interleaved min-of-k."""
+    speedup = _pack_speedup(shared_tape_cells())
     print(f"\nshared tape speedup: {speedup:.2f}x (gate >= {SHARED_TAPE_SPEEDUP_GATE})")
     assert speedup >= SHARED_TAPE_SPEEDUP_GATE
 
@@ -380,3 +402,35 @@ def test_shared_pass_one_pack(benchmark):
     cells = shared_tape_cells()
     results = benchmark.pedantic(lambda: run_lanes(cells), rounds=7, iterations=1)
     assert all(r.collector.total_recorded == 1050 for r in results)
+
+
+def test_stateful_pack_byte_identical_to_one_cell_packs():
+    """A bursty or two-class cell pickles the same in the pack and alone."""
+    cells = stateful_tape_cells()
+    for ours, theirs in zip(run_lanes(cells), _one_cell_packs(cells)):
+        assert pickle.dumps(ours) == pickle.dumps(theirs)
+
+
+def test_stateful_tape_speedup_gate():
+    """The bursty and two-class pack >= 1.15x its one-cell packs."""
+    speedup = _pack_speedup(stateful_tape_cells(), rounds=7)
+    print(f"\nstateful tape speedup: {speedup:.2f}x (gate >= {STATEFUL_TAPE_SPEEDUP_GATE})")
+    assert speedup >= STATEFUL_TAPE_SPEEDUP_GATE
+
+
+def test_stateful_pass_one_cell_packs(benchmark):
+    """Recorded pass of the bursty and two-class cells as one-cell packs.
+
+    Runs immediately before ``test_stateful_pass_one_pack``; the ratio of
+    their minima is the recorded ``stateful_tape_speedup``.
+    """
+    cells = stateful_tape_cells()
+    results = benchmark.pedantic(lambda: _one_cell_packs(cells), rounds=25, iterations=1)
+    assert all(r.collector.total_recorded == 250 for r in results)
+
+
+def test_stateful_pass_one_pack(benchmark):
+    """Recorded pass of the same cells as one lane pack."""
+    cells = stateful_tape_cells()
+    results = benchmark.pedantic(lambda: run_lanes(cells), rounds=25, iterations=1)
+    assert all(r.collector.total_recorded == 250 for r in results)

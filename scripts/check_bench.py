@@ -2,7 +2,7 @@
 """CI bench guard: median drift plus the grid-wide speedup gate.
 
 Runs the engine benchmarks fresh (to a throwaway file — the committed
-``BENCH_engine.json`` is never overwritten here) and applies ten
+``BENCH_engine.json`` is never overwritten here) and applies eleven
 checks:
 
 1. **Median drift** — every median is compared against the committed
@@ -85,6 +85,15 @@ checks:
     seeds and draws each agent's think-time stream once.  The exact
     bar is enforced on the recorded baseline and by
     ``benchmarks/test_grid_batch.py::test_shared_tape_speedup_gate``;
+    the fresh run gets drift-scaled slack.
+
+11. **Stateful tape speedup** — the same for the bursty (MMPP) and
+    two-class cells of perfbench's ``grid-event`` at N = 30: one pack of
+    ``rr``, ``fcfs`` and ``fcfs-aincr`` must be at least 1.15x faster
+    than its six one-cell packs, since the pack seeds and draws each
+    MMPP and classed stream once.  The exact bar is enforced on the
+    recorded baseline and by
+    ``benchmarks/test_grid_batch.py::test_stateful_tape_speedup_gate``;
     the fresh run gets drift-scaled slack.
 
 Each ratio, its benchmark pair and its bar are one row of

@@ -116,6 +116,11 @@ GATES = (
         "test_shared_pass_one_cell_packs", "test_shared_pass_one_pack", "min_us",
         FLOOR, 1.1, 2, "shared tape benchmarks",
     ),
+    Gate(
+        "stateful_tape_speedup", "stateful tape speedup",
+        "test_stateful_pass_one_cell_packs", "test_stateful_pass_one_pack", "min_us",
+        FLOOR, 1.15, 2, "stateful tape benchmarks",
+    ),
 )
 
 

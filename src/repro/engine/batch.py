@@ -36,11 +36,18 @@ its buffer in the blocks ``BusAgent`` draws
 doubles at each refill up to ``_THINK_BLOCK``.  A tape is extended only
 to the end of the block a lane asks for, so a pack draws what its most
 demanding lane uses.  A stateful distribution (an MMPP phase, a trace
-cursor) gets a tape private to its lane, extended block by block as
-``BusAgent`` draws: the blocks decide how far its state has advanced
-when the run stops, and that state is pickled with the result's
-scenario.  A classed agent draws its class between two think times on
-its stream, so it keeps a generator of its own (:class:`_ThinkEach`).
+cursor) that one agent carries alone is shared the same way: its spec
+key holds the state, and its tape (:class:`_StatefulTape`) records the
+state at the end of each block, since the blocks decide how far the
+state has advanced when a run stops, and that state is pickled with
+the result's scenario.  A finished lane's own copy takes the state
+recorded where the lane stopped reading.  A classed agent draws its
+class between two think times on its stream, so its tape interleaves
+them (:class:`_ThinkAndClass`), except in a lane with agent dropout,
+where an expiry while out draws no class, and for a stateful
+distribution: those keep a generator of their own
+(:class:`_ThinkEach`).  Agents that share one stateful object draw
+from it in turn, so their tape is private to the lane.
 
 Open-loop agents are in-domain at ``max_outstanding == 1``: such an
 agent issues, blocks generation while its one request is in flight and
@@ -52,11 +59,12 @@ open-loop and priority-classed scenarios.
 Two-class priority traffic (§2.4) is in-domain.  Every protocol
 prepends one priority bit to its arbitration number, so the kernels
 keep an ``urgent`` bitmask beside the pending one and the winner is
-still one maximum over bitmasks.  A lane draws each request's class as
-``BusAgent`` does: an agent with ``priority_fraction > 0`` draws its
-think times one at a time and one uniform at every issue, so its
-stream reads think, class, think, class...  Unclassed agents keep their
-``sample_batch`` think buffers, and a lane with no classed agent runs
+still one maximum over bitmasks.  A lane draws each request's class
+from the agent's stream as ``BusAgent`` does: an agent with
+``priority_fraction > 0`` draws one uniform at every issue, so its
+stream reads think, class, think, class...  The lane pops both from
+the agent's buffer, filled from its think-and-class tape (or draws
+them one at a time, see above).  A lane with no classed agent runs
 the class-blind kernel path, so classing costs it nothing.
 
 Synchronous buses (``BusTiming.clock_period > 0``, §2.1) are
@@ -113,6 +121,7 @@ request tie-break.
 
 from __future__ import annotations
 
+import copy
 from collections import Counter, deque
 from dataclasses import replace
 from heapq import heapify, heappop, heappush
@@ -838,13 +847,16 @@ def batch_capable(
 
 
 class _ThinkEach:
-    """Think-time source of an agent that draws a class per request.
+    """Think-time source of a classed agent that reads no tape.
 
-    Stands in for the agent's think buffer.  ``BusAgent`` draws such an
+    Stands in for the agent's think buffer in a lane with agent dropout,
+    or for a stateful distribution.  ``BusAgent`` draws a classed
     agent's think times one at a time with ``sample``, because the class
-    draw at each issue sits between two think draws on its stream.
-    ``pop`` does the same.  The object is always truthy, so the lane's
-    buffer refill never runs for it.
+    draw at each issue sits between two think draws on its stream, and
+    ``pop`` does the same.  A dropout lane needs this: a think timer
+    that expires while the agent is out issues nothing, so no class is
+    drawn after that think time.  The object is always truthy, so the
+    lane's buffer refill never runs for it.
     """
 
     __slots__ = ("dist", "rng")
@@ -855,6 +867,32 @@ class _ThinkEach:
 
     def pop(self) -> float:
         return self.dist.sample(self.rng)
+
+
+class _ThinkAndClass:
+    """A classed agent's stream in ``BusAgent``'s draw order: think time,
+    class uniform, think time, class uniform...
+
+    The tape of a classed agent that is never dropped out, where every
+    think time is followed by an issue and so by a class draw.  Lanes
+    read it in even blocks, so each think time a lane pops is followed
+    in its buffer by the class uniform its issue pops.
+    """
+
+    __slots__ = ("dist",)
+
+    def __init__(self, dist) -> None:
+        self.dist = dist
+
+    def sample_batch(self, rng, count: int) -> List[float]:
+        sample = self.dist.sample
+        random_ = rng.random
+        values: List[float] = []
+        append = values.append
+        for _ in range(count >> 1):
+            append(sample(rng))
+            append(random_())
+        return values
 
 
 class _Tape:
@@ -892,6 +930,60 @@ class _Tape:
         return block
 
 
+class _StatefulTape(_Tape):
+    """A shared tape of a stateful distribution (an MMPP phase, a trace
+    cursor) that one agent of the scenario carries alone.
+
+    The tape draws from its own copy of the distribution.  At the end of
+    each block it draws, it records the attributes sampling has rebound
+    since the copy was made: the state a lane's own copy would be in had
+    it drawn that far.  Every lane reads the agent's stream in the same
+    blocks (``BusAgent``'s policy), so every lane stops at a recorded
+    block end: ``states[end]`` is the state its run left.
+
+    A non-cycling trace can run out inside a block.  The block comes
+    back short, as ``sample_batch`` returns it, to every lane that reads
+    it, and a read past its end draws again, which raises the trace's
+    exhaustion error at the same draw as a lane's own copy would.
+    """
+
+    __slots__ = ("initial", "states", "whole")
+
+    def __init__(self, dist, rng, readers: int) -> None:
+        super().__init__(copy.copy(dist), rng, readers)
+        self.initial = vars(self.dist).copy()
+        self.states: Dict[int, Dict[str, object]] = {}
+        self.whole = True
+
+    def read(self, pos: int, end: int) -> List[float]:
+        values = self.values
+        low = pos - self.start
+        high = end - self.start
+        drawn = len(values)
+        if high > drawn and (self.whole or low >= drawn):
+            dist = self.dist
+            values += dist.sample_batch(self.rng, high - drawn)
+            self.whole = len(values) == high
+            initial = self.initial
+            self.states[end] = {
+                name: value
+                for name, value in vars(dist).items()
+                if name not in initial or value is not initial[name]
+            }
+        block = values[low:high]
+        if not self.readers:
+            del values[:high]
+            self.start = end
+            # States are recorded in block order; the last reader only
+            # reads on from here.
+            states = self.states
+            first = next(iter(states))
+            while first < end:
+                del states[first]
+                first = next(iter(states))
+        return block
+
+
 class _TapeCursor:
     """One lane agent's read position on a :class:`_Tape`.
 
@@ -914,23 +1006,48 @@ class _TapeCursor:
         return self.tape.read(pos, pos + count)
 
 
-#: A shared tape's key: ``(seed, agent id, distribution spec key)``.
-_TapeKey = Tuple[int, int, Tuple[object, ...]]
+#: A shared tape's key: ``(seed, agent id, distribution spec key)``, plus
+#: :data:`_THINK_AND_CLASS` for a classed agent's tape.
+_TapeKey = Tuple[object, ...]
+
+#: Marks a classed agent's tape key apart from the key of the same
+#: stream read as think times alone.
+_THINK_AND_CLASS = "think+class"
 
 
-def _tape_keys(scenario: ScenarioSpec, seed: int) -> List[Optional[_TapeKey]]:
+def _tape_keys(
+    scenario: ScenarioSpec, settings: "SimulationSettings"
+) -> List[Optional[_TapeKey]]:
     """Each agent's shared-tape key, in declaration order.
 
-    ``None`` for the agents that read no shared tape: a classed agent
-    (:class:`_ThinkEach`) and a stateful distribution, whose tape is
-    private to its lane.
+    ``None`` for the agents that read no shared tape: a classed agent in
+    a lane with agent dropout or with a stateful distribution
+    (:class:`_ThinkEach`), and agents that share one stateful
+    distribution object, whose draws interleave block by block, so each
+    gets a tape private to its lane.
     """
-    return [
+    seed = settings.seed
+    keys = [
         None
         if spec.priority_fraction > 0.0 or spec.interrequest.stateful
         else (seed, spec.agent_id, spec.interrequest.spec_key())
         for spec in scenario.agents
     ]
+    if None not in keys:
+        return keys
+    plan = settings.fault_plan
+    dropout = plan is not None and FaultKind.AGENT_DROPOUT in plan.kinds()
+    owners = Counter(
+        id(spec.interrequest) for spec in scenario.agents if spec.interrequest.stateful
+    )
+    for index, spec in enumerate(scenario.agents):
+        dist = spec.interrequest
+        if spec.priority_fraction > 0.0:
+            if not (dropout or dist.stateful):
+                keys[index] = (seed, spec.agent_id, dist.spec_key(), _THINK_AND_CLASS)
+        elif owners[id(dist)] == 1:
+            keys[index] = (seed, spec.agent_id, dist.spec_key())
+    return keys
 
 
 class _TapeShelf:
@@ -948,7 +1065,7 @@ class _TapeShelf:
         self.keys = [
             [
                 key if key is None else interned.setdefault(key, key)
-                for key in _tape_keys(scenario, settings.seed)
+                for key in _tape_keys(scenario, settings)
             ]
             for scenario, _, settings in cells
         ]
@@ -962,9 +1079,15 @@ class _TapeShelf:
             return _TapeCursor(_Tape(dist, streams.agent_stream(agent), 0))
         tape = self.tapes.get(key)
         if tape is None:
-            tape = self.tapes[key] = _Tape(
-                dist, streams.agent_stream(agent), self.readers[key]
-            )
+            rng = streams.agent_stream(agent)
+            readers = self.readers[key]
+            if key[-1] is _THINK_AND_CLASS:
+                tape = _Tape(_ThinkAndClass(dist), rng, readers)
+            elif dist.stateful:
+                tape = _StatefulTape(dist, rng, readers)
+            else:
+                tape = _Tape(dist, rng, readers)
+            self.tapes[key] = tape
         tape.readers -= 1
         return _TapeCursor(tape)
 
@@ -1018,8 +1141,9 @@ class _Replication:
         "flow_metrics",
         "txn",
         "arbt",
-        "rngs",
+        "class_draws",
         "tapes",
+        "restores",
         "buffers",
         "blocks",
         "fractions",
@@ -1135,10 +1259,14 @@ class _Replication:
         self.t_retry = _INF
 
         streams = RandomStreams(settings.seed)
-        # A classed agent's own generator (its class draws).
-        self.rngs = [None] * (num_agents + 1)
-        # An unclassed agent's cursor on its think-time tape.
+        # A classed agent's class draw: the next value of its buffer, or
+        # of its own generator beside a _ThinkEach.
+        self.class_draws: list = [None] * (num_agents + 1)
+        # An agent's cursor on its think-time tape.
         self.tapes: List[Optional[_TapeCursor]] = [None] * (num_agents + 1)
+        # The stateful distributions read from a shared tape, with their
+        # cursors: result() sets each to the state its run left.
+        self.restores: List[Tuple[object, _TapeCursor]] = []
         # None marks an agent id the scenario does not declare.
         self.buffers: list = [None] * (num_agents + 1)
         # Each agent's next think-time block (BusAgent's policy).
@@ -1155,18 +1283,25 @@ class _Replication:
         # the request-timer tie-break sequence numbers line up.
         for spec, key in zip(scenario.agents, tape_keys):
             agent = spec.agent_id
-            if spec.priority_fraction > 0.0:
-                # A classed agent's class draw falls between two think
-                # draws on its stream, so it draws them one at a time.
-                rng = self.rngs[agent] = streams.agent_stream(agent)
+            dist = spec.interrequest
+            classed = spec.priority_fraction > 0.0
+            if classed:
                 self.fractions[agent] = spec.priority_fraction
-                buffer = self.buffers[agent] = _ThinkEach(spec.interrequest, rng)
+            if classed and key is None:
+                # A class draw falls between two think draws on the
+                # agent's stream, so it draws them one at a time.
+                rng = streams.agent_stream(agent)
+                self.class_draws[agent] = rng.random
+                buffer = self.buffers[agent] = _ThinkEach(dist, rng)
             else:
-                tape = self.tapes[agent] = shelf.cursor(
-                    key, spec.interrequest, streams, agent
-                )
+                tape = self.tapes[agent] = shelf.cursor(key, dist, streams, agent)
                 buffer = self.buffers[agent] = []
                 self.blocks[agent] = refill_think_buffer(buffer, tape, None, blocks[agent])
+                if classed:
+                    # The tape interleaves think times and class draws.
+                    self.class_draws[agent] = buffer.pop
+                elif key is not None and dist.stateful:
+                    self.restores.append((dist, tape))
             t_first = 0.0 + buffer.pop()
             self.seq += 1
             heap.append((t_first, self.seq, agent))
@@ -1705,7 +1840,7 @@ class _Replication:
         """
         fraction = self.fractions[agent]
         self.kernel.request(
-            agent, now, fraction > 0.0 and self.rngs[agent].random() < fraction
+            agent, now, fraction > 0.0 and self.class_draws[agent]() < fraction
         )
 
     def _close_sinks(self) -> None:
@@ -1714,6 +1849,10 @@ class _Replication:
             self.jsonl = None
 
     def result(self) -> RunResult:
+        for dist, cursor in self.restores:
+            # The state the lane's own copy would have reached, drawing
+            # the blocks the lane read.
+            vars(dist).update(cursor.tape.states[cursor.pos])
         utilization = self.busy_time / self.now if self.now > 0.0 else 0.0
         return RunResult(
             scenario=self.scenario,
@@ -1765,7 +1904,9 @@ def run_lanes(
     tapes plus one lane.  A lane copies only the stateful
     (trace-replay, MMPP) distributions of its scenario
     (:func:`~repro.workload.scenarios.fresh_scenario`), which must not
-    be shared between lanes built from one scenario object.
+    be shared between lanes built from one scenario object; a shared
+    tape draws from a copy of its own and sets each lane's copy to the
+    state the lane's reads reached.
 
     Results are returned in ``cells`` order and are identical to
     independent :func:`run_simulation` calls — neither the order cells

@@ -6,14 +6,19 @@ far as a lane asks (``repro.engine.batch``).  A tape hands every lane
 the variates its own stream would draw, so a cell must give the same
 result whatever company it keeps: the differential property below runs
 mixed packs and compares every cell with the same cell run alone and on
-the event engine.  A classed agent keeps a generator of its own, and a
-stateful distribution (two agents sharing one MMPP, a cycling trace)
-gets a tape private to its lane, so those sit in the packs too.
+the event engine.  The packs hold every kind of stream a lane reads:
+renewal streams, per-agent MMPPs, cycling and non-cycling traces (a
+long cell that runs a trace out raises, and the pack raises the same
+error), classed agents with and without a dropout window, and two
+agents sharing one MMPP, whose tapes stay private to their lane.
 
 The count and release tests pin the point of the change: a pack of
 the six lane protocols at one seed seeds each agent stream once and
-draws each about as far as its most demanding lane, and a tape is gone
-after the last lane that reads it.
+draws each about as far as its most demanding lane, MMPP and classed
+streams included, and a tape is gone after the last lane that reads
+it.  A stateful stream's lane ends with the MMPP phase its own copy
+would reach, and a classed agent in a dropout lane keeps its own
+generator.
 """
 
 import copy
@@ -30,10 +35,16 @@ import repro.engine.batch as batch_module
 from repro.bus.agent import _THINK_BLOCK
 from repro.engine.batch import batch_capable, run_lanes
 from repro.engine.rng import RandomStreams
+from repro.errors import ConfigurationError
 from repro.experiments.runner import SimulationSettings
-from repro.faults.plan import FaultKind, FaultPlan
+from repro.faults.plan import FaultEvent, FaultKind, FaultPlan
+from repro.observability import TelemetrySettings
 from repro.session import run_cell
-from repro.workload.arrivals import MarkovModulatedPoisson
+from repro.workload.arrivals import (
+    MarkovModulatedPoisson,
+    bursty_equal_load,
+    two_class_priority_load,
+)
 from repro.workload.distributions import Distribution, Exponential
 from repro.workload.scenarios import AgentSpec, ScenarioSpec, equal_load
 from repro.workload.traces import TraceDistribution, synthesize_program_trace
@@ -60,6 +71,36 @@ def _shared_mmpp(scenario):
         f"{scenario.name}-shared-mmpp",
         (replace(one, interrequest=shared), replace(two, interrequest=shared), *rest),
     )
+
+
+def _per_agent_mmpp(scenario):
+    """``scenario`` with every agent drawing from an MMPP of its own."""
+    return ScenarioSpec(
+        f"{scenario.name}-mmpp",
+        tuple(
+            replace(spec, interrequest=MarkovModulatedPoisson((0.4, 0.05), (0.05, 0.1)))
+            for spec in scenario.agents
+        ),
+    )
+
+
+def _non_cycling_trace(length):
+    """Three agents, the first replaying a ``length``-sample trace once."""
+    first, *rest = equal_load(3, 1.0).agents
+    trace = TraceDistribution(synthesize_program_trace(length, seed=1), cycle=False)
+    return ScenarioSpec(
+        f"non-cycling-trace-{length}", (replace(first, interrequest=trace), *rest)
+    )
+
+
+def _dropout_window(settings):
+    """``settings`` with agent 1 off the bus from 20 to 50."""
+    plan = FaultPlan(
+        events=(
+            FaultEvent(time=20.0, kind=FaultKind.AGENT_DROPOUT, agent_id=1, duration=30.0),
+        )
+    )
+    return replace(settings, fault_plan=plan)
 
 
 def _cycling_trace(scenario):
@@ -112,11 +153,22 @@ def _packs(draw):
         for protocol in protocols
     ]
     base = cells[0][0]
-    variants = (_classed, _shared_mmpp, _cycling_trace, _open_loop)
+    variants = (_classed, _shared_mmpp, _cycling_trace, _open_loop, _per_agent_mmpp)
     cells += [
         (variant(base), protocol, settings)
         for variant in variants
-        for protocol in (protocols[0], protocols[-1])
+        for protocol in protocols[:3]
+    ]
+    cells += [
+        (_classed(base), protocol, _dropout_window(settings)) for protocol in protocols[:3]
+    ]
+    # One trace key at three run lengths: depending on the trace length,
+    # the longer cells run it out, inside a block or past its end.
+    trace = _non_cycling_trace(draw(st.integers(min_value=12, max_value=60)))
+    cells += [
+        (trace, protocol, replace(settings, batch_size=size))
+        for size in (10, 20, 40)
+        for protocol in protocols[:2]
     ]
     cells.append((base, "rr", _dropouts(settings, sizes[0])))
     # Another seed's cell of the same shape shares no tape.
@@ -127,6 +179,19 @@ def _packs(draw):
 
 def _pickles(results):
     return [pickle.dumps(result) for result in results]
+
+
+def _outcome(run, cell):
+    """The pickle of ``run(cell)``'s result, or the error it raised."""
+    try:
+        return pickle.dumps(run(cell))
+    except ConfigurationError as exc:
+        return str(exc)
+
+
+def _alone(cell):
+    (result,) = run_lanes([cell])
+    return result
 
 
 def _event(cell):
@@ -140,10 +205,20 @@ def test_a_packed_cell_equals_the_cell_alone_and_on_the_event_engine(pack, shuff
     for scenario, protocol, settings in pack:
         capable, reason = batch_capable(scenario, protocol, settings)
         assert capable, reason
+    alone = [_outcome(_alone, cell) for cell in pack]
+    for cell, expected in zip(pack, alone):
+        assert _outcome(_event, cell) == expected, f"{cell[1]} {cell[0].name} on events"
+    errors = {outcome for outcome in alone if isinstance(outcome, str)}
+    if errors:
+        # A cell that runs its trace out fails the whole pack, with the
+        # error the cell raises alone.
+        with pytest.raises(ConfigurationError) as raised:
+            run_lanes(pack)
+        assert str(raised.value) in errors
+    pack, alone = zip(*[(cell, got) for cell, got in zip(pack, alone) if got not in errors])
     packed = _pickles(run_lanes(pack))
-    for cell, got in zip(pack, packed):
-        assert got == _pickles(run_lanes([cell]))[0], f"{cell[1]} {cell[0].name} alone"
-        assert got == pickle.dumps(_event(cell)), f"{cell[1]} {cell[0].name} on events"
+    for cell, got, expected in zip(pack, packed, alone):
+        assert got == expected, f"{cell[1]} {cell[0].name} alone"
     order = list(range(len(pack)))
     shuffle.shuffle(order)
     shuffled = _pickles(run_lanes([pack[index] for index in order]))
@@ -305,3 +380,119 @@ def test_the_last_reader_keeps_no_more_than_a_block(monkeypatch):
     held.clear()
     run_lanes(cells)
     assert max(held) > 200
+
+
+#: The protocols and run length of perfbench's ``grid-event`` cells.
+EVENT_GRID_PROTOCOLS = ("rr", "fcfs", "fcfs-aincr")
+EVENT_GRID_SETTINGS = SimulationSettings(batches=2, batch_size=100, warmup=50, seed=3)
+
+
+class _CountingMMPP(MarkovModulatedPoisson):
+    """An MMPP that tallies, by agent, the variates drawn from it and
+    from its copies (which share the tally)."""
+
+    def __init__(self, dist, agent, tally):
+        super().__init__(dist.rates, dist.switch_rates, dist.phase)
+        self.agent = agent
+        self.tally = tally
+
+    def sample_batch(self, rng, count):
+        self.tally[self.agent] += count
+        return super().sample_batch(rng, count)
+
+
+def _counted_bursty(tally):
+    """``bursty_equal_load(30, 0.9)`` with its MMPPs tallying draws."""
+    scenario = bursty_equal_load(30, 0.9)
+    return ScenarioSpec(
+        scenario.name,
+        tuple(
+            replace(spec, interrequest=_CountingMMPP(spec.interrequest, spec.agent_id, tally))
+            for spec in scenario.agents
+        ),
+    )
+
+
+def test_a_bursty_pack_seeds_each_mmpp_stream_once_and_draws_what_its_hungriest_lane_uses(
+    seeded,
+):
+    alone = []
+    for protocol in EVENT_GRID_PROTOCOLS:
+        tally = defaultdict(int)
+        run_lanes([(_counted_bursty(tally), protocol, EVENT_GRID_SETTINGS)])
+        alone.append(tally)
+    assert set(seeded.values()) == {len(EVENT_GRID_PROTOCOLS)}
+    seeded.clear()
+    tally = defaultdict(int)
+    scenario = _counted_bursty(tally)
+    run_lanes([(scenario, protocol, EVENT_GRID_SETTINGS) for protocol in EVENT_GRID_PROTOCOLS])
+    assert sorted(seeded) == list(range(1, 31))
+    assert set(seeded.values()) == {1}
+    assert dict(tally) == {agent: max(lane[agent] for lane in alone) for agent in range(1, 31)}
+    assert sum(tally.values()) < sum(sum(lane.values()) for lane in alone) / 2
+
+
+def _phases(result):
+    return [spec.interrequest.phase for spec in result.scenario.agents]
+
+
+@pytest.mark.parametrize(
+    "scenario",
+    [bursty_equal_load(30, 0.9), _per_agent_mmpp(equal_load(30, 2.0))],
+    ids=["on-off", "two-rate"],
+)
+def test_each_lane_ends_in_the_mmpp_phase_its_own_stream_reaches(scenario):
+    cells = [(scenario, protocol, EVENT_GRID_SETTINGS) for protocol in EVENT_GRID_PROTOCOLS]
+    packed = [_phases(result) for result in run_lanes(cells)]
+    assert packed == [_phases(_alone(cell)) for cell in cells]
+    assert packed == [_phases(_event(cell)) for cell in cells]
+    assert not any(spec.interrequest.phase for spec in scenario.agents)  # untouched
+    if scenario.agents[0].interrequest.rates[1] > 0.0:
+        # An on-off source is in its on phase after every arrival; a
+        # two-rate one is not.  The tapes draw from copies, so only the
+        # restore moves a lane's phase off the start phase.
+        assert any(any(lane) for lane in packed)
+
+
+def test_a_two_class_pack_seeds_each_classed_stream_once(seeded):
+    scenario = two_class_priority_load(30, 2.0, urgent_fraction=0.2)
+    cells = [(scenario, protocol, EVENT_GRID_SETTINGS) for protocol in EVENT_GRID_PROTOCOLS]
+    packed = _pickles(run_lanes(cells))
+    assert sorted(seeded) == list(range(1, 31))
+    assert set(seeded.values()) == {1}
+    assert packed == [pickle.dumps(_event(cell)) for cell in cells]
+
+
+def test_a_classed_agent_in_a_dropout_lane_keeps_its_own_generator(seeded):
+    scenario = two_class_priority_load(30, 2.0, urgent_fraction=0.2)
+    cells = [(scenario, protocol, EVENT_GRID_SETTINGS) for protocol in EVENT_GRID_PROTOCOLS]
+    cells.append((scenario, "rr", _dropout_window(EVENT_GRID_SETTINGS)))
+    packed = _pickles(run_lanes(cells))
+    # One seed for the tape the fault-free lanes share, one for each
+    # classed agent of the dropout lane.
+    assert sorted(seeded) == list(range(1, 31))
+    assert set(seeded.values()) == {2}
+    assert packed == [pickle.dumps(_event(cell)) for cell in cells]
+
+
+def test_a_lane_behind_a_run_out_trace_fails_on_the_same_draw(tmp_path):
+    # The rr lane runs agent 1's 20-sample trace out inside a block and
+    # finishes within it; the fcfs lane reads that short block from the
+    # tape and fails on the draw after it, as it does alone.
+    scenario = _non_cycling_trace(20)
+    settings = replace(SETTINGS, seed=5)
+    short = (scenario, "rr", replace(settings, batch_size=20))
+    (ran_out,) = run_lanes([short])
+    assert ran_out.scenario.agents[0].interrequest.spec_key()[-1]  # exhausted
+
+    def failing(path):
+        telemetry = TelemetrySettings(jsonl_path=str(tmp_path / path))
+        return (scenario, "fcfs", replace(settings, telemetry=telemetry))
+
+    with pytest.raises(ConfigurationError, match="exhausted") as alone:
+        run_lanes([failing("alone.jsonl")])
+    with pytest.raises(ConfigurationError) as packed:
+        run_lanes([short, failing("packed.jsonl")])
+    assert str(packed.value) == str(alone.value)
+    events = (tmp_path / "alone.jsonl").read_text()
+    assert events and (tmp_path / "packed.jsonl").read_text() == events

@@ -19,6 +19,9 @@ Three pins per distribution family:
   byte, so even a coordinated change to both paths (which the equality
   checks cannot see) trips a failure that names the distribution.
 
+A Hypothesis property runs the MMPP batch path against its sample loop
+over rates, switch rates, start phases and chunkings.
+
 Two end-to-end pins close the loop through the lane engine: an open-loop
 on-off MMPP agent's issue gaps on lanes are exactly its sample loop, and
 a priority-classed agent's stream interleaves one think draw and one
@@ -29,6 +32,7 @@ import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings as hyp_settings, strategies as st
 
 from repro.engine.batch import batch_capable, run_lanes
 from repro.engine.rng import RandomStreams
@@ -122,6 +126,38 @@ def test_expovariate_inline_matches_cpython_formula():
     batched = Exponential(0.75).sample_batch(rng_inline, 50)
     stdlib = [rng_stdlib.expovariate(1.0 / 0.75) for _ in range(50)]
     assert batched == stdlib
+
+
+_RATE = st.floats(min_value=0.05, max_value=5.0)
+
+
+@hyp_settings(max_examples=150, deadline=None)
+@given(
+    rates=st.one_of(
+        st.tuples(_RATE, _RATE),
+        st.tuples(st.just(0.0), _RATE),
+        st.tuples(_RATE, st.just(0.0)),
+    ),
+    switch_rates=st.tuples(_RATE, _RATE),
+    phase=st.sampled_from((0, 1)),
+    chunks=st.lists(st.integers(min_value=0, max_value=40), min_size=1, max_size=4),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_mmpp_sample_batch_is_the_sample_loop(rates, switch_rates, phase, chunks, seed):
+    # The MMPP batch path is its own loop, with expovariate inlined:
+    # over two-rate and on-off sources (the silent phase on either
+    # side), from either start phase and in any chunking, it must give
+    # the sample loop's variates, final phase and generator state.
+    looped_dist = MarkovModulatedPoisson(rates, switch_rates, phase)
+    batched_dist = MarkovModulatedPoisson(rates, switch_rates, phase)
+    looped_rng, batched_rng = random.Random(seed), random.Random(seed)
+    looped = [looped_dist.sample(looped_rng) for _ in range(sum(chunks))]
+    batched = []
+    for count in chunks:
+        batched += batched_dist.sample_batch(batched_rng, count)
+    assert batched == looped
+    assert batched_dist.phase == looped_dist.phase
+    assert batched_rng.random() == looped_rng.random()
 
 
 @pytest.mark.parametrize("seed", SEEDS)

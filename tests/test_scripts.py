@@ -178,6 +178,7 @@ class TestCheckBenchGates:
             "fault_grid_speedup",
             "hot_hit_speedup",
             "shared_tape_speedup",
+            "stateful_tape_speedup",
         ]
         assert self._gate(module, "grid_speedup").bound == module.FLOOR
         assert {gate.bound for gate in module.GATES[1:4]} == {module.CEILING}
@@ -186,6 +187,7 @@ class TestCheckBenchGates:
         assert self._gate(module, "fault_grid_speedup").bound == module.FLOOR
         assert self._gate(module, "hot_hit_speedup").bound == module.FLOOR
         assert self._gate(module, "shared_tape_speedup").bound == module.FLOOR
+        assert self._gate(module, "stateful_tape_speedup").bound == module.FLOOR
         assert {gate.key: gate.bar for gate in module.GATES} == {
             "grid_speedup": 10.0,
             "session_overhead": 0.02,
@@ -196,6 +198,7 @@ class TestCheckBenchGates:
             "fault_grid_speedup": 2.5,
             "hot_hit_speedup": 10.0,
             "shared_tape_speedup": 1.1,
+            "stateful_tape_speedup": 1.15,
         }
         # The grid speedup is a ratio of medians; every other row
         # divides minima.
