@@ -1162,7 +1162,6 @@ class _Replication:
         "master_issue",
         "master_grant",
         "busy_time",
-        "transactions",
         "arb_index",
         "active",
         "woke",
@@ -1170,6 +1169,9 @@ class _Replication:
         "watchdog",
         "fault_actions",
         "fault_idx",
+        "open_batch",
+        "tally",
+        "seen",
     )
 
     def __init__(
@@ -1319,8 +1321,17 @@ class _Replication:
         self.master_issue = 0.0
         self.master_grant = 0.0
         self.busy_time = 0.0
-        self.transactions = 0
         self.arb_index = 0
+        # The flag-free record path's open batch between advance calls,
+        # in CompletionCollector.end_batch's argument order: its count
+        # and three sums,
+        # and the time of the last completion (the open batch's end
+        # time, or the collector's next batch boundary if none is open).
+        # ``tally`` counts the open batch's completions per agent, and
+        # ``seen`` lists its agents in first-completion order.
+        self.open_batch = (0, 0.0, 0.0, 0.0, 0.0)
+        self.tally = [0] * (num_agents + 1)
+        self.seen: List[int] = []
 
     def advance(self, completions: int) -> bool:
         """Advance until ``completions`` more completions are recorded.
@@ -1332,18 +1343,33 @@ class _Replication:
         The loop body keeps the whole machine state in locals (written
         back at every exit) and inlines the grant/kick handlers: this
         is the sweep bottleneck, and attribute traffic dominates once
-        event objects are gone.
+        event objects are gone.  On a saturated bus one round runs per
+        completion: the release, its record, the think redraw, the grant
+        of the winner latched during the tenure, the fused kick that
+        latches the next one, then the absorption of the requests that
+        expire before the next release.  While a winner is latched the
+        release is known to be next, so that round scans no timers and
+        tests no kick guard, and the open batch's accumulators stay in
+        locals between batch ends.
         """
         collector = self.collector
         record_completion = collector.record_completion
         needed = collector.needed
         warmup_n = collector.warmup
         batch_size_n = collector.batch_size
-        agent_totals = collector.agent_totals
         # The flag-free accumulation path is inlined in the RELEASE
         # branch; anything that retains per-completion artefacts goes
         # through the reference implementation.
         fast_record = not (collector.keep_order or collector.keep_records)
+        total = collector.total_recorded
+        stop = total + completions
+        # The open batch's accumulators, handed to the collector when it
+        # fills (end_batch) or in result() (end_run), and its samples
+        # list, if it keeps one.
+        b_count, b_wait, b_wait_sq, b_queue, t_done = self.open_batch
+        samples = collector.batch_stats[-1].samples if b_count else None
+        tally = self.tally
+        seen = self.seen
         kernel = self.kernel
         # A lane picks its path once: only a lane with classed agents
         # draws request classes and arbitrates on the class bit.
@@ -1399,10 +1425,8 @@ class _Replication:
         master_issue = self.master_issue
         master_grant = self.master_grant
         busy_time = self.busy_time
-        transactions = self.transactions
         arb_index = self.arb_index
         now = self.now
-        recorded = 0
         # Earliest request timer, insertion order breaking time ties.
         # The heap peek is cached across iterations and only refreshed
         # at the points that can move it: a pop (re-peek) or a
@@ -1412,30 +1436,28 @@ class _Replication:
         tr = _INF
         ra = 0
         if req_heap:
-            head = req_heap[0]
-            tr = head[0]
-            ra = head[2]
+            tr, _, ra = req_heap[0]
         kick_now = False
         fast_absorb = not faulty
         while True:
             if fast_absorb and pending_winner is not None:
-                # The next master is already latched, so until the
-                # release fires nothing can schedule an arbitration,
-                # kick or retry — the only dispatchable events are
-                # request expiries, and their handler (sans the
-                # suppressed kick guard) can absorb them without a full
-                # dispatch round.  Strictly earlier only: a request at
-                # exactly t_rel fires after the release, as in the
-                # calendar's priority order.  Fault-free lanes only, so
-                # no agent is ever dropped out here.
+                # The next master is already latched.  A winner latches
+                # only when no arbitration, kick or retry is pending
+                # (every path to a pass checks the three are clear), and
+                # until the release grants it no handler can schedule
+                # one: the kick guards test for a latched winner, and a
+                # retry or fault timer needs a faulted lane.  So the
+                # only dispatchable events are request expiries, and
+                # their handler (sans the suppressed kick guard) can
+                # absorb them without a full dispatch round.  Strictly
+                # earlier only: a request at exactly t_rel fires after
+                # the release, as in the calendar's priority order.
+                # Fault-free lanes only, so no agent is ever dropped out
+                # here.
                 while tr < t_rel:
-                    fire = tr
-                    agent = ra
-                    heappop(req_heap)
+                    fire, _, agent = heappop(req_heap)
                     if req_heap:
-                        head = req_heap[0]
-                        tr = head[0]
-                        ra = head[2]
+                        tr, _, ra = req_heap[0]
                     else:
                         tr = _INF
                         ra = 0
@@ -1444,27 +1466,32 @@ class _Replication:
                         kernel_issue[agent] = fire
                     else:
                         kernel_request(agent, fire)
-            tmin = t_rel
-            if t_arb < tmin:
-                tmin = t_arb
-            if tr < tmin:
-                tmin = tr
-            if t_kick < tmin:
-                tmin = t_kick
-            if t_retry < tmin:
-                tmin = t_retry
-            if t_fault < tmin:
-                tmin = t_fault
-            if tmin == _INF:
-                self.busy_time = busy_time
-                self.transactions = transactions
-                self.fault_idx = fault_idx
-                self.now = now
-                self._close_sinks()
-                raise SimulationError(
-                    "simulation drained its event calendar before the collector "
-                    "was satisfied; the scenario generates too few requests"
-                )
+                # Every other timer is infinite and no request timer is
+                # left before t_rel, so the release is next: no timer
+                # scan, and the calendar cannot be drained.
+                tmin = t_rel
+            else:
+                tmin = t_rel
+                if t_arb < tmin:
+                    tmin = t_arb
+                if tr < tmin:
+                    tmin = tr
+                if t_kick < tmin:
+                    tmin = t_kick
+                if t_retry < tmin:
+                    tmin = t_retry
+                if t_fault < tmin:
+                    tmin = t_fault
+                if tmin == _INF:
+                    collector.total_recorded = total
+                    self.busy_time = busy_time
+                    self.fault_idx = fault_idx
+                    self.now = now
+                    self._close_sinks()
+                    raise SimulationError(
+                        "simulation drained its event calendar before the collector "
+                        "was satisfied; the scenario generates too few requests"
+                    )
             now = tmin
             if t_rel == tmin:  # RELEASE — ends the master's tenure
                 agent = master
@@ -1472,43 +1499,45 @@ class _Replication:
                 t_rel = _INF
                 busy = False
                 busy_time += txn
-                transactions += 1
                 if fast_record:
                     # Inline of CompletionCollector.record_completion's
                     # flag-free path — that method is the reference
                     # implementation, and the cross-engine differential
-                    # suite pins this copy to it.  The call (plus its
-                    # self-attribute traffic) is the single largest
-                    # per-completion cost once dispatch is lean.
-                    index = collector.total_recorded
-                    collector.total_recorded = index + 1
-                    if index < warmup_n:
-                        collector._last_boundary_time = now
-                    elif index < needed:
-                        batch = collector._current
-                        if batch is None or batch.count == batch_size_n:
-                            collector._open_batch(
-                                (index - warmup_n) // batch_size_n
-                            )
-                            batch = collector._current
+                    # suite pins this copy to it.  The open batch's count
+                    # and sums live in locals, in the reference's
+                    # operand order, and its per-agent counts in a tally
+                    # list; the collector's end_run sums agent_totals
+                    # from the batches.  A lane stops at the completion
+                    # that satisfies the collector, so none is past
+                    # ``needed``.
+                    if total >= warmup_n:
+                        if not b_count:
+                            samples = collector.begin_batch(total, t_done).samples
                         waiting = now - issue
-                        batch.count += 1
-                        batch.sum_waiting += waiting
-                        batch.sum_waiting_sq += waiting * waiting
-                        batch.sum_queueing += master_grant - issue
-                        counts = batch.agent_counts
-                        counts[agent] = counts.get(agent, 0) + 1
-                        agent_totals[agent] = agent_totals.get(agent, 0) + 1
-                        if batch.samples is not None:
-                            batch.samples.append(waiting)
-                        batch.end_time = now
-                        if batch.count == batch_size_n:
-                            collector._last_boundary_time = now
+                        b_count += 1
+                        b_wait += waiting
+                        b_wait_sq += waiting * waiting
+                        b_queue += master_grant - issue
+                        if tally[agent]:
+                            tally[agent] += 1
+                        else:
+                            tally[agent] = 1
+                            seen.append(agent)
+                        if samples is not None:
+                            samples.append(waiting)
+                        if b_count == batch_size_n:
+                            collector.end_batch(
+                                b_count, b_wait, b_wait_sq, b_queue, now, tally, seen
+                            )
+                            b_count = 0
+                            b_wait = b_wait_sq = b_queue = 0.0
+                    t_done = now
                 else:
                     # The master's class bit is intact until its release.
                     record_completion(
                         agent, issue, master_grant, now, bool(kernel.urgent >> agent & 1)
                     )
+                total += 1
                 if metrics is not None:
                     metrics.counter("completions").increment()
                     metrics.histogram(f"wait.agent.{agent}", WAIT_BUCKETS).observe(
@@ -1534,14 +1563,14 @@ class _Replication:
                 if t_next < tr:
                     tr = t_next
                     ra = agent
-                recorded += 1
-                if collector.total_recorded >= needed:  # inlined satisfied()
+                if total >= needed:  # inlined satisfied()
                     # The event engine's post-event effects (inline grant
                     # of a pending winner, a same-instant kick) never run
                     # another event after the stop rule fires, so they
                     # are unobservable; the run ends here.
+                    collector.total_recorded = total
+                    self.open_batch = (b_count, b_wait, b_wait_sq, b_queue, t_done)
                     self.busy_time = busy_time
-                    self.transactions = transactions
                     self.seq = seq
                     self.arb_index = arb_index
                     self.fault_idx = fault_idx
@@ -1549,7 +1578,10 @@ class _Replication:
                     self._close_sinks()
                     return False
                 if pending_winner is not None:
-                    # inline grant of the already-arbitrated next master
+                    # Inline grant of the already-arbitrated next master.
+                    # No kick guard: while a winner is latched, no
+                    # arbitration, kick or retry is pending (see the
+                    # absorb loop above), on every lane.
                     kernel.pending &= ~(1 << pending_winner)
                     master_issue = kernel_issue[pending_winner]
                     if watchdog is not None:
@@ -1559,11 +1591,10 @@ class _Replication:
                     pending_winner = None
                     master_grant = now
                     t_rel = now + txn
-                    if t_kick == _INF and t_arb == _INF and t_retry == _INF:
-                        if fuse and tr > now:
-                            kick_now = True
-                        else:
-                            t_kick = now + edge(now)
+                    if fuse and tr > now:
+                        kick_now = True
+                    else:
+                        t_kick = now + edge(now)
                 elif t_kick == _INF and t_arb == _INF and t_retry == _INF:
                     if fuse and tr > now:
                         kick_now = True
@@ -1590,9 +1621,7 @@ class _Replication:
                 agent = ra
                 heappop(req_heap)
                 if req_heap:
-                    head = req_heap[0]
-                    tr = head[0]
-                    ra = head[2]
+                    tr, _, ra = req_heap[0]
                 else:
                     tr = _INF
                     ra = 0
@@ -1675,8 +1704,11 @@ class _Replication:
                                 # Retry budget exhausted: permanent
                                 # failure ends the lane, as run()'s stop
                                 # rule would at the same instant.
+                                collector.total_recorded = total
+                                self.open_batch = (
+                                    b_count, b_wait, b_wait_sq, b_queue, t_done
+                                )
                                 self.busy_time = busy_time
-                                self.transactions = transactions
                                 self.seq = seq
                                 self.arb_index = arb_index
                                 self.fault_idx = fault_idx
@@ -1810,9 +1842,11 @@ class _Replication:
                         # absorption stays off until then.
                         arb_winner = winner
                         t_arb = t_settled + edge(t_settled) if clocked else t_settled
-            if recorded >= completions:
+            if total >= stop:
                 break
 
+        collector.total_recorded = total
+        self.open_batch = (b_count, b_wait, b_wait_sq, b_queue, t_done)
         self.t_rel = t_rel
         self.t_arb = t_arb
         self.t_kick = t_kick
@@ -1827,7 +1861,6 @@ class _Replication:
         self.master_issue = master_issue
         self.master_grant = master_grant
         self.busy_time = busy_time
-        self.transactions = transactions
         self.arb_index = arb_index
         self.now = now
         return True
@@ -1853,11 +1886,17 @@ class _Replication:
             # The state the lane's own copy would have reached, drawing
             # the blocks the lane read.
             vars(dist).update(cursor.tape.states[cursor.pos])
+        collector = self.collector
+        if not (collector.keep_order or collector.keep_records):
+            # The flag-free record path: a lane the watchdog stopped may
+            # leave a batch open, and agent_totals is not counted per
+            # completion.
+            collector.end_run(*self.open_batch, self.tally, self.seen)
         utilization = self.busy_time / self.now if self.now > 0.0 else 0.0
         return RunResult(
             scenario=self.scenario,
             protocol=self.protocol,
-            collector=self.collector,
+            collector=collector,
             utilization=utilization,
             elapsed=self.now,
             seed=self.settings.seed,

@@ -66,8 +66,11 @@ class BatchStats:
     """Accumulated statistics of one batch.
 
     ``waiting`` refers to the paper's W: request issue to transaction
-    completion.  Slotted (3.10+): the collector's hot path touches
-    seven of these fields per completion.
+    completion.  Slotted (3.10+): :meth:`CompletionCollector.record_completion`,
+    the event engine's path, updates seven of these fields per
+    completion.  The lane engine's flag-free path keeps the open
+    batch's count, sums and per-agent counts in locals and writes them
+    here once, when the batch fills or the run ends.
     """
 
     index: int
@@ -206,9 +209,11 @@ class CompletionCollector:
     ) -> None:
         """Accumulate one completion from its bare timing fields.
 
-        The batch engine's hot path: identical arithmetic to
-        :meth:`record` without allocating a :class:`CompletionRecord`
-        unless the collector actually retains records.
+        Identical arithmetic to :meth:`record` without allocating a
+        :class:`CompletionRecord` unless the collector actually retains
+        records.  The lane engine calls it when the collector keeps the
+        completion order or records; its flag-free path is an inlined
+        copy that the cross-engine differential suite pins to this one.
         """
         index = self.total_recorded
         self.total_recorded = index + 1
@@ -251,6 +256,82 @@ class CompletionCollector:
         batch.end_time = completion_time
         if batch.count == self.batch_size:
             self._last_boundary_time = completion_time
+
+    # -- batches accumulated by the caller ------------------------------------
+    #
+    # The lane engine's flag-free path keeps the open batch's count,
+    # sums and per-agent counts itself and hands them over here, so the
+    # results equal record_completion's field for field.
+
+    def begin_batch(self, index: int, start_time: float) -> BatchStats:
+        """Open and return the batch that completion ``index`` (counted
+        from the first, warmup included) starts; ``start_time`` is the
+        previous completion's time."""
+        self._last_boundary_time = start_time
+        self._open_batch((index - self.warmup) // self.batch_size)
+        assert self._current is not None
+        return self._current
+
+    def end_batch(
+        self,
+        count: int,
+        sum_waiting: float,
+        sum_waiting_sq: float,
+        sum_queueing: float,
+        end_time: float,
+        tally: List[int],
+        seen: List[int],
+    ) -> None:
+        """Write the caller's accumulators into the open batch.
+
+        ``seen`` lists the batch's agents in first-completion order, the
+        order :meth:`record_completion` inserts them into
+        ``agent_counts``; their counts move from ``tally`` (indexed by
+        agent id), which is left zeroed, and ``seen`` is cleared, for
+        the next batch.
+        """
+        batch = self._current
+        assert batch is not None
+        batch.count = count
+        batch.sum_waiting = sum_waiting
+        batch.sum_waiting_sq = sum_waiting_sq
+        batch.sum_queueing = sum_queueing
+        batch.end_time = end_time
+        counts = batch.agent_counts
+        for agent in seen:
+            counts[agent] = tally[agent]
+            tally[agent] = 0
+        seen.clear()
+
+    def end_run(
+        self,
+        count: int,
+        sum_waiting: float,
+        sum_waiting_sq: float,
+        sum_queueing: float,
+        end_time: float,
+        tally: List[int],
+        seen: List[int],
+    ) -> None:
+        """Finish a run whose batches the caller accumulated.
+
+        Takes :meth:`end_batch`'s arguments for the batch still open
+        (``count`` 0 if none is: then ``end_time``, the last
+        completion's time, is the next batch boundary), and sums
+        ``agent_totals`` from the batches' ``agent_counts`` in batch
+        order, which gives :meth:`record_completion`'s counts in its
+        dict order.
+        """
+        if count:
+            self.end_batch(
+                count, sum_waiting, sum_waiting_sq, sum_queueing, end_time, tally, seen
+            )
+        else:
+            self._last_boundary_time = end_time
+        totals = self.agent_totals
+        for batch in self.batch_stats:
+            for agent, agent_count in batch.agent_counts.items():
+                totals[agent] = totals.get(agent, 0) + agent_count
 
     # -- watchdog / fault-injection records -----------------------------------
 

@@ -23,8 +23,17 @@ The suite checks the contract four ways:
 - the integration seams: ``run_simulation``'s dispatch (out-of-domain
   cells run on the event engine), and the session's lane packing,
   demotion of a failed lane pack and its ``fallback_cells`` counter.
+
+The grid runs with ``keep_order`` and ``keep_records`` set, which routes
+a lane's completions through ``CompletionCollector.record_completion``.
+A flag-free lane records them on its own, inlined path, so a
+flag-free grid compares the two engines' canonical pickles (one round
+trip, see ``test_route_equivalence.py``), collector and all, at run
+lengths whose warm-up end and batch boundaries fall inside one advance
+block, and on lanes the watchdog stops with a batch still open.
 """
 
+import pickle
 from dataclasses import replace
 
 import pytest
@@ -32,7 +41,7 @@ from hypothesis import given, settings as hyp_settings, strategies as st
 
 from repro.bus.timing import BusTiming
 from repro.bus.watchdog import WatchdogPolicy
-from repro.engine.batch import batch_capable, run_lanes, run_replications
+from repro.engine.batch import LANE_WIDTH, batch_capable, run_lanes, run_replications
 from repro.experiments.runner import SimulationSettings, run_simulation
 from repro.faults.plan import BUS_LEVEL_FAULTS, FaultKind, FaultPlan
 from repro.observability.events import TelemetrySettings
@@ -57,6 +66,18 @@ SETTINGS = SimulationSettings(
     keep_records=True,
     telemetry=TelemetrySettings(events=True, metrics=True),
 )
+
+
+#: Flag-free run lengths: a boundary at every completion, and warm-up
+#: and batch ends inside a lane's first two advance blocks.
+FLAG_FREE_LENGTHS = {
+    "batch1-warmup0": SimulationSettings(batches=2, batch_size=1, warmup=0),
+    "batch80-warmup10": SimulationSettings(batches=2, batch_size=80, warmup=10),
+}
+
+
+def _canonical(result):
+    return pickle.dumps(pickle.loads(pickle.dumps(result)))
 
 
 def _assert_identical(event_result, batch_result):
@@ -121,6 +142,17 @@ def test_engines_identical_on_fixed_grid(protocol, seed):
     _assert_identical(ev, bt)
 
 
+@pytest.mark.parametrize("keep_samples", (False, True))
+@pytest.mark.parametrize("length", FLAG_FREE_LENGTHS)
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("protocol", BATCH_PROTOCOLS)
+def test_flag_free_lanes_pickle_as_the_event_engine(protocol, seed, length, keep_samples):
+    settings = replace(FLAG_FREE_LENGTHS[length], seed=seed, keep_samples=keep_samples)
+    ev, bt = _both_engines(lambda: equal_load(4, 2.0), protocol, settings)
+    assert bt.collector.total_recorded == bt.collector.needed
+    assert _canonical(bt) == _canonical(ev)
+
+
 @pytest.mark.parametrize("protocol", BATCH_PROTOCOLS)
 def test_engines_identical_under_deterministic_arrivals(protocol):
     # CV=0: every agent requests on a rigid clock, so simultaneous
@@ -178,6 +210,29 @@ def test_engines_identical_when_watchdog_gives_up():
     ev, bt = _both_engines(lambda: equal_load(4, 2.0), "rr", settings)
     assert ev.failed and bt.failed
     _assert_identical(ev, bt)
+
+
+@pytest.mark.parametrize("keep_samples", (False, True))
+@pytest.mark.parametrize("start", (75.0, 130.0))
+def test_flag_free_lane_that_gives_up_mid_batch_pickles_as_the_event_engine(
+    start, keep_samples
+):
+    # Stuck lines from ``start`` on exhaust the watchdog in the first
+    # batch, past the lane's first advance block (start 75), or in the
+    # second (start 130): the lane ends with a batch still open.
+    plan = _bus_fault_plan(
+        "rr", 4, rate=2.0, seed=1, horizon=start + 60.0, start=start,
+        kinds=(FaultKind.STUCK_LINE,), mean_duration=30.0,
+    )
+    settings = replace(
+        FLAG_FREE_LENGTHS["batch80-warmup10"], seed=1, keep_samples=keep_samples,
+        fault_plan=plan, watchdog=WatchdogPolicy(max_attempts=3),
+    )
+    ev, bt = _both_engines(lambda: equal_load(4, 2.0), "rr", settings)
+    assert bt.failed
+    assert bt.collector.total_recorded > LANE_WIDTH
+    assert 0 < bt.collector.batch_stats[-1].count < 80
+    assert _canonical(bt) == _canonical(ev)
 
 
 @pytest.mark.parametrize("seed", (9, 36))

@@ -14,12 +14,19 @@ Results are compared by canonical pickle (one round trip, see
 stream, the metrics registry — including the per-flow series the event
 engine adds for open-loop scenarios — and the scenario's final MMPP
 phases.
+
+An open-loop load stays below 1, but an r=1 agent's clock stops while
+its request is in flight, so agents with a closed-loop think time of
+total load 2.0 or 7.5 saturate the bus.  Those cells latch the next
+winner during nearly every tenure, so the lane absorbs requests and
+goes straight to the release; they run for every protocol.
 """
 
 import copy
 import pickle
 from dataclasses import replace
 
+import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
 
 from repro.engine.batch import batch_capable, run_lanes
@@ -31,7 +38,7 @@ from repro.observability.events import TelemetrySettings
 from repro.protocols.registry import get_spec, protocol_names
 from repro.session import run_cell
 from repro.workload.arrivals import bursty_equal_load
-from repro.workload.scenarios import open_loop_equal_load
+from repro.workload.scenarios import ScenarioSpec, equal_load, open_loop_equal_load
 
 LANE_PROTOCOLS = tuple(
     name for name in protocol_names() if get_spec(name).supports_batch
@@ -136,3 +143,34 @@ def test_open_loop_metrics_carry_the_flow_series():
     assert _canonical(lane) == _canonical(event)
     assert "flow.share.agent.1.normal" in lane.metrics.counters()
     assert "wait.class.normal" in lane.metrics.histograms()
+
+
+def _saturated_open_loop(agents, load):
+    """r=1 open-loop agents with ``equal_load``'s closed-loop think times."""
+    base = equal_load(agents, load)
+    return ScenarioSpec(
+        name=f"{base.name}-open",
+        agents=tuple(
+            replace(spec, open_loop=True, max_outstanding=1) for spec in base.agents
+        ),
+    )
+
+
+@pytest.mark.parametrize("load", (2.0, 7.5))
+@pytest.mark.parametrize("protocol", LANE_PROTOCOLS)
+def test_saturated_open_loop_lane_equals_event_engine(protocol, load):
+    cell = (
+        _saturated_open_loop(8, load),
+        protocol,
+        SimulationSettings(
+            batches=SCALE.batches,
+            batch_size=SCALE.batch_size,
+            warmup=SCALE.warmup,
+            seed=17,
+            telemetry=TelemetrySettings(metrics=True),
+        ),
+    )
+    capable, reason = batch_capable(*cell)
+    assert capable, reason
+    (lane,) = run_lanes([copy.deepcopy(cell)])
+    assert _canonical(lane) == _canonical(_event(cell))

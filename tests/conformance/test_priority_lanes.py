@@ -18,11 +18,18 @@ Results are compared by canonical pickle (one round trip, see
 registry with its per-class series.  A second property drives a kernel
 and the event arbiter through the same request/arbitrate/grant steps
 and compares their key maps, the surface line faults perturb.
+
+Saturated closed-loop cells (total load 2.0 and 7.5) latch the next
+winner during nearly every tenure, so the lane absorbs requests (each
+drawing its class) and goes straight to the release; they run for
+every protocol, since the sampled loads reach them only by chance.
 """
 
 import copy
 import pickle
 from dataclasses import replace
+
+import pytest
 
 from hypothesis import example, given, settings as hyp_settings, strategies as st
 
@@ -116,6 +123,23 @@ def test_priority_lane_equals_event_engine(cell):
     event = _event(cell)
     assert lane.collector.records == event.collector.records
     assert _canonical(lane) == _canonical(event)
+
+
+@pytest.mark.parametrize("load", (2.0, 7.5))
+@pytest.mark.parametrize("protocol", LANE_PROTOCOLS)
+def test_saturated_priority_lane_equals_event_engine(protocol, load):
+    cell = (
+        _classed(equal_load(8, load), FRACTIONS),
+        protocol,
+        SimulationSettings(
+            batches=SCALE.batches,
+            batch_size=SCALE.batch_size,
+            warmup=SCALE.warmup,
+            seed=17,
+        ),
+    )
+    (lane,) = run_lanes([copy.deepcopy(cell)])
+    assert _canonical(lane) == _canonical(_event(cell))
 
 
 _steps = st.lists(

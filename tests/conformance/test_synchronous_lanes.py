@@ -13,12 +13,18 @@ plan or telemetry.
 Results are compared by canonical pickle (one round trip, see
 ``test_route_equivalence.py``), which covers the collector, the event
 stream and the metrics registry.
+
+Saturated cells (total load 2.0 and 7.5) latch the next winner during
+nearly every tenure, so the lane absorbs requests and goes straight to
+the release; they run for every protocol and two periods, since the
+sampled loads reach them only by chance.
 """
 
 import copy
 import pickle
 from dataclasses import replace
 
+import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
 
 from repro.bus.timing import BusTiming
@@ -94,4 +100,23 @@ def test_synchronous_lane_equals_event_engine(cell):
     capable, reason = batch_capable(scenario, protocol, settings)
     assert capable, reason
     (lane,) = run_lanes([cell])
+    assert _canonical(lane) == _canonical(_event(cell))
+
+
+@pytest.mark.parametrize("period", (0.25, 0.3))
+@pytest.mark.parametrize("load", (2.0, 7.5))
+@pytest.mark.parametrize("protocol", LANE_PROTOCOLS)
+def test_saturated_synchronous_lane_equals_event_engine(protocol, load, period):
+    cell = (
+        equal_load(8, load),
+        protocol,
+        SimulationSettings(
+            batches=SCALE.batches,
+            batch_size=SCALE.batch_size,
+            warmup=SCALE.warmup,
+            seed=17,
+            timing=BusTiming(clock_period=period),
+        ),
+    )
+    (lane,) = run_lanes([copy.deepcopy(cell)])
     assert _canonical(lane) == _canonical(_event(cell))

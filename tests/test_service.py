@@ -174,9 +174,13 @@ class TestHappyPath:
     def test_a_store_between_admission_and_dispatch_is_replayed(self, tmp_path):
         # Both jobs miss at admission; the first one's dispatch stores
         # the result, so the second one's dispatch reads it back.
-        with _service(tmp_path, serial=True, gather_limit=1) as service:
-            start = service.start
-            service.start = lambda: service
+        # Hold the dispatcher back from the start: entering the service
+        # starts it, so the first job could run before the second one
+        # is admitted.
+        service = _service(tmp_path, serial=True, gather_limit=1)
+        start = service.start
+        service.start = lambda: service
+        with service:
             first = service.submit([_request(seed=5)])
             second = service.submit([_request(seed=6), _request(seed=5)])
             service.start = start
@@ -196,9 +200,10 @@ class TestHappyPath:
         # both) cannot tell which of its misses were stored: it reads
         # them all again and still finds the first job's result.
         monkeypatch.setattr("repro.service.service._STORE_WINDOW", 1)
-        with _service(tmp_path, serial=True, gather_limit=1) as service:
-            start = service.start
-            service.start = lambda: service
+        service = _service(tmp_path, serial=True, gather_limit=1)
+        start = service.start
+        service.start = lambda: service
+        with service:
             jobs = [
                 service.submit([_request(seed=5)]),
                 service.submit([_request(seed=6)]),

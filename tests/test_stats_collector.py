@@ -1,5 +1,8 @@
 """Tests for the streaming completion collector."""
 
+import pickle
+import random
+
 import pytest
 
 from repro.bus.records import CompletionRecord
@@ -145,3 +148,61 @@ class TestSampleRetention:
         )
         collector.record(_record(agent=5))
         assert collector.records[0].agent_id == 5
+
+
+def _accumulated(collector, completions):
+    """Feed ``(agent, issue, grant, done)`` completions through
+    begin_batch/end_batch/end_run, keeping the open batch's sums and
+    per-agent tally outside the collector, as the lane engine does."""
+    count, sum_w, sum_w_sq, sum_q, last = 0, 0.0, 0.0, 0.0, 0.0
+    tally = [0] * 8
+    seen = []
+    samples = None
+    for index, (agent, issue, grant, done) in enumerate(completions):
+        if index >= collector.warmup:
+            if not count:
+                samples = collector.begin_batch(index, last).samples
+            waiting = done - issue
+            count += 1
+            sum_w += waiting
+            sum_w_sq += waiting * waiting
+            sum_q += grant - issue
+            if not tally[agent]:
+                seen.append(agent)
+            tally[agent] += 1
+            if samples is not None:
+                samples.append(waiting)
+            if count == collector.batch_size:
+                collector.end_batch(count, sum_w, sum_w_sq, sum_q, done, tally, seen)
+                count, sum_w, sum_w_sq, sum_q = 0, 0.0, 0.0, 0.0
+        last = done
+    collector.total_recorded = len(completions)
+    collector.end_run(count, sum_w, sum_w_sq, sum_q, last, tally, seen)
+
+
+class TestCallerAccumulatedBatches:
+    """begin_batch/end_batch/end_run leave the collector as
+    record_completion does, field for field and in dict order."""
+
+    @pytest.mark.parametrize("keep_samples", [False, True])
+    @pytest.mark.parametrize("stop", [0, 3, 4, 7, 9, 12, 15, 19])
+    def test_equals_record_completion(self, stop, keep_samples):
+        rng = random.Random(stop)
+        time = 0.0
+        completions = []
+        for _ in range(stop):
+            issue = time + rng.random()
+            grant = issue + rng.random()
+            time = grant + 1.0
+            completions.append((rng.randrange(1, 8), issue, grant, time))
+        reference = CompletionCollector(
+            batches=3, batch_size=5, warmup=4, keep_samples=keep_samples
+        )
+        for completion in completions:
+            reference.record_completion(*completion)
+        collector = CompletionCollector(
+            batches=3, batch_size=5, warmup=4, keep_samples=keep_samples
+        )
+        _accumulated(collector, completions)
+        assert list(collector.agent_totals) == list(reference.agent_totals)
+        assert pickle.dumps(collector) == pickle.dumps(reference)
