@@ -143,19 +143,6 @@ def run_microbench(raw_path: Path) -> dict:
     return json.loads(raw_path.read_text(encoding="utf-8"))
 
 
-def engine_metadata() -> dict:
-    """Record the lane-engine environment the timings were taken in.
-
-    Speedups are only comparable like-for-like: a baseline recorded at
-    another lane width describes a different engine configuration, so
-    the snapshot carries enough to tell.
-    """
-    sys.path.insert(0, str(ROOT / "src"))
-    from repro.engine.batch import LANE_WIDTH
-
-    return {"lane_width": LANE_WIDTH}
-
-
 def condense(raw: dict) -> dict:
     """One compact entry per benchmark, timings in microseconds."""
     benchmarks = {}
@@ -172,7 +159,6 @@ def condense(raw: dict) -> dict:
         "source": BENCH_FILES,
         "python": platform.python_version(),
         "cpu_count": os.cpu_count(),
-        "engine": engine_metadata(),
         "benchmarks": benchmarks,
     }
     for gate in GATES:
@@ -188,15 +174,7 @@ def condense(raw: dict) -> dict:
 
 def compare(current: dict, baseline_path: Path, tolerance: float) -> int:
     """Report median deltas vs a baseline; non-zero on regression."""
-    baseline_doc = json.loads(baseline_path.read_text(encoding="utf-8"))
-    baseline = baseline_doc["benchmarks"]
-    baseline_engine = baseline_doc.get("engine")
-    if baseline_engine is not None and baseline_engine != current.get("engine"):
-        print(
-            "  note: engine environment differs from baseline "
-            f"(baseline {baseline_engine}, current {current.get('engine')}); "
-            "medians are not like-for-like"
-        )
+    baseline = json.loads(baseline_path.read_text(encoding="utf-8"))["benchmarks"]
     status = 0
     for name, entry in sorted(current["benchmarks"].items()):
         reference = baseline.get(name)

@@ -22,13 +22,13 @@ so simultaneous events resolve the way the hardware would.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.bus.agent import BusAgent, first_think_blocks
 from repro.bus.records import CompletionRecord
 from repro.bus.timing import BusTiming
 from repro.bus.watchdog import BusWatchdog
-from repro.core.base import Arbiter, ArbitrationOutcome, Request
+from repro.core.base import Arbiter, Request
 from repro.engine.event import EventPriority
 from repro.engine.rng import RandomStreams
 from repro.engine.simulator import Simulator
@@ -158,9 +158,6 @@ class BusSystem:
         #: Time-weighted accounting for bus utilisation.
         self.busy_time = 0.0
         self.transactions = 0
-        #: Arbitration outcomes observed, for protocol diagnostics.
-        self.arbitration_log_limit = 0
-        self.arbitration_log: List[ArbitrationOutcome] = []
 
     # -- agent-facing plumbing ----------------------------------------------
 
@@ -238,8 +235,6 @@ class BusSystem:
                 competitors=waiting() if waiting is not None else (),
             )
             return
-        if self.arbitration_log_limit and len(self.arbitration_log) < self.arbitration_log_limit:
-            self.arbitration_log.append(outcome)
         settle = self.timing.arbitration_time * outcome.rounds
         winner = outcome.winner
         deviated = False
@@ -451,13 +446,14 @@ class BusSystem:
         else:
             stop = self.collector.satisfied
         self.simulator.run(stop=stop, max_events=max_events)
-        if not self.collector.satisfied():
-            if self.watchdog is not None and self.watchdog.gave_up:
-                return
+        if not self.collector.satisfied() and not (
+            self.watchdog is not None and self.watchdog.gave_up
+        ):
             raise SimulationError(
                 "simulation drained its event calendar before the collector "
                 "was satisfied; the scenario generates too few requests"
             )
+        self.collector.end_run()
 
     def utilization(self) -> float:
         """Fraction of elapsed time the bus spent transferring data."""

@@ -20,7 +20,9 @@ timers, think-time buffers, FCFS stamps, activity masks) plus a
 handful of scalar timers — and its protocol kernel resolves
 arbitrations on integer bitmasks of pending requesters (the wired-OR
 maximum-finding of §2).  :func:`run_lanes` builds, runs and drops one
-lane at a time.
+lane at a time, and a lane runs in one call, from its agents' first
+think periods to the collector's stop rule (or the watchdog giving up),
+with every timer and the open batch's sums in the call's locals.
 
 Think times come from *tapes*.  A tape is one agent stream: its seeded
 generator plus the variates drawn from it so far.  The lanes of one
@@ -39,7 +41,7 @@ demanding lane uses.  A stateful distribution (an MMPP phase, a trace
 cursor) that one agent carries alone is shared the same way: its spec
 key holds the state, and its tape (:class:`_StatefulTape`) records the
 state at the end of each block, since the blocks decide how far the
-state has advanced when a run stops, and that state is pickled with
+state has moved when a run stops, and that state is pickled with
 the result's scenario.  A finished lane's own copy takes the state
 recorded where the lane stopped reading.  A classed agent draws its
 class between two think times on its stream, so its tape interleaves
@@ -129,17 +131,15 @@ from math import inf as _INF
 from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.bus.agent import first_think_blocks, refill_think_buffer
-from repro.bus.watchdog import BusWatchdog
 from repro.core.base import ArbitrationOutcome, identity_bits
+from repro.engine.cell import CellAssembly
 from repro.engine.rng import RandomStreams
 from repro.errors import ConfigurationError, SimulationError, StatisticsError
-from repro.faults.injector import FaultInjector
 from repro.faults.plan import BUS_LEVEL_FAULTS, FaultEvent, FaultKind
 from repro.observability.events import ArbitrationEvent
-from repro.observability.metrics import WAIT_BUCKETS, MetricsRegistry, MetricsSink
-from repro.observability.sinks import InMemorySink, JsonlSink
+from repro.observability.metrics import WAIT_BUCKETS, MetricsSink
 from repro.protocols.registry import get_spec
-from repro.stats.collector import CompletionCollector, check_run_length
+from repro.stats.collector import check_run_length
 from repro.stats.summary import RunResult
 from repro.workload.scenarios import ScenarioSpec, fresh_scenario
 
@@ -147,21 +147,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.experiments.runner import SimulationSettings
 
 __all__ = [
-    "LANE_WIDTH",
     "batch_capable",
     "run_lanes",
     "run_simulation_batch",
     "run_replications",
 ]
-
-#: Completions one :meth:`_Replication.advance` call runs before it
-#: returns.  A lane runs to completion through repeated calls, so the
-#: value only sets how often the loop's locals are written back; results
-#: do not depend on it.  Recorded in benchmark metadata as the lane width.
-_ADVANCE_BLOCK = 64
-
-#: Public alias of the advance block, for benchmark environment records.
-LANE_WIDTH = _ADVANCE_BLOCK
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +292,7 @@ class _RoundRobinKernel(_Kernel):
         for every urgent request; 2 and 3 gate competitors through the
         low-request line first, so ``[priority][id]`` keys compete.
         State updates are identical to :meth:`arbitrate_classed` — an
-        anomalous (never granted) pass still advances ``last_winner``,
+        anomalous (never granted) pass still moves ``last_winner``,
         as the event arbiter's does.
         """
         pending = self.pending
@@ -1125,19 +1115,20 @@ class _Replication:
     time only sets the pending winner, which blocks new kicks exactly
     as an armed ``t_arb`` does, and no release, grant or other
     arbitration can fall between the settle and the edge.
+
+    The object holds what is built before the run: the cell's collector,
+    fault wiring and telemetry (:class:`~repro.engine.cell.CellAssembly`),
+    the kernel, each agent's think-time buffer and tape cursor, the
+    request heap with every agent's first timer, and the plan's fault
+    actions.  :meth:`run` runs the lane once, to its end; the timers,
+    the bus state and the open batch live in its locals.
     """
 
     __slots__ = (
-        "scenario",
-        "protocol",
-        "settings",
+        "cell",
         "num_agents",
         "kernel",
-        "collector",
         "sinks",
-        "memory",
-        "jsonl",
-        "metrics",
         "flow_metrics",
         "txn",
         "arbt",
@@ -1147,31 +1138,10 @@ class _Replication:
         "buffers",
         "blocks",
         "fractions",
-        "now",
-        "t_rel",
-        "t_arb",
-        "t_kick",
-        "t_retry",
-        "t_fault",
         "req_heap",
-        "seq",
-        "arb_winner",
-        "busy",
-        "pending_winner",
-        "master",
-        "master_issue",
-        "master_grant",
-        "busy_time",
-        "arb_index",
         "active",
         "woke",
-        "injector",
-        "watchdog",
         "fault_actions",
-        "fault_idx",
-        "open_batch",
-        "tally",
-        "seen",
     )
 
     def __init__(
@@ -1182,58 +1152,24 @@ class _Replication:
         shelf: _TapeShelf,
         tape_keys: Sequence[Optional[_TapeKey]],
     ) -> None:
-        self.scenario = scenario
-        self.protocol = protocol
-        self.settings = settings
+        cell = self.cell = CellAssembly(scenario, protocol, settings)
         num_agents = scenario.num_agents
         self.num_agents = num_agents
-        self.collector = CompletionCollector(
-            batches=settings.batches,
-            batch_size=settings.batch_size,
-            warmup=settings.warmup,
-            keep_samples=settings.keep_samples,
-            keep_order=settings.keep_order,
-            keep_records=settings.keep_records,
-        )
-        self.memory = None
-        self.jsonl = None
-        self.metrics = None
-        sinks: list = []
-        telemetry = settings.telemetry
-        if telemetry is not None:
-            if telemetry.events:
-                self.memory = InMemorySink()
-                sinks.append(self.memory)
-            if telemetry.jsonl_path is not None:
-                self.jsonl = JsonlSink(telemetry.jsonl_path)
-                sinks.append(self.jsonl)
-            if telemetry.metrics:
-                self.metrics = MetricsRegistry()
-                sinks.append(MetricsSink(self.metrics))
+        sinks: list = cell.sinks()
+        if cell.metrics is not None:
+            sinks.append(MetricsSink(cell.metrics))
         self.sinks = tuple(sinks)
         # The event engine's per-flow series, emitted only for scenarios
         # with open-loop agents or a priority class (BusSystem._flow_metrics).
-        self.flow_metrics = self.metrics is not None and any(
+        self.flow_metrics = cell.metrics is not None and any(
             spec.open_loop or spec.priority_fraction > 0.0 for spec in scenario.agents
         )
         self.txn = settings.timing.transaction_time
         self.arbt = settings.timing.arbitration_time
 
-        # Fault wiring, mirroring run_simulation's event path: a
-        # non-empty plan implies a watchdog (settings.watchdog overrides
-        # its policy); a policy alone still attaches one.
-        plan = settings.fault_plan
-        injector: Optional[FaultInjector] = None
-        watchdog: Optional[BusWatchdog] = None
-        if plan is not None and len(plan):
-            injector = FaultInjector(plan)
-            watchdog = BusWatchdog(settings.watchdog)
-        elif settings.watchdog is not None:
-            watchdog = BusWatchdog(settings.watchdog)
-        if watchdog is not None:
-            watchdog.bind(self.collector)
-        self.injector = injector
-        self.watchdog = watchdog
+        injector = cell.injector
+        if cell.watchdog is not None:
+            cell.watchdog.bind(cell.collector)
         # A lane picks its kernel once, like its classed path: only a
         # lane without an injector grants the winner of every pass.
         kernel = _KERNELS[protocol]
@@ -1249,16 +1185,13 @@ class _Replication:
         # equal priority.
         actions: List[Tuple[float, Optional[FaultKind], FaultEvent]] = []
         if injector is not None:
-            for fevent in plan.events:
+            for fevent in injector.plan.events:
                 if fevent.kind in _POINT_FAULTS:
                     actions.append((max(0.0, fevent.time), fevent.kind, fevent))
                 if fevent.kind is FaultKind.AGENT_DROPOUT:
                     actions.append((max(0.0, fevent.end_time), None, fevent))
             actions.sort(key=lambda entry: entry[0])
         self.fault_actions = actions
-        self.fault_idx = 0
-        self.t_fault = actions[0][0] if actions else _INF
-        self.t_retry = _INF
 
         streams = RandomStreams(settings.seed)
         # A classed agent's class draw: the next value of its buffer, or
@@ -1267,7 +1200,7 @@ class _Replication:
         # An agent's cursor on its think-time tape.
         self.tapes: List[Optional[_TapeCursor]] = [None] * (num_agents + 1)
         # The stateful distributions read from a shared tape, with their
-        # cursors: result() sets each to the state its run left.
+        # cursors: run() sets each to the state its run left.
         self.restores: List[Tuple[object, _TapeCursor]] = []
         # None marks an agent id the scenario does not declare.
         self.buffers: list = [None] * (num_agents + 1)
@@ -1277,13 +1210,12 @@ class _Replication:
         self.fractions = [0.0] * (num_agents + 1)
         self.active = [True] * (num_agents + 1)
         self.woke = [False] * (num_agents + 1)
-        self.seq = 0
         heap: list = []
         blocks = first_think_blocks(scenario.agents)
         # Start every agent with one think period, in declaration order —
         # the same order BusSystem.run() starts them, so the streams and
-        # the request-timer tie-break sequence numbers line up.
-        for spec, key in zip(scenario.agents, tape_keys):
+        # the request-timer tie-break sequence numbers (1, 2, ...) line up.
+        for seq, (spec, key) in enumerate(zip(scenario.agents, tape_keys), 1):
             agent = spec.agent_id
             dist = spec.interrequest
             classed = spec.priority_fraction > 0.0
@@ -1305,54 +1237,29 @@ class _Replication:
                 elif key is not None and dist.stateful:
                     self.restores.append((dist, tape))
             t_first = 0.0 + buffer.pop()
-            self.seq += 1
-            heap.append((t_first, self.seq, agent))
+            heap.append((t_first, seq, agent))
         heapify(heap)
         self.req_heap = heap
 
-        self.now = 0.0
-        self.t_rel = _INF
-        self.t_arb = _INF
-        self.t_kick = _INF
-        self.arb_winner = 0
-        self.busy = False
-        self.pending_winner: Optional[int] = None
-        self.master = 0
-        self.master_issue = 0.0
-        self.master_grant = 0.0
-        self.busy_time = 0.0
-        self.arb_index = 0
-        # The flag-free record path's open batch between advance calls,
-        # in CompletionCollector.end_batch's argument order: its count
-        # and three sums,
-        # and the time of the last completion (the open batch's end
-        # time, or the collector's next batch boundary if none is open).
-        # ``tally`` counts the open batch's completions per agent, and
-        # ``seen`` lists its agents in first-completion order.
-        self.open_batch = (0, 0.0, 0.0, 0.0, 0.0)
-        self.tally = [0] * (num_agents + 1)
-        self.seen: List[int] = []
+    def run(self) -> RunResult:
+        """Run the lane to its end and return its result.
 
-    def advance(self, completions: int) -> bool:
-        """Advance until ``completions`` more completions are recorded.
+        The lane ends when the collector is satisfied or the watchdog
+        declares a permanent failure; a calendar that drains first
+        raises :class:`~repro.errors.SimulationError`.
 
-        Returns ``False`` once the lane is finished — the collector is
-        satisfied, or the watchdog declared a permanent failure — and
-        ``True`` while more work remains.
-
-        The loop body keeps the whole machine state in locals (written
-        back at every exit) and inlines the grant/kick handlers: this
-        is the sweep bottleneck, and attribute traffic dominates once
-        event objects are gone.  On a saturated bus one round runs per
-        completion: the release, its record, the think redraw, the grant
-        of the winner latched during the tenure, the fused kick that
-        latches the next one, then the absorption of the requests that
-        expire before the next release.  While a winner is latched the
-        release is known to be next, so that round scans no timers and
-        tests no kick guard, and the open batch's accumulators stay in
-        locals between batch ends.
+        The loop body keeps the whole machine state in locals and
+        inlines the grant/kick handlers: this is the sweep bottleneck,
+        and attribute traffic dominates once event objects are gone.
+        On a saturated bus one round runs per completion: the release,
+        its record, the think redraw, the grant of the winner latched
+        during the tenure, the fused kick that latches the next one,
+        then the absorption of the requests that expire before the next
+        release.  While a winner is latched the release is known to be
+        next, so that round scans no timers and tests no kick guard.
         """
-        collector = self.collector
+        cell = self.cell
+        collector = cell.collector
         record_completion = collector.record_completion
         needed = collector.needed
         warmup_n = collector.warmup
@@ -1361,15 +1268,19 @@ class _Replication:
         # branch; anything that retains per-completion artefacts goes
         # through the reference implementation.
         fast_record = not (collector.keep_order or collector.keep_records)
-        total = collector.total_recorded
-        stop = total + completions
-        # The open batch's accumulators, handed to the collector when it
-        # fills (end_batch) or in result() (end_run), and its samples
+        total = 0
+        # The flag-free path's open batch, in CompletionCollector.end_batch's
+        # argument order: its count and three sums, and the time of the
+        # last completion (the open batch's end time, or the collector's
+        # next batch boundary if none is open).  ``tally`` counts the
+        # open batch's completions per agent, ``seen`` lists its agents
+        # in first-completion order, and ``samples`` is its samples
         # list, if it keeps one.
-        b_count, b_wait, b_wait_sq, b_queue, t_done = self.open_batch
-        samples = collector.batch_stats[-1].samples if b_count else None
-        tally = self.tally
-        seen = self.seen
+        b_count = 0
+        b_wait = b_wait_sq = b_queue = t_done = 0.0
+        samples = None
+        tally = [0] * (self.num_agents + 1)
+        seen: List[int] = []
         kernel = self.kernel
         # A lane picks its path once: only a lane with classed agents
         # draws request classes and arbitrates on the class bit.
@@ -1391,7 +1302,7 @@ class _Replication:
         buffers = self.buffers
         blocks = self.blocks
         tapes = self.tapes
-        metrics = self.metrics
+        metrics = cell.metrics
         flow_metrics = self.flow_metrics
         sinks = self.sinks
         txn = self.txn
@@ -1399,34 +1310,30 @@ class _Replication:
         num_agents = self.num_agents
         active = self.active
         woke = self.woke
-        injector = self.injector
-        watchdog = self.watchdog
+        injector = cell.injector
+        watchdog = cell.watchdog
         faulty = injector is not None or watchdog is not None
         # A synchronous bus samples the arbitration-start signal at the
         # next clock edge, so its kicks are scheduled, never fused.
-        timing = self.settings.timing
+        timing = cell.settings.timing
         clocked = timing.synchronous
         edge = timing.delay_to_next_edge
         fuse = not (faulty or clocked)
         fault_actions = self.fault_actions
         fault_count = len(fault_actions)
+        fault_idx = 0
+        t_fault = fault_actions[0][0] if fault_actions else _INF
 
-        t_rel = self.t_rel
-        t_arb = self.t_arb
-        t_kick = self.t_kick
-        t_retry = self.t_retry
-        t_fault = self.t_fault
-        fault_idx = self.fault_idx
-        seq = self.seq
-        arb_winner = self.arb_winner
-        busy = self.busy
-        pending_winner = self.pending_winner
-        master = self.master
-        master_issue = self.master_issue
-        master_grant = self.master_grant
-        busy_time = self.busy_time
-        arb_index = self.arb_index
-        now = self.now
+        now = 0.0
+        t_rel = t_arb = t_kick = t_retry = _INF
+        # The last request-timer sequence number __init__ handed out.
+        seq = len(req_heap)
+        arb_winner = 0
+        busy = False
+        pending_winner: Optional[int] = None
+        master = 0
+        master_issue = master_grant = busy_time = 0.0
+        arb_index = 0
         # Earliest request timer, insertion order breaking time ties.
         # The heap peek is cached across iterations and only refreshed
         # at the points that can move it: a pop (re-peek) or a
@@ -1483,11 +1390,6 @@ class _Replication:
                 if t_fault < tmin:
                     tmin = t_fault
                 if tmin == _INF:
-                    collector.total_recorded = total
-                    self.busy_time = busy_time
-                    self.fault_idx = fault_idx
-                    self.now = now
-                    self._close_sinks()
                     raise SimulationError(
                         "simulation drained its event calendar before the collector "
                         "was satisfied; the scenario generates too few requests"
@@ -1568,15 +1470,7 @@ class _Replication:
                     # of a pending winner, a same-instant kick) never run
                     # another event after the stop rule fires, so they
                     # are unobservable; the run ends here.
-                    collector.total_recorded = total
-                    self.open_batch = (b_count, b_wait, b_wait_sq, b_queue, t_done)
-                    self.busy_time = busy_time
-                    self.seq = seq
-                    self.arb_index = arb_index
-                    self.fault_idx = fault_idx
-                    self.now = now
-                    self._close_sinks()
-                    return False
+                    break
                 if pending_winner is not None:
                     # Inline grant of the already-arbitrated next master.
                     # No kick guard: while a winner is latched, no
@@ -1702,19 +1596,10 @@ class _Replication:
                             delay = watchdog.on_anomaly(anomaly, now)
                             if delay is None:
                                 # Retry budget exhausted: permanent
-                                # failure ends the lane, as run()'s stop
-                                # rule would at the same instant.
-                                collector.total_recorded = total
-                                self.open_batch = (
-                                    b_count, b_wait, b_wait_sq, b_queue, t_done
-                                )
-                                self.busy_time = busy_time
-                                self.seq = seq
-                                self.arb_index = arb_index
-                                self.fault_idx = fault_idx
-                                self.now = now
-                                self._close_sinks()
-                                return False
+                                # failure ends the lane, as the event
+                                # engine's stop rule would at the same
+                                # instant.
+                                break
                             t_retry = now + (settle + delay)
                         else:
                             winner = perturbed.winner
@@ -1842,28 +1727,18 @@ class _Replication:
                         # absorption stays off until then.
                         arb_winner = winner
                         t_arb = t_settled + edge(t_settled) if clocked else t_settled
-            if total >= stop:
-                break
 
         collector.total_recorded = total
-        self.open_batch = (b_count, b_wait, b_wait_sq, b_queue, t_done)
-        self.t_rel = t_rel
-        self.t_arb = t_arb
-        self.t_kick = t_kick
-        self.t_retry = t_retry
-        self.t_fault = t_fault
-        self.fault_idx = fault_idx
-        self.seq = seq
-        self.arb_winner = arb_winner
-        self.busy = busy
-        self.pending_winner = pending_winner
-        self.master = master
-        self.master_issue = master_issue
-        self.master_grant = master_grant
-        self.busy_time = busy_time
-        self.arb_index = arb_index
-        self.now = now
-        return True
+        if fast_record:
+            # A lane the watchdog stopped may leave a batch open.
+            collector.end_run(b_count, b_wait, b_wait_sq, b_queue, t_done, tally, seen)
+        else:
+            collector.end_run()
+        for dist, cursor in self.restores:
+            # The state the lane's own copy would have reached, drawing
+            # the blocks the lane read.
+            vars(dist).update(cursor.tape.states[cursor.pos])
+        return cell.result(busy_time / now if now > 0.0 else 0.0, now)
 
     def _classed_request(self, agent: int, now: float) -> None:
         """Issue a request with its class drawn as ``BusAgent`` does.
@@ -1874,36 +1749,6 @@ class _Replication:
         fraction = self.fractions[agent]
         self.kernel.request(
             agent, now, fraction > 0.0 and self.class_draws[agent]() < fraction
-        )
-
-    def _close_sinks(self) -> None:
-        if self.jsonl is not None:
-            self.jsonl.close()
-            self.jsonl = None
-
-    def result(self) -> RunResult:
-        for dist, cursor in self.restores:
-            # The state the lane's own copy would have reached, drawing
-            # the blocks the lane read.
-            vars(dist).update(cursor.tape.states[cursor.pos])
-        collector = self.collector
-        if not (collector.keep_order or collector.keep_records):
-            # The flag-free record path: a lane the watchdog stopped may
-            # leave a batch open, and agent_totals is not counted per
-            # completion.
-            collector.end_run(*self.open_batch, self.tally, self.seen)
-        utilization = self.busy_time / self.now if self.now > 0.0 else 0.0
-        return RunResult(
-            scenario=self.scenario,
-            protocol=self.protocol,
-            collector=collector,
-            utilization=utilization,
-            elapsed=self.now,
-            seed=self.settings.seed,
-            confidence=self.settings.confidence,
-            failed=self.watchdog.gave_up if self.watchdog is not None else False,
-            events=self.memory.events if self.memory is not None else None,
-            metrics=self.metrics,
         )
 
 
@@ -1983,11 +1828,9 @@ def run_lanes(
             fresh_scenario(scenario), protocol, settings, shelf, lane_keys[index]
         )
         try:
-            while lane.advance(_ADVANCE_BLOCK):
-                pass
+            results[index] = lane.run()
         finally:
-            lane._close_sinks()
-        results[index] = lane.result()
+            lane.cell.close()
         del lane  # its cursors, before the release drops their tapes
         shelf.release(lane_keys[index])
     return results  # type: ignore[return-value]  # every lane ran

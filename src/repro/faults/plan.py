@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import FrozenSet, Iterable, Optional, Sequence, Tuple
+from typing import FrozenSet, Iterable, Optional, Tuple
 
 from repro.engine.rng import derive_seed
 from repro.errors import ConfigurationError
@@ -266,7 +266,3 @@ class FaultPlan:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         kinds = sorted(kind.value for kind in self.kinds())
         return f"FaultPlan({len(self.events)} events, kinds={kinds})"
-
-
-def _sequence_repr(events: Sequence[FaultEvent]) -> str:  # pragma: no cover
-    return ", ".join(f"{e.kind.value}@{e.time:g}" for e in events)

@@ -17,13 +17,10 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Optional
 
 from repro.bus.model import BusSystem
-from repro.bus.watchdog import BusWatchdog
 from repro.engine.batch import batch_capable, run_simulation_batch
-from repro.faults.injector import FaultInjector
-from repro.observability.metrics import MetricsRegistry
-from repro.observability.sinks import EventSink, InMemorySink, JsonlSink, TeeSink
-from repro.protocols.registry import get_spec, make_arbiter
-from repro.stats.collector import CompletionCollector
+from repro.engine.cell import CellAssembly
+from repro.observability.sinks import EventSink, TeeSink
+from repro.protocols.registry import make_arbiter
 from repro.stats.summary import RunResult
 from repro.workload.scenarios import ScenarioSpec, fresh_scenario
 
@@ -77,65 +74,24 @@ def run_cell_event(
     """
     needed_capacity = max(spec.max_outstanding for spec in scenario.agents)
     arbiter = make_arbiter(protocol, scenario.num_agents, needed_capacity)
-    injector: Optional[FaultInjector] = None
-    watchdog: Optional[BusWatchdog] = None
-    if settings.fault_plan is not None and len(settings.fault_plan):
-        # Validate the plan against the protocol's declared fault
-        # capabilities now, before any event runs.
-        get_spec(protocol).check_faults(settings.fault_plan.kinds())
-        injector = FaultInjector(settings.fault_plan)
-        watchdog = BusWatchdog(settings.watchdog)
-    elif settings.watchdog is not None:
-        watchdog = BusWatchdog(settings.watchdog)
-    memory: Optional[InMemorySink] = None
-    jsonl: Optional[JsonlSink] = None
+    cell = CellAssembly(scenario, protocol, settings)
+    sinks = cell.sinks()
     sink: Optional[EventSink] = None
-    metrics: Optional[MetricsRegistry] = None
-    if settings.telemetry is not None:
-        sinks = []
-        if settings.telemetry.events:
-            memory = InMemorySink()
-            sinks.append(memory)
-        if settings.telemetry.jsonl_path is not None:
-            jsonl = JsonlSink(settings.telemetry.jsonl_path)
-            sinks.append(jsonl)
-        if sinks:
-            sink = sinks[0] if len(sinks) == 1 else TeeSink(*sinks)
-        if settings.telemetry.metrics:
-            metrics = MetricsRegistry()
-    collector = CompletionCollector(
-        batches=settings.batches,
-        batch_size=settings.batch_size,
-        warmup=settings.warmup,
-        keep_samples=settings.keep_samples,
-        keep_order=settings.keep_order,
-        keep_records=settings.keep_records,
-    )
+    if sinks:
+        sink = sinks[0] if len(sinks) == 1 else TeeSink(*sinks)
     system = BusSystem(
         scenario=scenario,
         arbiter=arbiter,
-        collector=collector,
+        collector=cell.collector,
         timing=settings.timing,
         seed=settings.seed,
-        injector=injector,
-        watchdog=watchdog,
+        injector=cell.injector,
+        watchdog=cell.watchdog,
         sink=sink,
-        metrics=metrics,
+        metrics=cell.metrics,
     )
     try:
         system.run(max_events=settings.max_events)
     finally:
-        if jsonl is not None:
-            jsonl.close()
-    return RunResult(
-        scenario=scenario,
-        protocol=protocol,
-        collector=collector,
-        utilization=system.utilization(),
-        elapsed=system.simulator.now,
-        seed=settings.seed,
-        confidence=settings.confidence,
-        failed=watchdog.gave_up if watchdog is not None else False,
-        events=memory.events if memory is not None else None,
-        metrics=metrics,
-    )
+        cell.close()
+    return cell.result(system.utilization(), system.simulator.now)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 from repro.bus.records import CompletionRecord
 from repro.errors import StatisticsError
@@ -169,7 +169,8 @@ class CompletionCollector:
         self.batch_stats: List[BatchStats] = []
         self._current: Optional[BatchStats] = None
         self._last_boundary_time = 0.0
-        #: Total per-agent completions after warmup (all batches).
+        #: Total per-agent completions after warmup (all batches),
+        #: summed by :meth:`end_run` when the run ends.
         self.agent_totals: Dict[int, int] = {}
         #: Arbitration anomalies seen by the watchdog, per kind
         #: ("no-winner" / "duplicate-winner").
@@ -249,8 +250,6 @@ class CompletionCollector:
         batch.sum_queueing += grant_time - issue_time
         counts = batch.agent_counts
         counts[agent_id] = counts.get(agent_id, 0) + 1
-        totals = self.agent_totals
-        totals[agent_id] = totals.get(agent_id, 0) + 1
         if batch.samples is not None:
             batch.samples.append(waiting)
         batch.end_time = completion_time
@@ -305,28 +304,30 @@ class CompletionCollector:
 
     def end_run(
         self,
-        count: int,
-        sum_waiting: float,
-        sum_waiting_sq: float,
-        sum_queueing: float,
-        end_time: float,
-        tally: List[int],
-        seen: List[int],
+        count: int = 0,
+        sum_waiting: float = 0.0,
+        sum_waiting_sq: float = 0.0,
+        sum_queueing: float = 0.0,
+        end_time: Optional[float] = None,
+        tally: Sequence[int] = (),
+        seen: Sequence[int] = (),
     ) -> None:
-        """Finish a run whose batches the caller accumulated.
+        """Finish a run: sum ``agent_totals`` from the batches.
 
-        Takes :meth:`end_batch`'s arguments for the batch still open
-        (``count`` 0 if none is: then ``end_time``, the last
-        completion's time, is the next batch boundary), and sums
-        ``agent_totals`` from the batches' ``agent_counts`` in batch
-        order, which gives :meth:`record_completion`'s counts in its
-        dict order.
+        Every run ends here once.  A run recorded through
+        :meth:`record_completion` passes nothing.  A caller that
+        accumulated its batches itself passes :meth:`end_batch`'s
+        arguments for the batch still open (``count`` 0 if none is:
+        then ``end_time``, the last completion's time, is the next batch
+        boundary).  The totals are summed from the batches'
+        ``agent_counts`` in batch order, which gives every agent its
+        first completion's place in the dict order.
         """
         if count:
             self.end_batch(
                 count, sum_waiting, sum_waiting_sq, sum_queueing, end_time, tally, seen
             )
-        else:
+        elif end_time is not None:
             self._last_boundary_time = end_time
         totals = self.agent_totals
         for batch in self.batch_stats:

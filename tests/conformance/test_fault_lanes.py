@@ -25,8 +25,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
 
-import repro.engine.batch as batch_module
-import repro.session.single as single_module
+import repro.engine.cell as cell_module
 from repro.bus.timing import BusTiming
 from repro.bus.watchdog import WatchdogPolicy
 from repro.engine.batch import _KERNELS, batch_capable, run_lanes
@@ -253,7 +252,9 @@ def test_kernel_keys_equal_event_arbiter_keys(protocol, agents, steps):
 
 @pytest.fixture
 def injectors(monkeypatch):
-    """Every FaultInjector either engine builds, in construction order."""
+    """Every FaultInjector either engine builds, in construction order.
+
+    Both engines build a cell's injector in ``CellAssembly``."""
     made = []
 
     class Recording(FaultInjector):
@@ -261,8 +262,7 @@ def injectors(monkeypatch):
             super().__init__(plan)
             made.append(self)
 
-    monkeypatch.setattr(batch_module, "FaultInjector", Recording)
-    monkeypatch.setattr(single_module, "FaultInjector", Recording)
+    monkeypatch.setattr(cell_module, "FaultInjector", Recording)
     return made
 
 

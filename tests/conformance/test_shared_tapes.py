@@ -339,9 +339,9 @@ def test_a_running_lane_sees_only_the_tapes_still_to_be_read(tapes, monkeypatch)
                 frozenset(i for i, tape in enumerate(tapes) if id(tape()) in mine)
             )
 
-        def advance(self, completions):
+        def run(self):
             alive.append((self.number, live(tapes)))
-            return super().advance(completions)
+            return super().run()
 
     monkeypatch.setattr(batch_module, "_Replication", Watched)
     cells = [
@@ -363,19 +363,23 @@ def test_a_running_lane_sees_only_the_tapes_still_to_be_read(tapes, monkeypatch)
 def test_the_last_reader_keeps_no_more_than_a_block(monkeypatch):
     # A lane that is a tape's last reader drops what it has read, so a
     # lone lane holds one block of each stream, as BusAgent's buffer does.
+    # Sampled at every read, the lane's first blocks and its refills
+    # mid-run alike: the most the tape holds while it hands the block out.
     held = []
+    read = batch_module._Tape.read
 
-    class Watched(batch_module._Replication):
-        def advance(self, completions):
-            held.extend(len(cursor.tape.values) for cursor in self.tapes if cursor is not None)
-            return super().advance(completions)
+    def watched(self, pos, end):
+        held.append(max(len(self.values), end - self.start))
+        return read(self, pos, end)
 
-    monkeypatch.setattr(batch_module, "_Replication", Watched)
+    monkeypatch.setattr(batch_module._Tape, "read", watched)
     settings = SimulationSettings(batches=2, batch_size=500, warmup=50, seed=9)
     cells = [(equal_load(4, 2.0), protocol, settings) for protocol in ("rr", "fcfs")]
     (lone,) = run_lanes(cells[:1])
     assert lone.collector.total_recorded == 1050
-    assert held and max(held) <= _THINK_BLOCK
+    # Four first blocks, then refills while the lane runs.
+    assert len(held) > 2 * 4
+    assert max(held) <= _THINK_BLOCK
     # The first of two lanes keeps every variate it drew for the second.
     held.clear()
     run_lanes(cells)

@@ -98,6 +98,9 @@ class TestBatchStatistics:
         collector.record(_record(agent=2))
         collector.record(_record(agent=2))
         assert collector.batch_stats[0].agent_counts == {1: 1, 2: 1}
+        # Totals are summed from the batches when the run ends.
+        assert collector.agent_totals == {}
+        collector.end_run()
         assert collector.agent_totals == {1: 1, 2: 3}
 
     def test_empty_batch_moments_raise(self):
@@ -200,6 +203,7 @@ class TestCallerAccumulatedBatches:
         )
         for completion in completions:
             reference.record_completion(*completion)
+        reference.end_run()
         collector = CompletionCollector(
             batches=3, batch_size=5, warmup=4, keep_samples=keep_samples
         )
