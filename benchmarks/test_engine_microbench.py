@@ -8,6 +8,9 @@ regressions in the engine.
 
 import random
 import time
+from dataclasses import replace
+
+from gates import min_of_k
 
 from repro.engine.simulator import Simulator
 from repro.experiments.runner import SimulationSettings, run_simulation
@@ -117,14 +120,11 @@ def test_batch_engine_speedup_gate_at_r32():
 
     The lockstep engine's reason to exist is replication throughput, so
     the gate measures exactly that: 32 seeds of the small-bus cell, one
-    ``run_replications`` pass against 32 independent event-engine runs.
-    Interleaved rounds with a min-of-k comparison (the same discipline
-    as the telemetry-overhead gate above) keep shared-runner drift from
-    flaking it; the engine measures ≈ 9-10× locally, so the 3× bar has
-    real headroom.  (The grid-wide ≥ 10× bar lives in
-    ``test_grid_batch.py``, where interleaving and min-of-k give it the
-    same protection.)  The ratio is printed (run with ``-s``) for the
-    docs' performance table.
+    ``run_replications`` pass against 32 independent event-engine runs,
+    timed interleaved min-of-k by ``gates.min_of_k``.  The engine
+    measures ≈ 9-10× locally, so the 3× bar has real headroom.  Unlike
+    the rows of ``gates.GATES`` this ratio is not recorded.  The ratio
+    is printed (run with ``-s``) for the docs' performance table.
     """
     from repro.engine.batch import run_replications
 
@@ -133,11 +133,9 @@ def test_batch_engine_speedup_gate_at_r32():
     seeds = list(range(1, 33))
 
     def event_pass():
-        from dataclasses import replace
-
         start = time.perf_counter()
         for seed in seeds:
-            # The pin matters: run_simulation now defaults to the batch
+            # The pin matters: run_simulation defaults to the batch
             # engine in-domain, and the gate must time the event engine.
             run_simulation(scenario, "rr", replace(settings, seed=seed, engine="event"))
         return time.perf_counter() - start
@@ -147,12 +145,7 @@ def test_batch_engine_speedup_gate_at_r32():
         run_replications(scenario, "rr", settings, seeds)
         return time.perf_counter() - start
 
-    batch_pass()  # warm allocator / code caches
-    event_times, batch_times = [], []
-    for _ in range(3):
-        event_times.append(event_pass())
-        batch_times.append(batch_pass())
-    speedup = min(event_times) / min(batch_times)
+    speedup = min_of_k(event_pass, batch_pass, rounds=3)
     print(f"\nbatch-engine speedup at R=32: {speedup:.2f}x (gate >= 3.0)")
     assert speedup >= 3.0
 
@@ -164,13 +157,16 @@ def test_disabled_telemetry_overhead_is_negligible():
     empty tuple per arbitration.  That check cannot be isolated from
     the engine it lives in, so this measures the stricter quantity
     that bounds it from above: a run with a live :class:`NullSink`
-    (full event construction + emission) against the disabled run.
-    The disabled-path overhead is strictly below whatever this ratio
-    shows.  The target for the *disabled* path is ≤ 3%; the enabled
-    bound typically measures ≈ 1.12–1.23 and the assertion allows 1.5
-    so CI jitter on shared runners cannot flake the suite while still
-    catching a pathological emission path.  The measured ratio is
-    printed (run with ``-s``) for the docs' overhead table.
+    (full event construction + emission) against the disabled run,
+    interleaved min-of-k (``gates.min_of_k``) so machine drift hits
+    both and a load spike cannot flake the gate.  The disabled-path
+    overhead is strictly below whatever this ratio shows.  The target
+    for the *disabled* path is ≤ 3%; the enabled bound typically
+    measures ≈ 1.12–1.23 and the assertion allows 1.5 so CI jitter on
+    shared runners cannot flake the suite while still catching a
+    pathological emission path.  Unlike the rows of ``gates.GATES``
+    this ratio is not recorded.  The measured ratio is printed (run
+    with ``-s``) for the docs' overhead table.
     """
     from repro.bus.model import BusSystem
     from repro.observability.sinks import NullSink
@@ -192,16 +188,7 @@ def test_disabled_telemetry_overhead_is_negligible():
         system.run()
         return time.perf_counter() - start
 
-    one_run(None)  # warm allocator / code caches
-    disabled, enabled = [], []
-    # Interleave the two configurations so machine drift hits both;
-    # compare minima — the least-interfered-with sample of each — so a
-    # background load spike on a shared runner cannot flake the gate.
-    for _ in range(7):
-        disabled.append(one_run(None))
-        enabled.append(one_run(NullSink()))
-    ratio = min(enabled) / min(disabled)
+    ratio = min_of_k(lambda: one_run(NullSink()), lambda: one_run(None), rounds=7)
     print(f"\nnull-sink-enabled / disabled ratio: {ratio:.4f} "
           "(disabled-path target <= 1.03, bounded above by this)")
     assert ratio <= 1.5
-

@@ -1,120 +1,47 @@
-"""Session-layer overhead gate: orchestration must be nearly free.
+"""Session layer on the peak-contention grid: routing and a recorded pass.
 
-The session refactor routed every entry point through
-``plan_runs`` → ``execute_plan`` (request resolution, cache-key
-hashing when a cache is configured, route classification, outcome
-assembly).  That machinery runs once per cell, so its cost is most
-visible where cells are cheapest relative to their count: the same
-peak-contention grid the lane-engine speedup gate times.  This bench
-drives that grid twice — straight into :func:`repro.engine.batch.
-run_lanes` (the raw engine, no orchestration) and through a cacheless
-:class:`repro.session.session.Session` gather (plan, lane-pack,
-outcomes) — and gates the session's overhead at < 2% with the same
-interleaved min-of-k discipline as the speedup gates.
-
-Two pytest-benchmark entries record the pair in ``BENCH_engine.json``:
-a raw lane-engine pass and the session-routed pass, *adjacent in this
-file* so they run back-to-back and the recorded medians see the same
-machine state (the grid entries in ``test_grid_batch.py`` are minutes
-away in a full bench run — a ratio across that gap measures thermal
-drift, not orchestration).  ``scripts/run_benchmarks.py`` condenses
-the pair into a ``session_overhead`` ratio that
-``scripts/check_bench.py`` gates alongside the grid speedup.
+The session refactor routed every entry point through ``plan_runs`` →
+``execute_plan`` (request resolution, cache-key hashing when a cache is
+configured, route classification, outcome assembly).  That machinery
+runs once per cell, so its cost is most visible where cells are
+cheapest relative to their count: the grid the lane-engine speedup gate
+times.  The ``session_overhead`` row of ``gates.py`` times a cacheless
+:class:`repro.session.session.Session` gather of that grid against the
+raw :func:`repro.engine.batch.run_lanes` pass and holds the difference
+under 2%.  The tests here check that the session really routes the grid
+through lanes, to the same results, and record the routed pass's median
+(the raw pass is ``test_grid_batch.py::test_grid_pass_batch_lanes``).
 """
 
-import time
-
-from test_grid_batch import grid_cells
+from gates import grid_cells, requests_for
 
 from repro.engine.batch import run_lanes
-from repro.session import RunRequest, Session
-
-#: The gate: session orchestration may cost at most this fraction of
-#: the raw engine pass, measured min-of-k on the interleaved grid.
-OVERHEAD_GATE = 0.02
-
-
-def _requests(cells):
-    return [RunRequest(scenario, protocol, settings) for scenario, protocol, settings in cells]
+from repro.session import Session
 
 
 def _session_pass(cells):
-    session = Session(jobs=1)
-    requests = _requests(cells)
-    start = time.perf_counter()
-    outcomes = session.run_requests(requests)
-    return time.perf_counter() - start, [outcome.result for outcome in outcomes]
-
-
-def _engine_pass(cells):
-    start = time.perf_counter()
-    results = run_lanes(cells)
-    return time.perf_counter() - start, results
+    return [outcome.result for outcome in Session(jobs=1).run_requests(requests_for(cells))]
 
 
 def test_session_routes_the_grid_through_lanes():
-    """The whole grid must plan onto the lane route — the bench times
+    """The whole grid must plan onto the lane route — the gate times
     orchestration, not an accidental per-cell fallback."""
     cells = grid_cells()
     session = Session(jobs=1)
-    outcomes = session.run_requests(_requests(cells))
+    outcomes = session.run_requests(requests_for(cells))
     assert [outcome.route for outcome in outcomes] == ["lanes"] * len(cells)
     assert session.stats.batch_replications == len(cells)
 
 
 def test_session_grid_results_match_raw_engine():
     cells = grid_cells()
-    _, routed = _session_pass(cells)
-    _, raw = _engine_pass(cells)
-    for ours, theirs in zip(routed, raw):
+    for ours, theirs in zip(_session_pass(cells), run_lanes(cells)):
         assert ours.collector.agent_totals == theirs.collector.agent_totals
 
 
-def test_session_overhead_gate():
-    """Session-routed grid pass within 2% of the raw engine pass.
-
-    Interleaved rounds with a min-of-k comparison, the discipline the
-    speedup gates use: the minimum of each series estimates the true
-    cost with shared-runner noise stripped, so the ratio isolates the
-    orchestration layer itself.
-    """
-    cells = grid_cells()
-    _session_pass(cells)  # warm allocator / code caches
-    session_times, engine_times = [], []
-    for _ in range(5):
-        engine_time, _ = _engine_pass(cells)
-        session_time, _ = _session_pass(cells)
-        engine_times.append(engine_time)
-        session_times.append(session_time)
-    overhead = min(session_times) / min(engine_times) - 1.0
-    print(f"\nsession overhead on the grid: {overhead:+.2%} (gate < {OVERHEAD_GATE:.0%})")
-    assert overhead < OVERHEAD_GATE
-
-
-def test_grid_pass_lanes_paired(benchmark):
-    """Recorded median of a raw lane-engine pass, as the pair baseline.
-
-    Runs immediately before ``test_grid_pass_session_routed`` so the
-    two medians share machine state; their ratio is the recorded
-    ``session_overhead``.
-    """
-    cells = grid_cells()
-    results = benchmark.pedantic(
-        lambda: _engine_pass(cells)[1], rounds=5, iterations=1
-    )
-    assert len(results) == len(cells)
-    assert all(r.collector.total_recorded == 1050 for r in results)
-
-
 def test_grid_pass_session_routed(benchmark):
-    """Recorded median of the session-routed grid pass.
-
-    Paired with ``test_grid_pass_lanes_paired`` this yields the
-    ``session_overhead`` ratio ``scripts/check_bench.py`` gates.
-    """
+    """Recorded median of the session-routed grid pass."""
     cells = grid_cells()
-    results = benchmark.pedantic(
-        lambda: _session_pass(cells)[1], rounds=5, iterations=1
-    )
+    results = benchmark.pedantic(lambda: _session_pass(cells), rounds=5, iterations=1)
     assert len(results) == len(cells)
     assert all(r.collector.total_recorded == 1050 for r in results)

@@ -9,8 +9,11 @@ fails permanently) at smoke scale.
 
 import pytest
 
+from repro.engine.batch import batch_capable
+from repro.errors import ConfigurationError
 from repro.experiments import robustness
 from repro.experiments.scale import SCALES
+from repro.experiments.spec import settings_for
 from repro.faults.plan import FaultKind
 from repro.session import Session
 
@@ -91,6 +94,41 @@ class TestSection31Contrast:
         panel = self._panel(grid_tables, "rotating-rr")
         for row, record in zip(panel.rows, panel.data):
             assert (row[-1] == "FAIL") == record["failed"]
+
+
+class TestGridWorkloads:
+    """The grid's workload axis beyond the default closed loop."""
+
+    @pytest.mark.parametrize("protocol", ("rr", "fcfs", "fcfs-aincr"))
+    @pytest.mark.parametrize("workload", robustness.GRID_WORKLOADS)
+    def test_every_workload_is_inside_the_lane_domain(self, workload, protocol):
+        scenario = robustness.grid_scenario(workload)
+        assert scenario.num_agents == robustness.NUM_AGENTS
+        capable, reason = batch_capable(
+            scenario, protocol, settings_for(SMOKE, SEED, keep_order=True)
+        )
+        assert capable, reason
+
+    def test_unknown_workload_is_a_configuration_error(self):
+        with pytest.raises(ConfigurationError, match="unknown robustness workload 'diurnal'"):
+            robustness.grid_scenario("diurnal")
+
+    def test_faults_subcommand_names_a_bursty_workload(self, capsys):
+        from repro.cli import main
+
+        status = main(
+            [
+                "--scale", "smoke",
+                "faults",
+                "--protocols", "rr-faulty-register",
+                "--rates", "0.05",
+                "--workload", "bursty",
+            ]
+        )
+        out = capsys.readouterr().out
+        assert status == 0
+        assert "Robustness: rr-faulty-register" in out
+        assert "workload=bursty" in out
 
 
 class TestFaultsCli:

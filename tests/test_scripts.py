@@ -1,6 +1,9 @@
 """Tests for the repository's utility scripts."""
 
+import contextlib
+import importlib
 import importlib.util
+import json
 import shutil
 import sys
 from pathlib import Path
@@ -10,8 +13,8 @@ import pytest
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
-def _load(name):
-    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+def _load(name, directory=SCRIPTS):
+    spec = importlib.util.spec_from_file_location(name, directory / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -88,106 +91,125 @@ class TestGenerateExperiments:
         assert module._fmt(Est()) == "2.50"
 
 
+#: The recorded ratios, in table order.
+GATE_KEYS = (
+    "grid_speedup",
+    "session_overhead",
+    "service_overhead",
+    "openloop_overhead",
+    "sync_grid_speedup",
+    "priority_grid_speedup",
+    "fault_grid_speedup",
+    "hot_hit_speedup",
+    "shared_tape_speedup",
+    "stateful_tape_speedup",
+)
+
+
+@pytest.fixture(scope="module")
+def gates():
+    """``benchmarks/gates.py``, as the scripts import it."""
+    _load("run_benchmarks")  # puts src/ and benchmarks/ on sys.path
+    return importlib.import_module("gates")
+
+
+def _fake(durations, calls=None, name=None):
+    """A pass that returns the next of ``durations`` and logs its call."""
+    pending = iter(durations)
+
+    def run():
+        if calls is not None:
+            calls.append(name)
+        return next(pending)
+
+    return run
+
+
+class TestGateHelper:
+    def test_min_of_k_warms_alternates_and_divides_minima(self, gates):
+        calls = []
+        # The first call of each pass is the untimed warm-up: its
+        # duration (the fastest of both series here) must not count.
+        numerator = _fake([0.1, 0.9, 0.6, 0.8], calls, "numerator")
+        denominator = _fake([0.1, 0.4, 0.3, 0.5], calls, "denominator")
+        assert gates.min_of_k(numerator, denominator, rounds=3) == 2.0
+        assert calls == ["numerator", "denominator"] * 4
+
+    @pytest.mark.parametrize("bound, expected", [("floor", 1.5), ("ceiling", 0.5)])
+    def test_measure_subtracts_one_for_a_ceiling(self, gates, bound, expected):
+        closed = []
+
+        @contextlib.contextmanager
+        def passes():
+            yield _fake([1.0, 0.3, 0.45]), _fake([1.0, 0.2, 0.3])
+            closed.append(True)
+
+        gate = gates.Gate("k", "k", "why", passes, 2, bound, 1.0, 2)
+        assert gates.measure(gate) == pytest.approx(expected)
+        assert closed == [True]
+
+
 class TestCondenseSliceRatios:
-    def test_each_slice_pair_yields_its_ratio_of_minima(self):
-        module = _load("run_benchmarks")
-
-        def bench(name, minimum):
-            stats = {"median": 2 * minimum, "mean": 2 * minimum, "stddev": 0.0}
-            return {"name": name, "stats": dict(stats, min=minimum, rounds=5)}
-
-        raw = {
-            "benchmarks": [
-                bench("test_sync_pass_event_engine", 0.08),
-                bench("test_sync_pass_batch_lanes", 0.02),
-                bench("test_priority_pass_event_engine", 0.15),
-                bench("test_priority_pass_batch_lanes", 0.03),
-                bench("test_fault_pass_event_engine", 0.09),
-                bench("test_fault_pass_batch_lanes", 0.015),
-                bench("test_hit_pass_cold", 0.03),
-                bench("test_hit_pass_hot", 0.0008),
-            ]
+    def test_each_slice_pair_yields_its_ratio_of_minima(self, gates, monkeypatch):
+        """The recorded summary: condensed benchmark entries, plus each
+        row's min-over-min, rounded to its digits, minus 1 for a ceiling."""
+        run_benchmarks = _load("run_benchmarks")
+        stats = {"median": 2e-3, "mean": 2.5e-3, "stddev": 1e-4, "min": 1e-3, "rounds": 5}
+        monkeypatch.setattr(
+            run_benchmarks,
+            "run_microbench",
+            lambda path: {"benchmarks": [{"name": "test_x", "stats": stats}]},
+        )
+        rows = tuple(
+            gate._replace(
+                passes=lambda: contextlib.nullcontext(
+                    (_fake([1.0] + [0.3, 0.2, 0.25] * 3), _fake([1.0] + [0.09, 0.08, 0.1] * 3))
+                ),
+                rounds=3,
+            )
+            for gate in gates.GATES
+        )
+        monkeypatch.setattr(gates, "GATES", rows)
+        summary = run_benchmarks.fresh_summary()
+        assert summary["benchmarks"] == {
+            "test_x": {
+                "median_us": 2000.0,
+                "mean_us": 2500.0,
+                "stddev_us": 100.0,
+                "min_us": 1000.0,
+                "rounds": 5,
+            }
         }
-        summary = module.condense(raw)
-        assert summary["sync_grid_speedup"] == 4.0
-        assert summary["priority_grid_speedup"] == 5.0
-        assert summary["fault_grid_speedup"] == 6.0
-        assert summary["hot_hit_speedup"] == 37.5
-        raw["benchmarks"] = raw["benchmarks"][:3]
-        assert "priority_grid_speedup" not in module.condense(raw)
-        assert "fault_grid_speedup" not in module.condense(raw)
-
-    def test_median_speedup_and_min_overhead_rows(self):
-        module = _load("run_benchmarks")
-
-        def bench(name, median, minimum):
-            stats = {"median": median, "mean": median, "stddev": 0.0, "min": minimum}
-            return {"name": name, "stats": dict(stats, rounds=5)}
-
-        raw = {
-            "benchmarks": [
-                bench("test_grid_pass_event_engine", 1.0, 0.5),
-                bench("test_grid_pass_batch_lanes", 0.08, 0.01),
-                bench("test_grid_pass_session_routed", 9.0, 0.10123),
-                bench("test_grid_pass_lanes_paired", 1.0, 0.1),
-                bench("test_grid_pass_cached_service", 1.0, 0.003),
-                bench("test_grid_pass_cached_session", 1.0, 0.002),
-                bench("test_sweep_pass_open_loop", 1.0, 0.11),
-                bench("test_sweep_pass_closed_loop_paired", 1.0, 0.1),
-            ]
+        assert {gate.key: summary[gate.key] for gate in rows} == {
+            gate.key: 1.5 if gate.bound == gates.CEILING else 2.5 for gate in rows
         }
-        summary = module.condense(raw)
-        assert summary["grid_speedup"] == 12.5  # medians, not 50x of minima
-        assert summary["session_overhead"] == 0.0123
-        assert summary["service_overhead"] == 0.5
-        assert summary["openloop_overhead"] == 0.1
 
 
 class TestCheckBenchGates:
     """The bench guard's gate table, on synthetic summaries and baselines.
 
     One floor row (the grid speedup) and one ceiling row (the session
-    overhead) cover both directions of the comparison; the synchronous
-    and priority speedup rows get their own pass, recorded-miss and
-    missing-key cases.
+    overhead) pin the report's exact lines in both directions; every row
+    gets a pass, recorded-miss, fresh-miss and missing-key case.
     """
 
     @pytest.fixture(scope="class")
     def module(self):
         return _load("check_bench")
 
-    @staticmethod
-    def _gate(module, key):
-        return next(gate for gate in module.GATES if gate.key == key)
-
     def _check(self, module, capsys, key, recorded, fresh):
-        gate = self._gate(module, key)
+        gate = next(gate for gate in module.GATES if gate.key == key)
         baseline = {} if recorded is None else {key: recorded}
         summary = {} if fresh is None else {key: fresh}
         status = module.check_gate(gate, summary, baseline, 0.5)
         return status, capsys.readouterr().out.splitlines()
 
-    def test_table_covers_every_recorded_ratio(self, module):
-        assert [gate.key for gate in module.GATES] == [
-            "grid_speedup",
-            "session_overhead",
-            "service_overhead",
-            "openloop_overhead",
-            "sync_grid_speedup",
-            "priority_grid_speedup",
-            "fault_grid_speedup",
-            "hot_hit_speedup",
-            "shared_tape_speedup",
-            "stateful_tape_speedup",
-        ]
-        assert self._gate(module, "grid_speedup").bound == module.FLOOR
-        assert {gate.bound for gate in module.GATES[1:4]} == {module.CEILING}
-        assert self._gate(module, "sync_grid_speedup").bound == module.FLOOR
-        assert self._gate(module, "priority_grid_speedup").bound == module.FLOOR
-        assert self._gate(module, "fault_grid_speedup").bound == module.FLOOR
-        assert self._gate(module, "hot_hit_speedup").bound == module.FLOOR
-        assert self._gate(module, "shared_tape_speedup").bound == module.FLOOR
-        assert self._gate(module, "stateful_tape_speedup").bound == module.FLOOR
+    def test_table_covers_every_recorded_ratio(self, module, gates):
+        assert tuple(gate.key for gate in module.GATES) == GATE_KEYS
+        assert {gate.key: gate.bound for gate in gates.GATES} == {
+            key: gates.CEILING if key.endswith("_overhead") else gates.FLOOR
+            for key in GATE_KEYS
+        }
         assert {gate.key: gate.bar for gate in module.GATES} == {
             "grid_speedup": 10.0,
             "session_overhead": 0.02,
@@ -200,11 +222,84 @@ class TestCheckBenchGates:
             "shared_tape_speedup": 1.1,
             "stateful_tape_speedup": 1.15,
         }
-        # The grid speedup is a ratio of medians; every other row
-        # divides minima.
-        assert [gate.key for gate in module.GATES if gate.statistic == "median_us"] == [
-            "grid_speedup"
-        ]
+        # Each row keeps its live gate's round count.
+        assert {gate.key: gate.rounds for gate in gates.GATES} == dict(
+            dict.fromkeys(GATE_KEYS, 5), grid_speedup=4, stateful_tape_speedup=7
+        )
+
+    @staticmethod
+    def _values(gate, case):
+        """(recorded, fresh) for one case, at the edges of the bar where
+        the relation matters: a floor holds at its bar, a ceiling fails
+        at its own."""
+        bar = gate.bar
+        if gate.bound == "floor":
+            cases = {
+                "pass": (bar, bar * 0.6),
+                "recorded_miss": (bar * 0.96, bar),
+                "fresh_miss": (bar * 2, bar * 0.45),
+            }
+        else:
+            cases = {
+                "pass": (bar * 0.5, bar * 1.25),
+                "recorded_miss": (bar, bar * 0.5),
+                "fresh_miss": (bar * 0.5, bar * 1.5),
+            }
+        return cases.get(case, (None, None))
+
+    @pytest.mark.parametrize("case", ["pass", "recorded_miss", "fresh_miss", "missing_keys"])
+    @pytest.mark.parametrize("key", GATE_KEYS)
+    def test_gate(self, module, capsys, key, case):
+        gate = next(gate for gate in module.GATES if gate.key == key)
+        recorded, fresh = self._values(gate, case)
+        status, lines = self._check(module, capsys, key, recorded, fresh)
+        flagged = ["REGRESSION" in line for line in lines]
+        assert flagged == {
+            "pass": [False, False],
+            "recorded_miss": [True, False],
+            "fresh_miss": [False, True],
+            "missing_keys": [True, True],
+        }[case]
+        assert status == int(any(flagged))
+        assert lines[0].startswith(f"  {gate.label}: baseline records ")
+        assert lines[1].startswith(f"  {gate.label} (fresh): ")
+        if case == "missing_keys":
+            assert lines[0].endswith("records none  <-- REGRESSION")
+            assert lines[1].endswith("(fresh): not measured  <-- REGRESSION")
+        else:
+            assert f"(gate {gate.relation} {gate.limit(gate.bar)})" in lines[0]
+            assert f"({gate.bound} " in lines[1]
+
+    def test_one_measurement_feeds_every_consumer(self, module, gates, monkeypatch, tmp_path, capsys):
+        """With ``gates.measure`` patched to fixed ratios, the recorded
+        summary, the guard's fresh check and the live gate all read them."""
+        run_benchmarks = sys.modules["run_benchmarks"]  # the one check_bench imported
+        live = _load("test_gates", SCRIPTS.parent / "benchmarks")
+        ratios = {
+            gate.key: gate.bar * (2.0 if gate.bound == gates.FLOOR else 0.5)
+            for gate in gates.GATES
+        }
+        monkeypatch.setattr(gates, "measure", lambda gate: ratios[gate.key])
+        monkeypatch.setattr(run_benchmarks, "run_microbench", lambda path: {"benchmarks": []})
+        baseline = tmp_path / "baseline.json"
+        baseline.write_text(json.dumps(dict(ratios, benchmarks={})), encoding="utf-8")
+        monkeypatch.setattr(sys, "argv", ["check_bench.py", "--baseline", str(baseline)])
+
+        assert {key: run_benchmarks.fresh_summary()[key] for key in ratios} == ratios
+        assert module.main() == 0
+        out = capsys.readouterr().out
+        for gate in gates.GATES:
+            assert f"  {gate.label} (fresh): {gate.show(ratios[gate.key])} (" in out
+            live.test_gate(gate)
+
+        ratios["grid_speedup"] = 4.0
+        assert run_benchmarks.fresh_summary()["grid_speedup"] == 4.0
+        assert module.main() == 1
+        assert "grid speedup (fresh): 4.00x (floor 5.0x at 50% tolerance)  <-- REGRESSION" in (
+            capsys.readouterr().out
+        )
+        with pytest.raises(AssertionError, match="grid speedup 4.00x misses its bar"):
+            live.test_gate(gates.GATES[0])
 
     def test_floor_pass(self, module, capsys):
         status, lines = self._check(module, capsys, "grid_speedup", 12.0, 9.0)
@@ -234,97 +329,7 @@ class TestCheckBenchGates:
         assert status == 1
         assert lines == [
             "  grid speedup: baseline records none  <-- REGRESSION",
-            "  grid speedup (fresh): missing grid benchmarks  <-- REGRESSION",
-        ]
-
-    def test_sync_floor_pass(self, module, capsys):
-        status, lines = self._check(module, capsys, "sync_grid_speedup", 4.0, 2.0)
-        assert status == 0
-        assert lines == [
-            "  synchronous grid speedup: baseline records 4.00x (gate >= 2.5x)",
-            "  synchronous grid speedup (fresh): 2.00x (floor 1.2x at 50% tolerance)",
-        ]
-
-    def test_sync_floor_recorded_miss(self, module, capsys):
-        status, lines = self._check(module, capsys, "sync_grid_speedup", 2.4, 4.0)
-        assert status == 1
-        assert lines[0] == (
-            "  synchronous grid speedup: baseline records 2.40x (gate >= 2.5x)"
-            "  <-- REGRESSION"
-        )
-        assert "REGRESSION" not in lines[1]
-
-    def test_sync_floor_missing_keys(self, module, capsys):
-        status, lines = self._check(module, capsys, "sync_grid_speedup", None, None)
-        assert status == 1
-        assert lines == [
-            "  synchronous grid speedup: baseline records none  <-- REGRESSION",
-            "  synchronous grid speedup (fresh): missing synchronous grid benchmarks"
-            "  <-- REGRESSION",
-        ]
-
-    def test_priority_floor_pass(self, module, capsys):
-        status, lines = self._check(module, capsys, "priority_grid_speedup", 5.0, 1.5)
-        assert status == 0
-        assert lines == [
-            "  priority grid speedup: baseline records 5.00x (gate >= 2.5x)",
-            "  priority grid speedup (fresh): 1.50x (floor 1.2x at 50% tolerance)",
-        ]
-
-    def test_priority_floor_recorded_miss(self, module, capsys):
-        status, lines = self._check(module, capsys, "priority_grid_speedup", 2.0, 5.0)
-        assert status == 1
-        assert lines[0] == (
-            "  priority grid speedup: baseline records 2.00x (gate >= 2.5x)"
-            "  <-- REGRESSION"
-        )
-        assert "REGRESSION" not in lines[1]
-
-    def test_priority_floor_fresh_miss(self, module, capsys):
-        status, lines = self._check(module, capsys, "priority_grid_speedup", 5.0, 1.0)
-        assert status == 1
-        assert lines[1] == (
-            "  priority grid speedup (fresh): 1.00x (floor 1.2x at 50% tolerance)"
-            "  <-- REGRESSION"
-        )
-
-    def test_priority_floor_missing_keys(self, module, capsys):
-        status, lines = self._check(module, capsys, "priority_grid_speedup", None, None)
-        assert status == 1
-        assert lines == [
-            "  priority grid speedup: baseline records none  <-- REGRESSION",
-            "  priority grid speedup (fresh): missing priority grid benchmarks"
-            "  <-- REGRESSION",
-        ]
-
-    def test_fault_floor_pass(self, module, capsys):
-        status, lines = self._check(module, capsys, "fault_grid_speedup", 6.0, 1.5)
-        assert status == 0
-        assert lines == [
-            "  fault grid speedup: baseline records 6.00x (gate >= 2.5x)",
-            "  fault grid speedup (fresh): 1.50x (floor 1.2x at 50% tolerance)",
-        ]
-
-    def test_fault_floor_recorded_miss_and_missing_fresh(self, module, capsys):
-        status, lines = self._check(module, capsys, "fault_grid_speedup", 2.4, None)
-        assert status == 1
-        assert lines == [
-            "  fault grid speedup: baseline records 2.40x (gate >= 2.5x)  <-- REGRESSION",
-            "  fault grid speedup (fresh): missing fault grid benchmarks  <-- REGRESSION",
-        ]
-
-    def test_hot_hit_floor_pass_and_recorded_miss(self, module, capsys):
-        status, lines = self._check(module, capsys, "hot_hit_speedup", 38.9, 6.0)
-        assert status == 0
-        assert lines == [
-            "  hot hit speedup: baseline records 38.90x (gate >= 10.0x)",
-            "  hot hit speedup (fresh): 6.00x (floor 5.0x at 50% tolerance)",
-        ]
-        status, lines = self._check(module, capsys, "hot_hit_speedup", 9.0, None)
-        assert status == 1
-        assert lines == [
-            "  hot hit speedup: baseline records 9.00x (gate >= 10.0x)  <-- REGRESSION",
-            "  hot hit speedup (fresh): missing service hit benchmarks  <-- REGRESSION",
+            "  grid speedup (fresh): not measured  <-- REGRESSION",
         ]
 
     def test_ceiling_pass(self, module, capsys):
@@ -356,7 +361,7 @@ class TestCheckBenchGates:
         assert status == 1
         assert lines == [
             "  session overhead: baseline records none  <-- REGRESSION",
-            "  session overhead (fresh): missing session benchmark  <-- REGRESSION",
+            "  session overhead (fresh): not measured  <-- REGRESSION",
         ]
 
 
