@@ -1,29 +1,40 @@
 #!/usr/bin/env python
-"""Count the bytecodes the lane engine runs per completion, by function.
+"""Count the bytecodes a simulation engine runs per completion.
 
-Runs one fixed slice of the paper grid through
-:func:`repro.engine.batch.run_lanes` under a ``sys.settrace`` tracer
-with opcode events on, and prints the bytecodes each Python function
-executed divided by the completions the slice recorded.  The slice is
-the N = 30 column of the cold paper grid at base seed 3: the six lane
-protocols x total load 0.5, 2.0 and 7.5 x two seeds (300 and 301),
-built with ``equal_load`` and run for a warm-up of 50 and two batches
-of 500 completions, 36 cells in all.
+``--engine lanes`` (the default) runs one fixed slice of the paper grid
+through :func:`repro.engine.batch.run_lanes` under a ``sys.settrace``
+tracer with opcode events on, and prints the bytecodes each Python
+function executed divided by the completions the slice recorded.  The
+slice is the N = 30 column of the cold paper grid at base seed 3: the
+six lane protocols x total load 0.5, 2.0 and 7.5 x two seeds (300 and
+301), built with ``equal_load`` and run for a warm-up of 50 and two
+batches of 500 completions, 36 cells in all.
+
+``--engine event`` runs the 18 cells of the lanes-against-event
+cross-check instead: one per lane protocol x N = 10, 30 and 64 at load
+0.5 and seed 300, the same run length, each through the event engine
+(``run_cell`` with ``engine="event"``).  Besides the functions it prints
+the same bytecodes by phase (:data:`PHASES`): the executive and
+calendar, the bus handlers, the arbiter, the agents, the collector and
+everything else; the phase rows sum to the total.
 
 Bytecode counts do not depend on the host's speed or load, so two runs
 print the same table, and a change to the dispatch loop shows up as a
 difference of counts even where timings drown in noise.  Functions
 written in C (heap operations, list appends, ``random``) run no
 bytecodes and do not appear.  Counts differ between Python versions.
-The traced run takes about 5 s with CPython 3.11 on a 2-vCPU host.
+With CPython 3.11 on a 2-vCPU host the lane slice takes about 5 s
+traced, the event slice about 10 s.
 
 Usage::
 
-    PYTHONPATH=src python scripts/count_ops.py
+    PYTHONPATH=src python scripts/count_ops.py [--engine lanes|event]
 """
 
 from __future__ import annotations
 
+import argparse
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -33,6 +44,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from repro.engine.batch import run_lanes  # noqa: E402
 from repro.experiments.runner import SimulationSettings  # noqa: E402
+from repro.session.single import run_cell  # noqa: E402
 from repro.workload.scenarios import equal_load  # noqa: E402
 
 #: The lane engine's protocols, one per kernel.
@@ -45,6 +57,21 @@ SETTINGS = SimulationSettings(batches=2, batch_size=500, warmup=50)
 #: Functions listed by name; the rest are summed in one row.
 TOP = 15
 
+#: The event slice's bus widths; its cells run at the first load and seed.
+EVENT_AGENTS = (10, 30, 64)
+
+#: Event-engine phases, by the package path (under ``repro/``) of the
+#: module a function is defined in; the first matching prefix wins.  A
+#: dataclass's generated ``__init__`` counts where its class is defined.
+PHASES = (
+    ("executive + calendar", ("engine/simulator", "engine/calendar", "engine/event")),
+    ("bus handlers", ("bus/model", "bus/timing", "bus/watchdog")),
+    ("arbiter", ("core/", "protocols/", "signals/", "baselines/")),
+    ("agents", ("bus/agent", "workload/")),
+    ("collector", ("stats/", "bus/records")),
+)
+OTHER = "other"
+
 
 def slice_cells():
     """The 36 cells of the counted slice, in grid order."""
@@ -56,10 +83,27 @@ def slice_cells():
     ]
 
 
+def event_cells():
+    """The 18 cells of the event slice, in cross-check order."""
+    settings = replace(SETTINGS, seed=SEEDS[0], engine="event")
+    return [
+        (equal_load(agents, LOADS[0]), protocol, settings)
+        for agents in EVENT_AGENTS
+        for protocol in PROTOCOLS
+    ]
+
+
+def run_event_cells(cells):
+    return [run_cell(scenario, protocol, settings) for scenario, protocol, settings in cells]
+
+
 def count_opcodes(func, *args):
-    """Run ``func(*args)`` traced; return its result and the bytecodes
-    executed per code object."""
+    """Run ``func(*args)`` traced; return its result, the bytecodes
+    executed per code object, and the owner class of each code object
+    compiled from a string (a dataclass's generated methods): the class
+    of its first call's ``self``."""
     tallies = {}
+    owners = {}
 
     def trace(frame, event, arg):
         frame.f_trace_opcodes = True
@@ -68,6 +112,10 @@ def count_opcodes(func, *args):
         tally = tallies.get(code)
         if tally is None:
             tally = tallies[code] = [0]
+            if code.co_filename == "<string>":
+                owner = frame.f_locals.get("self")
+                if owner is not None:
+                    owners[code] = type(owner)
 
         def local(frame, event, arg):
             if event == "opcode":
@@ -81,7 +129,7 @@ def count_opcodes(func, *args):
         result = func(*args)
     finally:
         sys.settrace(None)
-    return result, {code: tally[0] for code, tally in tallies.items()}
+    return result, {code: tally[0] for code, tally in tallies.items()}, owners
 
 
 def _name(code) -> str:
@@ -89,26 +137,66 @@ def _name(code) -> str:
     return f"{module}.{getattr(code, 'co_qualname', code.co_name)}"
 
 
-def main() -> int:
-    cells = slice_cells()
-    results, counts = count_opcodes(run_lanes, cells)
+def phase_of(path: str) -> str:
+    """The :data:`PHASES` row of the module at ``path`` below ``repro/``;
+    code outside the package falls in :data:`OTHER`."""
+    for phase, prefixes in PHASES:
+        if path.startswith(prefixes):
+            return phase
+    return OTHER
+
+
+def _print_table(heading, rows, completions, total) -> None:
+    print(f"{heading:<60} {'per completion':>14} {'share':>7}")
+    for name, count in rows:
+        print(f"{name:<60} {count / completions:>14.1f} {count / total:>7.1%}")
+
+
+def count(label, cells, runner, phases) -> int:
+    """Trace ``runner(cells)`` and print its bytecodes per completion by
+    function, and by :data:`PHASES` when ``phases`` is set."""
+    results, counts, owners = count_opcodes(runner, cells)
     completions = sum(result.collector.total_recorded for result in results)
     by_name = {}
-    for code, count in counts.items():
-        name = _name(code)
-        by_name[name] = by_name.get(name, 0) + count
+    by_phase = dict.fromkeys([phase for phase, __ in PHASES] + [OTHER], 0)
+    for code, tally in counts.items():
+        owner = owners.get(code)
+        if owner is not None:
+            module = owner.__module__
+            name = f"{module.rpartition('.')[2]}.{owner.__qualname__}.{code.co_name}"
+            path = module.partition("repro.")[2].replace(".", "/")
+        else:
+            name = _name(code)
+            path = code.co_filename.rpartition(f"{os.sep}repro{os.sep}")[2]
+        by_name[name] = by_name.get(name, 0) + tally
+        by_phase[phase_of(path)] += tally
     total = sum(by_name.values())
     ranked = sorted(by_name.items(), key=lambda item: (-item[1], item[0]))
 
-    print(f"{len(cells)} cells, {completions} completions, {total} bytecodes")
-    print(f"{'function':<60} {'per completion':>14} {'share':>7}")
-    for name, count in ranked[:TOP]:
-        print(f"{name:<60} {count / completions:>14.1f} {count / total:>7.1%}")
-    rest = sum(count for _, count in ranked[TOP:])
+    print(f"{len(cells)} {label}, {completions} completions, {total} bytecodes")
+    rows = ranked[:TOP]
+    rest = sum(tally for _, tally in ranked[TOP:])
     if rest:
-        print(f"{'(other functions)':<60} {rest / completions:>14.1f} {rest / total:>7.1%}")
-    print(f"{'total':<60} {total / completions:>14.1f} {1:>7.1%}")
+        rows.append(("(other functions)", rest))
+    _print_table("function", rows + [("total", total)], completions, total)
+    if phases:
+        print()
+        _print_table("phase", [*by_phase.items(), ("total", total)], completions, total)
     return 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--engine",
+        choices=("lanes", "event"),
+        default="lanes",
+        help="the lane slice (default) or the event-engine cross-check slice",
+    )
+    args = parser.parse_args(argv)
+    if args.engine == "event":
+        return count("event cells", event_cells(), run_event_cells, phases=True)
+    return count("cells", slice_cells(), run_lanes, phases=False)
 
 
 if __name__ == "__main__":

@@ -18,6 +18,16 @@ Timing rules (§4.1 of the paper):
 The event ordering at a tenure boundary is: release, grant, arbitration
 start, new requests — encoded in :class:`~repro.engine.event.EventPriority`
 so simultaneous events resolve the way the hardware would.
+
+The bus and its agents schedule on one hot path, the calendar's
+:meth:`~repro.engine.calendar.EventCalendar.post`: a bare ``(time,
+priority, sequence, action)`` heap entry at the clock plus a delay, with no
+:class:`~repro.engine.event.Event`, label or closure.  The actions are
+bound methods: at most one arbitration settles at a time and at most one
+granted winner waits for its clock edge, so the winner each one needs
+lives on the bus (``_settling_winner``, ``_pending_winner``).  A fault
+injector's point faults are ordinary cancellable events on the same
+calendar.
 """
 
 from __future__ import annotations
@@ -25,14 +35,12 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from repro.bus.agent import BusAgent, first_think_blocks
-from repro.bus.records import CompletionRecord
 from repro.bus.timing import BusTiming
 from repro.bus.watchdog import BusWatchdog
 from repro.core.base import Arbiter, Request
 from repro.engine.event import EventPriority
 from repro.engine.rng import RandomStreams
 from repro.engine.simulator import Simulator
-from repro.engine.trace import Trace
 from repro.errors import NoUniqueWinnerError, SimulationError
 from repro.faults.injector import FaultInjector
 from repro.observability.events import ArbitrationEvent
@@ -42,6 +50,13 @@ from repro.stats.collector import CompletionCollector
 from repro.workload.scenarios import ScenarioSpec
 
 __all__ = ["BusSystem"]
+
+# The bus's event priorities as plain ints, the form a heap entry holds.
+_RELEASE = int(EventPriority.RELEASE)
+_GRANT = int(EventPriority.GRANT)
+_ARBITRATION = int(EventPriority.ARBITRATION)
+_REQUEST = int(EventPriority.REQUEST)
+_ARB_KICK = int(EventPriority.ARB_KICK)
 
 
 class BusSystem:
@@ -59,8 +74,6 @@ class BusSystem:
         Bus timing constants.
     seed:
         Master seed for the per-agent random streams.
-    trace:
-        Optional event trace for debugging.
     injector:
         Optional :class:`~repro.faults.injector.FaultInjector`; its
         plan's point faults are scheduled on this system's calendar and
@@ -88,7 +101,6 @@ class BusSystem:
         collector: CompletionCollector,
         timing: Optional[BusTiming] = None,
         seed: int = 0,
-        trace: Optional[Trace] = None,
         injector: Optional[FaultInjector] = None,
         watchdog: Optional[BusWatchdog] = None,
         sink: Optional[EventSink] = None,
@@ -105,7 +117,13 @@ class BusSystem:
         # Built per call: a signature-level BusTiming() default would be a
         # single module-level instance shared across every BusSystem.
         self.timing = timing if timing is not None else BusTiming()
-        self.simulator = Simulator(trace=trace)
+        self.simulator = Simulator()
+        #: The one way the bus and its agents schedule: a bare action at
+        #: an absolute time (the clock plus a non-negative delay).
+        self._post = self.simulator.calendar.post
+        #: The clock period when arbitration control is clock-aligned;
+        #: 0.0 on a self-timed bus, which then never asks for the edge.
+        self._clock_period = self.timing.clock_period
         self.streams = RandomStreams(seed)
 
         self.agents: Dict[int, BusAgent] = {}
@@ -153,6 +171,9 @@ class BusSystem:
         self._master_grant_time = 0.0
         self._arbitration_running = False
         self._arb_kick_scheduled = False
+        #: The winner of the arbitration now settling (valid while
+        #: ``_arbitration_running``).
+        self._settling_winner = 0
         self._retry_pending = False
         self._pending_winner: Optional[int] = None
         #: Time-weighted accounting for bus utilisation.
@@ -162,7 +183,7 @@ class BusSystem:
     # -- agent-facing plumbing ----------------------------------------------
 
     def _schedule_agent_action(self, delay, action) -> None:
-        self.simulator.schedule(delay, action, priority=EventPriority.REQUEST)
+        self._post(self.simulator.now + delay, _REQUEST, action)
 
     def _on_request(self, agent_id: int, priority: bool) -> None:
         self.arbiter.request(agent_id, self.simulator.now, priority=priority)
@@ -192,13 +213,10 @@ class BusSystem:
         # On a synchronous bus the arbitration-start control signal is
         # sampled at the next clock edge (§2.1); self-timed buses start
         # at the end of the current instant.
-        delay = self.timing.delay_to_next_edge(self.simulator.now)
-        self.simulator.schedule(
-            delay,
-            self._arb_kick,
-            priority=EventPriority.ARB_KICK,
-            label="arb-kick",
-        )
+        time = self.simulator.now
+        if self._clock_period:
+            time += self.timing.delay_to_next_edge(time)
+        self._post(time, _ARB_KICK, self._arb_kick)
 
     def _arb_kick(self) -> None:
         self._arb_kick_scheduled = False
@@ -266,12 +284,8 @@ class BusSystem:
                 fault_tags=("deviated",) if deviated else (),
             )
         self._arbitration_running = True
-        self.simulator.schedule(
-            settle,
-            lambda: self._arbitration_complete(winner),
-            priority=EventPriority.ARBITRATION,
-            label=f"arb-complete:{winner}",
-        )
+        self._settling_winner = winner
+        self._post(self.simulator.now + settle, _ARBITRATION, self._arbitration_complete)
 
     def _emit_arbitration(
         self,
@@ -331,35 +345,32 @@ class BusSystem:
             # arbitration runs; run()'s stop rule ends the simulation.
             return
         self._retry_pending = True
-        self.simulator.schedule(
-            settle + delay,
-            self._watchdog_retry,
-            priority=EventPriority.ARB_KICK,
-            label=f"watchdog-retry:{kind}",
+        self._post(
+            self.simulator.now + (settle + delay), _ARB_KICK, self._watchdog_retry
         )
 
     def _watchdog_retry(self) -> None:
         self._retry_pending = False
         self._maybe_start_arbitration()
 
-    def _arbitration_complete(self, winner: int) -> None:
+    def _arbitration_complete(self) -> None:
         self._arbitration_running = False
-        self._pending_winner = winner
+        winner = self._pending_winner = self._settling_winner
         if self._busy:
             return
         # Idle bus: hand over now (self-timed) or at the next clock edge
         # (synchronous).  Nothing else can seize the bus meanwhile — an
         # unclaimed winner blocks further arbitrations.
-        delay = self.timing.delay_to_next_edge(self.simulator.now)
-        if delay == 0.0:
-            self._grant(winner)
-        else:
-            self.simulator.schedule(
-                delay,
-                lambda: self._grant(winner),
-                priority=EventPriority.GRANT,
-                label=f"grant-on-edge:{winner}",
-            )
+        if self._clock_period:
+            now = self.simulator.now
+            delay = self.timing.delay_to_next_edge(now)
+            if delay != 0.0:
+                self._post(now + delay, _GRANT, self._grant_on_edge)
+                return
+        self._grant(winner)
+
+    def _grant_on_edge(self) -> None:
+        self._grant(self._pending_winner)
 
     def _grant(self, agent_id: int) -> None:
         now = self.simulator.now
@@ -373,12 +384,7 @@ class BusSystem:
         self._master = agent_id
         self._master_request = request
         self._master_grant_time = now
-        self.simulator.schedule(
-            self.timing.transaction_time,
-            self._transaction_end,
-            priority=EventPriority.RELEASE,
-            label=f"release:{agent_id}",
-        )
+        self._post(now + self.timing.transaction_time, _RELEASE, self._transaction_end)
         # Arbitration for the next master starts at the beginning of this
         # tenure whenever requests are waiting (§4.1).
         self._schedule_arb_kick()
@@ -395,14 +401,8 @@ class BusSystem:
         self.busy_time += self.timing.transaction_time
         self.transactions += 1
         self.arbiter.release(agent_id, now)
-        self.collector.record(
-            CompletionRecord(
-                agent_id=agent_id,
-                issue_time=request.issue_time,
-                grant_time=self._master_grant_time,
-                completion_time=now,
-                priority=request.priority,
-            )
+        self.collector.record_completion(
+            agent_id, request.issue_time, self._master_grant_time, now, request.priority
         )
         if self.metrics is not None:
             self.metrics.counter("completions").increment()

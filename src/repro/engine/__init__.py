@@ -5,7 +5,8 @@ This subpackage is the simulation substrate on which the bus model of
 
 - :class:`~repro.engine.event.Event` — an immutable scheduled occurrence;
 - :class:`~repro.engine.calendar.EventCalendar` — a priority-queue event
-  list with stable FIFO ordering for simultaneous events;
+  list with stable FIFO ordering for simultaneous events, holding
+  cancellable events and bare posted actions alike;
 - :class:`~repro.engine.simulator.Simulator` — the event loop, with stop
   conditions, step-wise execution and introspection hooks;
 - :class:`~repro.engine.rng.RandomStreams` — reproducible, independent

@@ -463,9 +463,9 @@ class _FcfsKernel(_Kernel):
     strategy 1 ages every loser, whatever its class.
 
     This kernel scans every pending requester on every pass.  It serves
-    the lanes with a fault injector and ``fcfs-glitchable``, where the
-    counters leave stamp order: an anomalous pass leaves its winner
-    pending but un-aged, and a counter upset rewrites a counter.  A
+    the lanes with a fault injector, where the counters leave stamp
+    order: an anomalous pass leaves its winner pending but un-aged, and
+    a counter upset (``fcfs-glitchable``) rewrites a counter.  A
     fault-free lane runs :class:`_FcfsGroupKernel` instead, which picks
     the winner from the oldest arrival group.  By §3.2 the counter of an
     unclassed request never wraps there: a request waits behind at most
@@ -746,10 +746,14 @@ _KERNELS = {
 }
 
 #: The kernels a lane without a fault injector runs in place of
-#: :data:`_KERNELS`' entry: every pass of such a lane is granted.
+#: :data:`_KERNELS`' entry: every pass of such a lane is granted.  A
+#: glitchable FCFS lane without an injector has no counter to upset, so
+#: it is strategy 1.  A faulty-register RR lane keeps its kernel: an
+#: urgent request there keeps its RR bit, which implementation 1 clears.
 _FAULT_FREE_KERNELS = {
     "fcfs": lambda n: _FcfsGroupKernel(n, 1),
     "fcfs-aincr": lambda n: _FcfsGroupKernel(n, 2),
+    "fcfs-glitchable": lambda n: _FcfsGroupKernel(n, 1),
 }
 
 #: Arbiter-level fault kinds a kernel executes as lane fault timers, on

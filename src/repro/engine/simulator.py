@@ -3,10 +3,22 @@
 :class:`Simulator` owns the clock and the :class:`~repro.engine.calendar.
 EventCalendar`; models schedule callbacks against it and the loop fires
 them in time order until a stop condition holds.
+
+There are two ways onto the calendar.  :meth:`Simulator.schedule` and
+:meth:`~Simulator.schedule_at` validate the time and return a
+cancellable, labelled :class:`~repro.engine.event.Event`.  A model that
+never cancels what it schedules (the bus of :mod:`repro.bus.model`)
+instead posts bare actions with :meth:`EventCalendar.post
+<repro.engine.calendar.EventCalendar.post>`, at ``simulator.now`` plus a
+non-negative delay.  The untraced loop pops the heap entries itself and
+calls a posted action directly; both kinds count alike in
+:attr:`~Simulator.events_executed` and in the ``max_events`` guard.
 """
 
 from __future__ import annotations
 
+import heapq
+import math
 from typing import Callable, Optional
 
 from repro.engine.calendar import EventCalendar
@@ -28,19 +40,20 @@ class Simulator:
     trace:
         Optional :class:`~repro.engine.trace.Trace` to which every executed
         event is recorded.  Leave ``None`` for production runs.
+
+    Attributes
+    ----------
+    now:
+        Current simulation time.  A plain attribute, so a handler reads
+        it at attribute cost; only the loop and :meth:`step` set it.
     """
 
     def __init__(self, trace: Optional[Trace] = None) -> None:
         self.calendar = EventCalendar()
         self.trace = trace
-        self._now = 0.0
+        self.now = 0.0
         self._events_executed = 0
         self._running = False
-
-    @property
-    def now(self) -> float:
-        """Current simulation time."""
-        return self._now
 
     @property
     def events_executed(self) -> int:
@@ -64,7 +77,7 @@ class Simulator:
         """
         if delay < 0.0:
             raise SimulationError(f"negative delay {delay!r} for {label or action!r}")
-        return self.calendar.schedule(self._now + delay, action, priority, label)
+        return self.calendar.schedule(self.now + delay, action, priority, label)
 
     def schedule_at(
         self,
@@ -74,9 +87,9 @@ class Simulator:
         label: Optional[str] = None,
     ) -> Event:
         """Schedule ``action`` at absolute time ``time`` (>= now)."""
-        if time < self._now:
+        if time < self.now:
             raise SimulationError(
-                f"cannot schedule at {time!r}, already at {self._now!r}"
+                f"cannot schedule at {time!r}, already at {self.now!r}"
             )
         return self.calendar.schedule(time, action, priority, label)
 
@@ -93,11 +106,11 @@ class Simulator:
         if not self.calendar:
             return False
         event = self.calendar.pop()
-        if event.time < self._now:
+        if event.time < self.now:
             raise SimulationError(
-                f"event calendar returned past event at {event.time} < {self._now}"
+                f"event calendar returned past event at {event.time} < {self.now}"
             )
-        self._now = event.time
+        self.now = event.time
         if self.trace is not None:
             self.trace.record(
                 event.time,
@@ -138,7 +151,7 @@ class Simulator:
             while self.calendar:
                 next_time = self.calendar.peek_time()
                 if until is not None and next_time is not None and next_time > until:
-                    self._now = max(self._now, until)
+                    self.now = max(self.now, until)
                     return
                 self.step()
                 if stop is not None and stop():
@@ -151,7 +164,7 @@ class Simulator:
                         f"exceeded max_events={max_events}; runaway simulation?"
                     )
             if until is not None:
-                self._now = max(self._now, until)
+                self.now = max(self.now, until)
         finally:
             self._running = False
 
@@ -164,35 +177,44 @@ class Simulator:
     ) -> None:
         """The production event loop: no per-event trace bookkeeping.
 
-        Semantically identical to the traced loop in :meth:`run`, but with
-        the pop inlined and the trace branch hoisted out entirely — this
-        loop dominates every simulation's profile, so it pays to keep the
-        per-event work down to the pop, the clock update and the action.
+        Semantically identical to the traced loop in :meth:`run`, but it
+        pops the heap entries itself: a posted action is called as it
+        is, an event is checked for cancellation and its action called.
+        This loop dominates every simulation's profile, so the per-event
+        work is the pop, the clock update, the count and the action.
         """
         calendar = self.calendar
-        pop = calendar.pop
-        while calendar:
+        heap = calendar._heap
+        heappop = heapq.heappop
+        limit = math.inf if max_events is None else executed_at_entry + max_events
+        executed = executed_at_entry
+        now = self.now
+        while heap:
             if until is not None:
                 next_time = calendar.peek_time()
-                if next_time is not None and next_time > until:
-                    self._now = max(self._now, until)
+                if next_time is None:
+                    break
+                if next_time > until:
+                    self.now = max(now, until)
                     return
-            event = pop()
-            if event.time < self._now:
+            time, __, __, action = heappop(heap)
+            if isinstance(action, Event):
+                if calendar._discard(action):
+                    continue
+                action = action.action
+            if time < now:
                 raise SimulationError(
-                    f"event calendar returned past event at {event.time} < {self._now}"
+                    f"event calendar returned past event at {time} < {now}"
                 )
-            self._now = event.time
-            self._events_executed += 1
-            event.action()
+            self.now = now = time
+            executed += 1
+            self._events_executed = executed
+            action()
             if stop is not None and stop():
                 return
-            if (
-                max_events is not None
-                and self._events_executed - executed_at_entry >= max_events
-            ):
+            if executed >= limit:
                 raise SimulationError(
                     f"exceeded max_events={max_events}; runaway simulation?"
                 )
         if until is not None:
-            self._now = max(self._now, until)
+            self.now = max(self.now, until)

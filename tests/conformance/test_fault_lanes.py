@@ -28,7 +28,7 @@ from hypothesis import given, settings as hyp_settings, strategies as st
 import repro.engine.cell as cell_module
 from repro.bus.timing import BusTiming
 from repro.bus.watchdog import WatchdogPolicy
-from repro.engine.batch import _KERNELS, batch_capable, run_lanes
+from repro.engine.batch import _KERNELS, _FcfsKernel, batch_capable, run_lanes
 from repro.experiments.robustness import run as run_faults_grid
 from repro.experiments.runner import SimulationSettings, make_arbiter, run_simulation
 from repro.experiments.scale import current_scale
@@ -336,6 +336,28 @@ def test_faulted_lane_builds_key_maps_only_when_a_line_fault_is_due(monkeypatch,
     bus = replace(settings, fault_plan=_plan(protocol, "bus", 6, False, 0.3, 9))
     (lane,) = run_lanes([(equal_load(6, 3.0), protocol, bus)])
     assert 0 < len(keyed) < len(lane.events)
+
+
+@pytest.mark.parametrize("watchdog", (None, WatchdogPolicy()))
+def test_glitchable_lane_without_an_injector_takes_the_group_pick(monkeypatch, watchdog):
+    # An empty plan attaches no injector, so no counter is ever upset:
+    # the lane runs the fault-free group pick and never scans, and it
+    # still equals the event engine.
+    scans = []
+    real = _FcfsKernel._scan
+
+    def counting(self, mask):
+        scans.append(mask)
+        return real(self, mask)
+
+    monkeypatch.setattr(_FcfsKernel, "_scan", counting)
+    settings = SimulationSettings(
+        batches=2, batch_size=100, warmup=50, seed=12345, keep_records=True,
+        fault_plan=FaultPlan(), watchdog=watchdog,
+    )
+    for load in (0.5, 7.5):
+        _assert_lane_equals_event((equal_load(10, load), "fcfs-glitchable", settings))
+    assert scans == []
 
 
 # -- goldens and routing --------------------------------------------------------

@@ -24,14 +24,15 @@ def _run(think_times, completions=4, timing=BusTiming(), protocol=None):
     scenario = _scenario(think_times)
     arbiter = protocol or DistributedRoundRobin(scenario.num_agents)
     collector = CompletionCollector(
-        batches=2, batch_size=max(1, completions // 2), warmup=0, keep_order=True
+        batches=2,
+        batch_size=max(1, completions // 2),
+        warmup=0,
+        keep_order=True,
+        keep_records=True,
     )
-    records = []
-    original = collector.record
-    collector.record = lambda rec: (records.append(rec), original(rec))[1]
     system = BusSystem(scenario, arbiter, collector, timing=timing, seed=1)
     system.run()
-    return system, records
+    return system, collector.records
 
 
 class TestBusTiming:
