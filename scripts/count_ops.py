@@ -10,6 +10,15 @@ six lane protocols x total load 0.5, 2.0 and 7.5 x two seeds (300 and
 301), built with ``equal_load`` and run for a warm-up of 50 and two
 batches of 500 completions, 36 cells in all.
 
+``--slice grid-event`` counts the lane engine on the 56 cells of the
+benchmark's ``grid-event`` workload at base seed 3 instead, built here
+the same way: N = 10 and 30, two seeds each, and per seed the open-loop
+Poisson, bursty MMPP, two-class priority and synchronous-bus (clock
+period 0.25) cells of ``rr``, ``fcfs`` and ``fcfs-aincr``, plus the
+fault-injected ``rr-faulty-register`` and ``fcfs-glitchable`` cells of
+the robustness grid's plans at rate 0.01.  They run for a warm-up of 50
+and two batches of 100 completions.
+
 ``--engine event`` runs the 18 cells of the lanes-against-event
 cross-check instead: one per lane protocol x N = 10, 30 and 64 at load
 0.5 and seed 300, the same run length, each through the event engine
@@ -23,12 +32,13 @@ print the same table, and a change to the dispatch loop shows up as a
 difference of counts even where timings drown in noise.  Functions
 written in C (heap operations, list appends, ``random``) run no
 bytecodes and do not appear.  Counts differ between Python versions.
-With CPython 3.11 on a 2-vCPU host the lane slice takes about 5 s
-traced, the event slice about 10 s.
+With CPython 3.11 on a 2-vCPU host the lane slices take a few
+seconds traced, the event slice about 10 s.
 
 Usage::
 
-    PYTHONPATH=src python scripts/count_ops.py [--engine lanes|event]
+    PYTHONPATH=src python scripts/count_ops.py [--slice paper|grid-event]
+    PYTHONPATH=src python scripts/count_ops.py --engine event
 """
 
 from __future__ import annotations
@@ -42,10 +52,14 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
+from repro.bus.timing import BusTiming  # noqa: E402
 from repro.engine.batch import run_lanes  # noqa: E402
+from repro.experiments.robustness import fault_plan_for  # noqa: E402
 from repro.experiments.runner import SimulationSettings  # noqa: E402
+from repro.experiments.scale import Scale  # noqa: E402
 from repro.session.single import run_cell  # noqa: E402
-from repro.workload.scenarios import equal_load  # noqa: E402
+from repro.workload.arrivals import bursty_equal_load, two_class_priority_load  # noqa: E402
+from repro.workload.scenarios import equal_load, open_loop_equal_load  # noqa: E402
 
 #: The lane engine's protocols, one per kernel.
 PROTOCOLS = ("rr", "rr-impl2", "rr-impl3", "fcfs", "fcfs-aincr", "fixed")
@@ -59,6 +73,17 @@ TOP = 15
 
 #: The event slice's bus widths; its cells run at the first load and seed.
 EVENT_AGENTS = (10, 30, 64)
+
+#: The ``grid-event`` slice: its run length, bus widths, the protocols
+#: of its open-loop, bursty, priority and synchronous cells, its
+#: fault-injected protocols and their fault rate, and the fixed seeds of
+#: its closed-loop cells (base seed 3 gives the others 300 and 301).
+GRID_EVENT_SETTINGS = SimulationSettings(batches=2, batch_size=100, warmup=50)
+GRID_EVENT_AGENTS = (10, 30)
+GRID_EVENT_PROTOCOLS = ("rr", "fcfs", "fcfs-aincr")
+GRID_EVENT_FAULTY = ("rr-faulty-register", "fcfs-glitchable")
+GRID_EVENT_FAULT_RATE = 0.01
+GRID_EVENT_FIXED_SEEDS = (12345, 12346)
 
 #: Event-engine phases, by the package path (under ``repro/``) of the
 #: module a function is defined in; the first matching prefix wins.  A
@@ -81,6 +106,29 @@ def slice_cells():
         for protocol in PROTOCOLS
         for seed in SEEDS
     ]
+
+
+def grid_event_cells():
+    """The 56 cells of the ``grid-event`` slice, in the workload's order."""
+    length = GRID_EVENT_SETTINGS
+    scale = Scale("bench", length.batches, length.batch_size, length.warmup)
+    cells = []
+    for agents in GRID_EVENT_AGENTS:
+        for seed, fixed_seed in zip(SEEDS, GRID_EVENT_FIXED_SEEDS):
+            settings = replace(length, seed=seed)
+            fixed = replace(length, seed=fixed_seed)
+            clocked = replace(fixed, timing=BusTiming(clock_period=0.25))
+            for protocol in GRID_EVENT_PROTOCOLS:
+                cells += [
+                    (open_loop_equal_load(agents, 0.9, max_outstanding=1), protocol, settings),
+                    (bursty_equal_load(agents, 0.9), protocol, settings),
+                    (two_class_priority_load(agents, 2.0, urgent_fraction=0.2), protocol, fixed),
+                    (equal_load(agents, 2.0), protocol, clocked),
+                ]
+            for protocol in GRID_EVENT_FAULTY:
+                plan = fault_plan_for(protocol, GRID_EVENT_FAULT_RATE, scale, fixed_seed)
+                cells.append((equal_load(agents, 2.0), protocol, replace(fixed, fault_plan=plan)))
+    return cells
 
 
 def event_cells():
@@ -191,11 +239,19 @@ def main(argv=None) -> int:
         "--engine",
         choices=("lanes", "event"),
         default="lanes",
-        help="the lane slice (default) or the event-engine cross-check slice",
+        help="a lane slice (default) or the event-engine cross-check slice",
+    )
+    parser.add_argument(
+        "--slice",
+        choices=("paper", "grid-event"),
+        default="paper",
+        help="the lane slice: the paper grid's N = 30 column (default) or grid-event",
     )
     args = parser.parse_args(argv)
     if args.engine == "event":
         return count("event cells", event_cells(), run_event_cells, phases=True)
+    if args.slice == "grid-event":
+        return count("grid-event cells", grid_event_cells(), run_lanes, phases=False)
     return count("cells", slice_cells(), run_lanes, phases=False)
 
 

@@ -340,14 +340,16 @@ class BusSystem:
                 anomaly=kind,
             )
         delay = self.watchdog.on_anomaly(kind, self.simulator.now)
-        if delay is None:
+        if delay is not None:
+            self._retry_pending = True
+            self._post(
+                self.simulator.now + (settle + delay), _ARB_KICK, self._watchdog_retry
+            )
+        else:
             # Retry budget exhausted: permanent failure.  No further
-            # arbitration runs; run()'s stop rule ends the simulation.
-            return
-        self._retry_pending = True
-        self._post(
-            self.simulator.now + (settle + delay), _ARB_KICK, self._watchdog_retry
-        )
+            # arbitration runs, and nothing is left of this event: the
+            # simulation ends here.
+            self.simulator.stop()
 
     def _watchdog_retry(self) -> None:
         self._retry_pending = False
@@ -424,6 +426,10 @@ class BusSystem:
             # Covers a request that arrived while the previous arbitration
             # was still settling past the tenure end (bus briefly idle).
             self._schedule_arb_kick()
+        # A completion is the only event that can satisfy the collector,
+        # so the stop rule is tested here, at the end of the event.
+        if self.collector.satisfied():
+            self.simulator.stop()
 
     # -- running --------------------------------------------------------------
 
@@ -437,15 +443,7 @@ class BusSystem:
         """
         for agent in self.agents.values():
             agent.start()
-        if self.watchdog is not None:
-            watchdog = self.watchdog
-
-            def stop() -> bool:
-                return self.collector.satisfied() or watchdog.gave_up
-
-        else:
-            stop = self.collector.satisfied
-        self.simulator.run(stop=stop, max_events=max_events)
+        self.simulator.run(max_events=max_events)
         if not self.collector.satisfied() and not (
             self.watchdog is not None and self.watchdog.gave_up
         ):

@@ -61,11 +61,18 @@ class BusTiming:
         return self.clock_period > 0.0
 
     def delay_to_next_edge(self, now: float) -> float:
-        """Time from ``now`` to the next clock edge (0 when on-edge or async)."""
-        if not self.synchronous:
-            return 0.0
+        """Time from ``now`` to the next clock edge (0 when on-edge or async).
+
+        ``now`` is on an edge when its phase, or the rest of the period,
+        is within a relative tolerance of ``1e-9 * max(1.0, now)``.  Both
+        engines call this on every kick of a synchronous bus, so it is
+        written out without the ``synchronous`` property or ``max``.
+        """
         period = self.clock_period
+        if not period > 0.0:
+            return 0.0
         phase = now % period
-        if phase <= 1e-9 * max(1.0, now) or period - phase <= 1e-9 * max(1.0, now):
+        tolerance = 1e-9 * now if now > 1.0 else 1e-9
+        if phase <= tolerance or period - phase <= tolerance:
             return 0.0
         return period - phase

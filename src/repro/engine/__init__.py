@@ -7,8 +7,8 @@ This subpackage is the simulation substrate on which the bus model of
 - :class:`~repro.engine.calendar.EventCalendar` — a priority-queue event
   list with stable FIFO ordering for simultaneous events, holding
   cancellable events and bare posted actions alike;
-- :class:`~repro.engine.simulator.Simulator` — the event loop, with stop
-  conditions, step-wise execution and introspection hooks;
+- :class:`~repro.engine.simulator.Simulator` — the event loop, with a
+  handler-called stop, step-wise execution and introspection hooks;
 - :class:`~repro.engine.rng.RandomStreams` — reproducible, independent
   per-entity random-number streams derived from a single master seed;
 - :class:`~repro.engine.trace.Trace` — an optional bounded in-memory trace
@@ -18,7 +18,7 @@ This subpackage is the simulation substrate on which the bus model of
 from repro.engine.calendar import EventCalendar
 from repro.engine.event import Event, EventPriority
 from repro.engine.rng import RandomStreams
-from repro.engine.simulator import Simulator, StopCondition
+from repro.engine.simulator import Simulator
 from repro.engine.trace import Trace, TraceRecord
 
 __all__ = [
@@ -26,7 +26,6 @@ __all__ = [
     "EventPriority",
     "EventCalendar",
     "Simulator",
-    "StopCondition",
     "RandomStreams",
     "Trace",
     "TraceRecord",

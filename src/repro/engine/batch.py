@@ -71,14 +71,18 @@ the class-blind kernel path, so classing costs it nothing.
 
 Synchronous buses (``BusTiming.clock_period > 0``, §2.1) are
 in-domain and need no timer class of their own.  The arbitration
-kick is scheduled at ``now + delay_to_next_edge(now)``, the event
-engine's own expression, instead of being fused into the current
-instant.  A winner whose lines settle on an idle bus is granted at the
-next edge: the lane arms ``t_arb`` at that edge instead of at the
-settle time, taking the place of the event engine's ``GRANT`` event.
-That is exact because the arbitration-complete in between only
-latches the winner, and no release, grant or other arbitration can be
-pending while the winner waits.
+kick is due at ``now + delay_to_next_edge(now)``, the event engine's
+own expression.  A kick that falls on an edge (a zero delay) with no
+other event at its instant is fused into the current dispatch round,
+as on a self-timed bus; on a bus whose tenure and settle times are
+multiples of the period, that is every kick of a saturated run.  Any
+other kick waits in ``t_kick`` for its edge.  A winner whose lines
+settle on an idle bus is granted at the next edge: the lane arms
+``t_arb`` at that edge instead of at the settle time, taking the place
+of the event engine's ``GRANT`` event.  That is exact because the
+arbitration-complete in between only latches the winner, and no
+release, grant or other arbitration can be pending while the winner
+waits.
 
 Faults are in-domain.  Injected faults and watchdog recovery are
 modelled as two additional timer classes on the collapsed calendar:
@@ -98,7 +102,13 @@ The perturbation is due-only: a pass builds and perturbs the key map only
 when a glitch is due or a stuck-line window covers it
 (``FaultInjector.line_fault_due``), or while a watchdog episode is
 open, since its events carry the attempt count.  Every other pass of a
-faulted lane is the clean, key-free kernel pass.
+faulted lane is the clean, key-free kernel pass.  That test runs in the
+pass itself, at the kick's instant, so a faulted lane fuses its kicks
+as a fault-free one does: a fault timer at the same instant ranks after
+the kick.  While a winner is latched, a faulted lane absorbs the
+request expiries before the release, as every lane does, but only up
+to its next fault timer, and it swallows the expiry of a dropped-out
+agent there as the request handler does.
 
 Correctness contract
 --------------------
@@ -124,11 +134,11 @@ request tie-break.
 from __future__ import annotations
 
 import copy
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import replace
 from heapq import heapify, heappop, heappush
 from math import inf as _INF
-from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.bus.agent import first_think_blocks, refill_think_buffer
 from repro.core.base import ArbitrationOutcome, identity_bits
@@ -462,19 +472,25 @@ class _FcfsKernel(_Kernel):
     counter stream for both classes (``PriorityCounterPolicy.OVERFLOW``):
     strategy 1 ages every loser, whatever its class.
 
-    This kernel scans every pending requester on every pass.  It serves
-    the lanes with a fault injector, where the counters leave stamp
-    order: an anomalous pass leaves its winner pending but un-aged, and
-    a counter upset (``fcfs-glitchable``) rewrites a counter.  A
-    fault-free lane runs :class:`_FcfsGroupKernel` instead, which picks
-    the winner from the oldest arrival group.  By §3.2 the counter of an
-    unclassed request never wraps there: a request waits behind at most
-    the N-1 other agents' requests, each served once before it (a later
-    request is younger), so its counter stays at most N-1, and
-    ``2**k > N-1``.
+    Every request is filed in one arrival heap, ``arrivals``, as a
+    ``(stamp, -agent)`` entry.  While no counter has wrapped, heap order
+    is the wired-OR order of ``counter || id``: the oldest stamp holds
+    the highest counter, and of equal stamps the highest id wins.  An
+    entry is live while its agent is pending with that stamp.  A granted
+    request's entry goes stale, and so does the old entry of a request
+    whose stamp moves.  Whatever moves a pending request's stamp files
+    it again: strategy 1's pulse (the winner ages one step less than the
+    losers, and a perturbed pass leaves it pending) and a counter upset.
+    A pass takes nothing out of the heap but stale entries, so any
+    sequence of passes and grants keeps every pending request live.  A
+    class-blind pass drops the stale entries off the top and takes the
+    oldest live one.  It scans every requester only when that oldest
+    request has wrapped, which a normal request held back by urgent
+    traffic can (``OVERFLOW`` ages it all the while), and an upset
+    counter too.  An urgent pick scans the urgent requests alone.
     """
 
-    __slots__ = ("strategy", "modulus", "clock", "stamp", "last_pulse")
+    __slots__ = ("strategy", "modulus", "clock", "stamp", "last_pulse", "arrivals")
 
     def __init__(self, num_agents: int, strategy: int) -> None:
         super().__init__(num_agents)
@@ -483,6 +499,7 @@ class _FcfsKernel(_Kernel):
         self.clock = 0
         self.stamp = [0] * (num_agents + 1)
         self.last_pulse = -_INF
+        self.arrivals: List[Tuple[int, int]] = []
 
     def request(self, agent_id: int, now: float, urgent: bool = False) -> None:
         bit = 1 << agent_id
@@ -495,7 +512,8 @@ class _FcfsKernel(_Kernel):
         if self.strategy == 2 and now - self.last_pulse > 0.0:
             self.clock += 1
             self.last_pulse = now
-        self.stamp[agent_id] = self.clock
+        clock = self.stamp[agent_id] = self.clock
+        heappush(self.arrivals, (clock, -agent_id))
 
     @property
     def counter(self) -> List[int]:
@@ -506,14 +524,15 @@ class _FcfsKernel(_Kernel):
 
     def arbitrate(self) -> Tuple[int, int, int]:
         pending = self.pending
-        winner = self._scan(pending)
+        winner = self._oldest(pending)
         self._age_losers(winner)
         return winner, 1, pending
 
     def arbitrate_classed(self) -> Tuple[int, int, int]:
         """:meth:`arbitrate` with the priority bit prepended."""
         pending = self.pending
-        winner = self._scan((self.urgent & pending) or pending)
+        urgent = self.urgent & pending
+        winner = self._scan(urgent) if urgent else self._oldest(pending)
         self._age_losers(winner)
         return winner, 1, pending
 
@@ -536,6 +555,21 @@ class _FcfsKernel(_Kernel):
         winner = max(keys, key=keys.__getitem__)
         self._age_losers(winner)
         return winner, 1, pending, keys
+
+    def _oldest(self, pending: int) -> int:
+        """The winner of a class-blind pass over ``pending``: the oldest
+        live request, or the scan's pick if it has wrapped."""
+        arrivals = self.arrivals
+        stamp = self.stamp
+        while True:
+            oldest, agent = arrivals[0]
+            agent = -agent
+            if pending >> agent & 1 and stamp[agent] == oldest:
+                break
+            heappop(arrivals)
+        if self.clock - oldest < self.modulus:
+            return agent
+        return self._scan(pending)
 
     def _scan(self, mask: int) -> int:
         """The agent of ``mask`` with the highest class-free key."""
@@ -571,115 +605,37 @@ class _FcfsKernel(_Kernel):
 
     def _age_losers(self, winner: int) -> None:
         """Strategy 1's pulse: every loser ages by one arbitration (the
-        clock steps, and the winner's stamp with it)."""
+        clock steps, and the winner's stamp with it).  The winner is
+        filed again under its new stamp: a pass leaves it pending until
+        its grant, or for good when the pass is perturbed."""
         if self.strategy == 1:
             self.clock += 1
-            self.stamp[winner] += 1
+            stamp = self.stamp[winner] = self.stamp[winner] + 1
+            heappush(self.arrivals, (stamp, -winner))
 
 
-class _FcfsGroupKernel(_FcfsKernel):
-    """FCFS on a fault-free lane: the winner comes from the oldest group.
+class _FaultFreeFcfsKernel(_FcfsKernel):
+    """FCFS on a lane without a fault injector: a pass is one ``heappop``.
 
-    Requests that share a stamp share a counter, so they form an
-    arrival group, and groups are created in stamp order.  While no
-    counter has wrapped, the wired-OR maximum is the highest id of the
-    oldest group, or of the oldest group holding an urgent request when
-    one is pending.  ``groups`` maps each live stamp to the bitmask of
-    its requesters and ``order`` holds the live stamps oldest first.  A
-    request joins the group of the current clock; a pass takes its
-    winner out of its group and drops the group once it is empty.  That
-    is exact because a fault-free lane grants every pass's winner before
-    the next pass.
-
-    An urgent request waits only behind older urgent requests, so the
-    bound of :class:`_FcfsKernel` holds for it and the urgent pick never
-    wraps.  A normal request can wrap: urgent traffic can hold it back
-    for ``2**k`` passes or more (``OVERFLOW`` ages it all the while).  A
-    class-blind pass whose oldest group is that old falls back to the
-    scan.
+    Such a lane grants every pass's winner before the next pass, so an
+    unclassed lane leaves no stale entry in the heap, and by §3.2 none
+    of its counters wraps: a request waits behind at most the N-1 other
+    agents' requests, each served once before it (a later request is
+    younger), so its counter stays at most N-1, and ``2**k > N-1``.  The
+    top of the heap is the winner.  The lane files such a request
+    inline, with its stamp in the heap alone: the scan, the key map and
+    the liveness test that read ``stamp`` never run there.  A classed
+    lane issues through :meth:`request` and picks with
+    :meth:`arbitrate_classed`, which checks both.
     """
 
-    __slots__ = ("groups", "order")
-
-    def __init__(self, num_agents: int, strategy: int) -> None:
-        super().__init__(num_agents, strategy)
-        self.groups: Dict[int, int] = {}
-        self.order: Deque[int] = deque()
-
-    def request(self, agent_id: int, now: float, urgent: bool = False) -> None:
-        # The base request inlined, plus the group join: one call per
-        # completion on the lane's hot path.
-        bit = 1 << agent_id
-        self.pending |= bit
-        self.issue[agent_id] = now
-        if urgent:
-            self.urgent |= bit
-        elif self.urgent:
-            self.urgent &= ~bit
-        if self.strategy == 2 and now - self.last_pulse > 0.0:
-            self.clock += 1
-            self.last_pulse = now
-        stamp = self.stamp[agent_id] = self.clock
-        group = self.groups.get(stamp)
-        if group is None:
-            self.groups[stamp] = bit
-            self.order.append(stamp)
-        else:
-            self.groups[stamp] = group | bit
+    __slots__ = ()
 
     def arbitrate(self) -> Tuple[int, int, int]:
-        # The lane's hot path, with _leave and _age_losers inlined.
-        pending = self.pending
-        order = self.order
-        oldest = order[0]
-        clock = self.clock
-        if clock - oldest < self.modulus:
-            # The oldest group's highest id wins.
-            groups = self.groups
-            group = groups[oldest]
-            winner = group.bit_length() - 1
-            group ^= 1 << winner
-            if group:
-                groups[oldest] = group
-            else:
-                del groups[oldest]
-                order.popleft()
-        else:
-            winner = self._scan(pending)
-            self._leave(winner)
+        __, agent = heappop(self.arrivals)
         if self.strategy == 1:
-            self.clock = clock + 1
-            self.stamp[winner] += 1
-        return winner, 1, pending
-
-    def arbitrate_classed(self) -> Tuple[int, int, int]:
-        """:meth:`arbitrate` with the priority bit prepended."""
-        pending = self.pending
-        urgent = self.urgent & pending
-        if not urgent:
-            return self.arbitrate()
-        groups = self.groups
-        for stamp in self.order:
-            group = groups[stamp] & urgent
-            if group:
-                break
-        winner = group.bit_length() - 1
-        self._leave(winner)
-        self._age_losers(winner)
-        return winner, 1, pending
-
-    def _leave(self, agent: int) -> None:
-        """Take ``agent`` out of its group, dropping the group once empty."""
-        stamp = self.stamp[agent]
-        group = self.groups[stamp] ^ (1 << agent)
-        if group:
-            self.groups[stamp] = group
-            return
-        del self.groups[stamp]
-        if self.order[0] == stamp:
-            self.order.popleft()
-        else:
-            self.order.remove(stamp)
+            self.clock += 1
+        return -agent, 1, self.pending
 
 
 class _GlitchableFcfsKernel(_FcfsKernel):
@@ -696,14 +652,18 @@ class _GlitchableFcfsKernel(_FcfsKernel):
         super().__init__(num_agents, 1)
 
     def glitch_counter(self, agent_id: int, value: int) -> bool:
-        """Overwrite the agent's pending counter with ``value``.
+        """Overwrite the agent's pending counter with ``value``, filing
+        the request again under its new stamp.
 
         Returns ``False``, changing nothing, when the agent has no
         pending request (the upset hit an idle register).
         """
         if not self.pending >> agent_id & 1:
             return False
-        self.stamp[agent_id] = self.clock - value % self.modulus
+        stamp = self.clock - value % self.modulus
+        if stamp != self.stamp[agent_id]:
+            self.stamp[agent_id] = stamp
+            heappush(self.arrivals, (stamp, -agent_id))
         return True
 
 
@@ -751,9 +711,9 @@ _KERNELS = {
 #: it is strategy 1.  A faulty-register RR lane keeps its kernel: an
 #: urgent request there keeps its RR bit, which implementation 1 clears.
 _FAULT_FREE_KERNELS = {
-    "fcfs": lambda n: _FcfsGroupKernel(n, 1),
-    "fcfs-aincr": lambda n: _FcfsGroupKernel(n, 2),
-    "fcfs-glitchable": lambda n: _FcfsGroupKernel(n, 1),
+    "fcfs": lambda n: _FaultFreeFcfsKernel(n, 1),
+    "fcfs-aincr": lambda n: _FaultFreeFcfsKernel(n, 2),
+    "fcfs-glitchable": lambda n: _FaultFreeFcfsKernel(n, 1),
 }
 
 #: Arbiter-level fault kinds a kernel executes as lane fault timers, on
@@ -1255,12 +1215,14 @@ class _Replication:
         The loop body keeps the whole machine state in locals and
         inlines the grant/kick handlers: this is the sweep bottleneck,
         and attribute traffic dominates once event objects are gone.
-        On a saturated bus one round runs per completion: the release,
-        its record, the think redraw, the grant of the winner latched
-        during the tenure, the fused kick that latches the next one,
-        then the absorption of the requests that expire before the next
-        release.  While a winner is latched the release is known to be
-        next, so that round scans no timers and tests no kick guard.
+        On a saturated bus one round runs per completion, on every lane:
+        the release, its record, the think redraw, the grant of the
+        winner latched during the tenure, the fused kick that latches
+        the next one (on an edge, if clocked), then the absorption of
+        the requests that expire before the next release.  While a
+        winner is latched the release is known to be next (or, on a
+        faulted lane, a fault timer before it), so that round scans no
+        timers and tests no kick guard.
         """
         cell = self.cell
         collector = cell.collector
@@ -1297,11 +1259,17 @@ class _Replication:
             kernel_arbitrate = kernel.arbitrate
         # Every kernel's grant body is `pending &= ~bit; return issue`,
         # and the RR/fixed request body of a class-free lane is
-        # `pending |= bit; issue = now` (FCFS adds stamp and group
-        # bookkeeping) — both are inlined below; the method calls are
-        # measurable at two calls per completion.
+        # `pending |= bit; issue = now` — both are inlined below; the
+        # method calls are measurable at two calls per completion.  A
+        # fault-free class-free FCFS lane adds the a-incr tick and one
+        # push on its arrival heap (_FaultFreeFcfsKernel); a faulted one
+        # issues through the kernel, which also records the stamp.
         kernel_issue = kernel.issue
+        heap_issue = not classed and isinstance(kernel, _FaultFreeFcfsKernel)
         simple_request = not (classed or isinstance(kernel, _FcfsKernel))
+        if heap_issue:
+            arrivals = kernel.arrivals
+            aincr = kernel.strategy == 2
         req_heap = self.req_heap
         buffers = self.buffers
         blocks = self.blocks
@@ -1316,13 +1284,18 @@ class _Replication:
         woke = self.woke
         injector = cell.injector
         watchdog = cell.watchdog
-        faulty = injector is not None or watchdog is not None
+        # A lane picks its path once.  A faulted lane (one with a fault
+        # injector) absorbs requests only up to its next fault timer,
+        # swallows a dropped-out agent's expiry and tests each pass for
+        # a due line fault.  A watchdog alone changes no path: clean
+        # runs never consult it.
+        faulty = injector is not None
         # A synchronous bus samples the arbitration-start signal at the
-        # next clock edge, so its kicks are scheduled, never fused.
+        # next clock edge, so its kick is fused only on an edge.
         timing = cell.settings.timing
         clocked = timing.synchronous
         edge = timing.delay_to_next_edge
-        fuse = not (faulty or clocked)
+        fuse = not clocked
         fault_actions = self.fault_actions
         fault_count = len(fault_actions)
         fault_idx = 0
@@ -1349,38 +1322,66 @@ class _Replication:
         if req_heap:
             tr, _, ra = req_heap[0]
         kick_now = False
-        fast_absorb = not faulty
         while True:
-            if fast_absorb and pending_winner is not None:
+            if pending_winner is not None:
                 # The next master is already latched.  A winner latches
                 # only when no arbitration, kick or retry is pending
                 # (every path to a pass checks the three are clear), and
                 # until the release grants it no handler can schedule
-                # one: the kick guards test for a latched winner, and a
-                # retry or fault timer needs a faulted lane.  So the
-                # only dispatchable events are request expiries, and
-                # their handler (sans the suppressed kick guard) can
-                # absorb them without a full dispatch round.  Strictly
-                # earlier only: a request at exactly t_rel fires after
-                # the release, as in the calendar's priority order.
-                # Fault-free lanes only, so no agent is ever dropped out
-                # here.
-                while tr < t_rel:
-                    fire, _, agent = heappop(req_heap)
-                    if req_heap:
-                        tr, _, ra = req_heap[0]
-                    else:
-                        tr = _INF
-                        ra = 0
-                    if simple_request:
-                        kernel.pending |= 1 << agent
-                        kernel_issue[agent] = fire
-                    else:
-                        kernel_request(agent, fire)
-                # Every other timer is infinite and no request timer is
-                # left before t_rel, so the release is next: no timer
-                # scan, and the calendar cannot be drained.
-                tmin = t_rel
+                # one: the kick guards test for a latched winner.  So
+                # the only dispatchable events are request expiries and,
+                # on a faulted lane, fault timers, and the request
+                # handler (sans the suppressed kick guard) can absorb
+                # the expiries without a full dispatch round each.
+                # Strictly before t_rel only: a request at exactly t_rel
+                # fires after the release, as in the calendar's priority
+                # order.
+                if not faulty:
+                    while tr < t_rel:
+                        fire, _, agent = heappop(req_heap)
+                        if req_heap:
+                            tr, _, ra = req_heap[0]
+                        else:
+                            tr = _INF
+                            ra = 0
+                        if simple_request:
+                            kernel.pending |= 1 << agent
+                            kernel_issue[agent] = fire
+                        elif heap_issue:
+                            kernel.pending |= 1 << agent
+                            kernel_issue[agent] = fire
+                            if aincr and fire - kernel.last_pulse > 0.0:
+                                kernel.clock += 1
+                                kernel.last_pulse = fire
+                            heappush(arrivals, (kernel.clock, -agent))
+                        else:
+                            kernel_request(agent, fire)
+                    # Every other timer is infinite and no request timer
+                    # is left before t_rel, so the release is next: no
+                    # timer scan, and the calendar cannot be drained.
+                    tmin = t_rel
+                else:
+                    # A faulted lane absorbs up to its next fault timer
+                    # as well: a fault can drop an agent out or upset a
+                    # pending counter.  A request at the fault's instant
+                    # fires first (REQUEST < FAULT).  The release or the
+                    # fault is next, the release first at a tie.
+                    while tr < t_rel and tr <= t_fault:
+                        fire, _, agent = heappop(req_heap)
+                        if req_heap:
+                            tr, _, ra = req_heap[0]
+                        else:
+                            tr = _INF
+                            ra = 0
+                        if not active[agent]:
+                            # As in the REQUEST branch below.
+                            woke[agent] = True
+                        elif simple_request:
+                            kernel.pending |= 1 << agent
+                            kernel_issue[agent] = fire
+                        else:
+                            kernel_request(agent, fire)
+                    tmin = t_rel if t_rel <= t_fault else t_fault
             else:
                 tmin = t_rel
                 if t_arb < tmin:
@@ -1489,12 +1490,12 @@ class _Replication:
                     pending_winner = None
                     master_grant = now
                     t_rel = now + txn
-                    if fuse and tr > now:
+                    if tr > now and (fuse or not edge(now)):
                         kick_now = True
                     else:
                         t_kick = now + edge(now)
                 elif t_kick == _INF and t_arb == _INF and t_retry == _INF:
-                    if fuse and tr > now:
+                    if tr > now and (fuse or not edge(now)):
                         kick_now = True
                     else:
                         t_kick = now + edge(now)
@@ -1511,7 +1512,7 @@ class _Replication:
                 master_grant = now
                 t_rel = now + txn
                 if t_kick == _INF and t_retry == _INF:
-                    if fuse and tr > now:
+                    if tr > now and (fuse or not edge(now)):
                         kick_now = True
                     else:
                         t_kick = now + edge(now)
@@ -1527,6 +1528,13 @@ class _Replication:
                     if simple_request:
                         kernel.pending |= 1 << agent
                         kernel_issue[agent] = now
+                    elif heap_issue:
+                        kernel.pending |= 1 << agent
+                        kernel_issue[agent] = now
+                        if aincr and now - kernel.last_pulse > 0.0:
+                            kernel.clock += 1
+                            kernel.last_pulse = now
+                        heappush(arrivals, (kernel.clock, -agent))
                     else:
                         kernel_request(agent, now)
                     if (
@@ -1535,7 +1543,7 @@ class _Replication:
                         and t_retry == _INF
                         and pending_winner is None
                     ):
-                        if fuse and tr > now:
+                        if tr > now and (fuse or not edge(now)):
                             kick_now = True
                         else:
                             t_kick = now + edge(now)
@@ -1553,85 +1561,8 @@ class _Replication:
                     t_kick = _INF
                 else:
                     t_retry = _INF
-                if t_arb == _INF and pending_winner is None and kernel.pending:
-                    if injector is None or not (
-                        watchdog.attempts or injector.line_fault_due(now)
-                    ):
-                        # A clean pass: perturb would hand the outcome
-                        # back untouched, and with no open recovery
-                        # episode the event carries no attempt count,
-                        # so the key-free pass below is exact.
-                        kick_now = True
-                    else:
-                        # Fault-domain pass: a line fault is due or a
-                        # recovery episode is open.  Expose the applied
-                        # keys, perturb them, and route anomalies through
-                        # the watchdog — mirroring _maybe_start_arbitration.
-                        winner, rounds, competitors, keys = kernel.arbitrate_keys()
-                        settle = arbt * rounds
-                        perturbed = injector.perturb(
-                            ArbitrationOutcome(
-                                winner=winner,
-                                rounds=rounds,
-                                competitors=frozenset(keys),
-                                keys=keys,
-                            ),
-                            now,
-                        )
-                        anomaly = perturbed.anomaly
-                        if anomaly is not None:
-                            # Emit before consulting the watchdog: the
-                            # event carries the episode's attempt count
-                            # *before* this anomaly joined it.
-                            if sinks:
-                                event = ArbitrationEvent(
-                                    index=arb_index,
-                                    time=now,
-                                    competitors=_mask_ids(competitors),
-                                    winner=None,
-                                    rounds=rounds,
-                                    settle_time=settle,
-                                    anomaly=anomaly,
-                                    watchdog_attempt=watchdog.attempts,
-                                )
-                                arb_index += 1
-                                for sink in sinks:
-                                    sink.emit(event)
-                            delay = watchdog.on_anomaly(anomaly, now)
-                            if delay is None:
-                                # Retry budget exhausted: permanent
-                                # failure ends the lane, as the event
-                                # engine's stop rule would at the same
-                                # instant.
-                                break
-                            t_retry = now + (settle + delay)
-                        else:
-                            winner = perturbed.winner
-                            if perturbed.deviated:
-                                collector.record_deviation()
-                            if sinks:
-                                event = ArbitrationEvent(
-                                    index=arb_index,
-                                    time=now,
-                                    competitors=_mask_ids(competitors),
-                                    winner=winner,
-                                    rounds=rounds,
-                                    settle_time=settle,
-                                    watchdog_attempt=watchdog.attempts,
-                                    fault_tags=("deviated",) if perturbed.deviated else (),
-                                )
-                                arb_index += 1
-                                for sink in sinks:
-                                    sink.emit(event)
-                            t_settled = now + settle
-                            if busy and t_settled < t_rel:
-                                # Same latch as the clean path: a clean
-                                # (or deviated) outcome on a busy bus
-                                # only latches the winner.
-                                pending_winner = winner
-                            else:
-                                arb_winner = winner
-                                t_arb = t_settled + edge(t_settled)
+                if t_arb == _INF and pending_winner is None:
+                    kick_now = True
             else:  # FAULT — the plan's next point fault or rejoin
                 _, kind, fevent = fault_actions[fault_idx]
                 fault_idx += 1
@@ -1686,18 +1617,93 @@ class _Replication:
                             tr = t_next
                             ra = aid
             if kick_now:
-                # A key-free arbitration pass at ``now``.  Either a kick
-                # or retry handler above found the pass clean, or a
-                # handler scheduled a kick "for now" and proved no other
-                # event shares the timestamp (the earliest request timer
-                # is strictly later, every other timer infinite), so the
-                # kick's competitor snapshot is already final — run it
-                # in this dispatch round instead of paying another.
-                # Fault-domain runs never fuse, since their kick must
-                # first check for a due line fault, and neither do
-                # synchronous runs, whose kick waits for a clock edge.
+                # An arbitration pass at ``now``.  Either a kick or retry
+                # handler above fired, or a handler scheduled a kick "for
+                # now" and proved no other event shares the timestamp
+                # (the earliest request timer is strictly later, every
+                # other timer infinite or a later-ranked fault timer),
+                # so the kick's competitor snapshot is already final —
+                # run it in this dispatch round instead of paying
+                # another.  A synchronous run fuses only a kick that
+                # falls on a clock edge.
                 kick_now = False
-                if kernel.pending:
+                if not kernel.pending:
+                    pass
+                elif faulty and (watchdog.attempts or injector.line_fault_due(now)):
+                    # Fault-domain pass: a line fault is due or a
+                    # recovery episode is open.  Expose the applied keys,
+                    # perturb them, and route anomalies through the
+                    # watchdog — mirroring _maybe_start_arbitration.
+                    winner, rounds, competitors, keys = kernel.arbitrate_keys()
+                    settle = arbt * rounds
+                    perturbed = injector.perturb(
+                        ArbitrationOutcome(
+                            winner=winner,
+                            rounds=rounds,
+                            competitors=frozenset(keys),
+                            keys=keys,
+                        ),
+                        now,
+                    )
+                    anomaly = perturbed.anomaly
+                    if anomaly is not None:
+                        # Emit before consulting the watchdog: the
+                        # event carries the episode's attempt count
+                        # *before* this anomaly joined it.
+                        if sinks:
+                            event = ArbitrationEvent(
+                                index=arb_index,
+                                time=now,
+                                competitors=_mask_ids(competitors),
+                                winner=None,
+                                rounds=rounds,
+                                settle_time=settle,
+                                anomaly=anomaly,
+                                watchdog_attempt=watchdog.attempts,
+                            )
+                            arb_index += 1
+                            for sink in sinks:
+                                sink.emit(event)
+                        delay = watchdog.on_anomaly(anomaly, now)
+                        if delay is None:
+                            # Retry budget exhausted: permanent
+                            # failure ends the lane, as the event
+                            # engine's stop rule would at the same
+                            # instant.
+                            break
+                        t_retry = now + (settle + delay)
+                    else:
+                        winner = perturbed.winner
+                        if perturbed.deviated:
+                            collector.record_deviation()
+                        if sinks:
+                            event = ArbitrationEvent(
+                                index=arb_index,
+                                time=now,
+                                competitors=_mask_ids(competitors),
+                                winner=winner,
+                                rounds=rounds,
+                                settle_time=settle,
+                                watchdog_attempt=watchdog.attempts,
+                                fault_tags=("deviated",) if perturbed.deviated else (),
+                            )
+                            arb_index += 1
+                            for sink in sinks:
+                                sink.emit(event)
+                        t_settled = now + settle
+                        if busy and t_settled < t_rel:
+                            # Same latch as the clean path: a clean
+                            # (or deviated) outcome on a busy bus
+                            # only latches the winner.
+                            pending_winner = winner
+                        else:
+                            arb_winner = winner
+                            t_arb = t_settled + edge(t_settled)
+                else:
+                    # A clean pass: perturb would hand the outcome back
+                    # untouched, and with no open recovery episode the
+                    # event carries no attempt count, so the key-free
+                    # pass is exact.
                     winner, rounds, competitors = kernel_arbitrate()
                     settle = arbt * rounds
                     if sinks:

@@ -2,7 +2,7 @@
 
 :class:`Simulator` owns the clock and the :class:`~repro.engine.calendar.
 EventCalendar`; models schedule callbacks against it and the loop fires
-them in time order until a stop condition holds.
+them in time order until the run ends.
 
 There are two ways onto the calendar.  :meth:`Simulator.schedule` and
 :meth:`~Simulator.schedule_at` validate the time and return a
@@ -13,6 +13,10 @@ instead posts bare actions with :meth:`EventCalendar.post
 non-negative delay.  The untraced loop pops the heap entries itself and
 calls a posted action directly; both kinds count alike in
 :attr:`~Simulator.events_executed` and in the ``max_events`` guard.
+
+A run ends when the calendar drains, at the ``until`` horizon, or when a
+handler calls :meth:`Simulator.stop`: the model knows which of its
+events can satisfy its stop rule, so the loop tests nothing per event.
 """
 
 from __future__ import annotations
@@ -26,10 +30,11 @@ from repro.engine.event import Event, EventPriority
 from repro.engine.trace import Trace
 from repro.errors import SimulationError
 
-__all__ = ["Simulator", "StopCondition"]
+__all__ = ["Simulator"]
 
-#: A predicate evaluated after every event; truthy stops the run.
-StopCondition = Callable[[], bool]
+
+class _Stopped(Exception):
+    """Unwinds the running action after :meth:`Simulator.stop`."""
 
 
 class Simulator:
@@ -101,10 +106,28 @@ class Simulator:
         """Fire the single earliest event.
 
         Returns ``True`` if an event was fired, ``False`` if the calendar
-        was empty.
+        was empty.  A :meth:`stop` from the event's action ends it.
         """
         if not self.calendar:
             return False
+        try:
+            self._fire_next()
+        except _Stopped:
+            pass
+        return True
+
+    def stop(self) -> None:
+        """End the run at the current event.
+
+        A handler calls this as its last statement, once it has done
+        everything the event does: it unwinds the handler, and
+        :meth:`run` returns with the event counted and the clock at its
+        time.
+        """
+        raise _Stopped
+
+    def _fire_next(self) -> None:
+        """Pop, record and fire the earliest event of a non-empty calendar."""
         event = self.calendar.pop()
         if event.time < self.now:
             raise SimulationError(
@@ -119,23 +142,20 @@ class Simulator:
             )
         self._events_executed += 1
         event.fire()
-        return True
 
     def run(
         self,
         until: Optional[float] = None,
-        stop: Optional[StopCondition] = None,
         max_events: Optional[int] = None,
     ) -> None:
-        """Run until the calendar drains or a limit is reached.
+        """Run until the calendar drains, a handler calls :meth:`stop`, or
+        a limit is reached.
 
         Parameters
         ----------
         until:
             Hard time horizon; events strictly after it are left queued and
             the clock is advanced to ``until``.
-        stop:
-            Predicate checked after every event; truthy ends the run.
         max_events:
             Safety valve for runaway models; exceeding it raises
             :class:`~repro.errors.SimulationError`.
@@ -146,16 +166,14 @@ class Simulator:
         executed_at_entry = self._events_executed
         try:
             if self.trace is None:
-                self._run_untraced(until, stop, max_events, executed_at_entry)
+                self._run_untraced(until, max_events, executed_at_entry)
                 return
             while self.calendar:
                 next_time = self.calendar.peek_time()
                 if until is not None and next_time is not None and next_time > until:
                     self.now = max(self.now, until)
                     return
-                self.step()
-                if stop is not None and stop():
-                    return
+                self._fire_next()
                 if (
                     max_events is not None
                     and self._events_executed - executed_at_entry >= max_events
@@ -165,13 +183,14 @@ class Simulator:
                     )
             if until is not None:
                 self.now = max(self.now, until)
+        except _Stopped:
+            return
         finally:
             self._running = False
 
     def _run_untraced(
         self,
         until: Optional[float],
-        stop: Optional[StopCondition],
         max_events: Optional[int],
         executed_at_entry: int,
     ) -> None:
@@ -210,8 +229,6 @@ class Simulator:
             executed += 1
             self._events_executed = executed
             action()
-            if stop is not None and stop():
-                return
             if executed >= limit:
                 raise SimulationError(
                     f"exceeded max_events={max_events}; runaway simulation?"

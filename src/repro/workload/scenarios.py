@@ -22,7 +22,7 @@ time), i.e. the bus fraction it would consume with zero interference.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from repro.errors import ConfigurationError
@@ -146,6 +146,8 @@ def fresh_scenario(scenario: ScenarioSpec) -> ScenarioSpec:
     shared one object share its copy, and only the agents carrying one
     get a new :class:`AgentSpec`.  Sampling must therefore only rebind a
     stateful distribution's attributes, never mutate what they refer to.
+    The new specs are shallow copies with one field changed: the specs
+    they copy are already valid, so they are not validated again.
     """
     copies: Dict[int, Distribution] = {}
     agents: List[AgentSpec] = []
@@ -155,11 +157,22 @@ def fresh_scenario(scenario: ScenarioSpec) -> ScenarioSpec:
             private = copies.get(id(dist))
             if private is None:
                 private = copies[id(dist)] = copy.copy(dist)
-            agent = replace(agent, interrequest=private)
+            agent = _with_field(agent, "interrequest", private)
         agents.append(agent)
     if not copies:
         return scenario
-    return replace(scenario, agents=tuple(agents))
+    return _with_field(scenario, "agents", tuple(agents))
+
+
+def _with_field(spec, name: str, value):
+    """A shallow copy of the frozen dataclass ``spec`` with field ``name``
+    set to ``value``, made without running ``__init__``.  Its fields keep
+    their order, so it pickles as ``dataclasses.replace`` would build it."""
+    clone = object.__new__(type(spec))
+    state = clone.__dict__
+    state.update(spec.__dict__)
+    state[name] = value
+    return clone
 
 
 def equal_load(

@@ -23,7 +23,7 @@ import pickle
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings as hyp_settings, strategies as st
+from hypothesis import example, given, settings as hyp_settings, strategies as st
 
 import repro.engine.cell as cell_module
 from repro.bus.timing import BusTiming
@@ -207,6 +207,13 @@ def _assert_same_fault_state(protocol, arbiter, kernel, agents):
 
 
 @hyp_settings(max_examples=200, deadline=None)
+@example(
+    # Two key-free passes with no grant between them: the first must
+    # leave its winner filed in the FCFS arrival heap.
+    protocol="fcfs-glitchable",
+    agents=1,
+    steps=[("request", 1, False, 0.0), ("arbitrate", False, False)] + [("arbitrate", False, False)],
+)
 @given(
     protocol=st.sampled_from(sorted(ARBITER_FAULT)),
     agents=st.integers(min_value=1, max_value=30),
@@ -341,7 +348,7 @@ def test_faulted_lane_builds_key_maps_only_when_a_line_fault_is_due(monkeypatch,
 @pytest.mark.parametrize("watchdog", (None, WatchdogPolicy()))
 def test_glitchable_lane_without_an_injector_takes_the_group_pick(monkeypatch, watchdog):
     # An empty plan attaches no injector, so no counter is ever upset:
-    # the lane runs the fault-free group pick and never scans, and it
+    # the lane runs the fault-free heap pick and never scans, and it
     # still equals the event engine.
     scans = []
     real = _FcfsKernel._scan

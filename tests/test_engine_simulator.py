@@ -86,10 +86,26 @@ class TestRun:
     def test_stop_condition(self):
         sim = Simulator()
         fired = []
+
+        def fire(i):
+            fired.append(i)
+            if i in (2, 3):
+                sim.stop()
+
         for i in range(10):
-            sim.schedule(float(i + 1), lambda i=i: fired.append(i))
-        sim.run(stop=lambda: len(fired) >= 3)
-        assert len(fired) == 3
+            sim.schedule(float(i + 1), lambda i=i: fire(i))
+        sim.run()
+        assert fired == [0, 1, 2]
+        assert sim.events_executed == 3
+        assert sim.now == 3.0
+        assert len(sim.calendar) == 7
+        # The next run goes on from the stop; a stop inside step() ends
+        # just that event.
+        assert sim.step()
+        assert fired == [0, 1, 2, 3]
+        sim.run(until=6.5)
+        assert fired == [0, 1, 2, 3, 4, 5]
+        assert sim.now == 6.5
 
     def test_max_events_guard(self):
         sim = Simulator()

@@ -63,6 +63,32 @@ class TestTimingHelpers:
         assert timing.delay_to_next_edge(1.1) == pytest.approx(0.15)
         assert timing.delay_to_next_edge(1.25) == 0.0
 
+    def test_edge_boundaries(self):
+        timing = BusTiming(clock_period=0.25)
+        # Time 0 and 1.0 are edges; below 1.0 the tolerance is 1e-9.
+        assert timing.delay_to_next_edge(0.0) == 0.0
+        assert timing.delay_to_next_edge(1.0) == 0.0
+        assert timing.delay_to_next_edge(5e-10) == 0.0
+        assert timing.delay_to_next_edge(0.25 - 5e-10) == 0.0
+        assert timing.delay_to_next_edge(2e-9) == 0.25 - 2e-9
+        # Past 1.0 the tolerance grows with the clock: 1e-9 * now.
+        assert timing.delay_to_next_edge(1.25 + 1e-9) == 0.0
+        assert timing.delay_to_next_edge(1.25 + 3e-9) == 0.25 - (1.25 + 3e-9) % 0.25
+        assert timing.delay_to_next_edge(1e6 + 5e-4) == 0.0
+        assert timing.delay_to_next_edge(1e6 + 2e-3) == 0.25 - (1e6 + 2e-3) % 0.25
+
+        def reference(now):
+            # The expression the engines used before: max() of the two.
+            period = timing.clock_period
+            phase = now % period
+            if phase <= 1e-9 * max(1.0, now) or period - phase <= 1e-9 * max(1.0, now):
+                return 0.0
+            return period - phase
+
+        for now in (0.0, 1e-10, 0.1, 0.999999999, 1.0, 1.0000000001, 1.0 + 2e-9,
+                    1.1, 1.37, 2.0 - 1e-9, 2.0 - 3e-9, 12.75, 1e6 + 2e-3, 3e9 + 0.1):
+            assert timing.delay_to_next_edge(now) == reference(now), now
+
     def test_negative_period_rejected(self):
         with pytest.raises(ConfigurationError):
             BusTiming(clock_period=-0.25)
