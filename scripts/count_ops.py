@@ -89,7 +89,7 @@ GRID_EVENT_FIXED_SEEDS = (12345, 12346)
 #: module a function is defined in; the first matching prefix wins.  A
 #: dataclass's generated ``__init__`` counts where its class is defined.
 PHASES = (
-    ("executive + calendar", ("engine/simulator", "engine/calendar", "engine/event")),
+    ("executive + calendar", ("engine/simulator",)),
     ("bus handlers", ("bus/model", "bus/timing", "bus/watchdog")),
     ("arbiter", ("core/", "protocols/", "signals/", "baselines/")),
     ("agents", ("bus/agent", "workload/")),

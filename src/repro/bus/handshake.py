@@ -41,8 +41,7 @@ import enum
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.base import Arbiter
-from repro.engine.event import EventPriority
-from repro.engine.simulator import Simulator
+from repro.engine.simulator import EventPriority, Simulator
 from repro.errors import ProtocolError, SimulationError
 from repro.signals.wired_or import WiredOrLine
 
@@ -131,9 +130,7 @@ class HandshakeBus:
         ):
             return
         self._kick_scheduled = True
-        self.simulator.schedule(
-            0.0, self._kick, priority=EventPriority.ARB_KICK, label="hs-kick"
-        )
+        self.simulator.post(self.simulator.now, EventPriority.ARB_KICK, self._kick)
 
     def _kick(self) -> None:
         self._kick_scheduled = False
@@ -153,11 +150,10 @@ class HandshakeBus:
             raise SimulationError(
                 f"arbiter chose {outcome.winner}, which is not on the BR line"
             )
-        self.simulator.schedule(
-            self.arbitration_time * outcome.rounds,
+        self.simulator.post(
+            self.simulator.now + self.arbitration_time * outcome.rounds,
+            EventPriority.ARBITRATION,
             lambda: self._arbitration_ends(outcome.winner),
-            priority=EventPriority.ARBITRATION,
-            label=f"hs-ap-falls:{outcome.winner}",
         )
 
     def _arbitration_ends(self, winner: int) -> None:
@@ -190,11 +186,10 @@ class HandshakeBus:
         self._grant_time[agent_id] = now
         self.grant_log.append((now, agent_id))
         self.arbiter.grant(agent_id, now)
-        self.simulator.schedule(
-            self.transaction_time,
+        self.simulator.post(
+            now + self.transaction_time,
+            EventPriority.RELEASE,
             lambda: self._tenure_ends(agent_id),
-            priority=EventPriority.RELEASE,
-            label=f"hs-bb-falls:{agent_id}",
         )
         # Arbitration for the next master may begin at once (§4.1).
         self._schedule_kick()

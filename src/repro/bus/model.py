@@ -16,18 +16,18 @@ Timing rules (§4.1 of the paper):
   arbitration results are not pipelined more than one ahead.
 
 The event ordering at a tenure boundary is: release, grant, arbitration
-start, new requests — encoded in :class:`~repro.engine.event.EventPriority`
-so simultaneous events resolve the way the hardware would.
+start, new requests — encoded in :class:`~repro.engine.simulator.
+EventPriority` so simultaneous events resolve the way the hardware would.
 
-The bus and its agents schedule on one hot path, the calendar's
-:meth:`~repro.engine.calendar.EventCalendar.post`: a bare ``(time,
-priority, sequence, action)`` heap entry at the clock plus a delay, with no
-:class:`~repro.engine.event.Event`, label or closure.  The actions are
-bound methods: at most one arbitration settles at a time and at most one
-granted winner waits for its clock edge, so the winner each one needs
-lives on the bus (``_settling_winner``, ``_pending_winner``).  A fault
-injector's point faults are ordinary cancellable events on the same
-calendar.
+The bus and its agents schedule through
+:meth:`~repro.engine.simulator.Simulator.post`, the one way onto the
+simulator's calendar: a bare ``(time, priority, sequence, action)`` heap
+entry at the clock plus a delay, with no event object, label or closure.
+The actions are bound methods: at most one arbitration settles at a time
+and at most one granted winner waits for its clock edge, so the winner
+each one needs lives on the bus (``_settling_winner``,
+``_pending_winner``).  A fault injector posts its point faults on the
+same calendar.
 """
 
 from __future__ import annotations
@@ -38,9 +38,8 @@ from repro.bus.agent import BusAgent, first_think_blocks
 from repro.bus.timing import BusTiming
 from repro.bus.watchdog import BusWatchdog
 from repro.core.base import Arbiter, Request
-from repro.engine.event import EventPriority
 from repro.engine.rng import RandomStreams
-from repro.engine.simulator import Simulator
+from repro.engine.simulator import EventPriority, Simulator
 from repro.errors import NoUniqueWinnerError, SimulationError
 from repro.faults.injector import FaultInjector
 from repro.observability.events import ArbitrationEvent
@@ -120,7 +119,7 @@ class BusSystem:
         self.simulator = Simulator()
         #: The one way the bus and its agents schedule: a bare action at
         #: an absolute time (the clock plus a non-negative delay).
-        self._post = self.simulator.calendar.post
+        self._post = self.simulator.post
         #: The clock period when arbitration control is clock-aligned;
         #: 0.0 on a self-timed bus, which then never asks for the edge.
         self._clock_period = self.timing.clock_period

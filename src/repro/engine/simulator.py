@@ -1,36 +1,64 @@
-"""The simulation event loop.
+"""The event executive: one clock, one calendar, one loop.
 
-:class:`Simulator` owns the clock and the :class:`~repro.engine.calendar.
-EventCalendar`; models schedule callbacks against it and the loop fires
-them in time order until the run ends.
+:class:`Simulator` owns the clock and the event calendar, a :mod:`heapq`
+of ``(time, priority, sequence, action)`` entries.  Entries at the same
+time fire in :class:`EventPriority` order and then in the order they
+were posted: the sequence number is unique, so a comparison never
+reaches the action.
 
-There are two ways onto the calendar.  :meth:`Simulator.schedule` and
-:meth:`~Simulator.schedule_at` validate the time and return a
-cancellable, labelled :class:`~repro.engine.event.Event`.  A model that
-never cancels what it schedules (the bus of :mod:`repro.bus.model`)
-instead posts bare actions with :meth:`EventCalendar.post
-<repro.engine.calendar.EventCalendar.post>`, at ``simulator.now`` plus a
-non-negative delay.  The untraced loop pops the heap entries itself and
-calls a posted action directly; both kinds count alike in
-:attr:`~Simulator.events_executed` and in the ``max_events`` guard.
+There is one way onto the calendar, :meth:`Simulator.post`: a bare
+zero-argument action at an absolute time, with no event object, label or
+cancellation.  Its caller guarantees that the time is a finite float no
+earlier than the clock; the bus of :mod:`repro.bus.model` posts each of
+its events at ``simulator.now`` plus a non-negative delay.
+:meth:`Simulator.schedule` is the checked form: it rejects a negative,
+NaN or infinite delay, then posts at the clock plus the delay.
 
-A run ends when the calendar drains, at the ``until`` horizon, or when a
+:meth:`~Simulator.run` and :meth:`~Simulator.step` drive one loop.  A run
+ends when the calendar drains, at the ``until`` horizon, or when a
 handler calls :meth:`Simulator.stop`: the model knows which of its
 events can satisfy its stop rule, so the loop tests nothing per event.
 """
 
 from __future__ import annotations
 
+import enum
 import heapq
+import itertools
 import math
-from typing import Callable, Optional
+from typing import Callable, List, Optional, Tuple
 
-from repro.engine.calendar import EventCalendar
-from repro.engine.event import Event, EventPriority
-from repro.engine.trace import Trace
 from repro.errors import SimulationError
 
-__all__ = ["Simulator"]
+__all__ = ["EventPriority", "Simulator"]
+
+
+class EventPriority(enum.IntEnum):
+    """Tie-break ranks for events scheduled at the same instant.
+
+    The ordering encodes the bus-cycle micro-sequence of the paper's model:
+    a bus tenure ends, then a pending arbitration result is applied and the
+    next master is granted, then new arbitrations are started, and only
+    then do freshly generated requests from agents get to assert the
+    request line (a request generated at the very instant a transaction
+    ends cannot have taken part in the arbitration that overlapped that
+    transaction).
+    """
+
+    RELEASE = 0
+    GRANT = 1
+    ARBITRATION = 2
+    REQUEST = 3
+    #: Deferred arbitration start: runs after every same-instant request
+    #: event, so a request issued at the very moment an arbitration would
+    #: begin still makes it into the competitor snapshot (essential for
+    #: deterministic CV = 0 workloads, where simultaneity is the norm).
+    ARB_KICK = 4
+    DEFAULT = 6
+
+
+#: One calendar entry: ``(time, priority, sequence, action)``.
+Entry = Tuple[float, int, int, Callable[[], None]]
 
 
 class _Stopped(Exception):
@@ -40,81 +68,48 @@ class _Stopped(Exception):
 class Simulator:
     """Event-driven simulation executive.
 
-    Parameters
-    ----------
-    trace:
-        Optional :class:`~repro.engine.trace.Trace` to which every executed
-        event is recorded.  Leave ``None`` for production runs.
-
     Attributes
     ----------
     now:
         Current simulation time.  A plain attribute, so a handler reads
-        it at attribute cost; only the loop and :meth:`step` set it.
+        it at attribute cost; only the loop sets it.
+    events_executed:
+        Total events fired since construction, brought up to date when
+        the loop returns.
     """
 
-    def __init__(self, trace: Optional[Trace] = None) -> None:
-        self.calendar = EventCalendar()
-        self.trace = trace
+    def __init__(self) -> None:
         self.now = 0.0
-        self._events_executed = 0
+        self.events_executed = 0
+        self._heap: List[Entry] = []
+        self._sequence = itertools.count()
         self._running = False
 
-    @property
-    def events_executed(self) -> int:
-        """Total events fired since construction."""
-        return self._events_executed
+    def post(self, time: float, priority: int, action: Callable[[], None]) -> None:
+        """Put ``action`` on the calendar at absolute ``time``.
+
+        Unchecked: the caller guarantees that ``time`` is a finite float
+        no earlier than :attr:`now`.
+        """
+        heapq.heappush(self._heap, (time, priority, next(self._sequence), action))
 
     def schedule(
         self,
         delay: float,
         action: Callable[[], None],
         priority: int = EventPriority.DEFAULT,
-        label: Optional[str] = None,
-    ) -> Event:
-        """Schedule ``action`` to run ``delay`` time units from now.
+    ) -> None:
+        """Post ``action`` to run ``delay`` time units from now.
 
         Raises
         ------
         SimulationError
-            If ``delay`` is negative (the engine forbids scheduling into
-            the past; zero delay is allowed and ordered by priority).
+            If ``delay`` is negative, NaN or infinite (zero is allowed
+            and ordered by priority).
         """
-        if delay < 0.0:
-            raise SimulationError(f"negative delay {delay!r} for {label or action!r}")
-        return self.calendar.schedule(self.now + delay, action, priority, label)
-
-    def schedule_at(
-        self,
-        time: float,
-        action: Callable[[], None],
-        priority: int = EventPriority.DEFAULT,
-        label: Optional[str] = None,
-    ) -> Event:
-        """Schedule ``action`` at absolute time ``time`` (>= now)."""
-        if time < self.now:
-            raise SimulationError(
-                f"cannot schedule at {time!r}, already at {self.now!r}"
-            )
-        return self.calendar.schedule(time, action, priority, label)
-
-    def cancel(self, event: Event) -> None:
-        """Cancel a pending event."""
-        self.calendar.cancel(event)
-
-    def step(self) -> bool:
-        """Fire the single earliest event.
-
-        Returns ``True`` if an event was fired, ``False`` if the calendar
-        was empty.  A :meth:`stop` from the event's action ends it.
-        """
-        if not self.calendar:
-            return False
-        try:
-            self._fire_next()
-        except _Stopped:
-            pass
-        return True
+        if not 0.0 <= delay < math.inf:
+            raise SimulationError(f"cannot schedule {action!r} after a delay of {delay!r}")
+        self.post(self.now + delay, priority, action)
 
     def stop(self) -> None:
         """End the run at the current event.
@@ -126,22 +121,16 @@ class Simulator:
         """
         raise _Stopped
 
-    def _fire_next(self) -> None:
-        """Pop, record and fire the earliest event of a non-empty calendar."""
-        event = self.calendar.pop()
-        if event.time < self.now:
-            raise SimulationError(
-                f"event calendar returned past event at {event.time} < {self.now}"
-            )
-        self.now = event.time
-        if self.trace is not None:
-            self.trace.record(
-                event.time,
-                event.label or getattr(event.action, "__name__", "event"),
-                event.priority,
-            )
-        self._events_executed += 1
-        event.fire()
+    def step(self) -> bool:
+        """Fire the single earliest event.
+
+        Returns ``True`` if an event was fired, ``False`` if the calendar
+        was empty.  A :meth:`stop` from the event's action ends it.
+        """
+        if not self._heap:
+            return False
+        self._fire(None, self.events_executed + 1)
+        return True
 
     def run(
         self,
@@ -157,81 +146,53 @@ class Simulator:
             Hard time horizon; events strictly after it are left queued and
             the clock is advanced to ``until``.
         max_events:
-            Safety valve for runaway models; exceeding it raises
-            :class:`~repro.errors.SimulationError`.
+            Safety valve for runaway models: the run raises
+            :class:`~repro.errors.SimulationError` once it has fired this
+            many events.
         """
         if self._running:
             raise SimulationError("simulator is not re-entrant")
         self._running = True
-        executed_at_entry = self._events_executed
         try:
-            if self.trace is None:
-                self._run_untraced(until, max_events, executed_at_entry)
-                return
-            while self.calendar:
-                next_time = self.calendar.peek_time()
-                if until is not None and next_time is not None and next_time > until:
-                    self.now = max(self.now, until)
-                    return
-                self._fire_next()
-                if (
-                    max_events is not None
-                    and self._events_executed - executed_at_entry >= max_events
-                ):
-                    raise SimulationError(
-                        f"exceeded max_events={max_events}; runaway simulation?"
-                    )
-            if until is not None:
-                self.now = max(self.now, until)
-        except _Stopped:
-            return
-        finally:
-            self._running = False
-
-    def _run_untraced(
-        self,
-        until: Optional[float],
-        max_events: Optional[int],
-        executed_at_entry: int,
-    ) -> None:
-        """The production event loop: no per-event trace bookkeeping.
-
-        Semantically identical to the traced loop in :meth:`run`, but it
-        pops the heap entries itself: a posted action is called as it
-        is, an event is checked for cancellation and its action called.
-        This loop dominates every simulation's profile, so the per-event
-        work is the pop, the clock update, the count and the action.
-        """
-        calendar = self.calendar
-        heap = calendar._heap
-        heappop = heapq.heappop
-        limit = math.inf if max_events is None else executed_at_entry + max_events
-        executed = executed_at_entry
-        now = self.now
-        while heap:
-            if until is not None:
-                next_time = calendar.peek_time()
-                if next_time is None:
-                    break
-                if next_time > until:
-                    self.now = max(now, until)
-                    return
-            time, __, __, action = heappop(heap)
-            if isinstance(action, Event):
-                if calendar._discard(action):
-                    continue
-                action = action.action
-            if time < now:
-                raise SimulationError(
-                    f"event calendar returned past event at {time} < {now}"
-                )
-            self.now = now = time
-            executed += 1
-            self._events_executed = executed
-            action()
-            if executed >= limit:
+            limit = math.inf if max_events is None else self.events_executed + max_events
+            if self._fire(until, limit):
                 raise SimulationError(
                     f"exceeded max_events={max_events}; runaway simulation?"
                 )
-        if until is not None:
-            self.now = max(self.now, until)
+        finally:
+            self._running = False
+
+    def _fire(self, until: Optional[float], limit: float) -> bool:
+        """The event loop: fire events in order until the calendar drains,
+        the next one lies past ``until``, a handler calls :meth:`stop`, or
+        :attr:`events_executed` reaches ``limit``; True only in the last
+        case.
+
+        This loop dominates every simulation's profile, so the per-event
+        work is the pop, the clock update, the count and the action.
+        """
+        heap = self._heap
+        heappop = heapq.heappop
+        now = self.now
+        executed = self.events_executed
+        try:
+            while heap:
+                if until is not None and heap[0][0] > until:
+                    break
+                time, __, __, action = heappop(heap)
+                if time < now:
+                    raise SimulationError(
+                        f"event calendar returned past event at {time} < {now}"
+                    )
+                self.now = now = time
+                executed += 1
+                action()
+                if executed >= limit:
+                    return True
+        except _Stopped:
+            return False
+        finally:
+            self.events_executed = executed
+        if until is not None and until > now:
+            self.now = until
+        return False

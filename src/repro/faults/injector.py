@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Mapping, Optional
 
-from repro.engine.event import EventPriority
+from repro.engine.simulator import EventPriority
 from repro.errors import ProtocolError
 from repro.faults.plan import FaultEvent, FaultKind, FaultPlan
 
@@ -126,11 +126,9 @@ class FaultInjector:
             # arbitration is settling when their moment arrives (perturb).
 
     def _schedule(self, system, delay, event, action) -> None:
-        system.simulator.schedule(
-            max(0.0, delay),
-            lambda: action(event),
-            priority=EventPriority.DEFAULT,
-            label=f"fault:{event.kind.value}",
+        simulator = system.simulator
+        simulator.post(
+            simulator.now + max(0.0, delay), EventPriority.DEFAULT, lambda: action(event)
         )
 
     # -- point faults --------------------------------------------------------

@@ -1,12 +1,12 @@
 """The event engine runs the same events in the same order.
 
-The bus posts its own events as bare calendar entries while the public
-API and the fault injector schedule cancellable :class:`Event` objects.
-These tests pin what that must not change: the number of events a cell
-executes (``events_executed``, which also drives the ``max_events``
-guard in the cache key), the clock where the run stops, and the event
-at which ``max_events`` raises.  The pinned numbers were read from the
-engine that scheduled every bus event as an :class:`Event` with a label.
+The bus, its agents and the fault injector all post bare actions on the
+simulator's one calendar.  These tests pin what that must not change:
+the number of events a cell executes (``events_executed``, which also
+drives the ``max_events`` guard in the cache key), the clock where the
+run stops, and the event at which ``max_events`` raises.  The pinned
+numbers were read from the engine that scheduled every bus event as a
+labelled event object.
 """
 
 from dataclasses import replace
@@ -16,10 +16,7 @@ import pytest
 from repro.bus.model import BusSystem
 from repro.bus.timing import BusTiming
 from repro.bus.watchdog import WatchdogPolicy
-from repro.engine.calendar import EventCalendar
 from repro.engine.cell import CellAssembly
-from repro.engine.event import Event, EventPriority
-from repro.engine.simulator import Simulator
 from repro.errors import SimulationError
 from repro.experiments.runner import SimulationSettings, make_arbiter
 from repro.faults.plan import FaultKind, FaultPlan
@@ -111,80 +108,3 @@ def test_max_events_raises_at_the_pinned_event():
     assert system.simulator.events_executed == 999
     assert system.simulator.now == 248.10354316466652
     assert system.collector.total_recorded == 247
-
-
-class TestMixedCalendar:
-    """Cancellable events and bare posts in one calendar."""
-
-    PRIORITY = int(EventPriority.ARB_KICK)
-
-    def _mixed(self):
-        calendar = EventCalendar()
-        fired = []
-        events = {}
-        for index in range(6):
-            name = f"n{index}"
-            if index % 2:
-                calendar.post(1.0, self.PRIORITY, lambda name=name: fired.append(name))
-            else:
-                events[name] = calendar.schedule(
-                    1.0,
-                    lambda name=name: fired.append(name),
-                    priority=EventPriority.ARB_KICK,
-                    label=name,
-                )
-        return calendar, events, fired
-
-    def test_equal_keys_pop_in_insertion_order(self):
-        calendar, __, fired = self._mixed()
-        while calendar:
-            event = calendar.pop()
-            assert isinstance(event, Event)
-            assert (event.time, event.priority) == (1.0, self.PRIORITY)
-            event.fire()
-        assert fired == [f"n{index}" for index in range(6)]
-
-    def test_len_and_bool_count_posts_and_skip_cancelled_events(self):
-        calendar, events, __ = self._mixed()
-        assert len(calendar) == 6
-        calendar.cancel(events["n0"])
-        calendar.cancel(events["n4"])
-        calendar.cancel(events["n4"])
-        assert len(calendar) == 4
-        assert calendar.peek_time() == 1.0
-        assert len(calendar) == 4
-        popped = calendar.pop()
-        calendar.cancel(popped)
-        assert len(calendar) == 3
-        calendar.cancel(events["n2"])
-        assert len(calendar) == 2 and calendar
-        calendar.pop()
-        calendar.pop()
-        assert len(calendar) == 0 and not calendar
-        assert calendar.peek_time() is None
-
-    def test_clear_forgets_posts_and_events(self):
-        calendar, events, __ = self._mixed()
-        calendar.cancel(events["n2"])
-        calendar.clear()
-        assert len(calendar) == 0 and not calendar
-        calendar.cancel(events["n0"])
-        assert len(calendar) == 0
-        calendar.post(2.0, self.PRIORITY, lambda: None)
-        assert len(calendar) == 1
-
-    def test_untraced_run_fires_posts_and_live_events_in_order(self):
-        simulator = Simulator()
-        fired = []
-        post = simulator.calendar.post
-        post(1.0, self.PRIORITY, lambda: fired.append("post-a"))
-        dropped = simulator.schedule(1.0, lambda: fired.append("dropped"), EventPriority.ARB_KICK)
-        simulator.schedule(1.0, lambda: fired.append("event"), EventPriority.ARB_KICK)
-        post(1.0, self.PRIORITY, lambda: fired.append("post-b"))
-        post(0.5, int(EventPriority.DEFAULT), lambda: fired.append("early"))
-        simulator.cancel(dropped)
-        simulator.run()
-        assert fired == ["early", "post-a", "event", "post-b"]
-        assert simulator.events_executed == 4
-        assert simulator.now == 1.0
-        assert not simulator.calendar

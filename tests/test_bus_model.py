@@ -145,6 +145,28 @@ class TestValidation:
         with pytest.raises(SimulationError):
             BusSystem(scenario, arbiter, collector, seed=1)
 
+    def test_utilization_is_zero_before_the_clock_moves(self):
+        scenario = _scenario([1.0, 1.0])
+        collector = CompletionCollector(batches=2, batch_size=2, warmup=0)
+        system = BusSystem(scenario, DistributedRoundRobin(2), collector, seed=1)
+        assert system.utilization() == 0.0
+
+    def test_calendar_that_drains_first_raises(self):
+        class NeverWaiting(DistributedRoundRobin):
+            """Never sees a request, so no arbitration ever runs."""
+
+            def has_waiting(self):
+                return False
+
+        scenario = _scenario([1.0, 2.0])
+        collector = CompletionCollector(batches=2, batch_size=2, warmup=0)
+        system = BusSystem(scenario, NeverWaiting(2), collector, seed=1)
+        with pytest.raises(SimulationError, match="drained its event calendar"):
+            system.run()
+        # Each closed-loop agent issued its one request and stalled.
+        assert system.simulator.now == 2.0
+        assert system.transactions == 0
+
     def test_fixed_priority_protocol_also_runs(self):
         system, records = _run(
             [0.5, 0.5], completions=6, protocol=FixedPriorityArbiter(2)

@@ -1,9 +1,8 @@
-"""Unit tests for repro.engine.calendar."""
+"""Unit tests for the simulator's event calendar: its order and its checks."""
 
 import pytest
 
-from repro.engine.calendar import EventCalendar
-from repro.engine.event import Event, EventPriority
+from repro.engine.simulator import EventPriority, Simulator
 from repro.errors import SimulationError
 
 
@@ -11,129 +10,76 @@ def _noop():
     pass
 
 
+def _recording():
+    """A simulator and a ``schedule(delay, label, priority)`` that posts
+    an action appending ``label`` to the returned list when it fires."""
+    simulator = Simulator()
+    fired = []
+
+    def schedule(delay, label, priority=EventPriority.DEFAULT):
+        simulator.schedule(delay, lambda: fired.append(label), priority)
+
+    return simulator, schedule, fired
+
+
+def _assert_rejected(delay):
+    """``schedule`` raises on ``delay`` and leaves the calendar empty."""
+    simulator = Simulator()
+    with pytest.raises(SimulationError):
+        simulator.schedule(delay, _noop)
+    assert simulator.step() is False
+
+
 class TestScheduling:
-    def test_empty_calendar_is_falsy(self):
-        assert not EventCalendar()
-
-    def test_len_counts_live_events(self):
-        calendar = EventCalendar()
-        calendar.schedule(1.0, _noop)
-        calendar.schedule(2.0, _noop)
-        assert len(calendar) == 2
-
-    def test_schedule_returns_event(self):
-        calendar = EventCalendar()
-        event = calendar.schedule(1.0, _noop)
-        assert isinstance(event, Event)
-
     def test_pop_returns_earliest(self):
-        calendar = EventCalendar()
-        calendar.schedule(5.0, _noop, label="late")
-        calendar.schedule(1.0, _noop, label="early")
-        assert calendar.pop().label == "early"
-
-    def test_pop_empty_raises(self):
-        with pytest.raises(SimulationError):
-            EventCalendar().pop()
+        simulator, schedule, fired = _recording()
+        schedule(5.0, "late")
+        schedule(1.0, "early")
+        assert simulator.step()
+        assert fired == ["early"]
 
     def test_negative_time_rejected(self):
-        with pytest.raises(SimulationError):
-            EventCalendar().schedule(-1.0, _noop)
+        _assert_rejected(-1.0)
 
     def test_nan_time_rejected(self):
-        with pytest.raises(SimulationError):
-            EventCalendar().schedule(float("nan"), _noop)
+        _assert_rejected(float("nan"))
 
     def test_infinite_time_rejected(self):
-        with pytest.raises(SimulationError):
-            EventCalendar().schedule(float("inf"), _noop)
-
-    def test_push_existing_event(self):
-        calendar = EventCalendar()
-        calendar.push(Event(2.0, _noop, label="pushed"))
-        assert calendar.pop().label == "pushed"
-
-    def test_push_validates_time(self):
-        with pytest.raises(SimulationError):
-            EventCalendar().push(Event(-2.0, _noop))
+        _assert_rejected(float("inf"))
 
 
 class TestOrdering:
     def test_priority_breaks_time_ties(self):
-        calendar = EventCalendar()
-        calendar.schedule(1.0, _noop, priority=EventPriority.REQUEST, label="request")
-        calendar.schedule(1.0, _noop, priority=EventPriority.RELEASE, label="release")
-        assert calendar.pop().label == "release"
+        simulator, schedule, fired = _recording()
+        schedule(1.0, "request", EventPriority.REQUEST)
+        schedule(1.0, "release", EventPriority.RELEASE)
+        simulator.step()
+        assert fired == ["release"]
 
     def test_fifo_among_equal_time_and_priority(self):
-        calendar = EventCalendar()
+        simulator, schedule, fired = _recording()
         for name in ("first", "second", "third"):
-            calendar.schedule(1.0, _noop, label=name)
-        assert [calendar.pop().label for _ in range(3)] == ["first", "second", "third"]
+            schedule(1.0, name)
+        simulator.run()
+        assert fired == ["first", "second", "third"]
 
     def test_full_drain_is_time_sorted(self):
-        calendar = EventCalendar()
+        simulator = Simulator()
         times = [5.0, 1.0, 3.0, 2.0, 4.0]
+        fired = []
         for time in times:
-            calendar.schedule(time, _noop)
-        popped = [calendar.pop().time for _ in range(len(times))]
-        assert popped == sorted(times)
+            simulator.schedule(time, lambda: fired.append(simulator.now))
+        simulator.run()
+        assert fired == sorted(times)
 
-
-class TestCancellation:
-    def test_cancel_removes_from_len(self):
-        calendar = EventCalendar()
-        event = calendar.schedule(1.0, _noop)
-        calendar.cancel(event)
-        assert len(calendar) == 0
-
-    def test_cancelled_event_skipped_on_pop(self):
-        calendar = EventCalendar()
-        cancelled = calendar.schedule(1.0, _noop, label="cancelled")
-        calendar.schedule(2.0, _noop, label="kept")
-        calendar.cancel(cancelled)
-        assert calendar.pop().label == "kept"
-
-    def test_cancel_is_idempotent_for_len(self):
-        calendar = EventCalendar()
-        event = calendar.schedule(1.0, _noop)
-        calendar.schedule(2.0, _noop)
-        calendar.cancel(event)
-        calendar.cancel(event)
-        assert len(calendar) == 1
-
-    def test_cancel_after_pop_keeps_live_count(self):
-        # Regression: cancelling an event that had already been popped
-        # used to decrement the live count below the true queue size,
-        # making the calendar report empty while events were pending.
-        calendar = EventCalendar()
-        popped = calendar.schedule(1.0, _noop, label="popped")
-        calendar.schedule(2.0, _noop, label="pending")
-        assert calendar.pop() is popped
-        calendar.cancel(popped)
-        assert len(calendar) == 1
-        assert calendar
-        assert calendar.pop().label == "pending"
-
-    def test_cancel_after_pop_leaves_event_uncancelled(self):
-        calendar = EventCalendar()
-        popped = calendar.schedule(1.0, _noop)
-        calendar.pop()
-        calendar.cancel(popped)
-        assert not popped.cancelled
-
-    def test_peek_time_skips_cancelled(self):
-        calendar = EventCalendar()
-        cancelled = calendar.schedule(1.0, _noop)
-        calendar.schedule(3.0, _noop)
-        calendar.cancel(cancelled)
-        assert calendar.peek_time() == 3.0
-
-    def test_peek_time_empty(self):
-        assert EventCalendar().peek_time() is None
-
-    def test_clear(self):
-        calendar = EventCalendar()
-        calendar.schedule(1.0, _noop)
-        calendar.clear()
-        assert not calendar
+    def test_posts_and_schedules_share_one_sequence(self):
+        simulator, schedule, fired = _recording()
+        kick = int(EventPriority.ARB_KICK)
+        simulator.post(1.0, kick, lambda: fired.append("post-a"))
+        schedule(1.0, "scheduled", EventPriority.ARB_KICK)
+        simulator.post(1.0, kick, lambda: fired.append("post-b"))
+        simulator.post(0.5, int(EventPriority.DEFAULT), lambda: fired.append("early"))
+        simulator.run()
+        assert fired == ["early", "post-a", "scheduled", "post-b"]
+        assert simulator.events_executed == 4
+        assert simulator.now == 1.0

@@ -1,15 +1,12 @@
-"""Model-based stress tests of the event calendar and simulator.
+"""Model-based stress tests of the simulator's event calendar and clock.
 
 A reference model (sorted list with explicit tie-break keys) runs next
-to the heap-based calendar through random schedule/cancel/pop
-interleavings; the two must agree on every pop.
+to the simulator's heap through random schedule/step interleavings; the
+two must agree on every event fired.
 """
-
-import heapq
 
 from hypothesis import given, settings as hyp_settings, strategies as st
 
-from repro.engine.calendar import EventCalendar
 from repro.engine.simulator import Simulator
 
 
@@ -24,15 +21,9 @@ class _ReferenceCalendar:
         self.items.append((time, priority, self.sequence, label))
         self.sequence += 1
 
-    def cancel(self, label):
-        self.items = [item for item in self.items if item[3] != label]
-
     def pop(self):
         self.items.sort()
         return self.items.pop(0)[3]
-
-    def __len__(self):
-        return len(self.items)
 
 
 operations = st.lists(
@@ -43,7 +34,6 @@ operations = st.lists(
             st.integers(min_value=0, max_value=5),
         ),
         st.tuples(st.just("pop")),
-        st.tuples(st.just("cancel"), st.integers(min_value=0, max_value=50)),
     ),
     min_size=1,
     max_size=120,
@@ -54,35 +44,29 @@ class TestCalendarAgainstReference:
     @given(operations)
     @hyp_settings(max_examples=60, deadline=None)
     def test_pops_agree_with_reference(self, ops):
-        calendar = EventCalendar()
+        simulator = Simulator()
         reference = _ReferenceCalendar()
-        live = {}
-        counter = 0
-        for op in ops:
+        fired = []
+        for index, op in enumerate(ops):
             if op[0] == "schedule":
-                __, time, priority = op
-                label = f"e{counter}"
-                counter += 1
-                live[label] = calendar.schedule(
-                    time, lambda: None, priority=priority, label=label
+                # The delay counts from the clock, which each pop moves
+                # to the fired event's time.
+                __, delay, priority = op
+                label = f"e{index}"
+                simulator.schedule(
+                    delay, lambda label=label: fired.append(label), priority
                 )
-                reference.schedule(time, priority, label)
-            elif op[0] == "pop":
-                assert len(calendar) == len(reference)
+                reference.schedule(simulator.now + delay, priority, label)
+            else:
+                assert simulator.step() is bool(reference.items)
                 if reference.items:
-                    expected = reference.pop()
-                    actual = calendar.pop().label
-                    assert actual == expected
-                    live.pop(actual, None)
-            else:  # cancel the op[1]-th live event, if any
-                if live:
-                    label = sorted(live)[op[1] % len(live)]
-                    calendar.cancel(live.pop(label))
-                    reference.cancel(label)
+                    assert fired.pop() == reference.pop()
         # Drain both completely and compare the tails.
+        simulator.run()
+        tail = []
         while reference.items:
-            assert calendar.pop().label == reference.pop()
-        assert len(calendar) == 0
+            tail.append(reference.pop())
+        assert fired == tail
 
 
 class TestSimulatorClockMonotonicity:

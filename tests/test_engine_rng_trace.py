@@ -1,9 +1,6 @@
-"""Unit tests for repro.engine.rng and repro.engine.trace."""
-
-import pytest
+"""Unit tests for repro.engine.rng."""
 
 from repro.engine.rng import RandomStreams, derive_seed
-from repro.engine.trace import Trace
 
 
 class TestDeriveSeed:
@@ -48,78 +45,3 @@ class TestRandomStreams:
     def test_agent_stream_shortcut(self):
         streams = RandomStreams(1)
         assert streams.agent_stream(4) is streams.stream("agent/4")
-
-
-class TestTrace:
-    def test_records_and_iterates(self):
-        trace = Trace()
-        trace.record(1.0, "grant", 1)
-        trace.record(2.0, "release", 0)
-        assert trace.labels() == ["grant", "release"]
-        assert len(trace) == 2
-
-    def test_capacity_evicts_oldest(self):
-        trace = Trace(capacity=2)
-        for i in range(4):
-            trace.record(float(i), f"e{i}", 0)
-        assert trace.labels() == ["e2", "e3"]
-
-    def test_unbounded_capacity(self):
-        trace = Trace(capacity=None)
-        for i in range(100):
-            trace.record(float(i), "e", 0)
-        assert len(trace) == 100
-
-    def test_matching_filters_by_substring(self):
-        trace = Trace()
-        trace.record(1.0, "grant:3", 1)
-        trace.record(2.0, "release:3", 0)
-        trace.record(3.0, "grant:5", 1)
-        assert [r.label for r in trace.matching("grant")] == ["grant:3", "grant:5"]
-
-    def test_clear(self):
-        trace = Trace()
-        trace.record(1.0, "x", 0)
-        trace.clear()
-        assert len(trace) == 0
-
-    def test_str_format(self):
-        trace = Trace()
-        trace.record(1.25, "grant", 1)
-        assert "grant" in str(next(iter(trace)))
-
-    def test_capacity_property(self):
-        assert Trace(capacity=7).capacity == 7
-        assert Trace(capacity=None).capacity is None
-
-    def test_indexing_counts_from_oldest_retained(self):
-        trace = Trace(capacity=3)
-        for i in range(5):
-            trace.record(float(i), f"e{i}", 0)
-        # Window holds e2..e4: index 0 is the oldest *retained* record.
-        assert trace[0].label == "e2"
-        assert trace[-1].label == "e4"
-        with pytest.raises(IndexError):
-            trace[3]
-
-    def test_slicing_returns_lists_over_the_window(self):
-        trace = Trace(capacity=4)
-        for i in range(6):
-            trace.record(float(i), f"e{i}", 0)
-        assert [r.label for r in trace[1:3]] == ["e3", "e4"]
-        assert [r.label for r in trace[-2:]] == ["e4", "e5"]
-        assert trace[:] == list(trace)
-        assert isinstance(trace[:2], list)
-
-    def test_eviction_order_across_interleaved_appends(self):
-        # Regression for the ring-buffer contract: after any interleaving
-        # of appends past capacity, the window is exactly the last
-        # `capacity` records, oldest first, and len() never exceeds it.
-        trace = Trace(capacity=3)
-        labels = []
-        for i in range(10):
-            trace.record(float(i), f"e{i}", 0)
-            labels.append(f"e{i}")
-            assert len(trace) == min(i + 1, 3)
-            assert trace.labels() == labels[-3:]
-            assert [r.label for r in trace] == labels[-3:]

@@ -2,9 +2,7 @@
 
 import pytest
 
-from repro.engine.event import EventPriority
-from repro.engine.simulator import Simulator
-from repro.engine.trace import Trace
+from repro.engine.simulator import EventPriority, Simulator
 from repro.errors import SimulationError
 
 
@@ -22,19 +20,20 @@ class TestClock:
         with pytest.raises(SimulationError):
             Simulator().schedule(-0.1, lambda: None)
 
-    def test_schedule_at_past_rejected(self):
+    def test_post_at_absolute_time(self):
+        sim = Simulator()
+        fired = []
+        sim.post(4.0, EventPriority.DEFAULT, lambda: fired.append(sim.now))
+        sim.run()
+        assert fired == [4.0]
+
+    def test_past_post_raises_when_it_comes_up(self):
         sim = Simulator()
         sim.schedule(5.0, lambda: None)
         sim.run()
-        with pytest.raises(SimulationError):
-            sim.schedule_at(1.0, lambda: None)
-
-    def test_schedule_at_absolute(self):
-        sim = Simulator()
-        fired = []
-        sim.schedule_at(4.0, lambda: fired.append(sim.now))
-        sim.run()
-        assert fired == [4.0]
+        sim.post(1.0, EventPriority.DEFAULT, lambda: None)
+        with pytest.raises(SimulationError, match="past event at 1.0 < 5.0"):
+            sim.run()
 
 
 class TestRun:
@@ -76,7 +75,8 @@ class TestRun:
         sim.run(until=5.0)
         assert fired == [1]
         assert sim.now == 5.0
-        assert len(sim.calendar) == 1
+        sim.run()
+        assert fired == [1, 10]
 
     def test_run_until_with_empty_calendar_advances_clock(self):
         sim = Simulator()
@@ -98,7 +98,6 @@ class TestRun:
         assert fired == [0, 1, 2]
         assert sim.events_executed == 3
         assert sim.now == 3.0
-        assert len(sim.calendar) == 7
         # The next run goes on from the stop; a stop inside step() ends
         # just that event.
         assert sim.step()
@@ -106,6 +105,9 @@ class TestRun:
         sim.run(until=6.5)
         assert fired == [0, 1, 2, 3, 4, 5]
         assert sim.now == 6.5
+        sim.run()
+        assert fired == list(range(10))
+        assert sim.events_executed == 10
 
     def test_max_events_guard(self):
         sim = Simulator()
@@ -114,8 +116,24 @@ class TestRun:
             sim.schedule(1.0, forever)
 
         sim.schedule(0.0, forever)
-        with pytest.raises(SimulationError):
+        with pytest.raises(SimulationError, match="max_events=100"):
             sim.run(max_events=100)
+        assert sim.events_executed == 100
+        assert sim.now == 99.0
+
+    def test_max_events_counts_from_the_run_and_raises_on_the_last(self):
+        sim = Simulator()
+        fired = []
+        for i in range(5):
+            sim.schedule(float(i), lambda i=i: fired.append(i))
+        sim.step()
+        # The limit is reached on the run's third event, which fires;
+        # reaching it raises even though two events are left.
+        with pytest.raises(SimulationError):
+            sim.run(max_events=3)
+        assert fired == [0, 1, 2, 3]
+        sim.run(max_events=5)
+        assert fired == [0, 1, 2, 3, 4]
 
     def test_not_reentrant(self):
         sim = Simulator()
@@ -128,8 +146,12 @@ class TestRun:
                 errors.append(error)
 
         sim.schedule(1.0, recurse)
+        sim.schedule(2.0, lambda: None)
         sim.run()
         assert len(errors) == 1
+        assert "not re-entrant" in str(errors[0])
+        # The refused inner run fired nothing; the outer run went on.
+        assert sim.events_executed == 2
 
     def test_step_returns_false_when_empty(self):
         assert Simulator().step() is False
@@ -142,29 +164,22 @@ class TestRun:
         assert sim.step() is True
         assert fired == [1]
 
-    def test_cancelled_event_not_fired(self):
-        sim = Simulator()
-        fired = []
-        event = sim.schedule(1.0, lambda: fired.append("cancelled"))
-        sim.schedule(2.0, lambda: fired.append("kept"))
-        sim.cancel(event)
-        sim.run()
-        assert fired == ["kept"]
 
+class TestEventPriority:
+    def test_release_before_grant(self):
+        assert EventPriority.RELEASE < EventPriority.GRANT
 
-class TestTraceIntegration:
-    def test_trace_records_fired_events(self):
-        trace = Trace()
-        sim = Simulator(trace=trace)
-        sim.schedule(1.0, lambda: None, label="one")
-        sim.schedule(2.0, lambda: None, label="two", priority=EventPriority.GRANT)
-        sim.run()
-        assert trace.labels() == ["one", "two"]
+    def test_grant_before_arbitration(self):
+        assert EventPriority.GRANT < EventPriority.ARBITRATION
 
-    def test_trace_records_times(self):
-        trace = Trace()
-        sim = Simulator(trace=trace)
-        sim.schedule(1.5, lambda: None, label="x")
-        sim.run()
-        record = next(iter(trace))
-        assert record.time == 1.5
+    def test_arbitration_before_request(self):
+        assert EventPriority.ARBITRATION < EventPriority.REQUEST
+
+    def test_request_before_arb_kick(self):
+        # The kick must run after all same-instant requests so the
+        # competitor snapshot is complete.
+        assert EventPriority.REQUEST < EventPriority.ARB_KICK
+
+    def test_priorities_are_ints(self):
+        for priority in EventPriority:
+            assert isinstance(priority.value, int)

@@ -12,10 +12,14 @@ import pytest
 from hypothesis import given, settings as hyp_settings
 from hypothesis import strategies as st
 
+from repro.bus.model import BusSystem
 from repro.core.base import ArbitrationOutcome
 from repro.errors import ConfigurationError
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import BUS_LEVEL_FAULTS, FaultEvent, FaultKind, FaultPlan
+from repro.protocols.registry import make_arbiter
+from repro.stats.collector import CompletionCollector
+from repro.workload.scenarios import equal_load
 
 ALL_KINDS = tuple(sorted(FaultKind, key=lambda kind: kind.value))
 
@@ -229,4 +233,24 @@ class TestPerturb:
         injector = FaultInjector(plan)
         perturbed = injector.perturb(_outcome(3, {}), now=5.0)
         assert perturbed.winner == 3 and perturbed.anomaly is None
+        assert injector.applied == {}
+
+
+class TestPointFaultsWithoutHooks:
+    def test_arbiter_without_fault_hooks_skips_them(self):
+        # Fixed priority keeps no winner register and no FCFS counter:
+        # a dropped broadcast and a counter upset have nothing to hit.
+        plan = FaultPlan(
+            events=(
+                FaultEvent(time=5.0, kind=FaultKind.DROPPED_BROADCAST, agent_id=1),
+                FaultEvent(time=6.0, kind=FaultKind.COUNTER_UPSET, agent_id=2, value=3),
+            )
+        )
+        injector = FaultInjector(plan)
+        scenario = equal_load(4, 2.0)
+        collector = CompletionCollector(batches=2, batch_size=20, warmup=0)
+        BusSystem(
+            scenario, make_arbiter("fixed", 4), collector, seed=1, injector=injector
+        ).run()
+        assert injector.skipped == {"dropped-broadcast": 1, "counter-upset": 1}
         assert injector.applied == {}

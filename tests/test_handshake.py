@@ -4,13 +4,14 @@ The headline test cross-validates the handshake machine against the
 abstract BusSystem: same arrivals in, identical grants and timing out.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.baselines.central import CentralFCFS
 from repro.core.round_robin import DistributedRoundRobin
-from repro.engine.simulator import Simulator
-from repro.engine.event import EventPriority
-from repro.errors import ProtocolError
+from repro.engine.simulator import EventPriority, Simulator
+from repro.errors import ProtocolError, SimulationError
 from repro.bus.handshake import AgentState, HandshakeBus
 
 
@@ -69,6 +70,18 @@ class TestLineBehaviour:
         bus.request(2)
         with pytest.raises(ProtocolError):
             bus.request(2)
+
+    def test_winner_off_the_br_line_rejected(self):
+        class OffTheLine(DistributedRoundRobin):
+            """Names agent 1, which is not requesting, as the winner."""
+
+            def start_arbitration(self, now):
+                return replace(super().start_arbitration(now), winner=1)
+
+        bus, __ = _bus(arbiter=OffTheLine(4))
+        bus.request(2)
+        with pytest.raises(SimulationError, match="not on the BR line"):
+            bus.simulator.run()
 
 
 class TestHandshakeTiming:
@@ -138,10 +151,8 @@ class TestCrossValidationAgainstBusSystem:
             on_completion=lambda *record: completions.append(record),
         )
         for time, agent in arrivals:
-            bus.simulator.schedule_at(
-                time,
-                lambda agent=agent: bus.request(agent),
-                priority=EventPriority.REQUEST,
+            bus.simulator.post(
+                time, EventPriority.REQUEST, lambda agent=agent: bus.request(agent)
             )
         bus.simulator.run()
 

@@ -11,9 +11,11 @@ agent dropout window just redistributes bandwidth.
 
 import pytest
 
+from repro.bus.model import BusSystem
 from repro.bus.watchdog import BusWatchdog, WatchdogPolicy
 from repro.errors import ConfigurationError, NoUniqueWinnerError
-from repro.experiments.runner import SimulationSettings, run_simulation
+from repro.experiments.runner import SimulationSettings, make_arbiter, run_simulation
+from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultEvent, FaultKind, FaultPlan
 from repro.stats.collector import CompletionCollector
 from repro.workload.scenarios import equal_load
@@ -184,3 +186,36 @@ class TestAgentDropout:
         assert faulted.collector.agent_totals[2] < healthy.collector.agent_totals[2]
         # ...but rejoined and kept completing afterwards.
         assert faulted.collector.agent_totals[2] > 0
+
+
+class TestWithoutWatchdog:
+    """A bus with a fault injector and no watchdog raises on the first
+    anomaly, whether the line faults or the protocol detect it."""
+
+    def _run(self, protocol, num_agents, plan):
+        scenario = equal_load(num_agents, 2.0)
+        collector = CompletionCollector(batches=3, batch_size=80, warmup=40)
+        system = BusSystem(
+            scenario,
+            make_arbiter(protocol, num_agents),
+            collector,
+            seed=99,
+            injector=FaultInjector(plan),
+        )
+        system.run()
+
+    def test_line_fault_anomaly_raises(self):
+        plan = FaultPlan(
+            events=(
+                FaultEvent(
+                    time=50.0, kind=FaultKind.STUCK_LINE, line=0,
+                    stuck_value=1, duration=5.0,
+                ),
+            )
+        )
+        with pytest.raises(NoUniqueWinnerError, match="no watchdog is attached"):
+            self._run("rr", 6, plan)
+
+    def test_protocol_anomaly_raises(self):
+        with pytest.raises(NoUniqueWinnerError):
+            self._run("rotating-rr", 10, TestDroppedBroadcastContrast.PLAN)
