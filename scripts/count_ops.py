@@ -17,7 +17,13 @@ Poisson, bursty MMPP, two-class priority and synchronous-bus (clock
 period 0.25) cells of ``rr``, ``fcfs`` and ``fcfs-aincr``, plus the
 fault-injected ``rr-faulty-register`` and ``fcfs-glitchable`` cells of
 the robustness grid's plans at rate 0.01.  They run for a warm-up of 50
-and two batches of 100 completions.
+and two batches of 100 completions.  ``--by-kind`` splits that count by
+cell kind (:data:`KINDS`): classed, clocked, faulted, open-loop and
+bursty.  Every bytecode counts to the lane being built or run when it
+ran, from the lane's build to the next lane's; those before the first
+lane's build (checking and grouping the cells, opening the pack) form
+a row of their own.  The kind rows sum to the slice's total, and each
+kind's function rows sum to that kind's total.
 
 ``--engine event`` runs the 18 cells of the lanes-against-event
 cross-check instead: one per lane protocol x N = 10, 30 and 64 at load
@@ -38,6 +44,7 @@ seconds traced, the event slice about 10 s.
 Usage::
 
     PYTHONPATH=src python scripts/count_ops.py [--slice paper|grid-event]
+    PYTHONPATH=src python scripts/count_ops.py --slice grid-event --by-kind
     PYTHONPATH=src python scripts/count_ops.py --engine event
 """
 
@@ -53,7 +60,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from repro.bus.timing import BusTiming  # noqa: E402
-from repro.engine.batch import run_lanes  # noqa: E402
+from repro.engine.batch import _Replication, run_lanes  # noqa: E402
 from repro.experiments.robustness import fault_plan_for  # noqa: E402
 from repro.experiments.runner import SimulationSettings  # noqa: E402
 from repro.experiments.scale import Scale  # noqa: E402
@@ -96,6 +103,26 @@ PHASES = (
     ("collector", ("stats/", "bus/records")),
 )
 OTHER = "other"
+
+#: The ``grid-event`` cell kinds ``--by-kind`` counts apart, and the row
+#: for the bytecodes run before a pack's first lane.
+KINDS = ("classed", "clocked", "faulted", "open-loop", "bursty")
+PACK = "(pack set-up)"
+
+
+def cell_kind(scenario, protocol, settings) -> str:
+    """The :data:`KINDS` entry of a ``grid-event`` cell: the fault-model
+    protocols' cells are faulted, whether or not their plan drew a
+    fault; the bursty cells are the open-loop MMPP ones."""
+    if protocol in GRID_EVENT_FAULTY:
+        return "faulted"
+    if settings.timing.synchronous:
+        return "clocked"
+    if any(spec.priority_fraction > 0.0 for spec in scenario.agents):
+        return "classed"
+    if any(spec.interrequest.stateful for spec in scenario.agents):
+        return "bursty"
+    return "open-loop"
 
 
 def slice_cells():
@@ -145,21 +172,32 @@ def run_event_cells(cells):
     return [run_cell(scenario, protocol, settings) for scenario, protocol, settings in cells]
 
 
-def count_opcodes(func, *args):
+def count_opcodes(func, *args, split=None):
     """Run ``func(*args)`` traced; return its result, the bytecodes
     executed per code object, and the owner class of each code object
     compiled from a string (a dataclass's generated methods): the class
-    of its first call's ``self``."""
+    of its first call's ``self``.
+
+    Without ``split`` a code object's count is one number.  With
+    ``split = (code, parts, part_of)`` it is a list of ``parts``
+    numbers: a call of ``code`` switches every later bytecode to part
+    ``part_of(frame)``, and those before the first such call count to
+    the last part."""
     tallies = {}
     owners = {}
+    parts = 1 if split is None else split[1]
+    switch = None if split is None else split[0]
+    part = [parts - 1]
 
     def trace(frame, event, arg):
         frame.f_trace_opcodes = True
         frame.f_trace_lines = False
         code = frame.f_code
+        if code is switch:
+            part[0] = split[2](frame)
         tally = tallies.get(code)
         if tally is None:
-            tally = tallies[code] = [0]
+            tally = tallies[code] = [0] * parts
             if code.co_filename == "<string>":
                 owner = frame.f_locals.get("self")
                 if owner is not None:
@@ -167,7 +205,7 @@ def count_opcodes(func, *args):
 
         def local(frame, event, arg):
             if event == "opcode":
-                tally[0] += 1
+                tally[part[0]] += 1
             return local
 
         return local
@@ -177,7 +215,9 @@ def count_opcodes(func, *args):
         result = func(*args)
     finally:
         sys.settrace(None)
-    return result, {code: tally[0] for code, tally in tallies.items()}, owners
+    if split is None:
+        return result, {code: tally[0] for code, tally in tallies.items()}, owners
+    return result, tallies, owners
 
 
 def _name(code) -> str:
@@ -200,6 +240,28 @@ def _print_table(heading, rows, completions, total) -> None:
         print(f"{name:<60} {count / completions:>14.1f} {count / total:>7.1%}")
 
 
+def _where(code, owners):
+    """The printed name of ``code`` and its module's path below ``repro/``."""
+    owner = owners.get(code)
+    if owner is not None:
+        module = owner.__module__
+        name = f"{module.rpartition('.')[2]}.{owner.__qualname__}.{code.co_name}"
+        return name, module.partition("repro.")[2].replace(".", "/")
+    return _name(code), code.co_filename.rpartition(f"{os.sep}repro{os.sep}")[2]
+
+
+def _print_functions(by_name, completions) -> None:
+    """The :data:`TOP` functions of ``by_name``, the rest in one row, and
+    the total, per completion."""
+    total = sum(by_name.values())
+    ranked = sorted(by_name.items(), key=lambda item: (-item[1], item[0]))
+    rows = ranked[:TOP]
+    rest = sum(tally for _, tally in ranked[TOP:])
+    if rest:
+        rows.append(("(other functions)", rest))
+    _print_table("function", rows + [("total", total)], completions, total)
+
+
 def count(label, cells, runner, phases) -> int:
     """Trace ``runner(cells)`` and print its bytecodes per completion by
     function, and by :data:`PHASES` when ``phases`` is set."""
@@ -208,28 +270,54 @@ def count(label, cells, runner, phases) -> int:
     by_name = {}
     by_phase = dict.fromkeys([phase for phase, __ in PHASES] + [OTHER], 0)
     for code, tally in counts.items():
-        owner = owners.get(code)
-        if owner is not None:
-            module = owner.__module__
-            name = f"{module.rpartition('.')[2]}.{owner.__qualname__}.{code.co_name}"
-            path = module.partition("repro.")[2].replace(".", "/")
-        else:
-            name = _name(code)
-            path = code.co_filename.rpartition(f"{os.sep}repro{os.sep}")[2]
+        name, path = _where(code, owners)
         by_name[name] = by_name.get(name, 0) + tally
         by_phase[phase_of(path)] += tally
     total = sum(by_name.values())
-    ranked = sorted(by_name.items(), key=lambda item: (-item[1], item[0]))
-
     print(f"{len(cells)} {label}, {completions} completions, {total} bytecodes")
-    rows = ranked[:TOP]
-    rest = sum(tally for _, tally in ranked[TOP:])
-    if rest:
-        rows.append(("(other functions)", rest))
-    _print_table("function", rows + [("total", total)], completions, total)
+    _print_functions(by_name, completions)
     if phases:
         print()
         _print_table("phase", [*by_phase.items(), ("total", total)], completions, total)
+    return 0
+
+
+def count_by_kind(cells) -> int:
+    """Trace ``run_lanes(cells)`` and print its bytecodes per completion
+    by :data:`KINDS`, then each kind's by function."""
+    kinds = [cell_kind(*cell) for cell in cells]
+    rows = [*KINDS, PACK]
+
+    def part_of(frame):
+        args = frame.f_locals
+        return KINDS.index(cell_kind(args["scenario"], args["protocol"], args["settings"]))
+
+    split = (_Replication.__init__.__code__, len(rows), part_of)
+    results, counts, owners = count_opcodes(run_lanes, cells, split=split)
+    done = dict.fromkeys(rows, 0)
+    for kind, result in zip(kinds, results):
+        done[kind] += result.collector.total_recorded
+    completions = sum(done.values())
+    by_kind = {row: {} for row in rows}
+    for code, tallies in counts.items():
+        name = _where(code, owners)[0]
+        for row, tally in zip(rows, tallies):
+            if tally:
+                by_kind[row][name] = by_kind[row].get(name, 0) + tally
+    spent = {row: sum(names.values()) for row, names in by_kind.items()}
+    total = sum(spent.values())
+    print(f"{len(cells)} grid-event cells, {completions} completions, {total} bytecodes")
+    heading = "kind (cells, completions)"
+    print(f"{heading:<44} {'per completion':>14} {'per own':>9} {'share':>7}")
+    for row in rows:
+        label = f"{row} ({kinds.count(row)}, {done[row]})" if row in KINDS else row
+        own = f"{spent[row] / done[row]:>9.1f}" if done[row] else f"{'':>9}"
+        print(f"{label:<44} {spent[row] / completions:>14.1f} {own} {spent[row] / total:>7.1%}")
+    print(f"{'total':<44} {total / completions:>14.1f} {total / completions:>9.1f} {1:>7.1%}")
+    for kind in KINDS:
+        print()
+        print(f"{kind}: {kinds.count(kind)} cells, {done[kind]} completions")
+        _print_functions(by_kind[kind], done[kind])
     return 0
 
 
@@ -247,9 +335,18 @@ def main(argv=None) -> int:
         default="paper",
         help="the lane slice: the paper grid's N = 30 column (default) or grid-event",
     )
+    parser.add_argument(
+        "--by-kind",
+        action="store_true",
+        help="with --slice grid-event: split the count by cell kind",
+    )
     args = parser.parse_args(argv)
+    if args.by_kind and not (args.engine == "lanes" and args.slice == "grid-event"):
+        parser.error("--by-kind counts the grid-event lane slice only")
     if args.engine == "event":
         return count("event cells", event_cells(), run_event_cells, phases=True)
+    if args.by_kind:
+        return count_by_kind(grid_event_cells())
     if args.slice == "grid-event":
         return count("grid-event cells", grid_event_cells(), run_lanes, phases=False)
     return count("cells", slice_cells(), run_lanes, phases=False)

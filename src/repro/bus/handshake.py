@@ -133,9 +133,10 @@ class HandshakeBus:
         self.simulator.post(self.simulator.now, EventPriority.ARB_KICK, self._kick)
 
     def _kick(self) -> None:
+        # No contention is running and no winner waits:
+        # _schedule_kick refuses a kick in either state, and only a kick
+        # starts a contention.
         self._kick_scheduled = False
-        if self.arb_in_progress.value or self._pending_winner is not None:
-            return
         if not self.bus_request.value or not self.arbiter.has_waiting():
             return
         # AP rises; everyone on BR joins the contention.

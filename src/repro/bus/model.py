@@ -224,15 +224,13 @@ class BusSystem:
     def _maybe_start_arbitration(self) -> None:
         """Start an arbitration if one can usefully run now.
 
-        Blocked while an arbitration is settling or an unclaimed winner
-        exists (the hardware decides one master ahead, no further).
+        Runs from a kick or the watchdog's retry alone, never while an
+        arbitration is settling, a retry is pending or an unclaimed
+        winner exists (the hardware decides one master ahead, no
+        further): :meth:`_schedule_arb_kick` refuses a kick in each of
+        those states, a pending retry blocks kicks until it fires, and
+        only a kick or a retry starts an arbitration.
         """
-        if (
-            self._arbitration_running
-            or self._retry_pending
-            or self._pending_winner is not None
-        ):
-            return
         if not self.arbiter.has_waiting():
             return
         try:

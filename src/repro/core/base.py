@@ -31,6 +31,7 @@ from __future__ import annotations
 import abc
 import math
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Dict, FrozenSet, Mapping, Optional
 
 from repro.errors import (
@@ -123,13 +124,22 @@ class MaxFinder(abc.ABC):
         """
 
 
+#: Orders a ``keys.items()`` pair by key, then by agent.
+_KEY_THEN_AGENT = itemgetter(1, 0)
+
+
 class DirectMaxFinder(MaxFinder):
-    """Resolve the maximum with a plain ``max()`` — the fast path."""
+    """Resolve the maximum with a plain ``max()`` — the fast path.
+
+    The winner holds the largest ``(key, agent)`` pair, so of agents
+    that applied the same key the highest identity wins, whatever order
+    ``keys`` lists them in.
+    """
 
     def find_max(self, keys: Mapping[int, int]) -> int:
         if not keys:
             raise ArbitrationError("arbitration started with no competitors")
-        return max(keys, key=lambda agent: (keys[agent], agent))
+        return max(keys.items(), key=_KEY_THEN_AGENT)[0]
 
 
 class WiredOrMaxFinder(MaxFinder):

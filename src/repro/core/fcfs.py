@@ -85,6 +85,13 @@ class DistributedFCFS(Arbiter):
         Counter behaviour under priority traffic.
     max_finder:
         Maximum-finding strategy; defaults to the direct fast path.
+
+    Every request keeps its own counter (strategy 1) or arrival tick
+    (strategy 2).  ``_queues`` holds the pending requests of the agents
+    that have one, oldest first; an agent leaves it when its last
+    request is granted.  So a pass walks the waiting agents alone: their
+    oldest requests' keys are built in one pass, and strategy 1 ages
+    their other requests with them.
     """
 
     name = "distributed-fcfs"
@@ -138,6 +145,7 @@ class DistributedFCFS(Arbiter):
         #: Diagnostic: how many times a counter genuinely wrapped.
         self.counter_wraps = 0
 
+        #: Each waiting agent's pending requests, oldest first.
         self._queues: Dict[int, Deque[Request]] = {}
         # Strategy 2 tick state, one stream per priority class under
         # DUAL_LINES, a single shared stream otherwise.
@@ -148,8 +156,10 @@ class DistributedFCFS(Arbiter):
 
     def request(self, agent_id: int, now: float, priority: bool = False) -> Request:
         self._validate_agent(agent_id)
-        queue = self._queues.setdefault(agent_id, deque())
-        if len(queue) >= self.max_outstanding:
+        queue = self._queues.get(agent_id)
+        if queue is None:
+            queue = self._queues[agent_id] = deque()
+        elif len(queue) >= self.max_outstanding:
             raise ProtocolError(
                 f"agent {agent_id} exceeded max_outstanding={self.max_outstanding}"
             )
@@ -176,11 +186,7 @@ class DistributedFCFS(Arbiter):
     # -- arbitration --------------------------------------------------------
 
     def has_waiting(self) -> bool:
-        return any(self._queues.values())
-
-    def _competing_request(self, agent_id: int) -> Request:
-        """The request an agent applies to the lines: its oldest."""
-        return self._queues[agent_id][0]
+        return bool(self._queues)
 
     def _counter_value(self, record: Request) -> int:
         """Current waiting-time counter of a request, with modular wrap."""
@@ -204,21 +210,16 @@ class DistributedFCFS(Arbiter):
         return (priority_bit << (self.counter_bits + k)) | (counter << k) | record.agent_id
 
     def start_arbitration(self, now: float) -> ArbitrationOutcome:
-        competitors = {
-            agent: self._competing_request(agent)
-            for agent, queue in self._queues.items()
-            if queue
-        }
-        if not competitors:
+        queues = self._queues
+        if not queues:
             raise ArbitrationError("FCFS arbitration started with no requests")
         self.arbitrations += 1
-        keys = {
-            agent: self._effective_key(record)
-            for agent, record in competitors.items()
-        }
+        # Every waiting agent applies its oldest request to the lines.
+        effective_key = self._effective_key
+        keys = {agent: effective_key(queue[0]) for agent, queue in queues.items()}
         winner = self.max_finder.find_max(keys)
         if self.strategy == 1:
-            self._count_losses(competitors, winner)
+            self._count_losses(winner)
         return ArbitrationOutcome(
             winner=winner,
             rounds=1,
@@ -226,7 +227,7 @@ class DistributedFCFS(Arbiter):
             keys=keys,
         )
 
-    def _count_losses(self, competitors: Dict[int, Request], winner: int) -> None:
+    def _count_losses(self, winner: int) -> None:
         """Strategy 1: losing requests increment their counters.
 
         Every waiting request of a losing agent observed the arbitration,
@@ -234,19 +235,18 @@ class DistributedFCFS(Arbiter):
         MATCH_WINNER the increment additionally requires the winning
         identity's priority bit to match the request's own class.
         """
-        winner_priority = competitors[winner].priority
         winning_record = self._queues[winner][0]
+        winner_priority = winning_record.priority
+        match_winner = self.priority_policy is PriorityCounterPolicy.MATCH_WINNER
+        modulus = self.counter_modulus
         for queue in self._queues.values():
             for record in queue:
                 if record is winning_record:
                     continue
-                if (
-                    self.priority_policy is PriorityCounterPolicy.MATCH_WINNER
-                    and record.priority != winner_priority
-                ):
+                if match_winner and record.priority != winner_priority:
                     continue
                 record.counter += 1
-                if record.counter >= self.counter_modulus:
+                if record.counter >= modulus:
                     self.counter_wraps += 1
 
     # -- grant / release ----------------------------------------------------
@@ -258,7 +258,10 @@ class DistributedFCFS(Arbiter):
             raise ProtocolError(
                 f"granted bus to agent {agent_id}, which has no pending request"
             )
-        return queue.popleft()
+        record = queue.popleft()
+        if not queue:
+            del self._queues[agent_id]
+        return record
 
     # -- introspection ------------------------------------------------------
 
@@ -284,7 +287,7 @@ class DistributedFCFS(Arbiter):
 
     def waiting_agents(self):
         """Agents with at least one pending request."""
-        return frozenset(a for a, q in self._queues.items() if q)
+        return frozenset(self._queues)
 
     def reset(self) -> None:
         super().reset()

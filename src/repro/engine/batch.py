@@ -25,31 +25,34 @@ think periods to the collector's stop rule (or the watchdog giving up),
 with every timer and the open batch's sums in the call's locals.
 
 Think times come from *tapes*.  A tape is one agent stream: its seeded
-generator plus the variates drawn from it so far.  The lanes of one
-call that share a ``(seed, agent id, distribution spec key)`` read one
-tape, so the call seeds and draws that stream once, however many
-protocols run on it (common random numbers, as the paper's tables
-compare protocols at one seed).  That is exact because equal spec keys
-give equal variates from equal generators (the cache key relies on
-it), and because block sizes never change a variate.  A lane refills
-its buffer in the blocks ``BusAgent`` draws
+generator plus the blocks drawn from it that a lane may still read.  The
+lanes of one call that share a ``(seed, agent id, distribution spec
+key)`` read one tape, so the call seeds and draws that stream once,
+however many protocols run on it (common random numbers, as the paper's
+tables compare protocols at one seed).  That is exact because equal spec
+keys give equal variates from equal generators (the cache key relies on
+it), and because block sizes never change a variate.  A lane refills its
+buffer in the blocks ``BusAgent`` draws
 (:func:`~repro.bus.agent.first_think_blocks` and
 :func:`~repro.bus.agent.refill_think_buffer`): a small first block that
 doubles at each refill up to ``_THINK_BLOCK``.  A tape is extended only
 to the end of the block a lane asks for, so a pack draws what its most
-demanding lane uses.  A stateful distribution (an MMPP phase, a trace
-cursor) that one agent carries alone is shared the same way: its spec
-key holds the state, and its tape (:class:`_StatefulTape`) records the
-state at the end of each block, since the blocks decide how far the
-state has moved when a run stops, and that state is pickled with
-the result's scenario.  A finished lane's own copy takes the state
-recorded where the lane stopped reading.  A classed agent draws its
-class between two think times on its stream, so its tape interleaves
-them (:class:`_ThinkAndClass`), except in a lane with agent dropout,
-where an expiry while out draws no class, and for a stateful
-distribution: those keep a generator of their own
-(:class:`_ThinkEach`).  Agents that share one stateful object draw
-from it in turn, so their tape is private to the lane.
+demanding lane uses, and it keeps each block for its later lanes once,
+already reversed into the order a buffer pops it; a refill is one call
+of the lane's cursor (:class:`_TapeCursor`), which copies the block into
+the buffer.  A stateful distribution (an MMPP phase, a trace cursor) that
+one agent carries alone is shared the same way: its spec key holds the
+state, and its tape (:class:`_StatefulTape`) records the state at the
+end of each block, since the blocks decide how far the state has moved
+when a run stops, and that state is pickled with the result's
+scenario.  A finished lane's own copy takes the state recorded where the
+lane stopped reading.  A classed agent draws its class between two think
+times on its stream, so its tape interleaves them
+(:class:`_ThinkAndClass`), except in a lane with agent dropout, where an
+expiry while out draws no class, and for a stateful distribution: those
+keep a generator of their own (:class:`_ThinkEach`).  Agents that share
+one stateful object draw from it in turn, so their tape is private to
+the lane.
 
 Open-loop agents are in-domain at ``max_outstanding == 1``: such an
 agent issues, blocks generation while its one request is in flight and
@@ -140,7 +143,7 @@ from heapq import heapify, heappop, heappush
 from math import inf as _INF
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-from repro.bus.agent import first_think_blocks, refill_think_buffer
+from repro.bus.agent import _THINK_BLOCK, first_think_blocks
 from repro.core.base import ArbitrationOutcome, identity_bits
 from repro.engine.cell import CellAssembly
 from repro.engine.rng import RandomStreams
@@ -478,16 +481,24 @@ class _FcfsKernel(_Kernel):
     the highest counter, and of equal stamps the highest id wins.  An
     entry is live while its agent is pending with that stamp.  A granted
     request's entry goes stale, and so does the old entry of a request
-    whose stamp moves.  Whatever moves a pending request's stamp files
-    it again: strategy 1's pulse (the winner ages one step less than the
-    losers, and a perturbed pass leaves it pending) and a counter upset.
-    A pass takes nothing out of the heap but stale entries, so any
-    sequence of passes and grants keeps every pending request live.  A
-    class-blind pass drops the stale entries off the top and takes the
-    oldest live one.  It scans every requester only when that oldest
-    request has wrapped, which a normal request held back by urgent
-    traffic can (``OVERFLOW`` ages it all the while), and an upset
-    counter too.  An urgent pick scans the urgent requests alone.
+    whose stamp moves.  A class-blind pass drops the stale entries off
+    the top and takes the oldest live one.  It scans every requester
+    only when that oldest request has wrapped, which a normal request
+    held back by urgent traffic can (``OVERFLOW`` ages it all the
+    while), and an upset counter too.  An urgent pick scans the urgent
+    requests alone.
+
+    A lane grants the winner of every key-free pass before the next
+    pass, so there the pick pops the winner's entry and nothing is
+    filed again (:meth:`arbitrate_granted`).  The kernel API's passes,
+    :meth:`arbitrate`, :meth:`arbitrate_classed` and
+    :meth:`arbitrate_keys`, may go ungranted: a perturbed pass leaves
+    its winner pending, and the kernel suites drive passes without a
+    grant.  They take nothing out of the heap but stale entries, and
+    whatever moves a pending request's stamp files it again: strategy
+    1's pulse (the winner ages one step less than the losers) and a
+    counter upset.  So any sequence of passes and grants keeps every
+    pending request live.
     """
 
     __slots__ = ("strategy", "modulus", "clock", "stamp", "last_pulse", "arrivals")
@@ -556,6 +567,51 @@ class _FcfsKernel(_Kernel):
         self._age_losers(winner)
         return winner, 1, pending, keys
 
+    def arbitrate_granted(self) -> Tuple[int, int, int]:
+        """:meth:`arbitrate_classed` for a lane's key-free pass, whose
+        winner is granted before the next pass: the pick pops the
+        winner's entry, and strategy 1's pulse is the clock step alone,
+        since nothing reads the winner's stamp again before its grant.
+
+        A scan pops nothing: an urgent pick, and a class-blind pass
+        whose oldest live request has wrapped.  Their winner's entry
+        goes stale at the grant (:meth:`_scan_granted`).
+        """
+        pending = self.pending
+        urgent = self.urgent & pending
+        if urgent:
+            winner = self._scan_granted(urgent)
+        else:
+            arrivals = self.arrivals
+            stamp = self.stamp
+            while True:
+                oldest, winner = arrivals[0]
+                winner = -winner
+                if pending >> winner & 1 and stamp[winner] == oldest:
+                    break
+                heappop(arrivals)
+            if self.clock - oldest < self.modulus:
+                heappop(arrivals)
+            else:
+                winner = self._scan_granted(pending)
+        if self.strategy == 1:
+            self.clock += 1
+        return winner, 1, pending
+
+    def _scan_granted(self, mask: int) -> int:
+        """:meth:`_scan` on a granted pass, which leaves its winner's
+        entry to go stale.  Once the heap holds N stale entries or more,
+        it is refiled from the pending requests first, so granted
+        picks, grants and requests keep at most ``2N`` entries in it:
+        N stale ones at most, and one live one per pending request."""
+        arrivals = self.arrivals
+        pending = self.pending
+        if len(arrivals) - bin(pending).count("1") >= self.num_agents:
+            stamp = self.stamp
+            arrivals[:] = [(stamp[agent], -agent) for agent in _mask_ids(pending)]
+            heapify(arrivals)
+        return self._scan(mask)
+
     def _oldest(self, pending: int) -> int:
         """The winner of a class-blind pass over ``pending``: the oldest
         live request, or the scan's pick if it has wrapped."""
@@ -617,19 +673,23 @@ class _FcfsKernel(_Kernel):
 class _FaultFreeFcfsKernel(_FcfsKernel):
     """FCFS on a lane without a fault injector: a pass is one ``heappop``.
 
-    Such a lane grants every pass's winner before the next pass, so an
-    unclassed lane leaves no stale entry in the heap, and by §3.2 none
-    of its counters wraps: a request waits behind at most the N-1 other
-    agents' requests, each served once before it (a later request is
-    younger), so its counter stays at most N-1, and ``2**k > N-1``.  The
-    top of the heap is the winner.  The lane files such a request
-    inline, with its stamp in the heap alone: the scan, the key map and
-    the liveness test that read ``stamp`` never run there.  A classed
-    lane issues through :meth:`request` and picks with
-    :meth:`arbitrate_classed`, which checks both.
+    Such a lane grants every pass's winner before the next pass, so
+    both of its passes are granted picks.  An unclassed lane leaves no
+    stale entry in the heap, and by §3.2 none of its counters wraps: a
+    request waits behind at most the N-1 other agents' requests, each
+    served once before it (a later request is younger), so its counter
+    stays at most N-1, and ``2**k > N-1``.  The top of the heap is the
+    winner.  The lane files such a request inline, with its stamp in the
+    heap alone: the scan, the key map and the liveness test that read
+    ``stamp`` never run there.  A classed lane also records the stamp,
+    and picks with :meth:`arbitrate_classed`, the granted pick, which
+    checks both: an urgent pick's entry goes stale, and a normal request
+    held back by urgent traffic can wrap.
     """
 
     __slots__ = ()
+
+    arbitrate_classed = _FcfsKernel.arbitrate_granted
 
     def arbitrate(self) -> Tuple[int, int, int]:
         __, agent = heappop(self.arrivals)
@@ -851,12 +911,17 @@ class _ThinkAndClass:
 
 class _Tape:
     """One think-time stream of a lane pack: a seeded generator plus the
-    variates drawn from it so far.
+    blocks drawn from it that a lane may still read.
 
-    ``values[i]`` is variate ``start + i`` of the stream.  ``readers``
-    counts the lanes still to open the tape; once the last one has
-    opened it, nothing rereads a variate, so a read drops what it hands
-    out.
+    Every lane reads a tape in the same blocks (``BusAgent``'s policy
+    from the same first block), so a block is drawn once, by the first
+    lane that reads it, and ``values`` keeps it under the position of
+    its first variate, already in the order a buffer pops it: last draw
+    first.  Lanes copy a block into their buffers and never change it.
+    ``readers`` counts the lanes still to open the tape; once the last
+    one has opened it, nothing rereads a block, so a read hands its
+    block out and keeps nothing, and ``start``, the first position the
+    tape may still hold, moves to the block's end.
     """
 
     __slots__ = ("dist", "rng", "values", "start", "readers")
@@ -864,22 +929,22 @@ class _Tape:
     def __init__(self, dist, rng, readers: int) -> None:
         self.dist = dist
         self.rng = rng
-        self.values: List[float] = []
+        self.values: Dict[int, List[float]] = {}
         self.start = 0
         self.readers = readers
 
     def read(self, pos: int, end: int) -> List[float]:
-        """Variates ``pos`` to ``end`` (exclusive), drawing those no
-        earlier read drew."""
+        """The block of variates ``pos`` to ``end`` (exclusive), last
+        first, drawing it if no earlier read did."""
         values = self.values
-        low = pos - self.start
-        high = end - self.start
-        missing = high - len(values)
-        if missing > 0:
-            values += self.dist.sample_batch(self.rng, missing)
-        block = values[low:high]
-        if not self.readers:
-            del values[:high]
+        readers = self.readers
+        block = values.get(pos) if readers else values.pop(pos, None)
+        if block is None:
+            block = self.dist.sample_batch(self.rng, end - pos)
+            block.reverse()
+            if readers:
+                values[pos] = block
+        if not readers:
             self.start = end
         return block
 
@@ -901,36 +966,27 @@ class _StatefulTape(_Tape):
     exhaustion error at the same draw as a lane's own copy would.
     """
 
-    __slots__ = ("initial", "states", "whole")
+    __slots__ = ("initial", "states")
 
     def __init__(self, dist, rng, readers: int) -> None:
         super().__init__(copy.copy(dist), rng, readers)
         self.initial = vars(self.dist).copy()
         self.states: Dict[int, Dict[str, object]] = {}
-        self.whole = True
 
     def read(self, pos: int, end: int) -> List[float]:
-        values = self.values
-        low = pos - self.start
-        high = end - self.start
-        drawn = len(values)
-        if high > drawn and (self.whole or low >= drawn):
-            dist = self.dist
-            values += dist.sample_batch(self.rng, high - drawn)
-            self.whole = len(values) == high
+        block = super().read(pos, end)
+        states = self.states
+        if end not in states:
+            # This read drew the block.
             initial = self.initial
-            self.states[end] = {
+            states[end] = {
                 name: value
-                for name, value in vars(dist).items()
+                for name, value in vars(self.dist).items()
                 if name not in initial or value is not initial[name]
             }
-        block = values[low:high]
         if not self.readers:
-            del values[:high]
-            self.start = end
             # States are recorded in block order; the last reader only
             # reads on from here.
-            states = self.states
             first = next(iter(states))
             while first < end:
                 del states[first]
@@ -939,25 +995,33 @@ class _StatefulTape(_Tape):
 
 
 class _TapeCursor:
-    """One lane agent's read position on a :class:`_Tape`.
+    """One lane agent's read position on a :class:`_Tape`, and the size
+    of its next block.
 
-    Stands in for the agent's distribution in
-    :func:`~repro.bus.agent.refill_think_buffer` (as :class:`_ThinkEach`
-    stands in for a buffer), so a lane refills its buffers in
-    ``BusAgent``'s blocks: ``sample_batch`` hands out the tape's next
-    ``count`` variates.  It ignores ``rng``; the tape owns the generator.
+    :meth:`refill` fills the agent's empty think buffer with its next
+    block, in ``BusAgent``'s blocks (:func:`~repro.bus.agent.first_think_blocks`
+    and :func:`~repro.bus.agent.refill_think_buffer`): a small first
+    block that doubles at each refill up to ``_THINK_BLOCK``.  A block
+    the tape holds for a later lane is copied straight from it; the
+    tape's :meth:`~_Tape.read` draws a block no lane has read, and hands
+    the last reader its block.
     """
 
-    __slots__ = ("tape", "pos")
+    __slots__ = ("tape", "pos", "block")
 
-    def __init__(self, tape: _Tape) -> None:
+    def __init__(self, tape: _Tape, block: int) -> None:
         self.tape = tape
         self.pos = 0
+        self.block = block
 
-    def sample_batch(self, rng, count: int) -> List[float]:
+    def refill(self, buffer: List[float]) -> None:
         pos = self.pos
-        self.pos = pos + count
-        return self.tape.read(pos, pos + count)
+        block = self.block
+        end = self.pos = pos + block
+        self.block = min(2 * block, _THINK_BLOCK)
+        tape = self.tape
+        held = tape.values.get(pos) if tape.readers else None
+        buffer += tape.read(pos, end) if held is None else held
 
 
 #: A shared tape's key: ``(seed, agent id, distribution spec key)``, plus
@@ -1026,11 +1090,14 @@ class _TapeShelf:
         self.tapes: Dict[_TapeKey, _Tape] = {}
         self.readers = Counter(key for keys in self.keys for key in keys if key is not None)
 
-    def cursor(self, key: Optional[_TapeKey], dist, streams: RandomStreams, agent: int):
+    def cursor(
+        self, key: Optional[_TapeKey], dist, streams: RandomStreams, agent: int, block: int
+    ) -> _TapeCursor:
         """A cursor at the start of ``key``'s tape, opened for one more
-        lane; a private tape when ``key`` is ``None``."""
+        lane, whose first block is ``block``; a private tape when
+        ``key`` is ``None``."""
         if key is None:
-            return _TapeCursor(_Tape(dist, streams.agent_stream(agent), 0))
+            return _TapeCursor(_Tape(dist, streams.agent_stream(agent), 0), block)
         tape = self.tapes.get(key)
         if tape is None:
             rng = streams.agent_stream(agent)
@@ -1043,7 +1110,7 @@ class _TapeShelf:
                 tape = _Tape(dist, rng, readers)
             self.tapes[key] = tape
         tape.readers -= 1
-        return _TapeCursor(tape)
+        return _TapeCursor(tape, block)
 
     def release(self, keys: Sequence[Optional[_TapeKey]]) -> None:
         """Drop the tapes among ``keys`` that no lane still to run reads."""
@@ -1100,7 +1167,6 @@ class _Replication:
         "tapes",
         "restores",
         "buffers",
-        "blocks",
         "fractions",
         "req_heap",
         "active",
@@ -1168,8 +1234,6 @@ class _Replication:
         self.restores: List[Tuple[object, _TapeCursor]] = []
         # None marks an agent id the scenario does not declare.
         self.buffers: list = [None] * (num_agents + 1)
-        # Each agent's next think-time block (BusAgent's policy).
-        self.blocks = [0] * (num_agents + 1)
         # Request-class probability per agent; 0.0 for unclassed agents.
         self.fractions = [0.0] * (num_agents + 1)
         self.active = [True] * (num_agents + 1)
@@ -1192,9 +1256,9 @@ class _Replication:
                 self.class_draws[agent] = rng.random
                 buffer = self.buffers[agent] = _ThinkEach(dist, rng)
             else:
-                tape = self.tapes[agent] = shelf.cursor(key, dist, streams, agent)
+                tape = self.tapes[agent] = shelf.cursor(key, dist, streams, agent, blocks[agent])
                 buffer = self.buffers[agent] = []
-                self.blocks[agent] = refill_think_buffer(buffer, tape, None, blocks[agent])
+                tape.refill(buffer)
                 if classed:
                     # The tape interleaves think times and class draws.
                     self.class_draws[agent] = buffer.pop
@@ -1248,31 +1312,42 @@ class _Replication:
         tally = [0] * (self.num_agents + 1)
         seen: List[int] = []
         kernel = self.kernel
-        # A lane picks its path once: only a lane with classed agents
-        # draws request classes and arbitrates on the class bit.
+        injector = cell.injector
+        watchdog = cell.watchdog
+        # A lane picks its path once.  A faulted lane (one with a fault
+        # injector) absorbs requests only up to its next fault timer,
+        # swallows a dropped-out agent's expiry and tests each pass for
+        # a due line fault.  A watchdog alone changes no path: clean
+        # runs never consult it.
+        faulty = injector is not None
+        # Only a lane with classed agents draws request classes and
+        # arbitrates on the class bit.  Every key-free pass of a lane is
+        # granted before the next pass, so an FCFS lane picks with a pop
+        # (_FcfsKernel.arbitrate_granted); a fault-free one's
+        # arbitrate_classed is that pick, and its arbitrate a bare pop.
         classed = any(self.fractions)
-        if classed:
-            kernel_request = self._classed_request
-            kernel_arbitrate = kernel.arbitrate_classed
-        else:
-            kernel_request = kernel.request
-            kernel_arbitrate = kernel.arbitrate
+        fcfs = isinstance(kernel, _FcfsKernel)
+        kernel_arbitrate = kernel.arbitrate_classed if classed else kernel.arbitrate
+        if faulty and fcfs:
+            kernel_arbitrate = kernel.arbitrate_granted
         # Every kernel's grant body is `pending &= ~bit; return issue`,
-        # and the RR/fixed request body of a class-free lane is
-        # `pending |= bit; issue = now` — both are inlined below; the
-        # method calls are measurable at two calls per completion.  A
-        # fault-free class-free FCFS lane adds the a-incr tick and one
-        # push on its arrival heap (_FaultFreeFcfsKernel); a faulted one
-        # issues through the kernel, which also records the stamp.
+        # and its request body `pending |= bit; issue = now` plus the
+        # class bit, and for FCFS the a-incr tick, the stamp and a push
+        # on the arrival heap: all are inlined below, as method calls
+        # are measurable at two calls per completion.  A class-free lane
+        # issues without the class bit; a fault-free class-free FCFS
+        # lane files its stamp in the heap alone (_FaultFreeFcfsKernel).
         kernel_issue = kernel.issue
-        heap_issue = not classed and isinstance(kernel, _FaultFreeFcfsKernel)
-        simple_request = not (classed or isinstance(kernel, _FcfsKernel))
-        if heap_issue:
+        heap_issue = fcfs and not (classed or faulty)
+        simple_request = not (classed or fcfs)
+        if fcfs:
             arrivals = kernel.arrivals
+            stamp = kernel.stamp
             aincr = kernel.strategy == 2
+        fractions = self.fractions
+        class_draws = self.class_draws
         req_heap = self.req_heap
         buffers = self.buffers
-        blocks = self.blocks
         tapes = self.tapes
         metrics = cell.metrics
         flow_metrics = self.flow_metrics
@@ -1282,14 +1357,6 @@ class _Replication:
         num_agents = self.num_agents
         active = self.active
         woke = self.woke
-        injector = cell.injector
-        watchdog = cell.watchdog
-        # A lane picks its path once.  A faulted lane (one with a fault
-        # injector) absorbs requests only up to its next fault timer,
-        # swallows a dropped-out agent's expiry and tests each pass for
-        # a due line fault.  A watchdog alone changes no path: clean
-        # runs never consult it.
-        faulty = injector is not None
         # A synchronous bus samples the arbitration-start signal at the
         # next clock edge, so its kick is fused only on an edge.
         timing = cell.settings.timing
@@ -1355,7 +1422,21 @@ class _Replication:
                                 kernel.last_pulse = fire
                             heappush(arrivals, (kernel.clock, -agent))
                         else:
-                            kernel_request(agent, fire)
+                            # As in the REQUEST branch below.
+                            bit = 1 << agent
+                            kernel.pending |= bit
+                            kernel_issue[agent] = fire
+                            fraction = fractions[agent]
+                            if fraction > 0.0 and class_draws[agent]() < fraction:
+                                kernel.urgent |= bit
+                            elif kernel.urgent:
+                                kernel.urgent &= ~bit
+                            if fcfs:
+                                if aincr and fire - kernel.last_pulse > 0.0:
+                                    kernel.clock += 1
+                                    kernel.last_pulse = fire
+                                stamp[agent] = clock = kernel.clock
+                                heappush(arrivals, (clock, -agent))
                     # Every other timer is infinite and no request timer
                     # is left before t_rel, so the release is next: no
                     # timer scan, and the calendar cannot be drained.
@@ -1380,7 +1461,21 @@ class _Replication:
                             kernel.pending |= 1 << agent
                             kernel_issue[agent] = fire
                         else:
-                            kernel_request(agent, fire)
+                            # As in the REQUEST branch below.
+                            bit = 1 << agent
+                            kernel.pending |= bit
+                            kernel_issue[agent] = fire
+                            fraction = fractions[agent]
+                            if fraction > 0.0 and class_draws[agent]() < fraction:
+                                kernel.urgent |= bit
+                            elif kernel.urgent:
+                                kernel.urgent &= ~bit
+                            if fcfs:
+                                if aincr and fire - kernel.last_pulse > 0.0:
+                                    kernel.clock += 1
+                                    kernel.last_pulse = fire
+                                stamp[agent] = clock = kernel.clock
+                                heappush(arrivals, (clock, -agent))
                     tmin = t_rel if t_rel <= t_fault else t_fault
             else:
                 tmin = t_rel
@@ -1461,9 +1556,7 @@ class _Replication:
                 # (even while dropped out — its timer then wakes it).
                 buffer = buffers[agent]
                 if not buffer:
-                    blocks[agent] = refill_think_buffer(
-                        buffer, tapes[agent], None, blocks[agent]
-                    )
+                    tapes[agent].refill(buffer)
                 t_next = now + buffer.pop()
                 seq += 1
                 heappush(req_heap, (t_next, seq, agent))
@@ -1536,7 +1629,24 @@ class _Replication:
                             kernel.last_pulse = now
                         heappush(arrivals, (kernel.clock, -agent))
                     else:
-                        kernel_request(agent, now)
+                        # A classed request, or a faulted FCFS lane's: the
+                        # class drawn as BusAgent draws it (one uniform per
+                        # request of a classed agent, even at fraction 1.0),
+                        # and an FCFS request's a-incr tick, stamp and entry.
+                        bit = 1 << agent
+                        kernel.pending |= bit
+                        kernel_issue[agent] = now
+                        fraction = fractions[agent]
+                        if fraction > 0.0 and class_draws[agent]() < fraction:
+                            kernel.urgent |= bit
+                        elif kernel.urgent:
+                            kernel.urgent &= ~bit
+                        if fcfs:
+                            if aincr and now - kernel.last_pulse > 0.0:
+                                kernel.clock += 1
+                                kernel.last_pulse = now
+                            stamp[agent] = clock = kernel.clock
+                            heappush(arrivals, (clock, -agent))
                     if (
                         t_kick == _INF
                         and t_arb == _INF
@@ -1607,9 +1717,7 @@ class _Replication:
                         woke[aid] = False
                         buffer = buffers[aid]
                         if not buffer:
-                            blocks[aid] = refill_think_buffer(
-                                buffer, tapes[aid], None, blocks[aid]
-                            )
+                            tapes[aid].refill(buffer)
                         t_next = now + buffer.pop()
                         seq += 1
                         heappush(req_heap, (t_next, seq, aid))
@@ -1749,17 +1857,6 @@ class _Replication:
             # the blocks the lane read.
             vars(dist).update(cursor.tape.states[cursor.pos])
         return cell.result(busy_time / now if now > 0.0 else 0.0, now)
-
-    def _classed_request(self, agent: int, now: float) -> None:
-        """Issue a request with its class drawn as ``BusAgent`` does.
-
-        One uniform per request of a classed agent, even at fraction
-        1.0; an unclassed agent draws nothing.
-        """
-        fraction = self.fractions[agent]
-        self.kernel.request(
-            agent, now, fraction > 0.0 and self.class_draws[agent]() < fraction
-        )
 
 
 # ---------------------------------------------------------------------------

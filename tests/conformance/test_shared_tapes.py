@@ -500,3 +500,30 @@ def test_a_lane_behind_a_run_out_trace_fails_on_the_same_draw(tmp_path):
     assert str(packed.value) == str(alone.value)
     events = (tmp_path / "alone.jsonl").read_text()
     assert events and (tmp_path / "packed.jsonl").read_text() == events
+
+
+def test_a_lane_never_changes_a_block_its_tape_keeps(monkeypatch):
+    # A lane copies each block into its buffer and pops the copy, so the
+    # blocks a tape keeps for its later lanes stay as drawn, and lanes
+    # sharing every tape (think times alone, think times and classes)
+    # each equal their solo runs.
+    handed = []
+    read = batch_module._Tape.read
+
+    def watched(self, pos, end):
+        block = read(self, pos, end)
+        handed.append((block, list(block)))
+        return block
+
+    monkeypatch.setattr(batch_module._Tape, "read", watched)
+    settings = replace(SETTINGS, seed=11)
+    cells = [
+        (scenario, protocol, settings)
+        for scenario in (equal_load(6, 2.0), _classed(equal_load(6, 2.0)))
+        for protocol in ("rr", "fcfs", "fixed")
+    ]
+    packed = _pickles(run_lanes(cells))
+    assert len(handed) > 2 * 6
+    assert all(block == drawn for block, drawn in handed)
+    monkeypatch.undo()
+    assert packed == [pickle.dumps(_alone(cell)) for cell in cells]
