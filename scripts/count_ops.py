@@ -23,7 +23,8 @@ bursty.  Every bytecode counts to the lane being built or run when it
 ran, from the lane's build to the next lane's; those before the first
 lane's build (checking and grouping the cells, opening the pack) form
 a row of their own.  The kind rows sum to the slice's total, and each
-kind's function rows sum to that kind's total.
+kind's function rows sum to that kind's total.  ``--by-protocol`` splits
+either lane slice the same way, one row per protocol.
 
 ``--engine event`` runs the 18 cells of the lanes-against-event
 cross-check instead: one per lane protocol x N = 10, 30 and 64 at load
@@ -45,6 +46,7 @@ Usage::
 
     PYTHONPATH=src python scripts/count_ops.py [--slice paper|grid-event]
     PYTHONPATH=src python scripts/count_ops.py --slice grid-event --by-kind
+    PYTHONPATH=src python scripts/count_ops.py [--slice grid-event] --by-protocol
     PYTHONPATH=src python scripts/count_ops.py --engine event
 """
 
@@ -282,42 +284,44 @@ def count(label, cells, runner, phases) -> int:
     return 0
 
 
-def count_by_kind(cells) -> int:
+def count_split(label, cells, rows, row_of, heading) -> int:
     """Trace ``run_lanes(cells)`` and print its bytecodes per completion
-    by :data:`KINDS`, then each kind's by function."""
-    kinds = [cell_kind(*cell) for cell in cells]
-    rows = [*KINDS, PACK]
+    by row, then each row's by function.  A cell falls in row
+    ``row_of(scenario, protocol, settings)``, one of ``rows``; the
+    bytecodes before the first lane's build form the :data:`PACK` row."""
+    labels = [row_of(*cell) for cell in cells]
+    parts = [*rows, PACK]
 
     def part_of(frame):
         args = frame.f_locals
-        return KINDS.index(cell_kind(args["scenario"], args["protocol"], args["settings"]))
+        return rows.index(row_of(args["scenario"], args["protocol"], args["settings"]))
 
-    split = (_Replication.__init__.__code__, len(rows), part_of)
+    split = (_Replication.__init__.__code__, len(parts), part_of)
     results, counts, owners = count_opcodes(run_lanes, cells, split=split)
-    done = dict.fromkeys(rows, 0)
-    for kind, result in zip(kinds, results):
-        done[kind] += result.collector.total_recorded
+    done = dict.fromkeys(parts, 0)
+    for row, result in zip(labels, results):
+        done[row] += result.collector.total_recorded
     completions = sum(done.values())
-    by_kind = {row: {} for row in rows}
+    by_row = {part: {} for part in parts}
     for code, tallies in counts.items():
         name = _where(code, owners)[0]
-        for row, tally in zip(rows, tallies):
+        for part, tally in zip(parts, tallies):
             if tally:
-                by_kind[row][name] = by_kind[row].get(name, 0) + tally
-    spent = {row: sum(names.values()) for row, names in by_kind.items()}
+                by_row[part][name] = by_row[part].get(name, 0) + tally
+    spent = {part: sum(names.values()) for part, names in by_row.items()}
     total = sum(spent.values())
-    print(f"{len(cells)} grid-event cells, {completions} completions, {total} bytecodes")
-    heading = "kind (cells, completions)"
+    print(f"{len(cells)} {label}, {completions} completions, {total} bytecodes")
+    heading = f"{heading} (cells, completions)"
     print(f"{heading:<44} {'per completion':>14} {'per own':>9} {'share':>7}")
-    for row in rows:
-        label = f"{row} ({kinds.count(row)}, {done[row]})" if row in KINDS else row
-        own = f"{spent[row] / done[row]:>9.1f}" if done[row] else f"{'':>9}"
-        print(f"{label:<44} {spent[row] / completions:>14.1f} {own} {spent[row] / total:>7.1%}")
+    for part in parts:
+        name = f"{part} ({labels.count(part)}, {done[part]})" if part in rows else part
+        own = f"{spent[part] / done[part]:>9.1f}" if done[part] else f"{'':>9}"
+        print(f"{name:<44} {spent[part] / completions:>14.1f} {own} {spent[part] / total:>7.1%}")
     print(f"{'total':<44} {total / completions:>14.1f} {total / completions:>9.1f} {1:>7.1%}")
-    for kind in KINDS:
+    for row in rows:
         print()
-        print(f"{kind}: {kinds.count(kind)} cells, {done[kind]} completions")
-        _print_functions(by_kind[kind], done[kind])
+        print(f"{row}: {labels.count(row)} cells, {done[row]} completions")
+        _print_functions(by_row[row], done[row])
     return 0
 
 
@@ -335,21 +339,34 @@ def main(argv=None) -> int:
         default="paper",
         help="the lane slice: the paper grid's N = 30 column (default) or grid-event",
     )
-    parser.add_argument(
+    split = parser.add_mutually_exclusive_group()
+    split.add_argument(
         "--by-kind",
         action="store_true",
         help="with --slice grid-event: split the count by cell kind",
     )
+    split.add_argument(
+        "--by-protocol",
+        action="store_true",
+        help="split a lane slice's count by protocol",
+    )
     args = parser.parse_args(argv)
     if args.by_kind and not (args.engine == "lanes" and args.slice == "grid-event"):
         parser.error("--by-kind counts the grid-event lane slice only")
+    if args.by_protocol and args.engine != "lanes":
+        parser.error("--by-protocol counts a lane slice only")
     if args.engine == "event":
         return count("event cells", event_cells(), run_event_cells, phases=True)
-    if args.by_kind:
-        return count_by_kind(grid_event_cells())
     if args.slice == "grid-event":
-        return count("grid-event cells", grid_event_cells(), run_lanes, phases=False)
-    return count("cells", slice_cells(), run_lanes, phases=False)
+        label, cells = "grid-event cells", grid_event_cells()
+        protocols = (*GRID_EVENT_PROTOCOLS, *GRID_EVENT_FAULTY)
+    else:
+        label, cells, protocols = "cells", slice_cells(), PROTOCOLS
+    if args.by_kind:
+        return count_split(label, cells, KINDS, cell_kind, "kind")
+    if args.by_protocol:
+        return count_split(label, cells, protocols, lambda _, protocol, __: protocol, "protocol")
+    return count(label, cells, run_lanes, phases=False)
 
 
 if __name__ == "__main__":

@@ -181,6 +181,15 @@ __all__ = [
 # per-agent arbitration numbers the event arbiter would put on the
 # lines, which is the surface the fault injector perturbs.
 #
+# ``request``, ``arbitrate`` and ``grant`` are the reference API the
+# kernel suites drive.  A lane holds the pending mask and inlines
+# requests and grants, and a clean class-blind pass (no classed agent,
+# no fault injector) picks inline with the round-robin, fixed-priority
+# or fault-free FCFS ``arbitrate`` body.  Only ``request`` and
+# ``grant`` write ``pending``, so before any other kernel call (a
+# classed or faulted lane's pass, ``rr-faulty-register``'s, a key map,
+# a counter upset) the lane copies its mask to the kernel.
+#
 # Priority classing (§2.4) is a second bitmask, ``urgent``: ``request``
 # writes the agent's class bit, which stays valid while the request is
 # pending and while its tenure runs (an agent issues nothing between its
@@ -680,7 +689,8 @@ class _FaultFreeFcfsKernel(_FcfsKernel):
     served once before it (a later request is younger), so its counter
     stays at most N-1, and ``2**k > N-1``.  The top of the heap is the
     winner.  The lane files such a request inline, with its stamp in the
-    heap alone: the scan, the key map and the liveness test that read
+    heap alone, and pops the winner inline (:meth:`arbitrate` is the
+    reference): the scan, the key map and the liveness test that read
     ``stamp`` never run there.  A classed lane also records the stamp,
     and picks with :meth:`arbitrate_classed`, the granted pick, which
     checks both: an urgent pick's entry goes stale, and a normal request
@@ -920,17 +930,15 @@ class _Tape:
     first.  Lanes copy a block into their buffers and never change it.
     ``readers`` counts the lanes still to open the tape; once the last
     one has opened it, nothing rereads a block, so a read hands its
-    block out and keeps nothing, and ``start``, the first position the
-    tape may still hold, moves to the block's end.
+    block out and keeps nothing.
     """
 
-    __slots__ = ("dist", "rng", "values", "start", "readers")
+    __slots__ = ("dist", "rng", "values", "readers")
 
     def __init__(self, dist, rng, readers: int) -> None:
         self.dist = dist
         self.rng = rng
         self.values: Dict[int, List[float]] = {}
-        self.start = 0
         self.readers = readers
 
     def read(self, pos: int, end: int) -> List[float]:
@@ -944,8 +952,6 @@ class _Tape:
             block.reverse()
             if readers:
                 values[pos] = block
-        if not readers:
-            self.start = end
         return block
 
 
@@ -1276,9 +1282,12 @@ class _Replication:
         declares a permanent failure; a calendar that drains first
         raises :class:`~repro.errors.SimulationError`.
 
-        The loop body keeps the whole machine state in locals and
-        inlines the grant/kick handlers: this is the sweep bottleneck,
-        and attribute traffic dominates once event objects are gone.
+        The loop body keeps the whole machine state in locals, the
+        pending-request mask included, and inlines the grant/kick
+        handlers, every request and grant, and the pick of a clean
+        class-blind pass: this is the sweep bottleneck, and attribute
+        traffic and calls dominate once event objects are gone.
+
         On a saturated bus one round runs per completion, on every lane:
         the release, its record, the think redraw, the grant of the
         winner latched during the tenure, the fused kick that latches
@@ -1322,9 +1331,9 @@ class _Replication:
         faulty = injector is not None
         # Only a lane with classed agents draws request classes and
         # arbitrates on the class bit.  Every key-free pass of a lane is
-        # granted before the next pass, so an FCFS lane picks with a pop
-        # (_FcfsKernel.arbitrate_granted); a fault-free one's
-        # arbitrate_classed is that pick, and its arbitrate a bare pop.
+        # granted before the next pass, so an FCFS lane's kernel picks
+        # with a pop (_FcfsKernel.arbitrate_granted, which is a
+        # fault-free lane's arbitrate_classed).
         classed = any(self.fractions)
         fcfs = isinstance(kernel, _FcfsKernel)
         kernel_arbitrate = kernel.arbitrate_classed if classed else kernel.arbitrate
@@ -1333,10 +1342,13 @@ class _Replication:
         # Every kernel's grant body is `pending &= ~bit; return issue`,
         # and its request body `pending |= bit; issue = now` plus the
         # class bit, and for FCFS the a-incr tick, the stamp and a push
-        # on the arrival heap: all are inlined below, as method calls
-        # are measurable at two calls per completion.  A class-free lane
-        # issues without the class bit; a fault-free class-free FCFS
-        # lane files its stamp in the heap alone (_FaultFreeFcfsKernel).
+        # on the arrival heap: all are inlined below, over a pending
+        # mask the lane holds, as method calls are measurable at two
+        # calls per completion.  A class-free lane issues without the
+        # class bit; a fault-free class-free FCFS lane files its stamp
+        # in the heap alone (_FaultFreeFcfsKernel).  The lane copies its
+        # mask to the kernel before each kernel call it makes.
+        pending = kernel.pending
         kernel_issue = kernel.issue
         heap_issue = fcfs and not (classed or faulty)
         simple_request = not (classed or fcfs)
@@ -1344,6 +1356,16 @@ class _Replication:
             arrivals = kernel.arrivals
             stamp = kernel.stamp
             aincr = kernel.strategy == 2
+        # A lane with no classed agent and no fault injector picks inline
+        # with its kernel's arbitrate: round robin, fixed priority, and
+        # fault-free FCFS (heap_issue).  Other lanes call their kernel.
+        clean = not (classed or faulty)
+        rr_impl = kernel.impl if clean and type(kernel) is _RoundRobinKernel else 0
+        top_pick = clean and type(kernel) is _FixedPriorityKernel
+        if rr_impl:
+            last_winner = kernel.last_winner
+            empty_low_rounds = 2 if rr_impl == 3 else 1
+            gated = rr_impl != 1
         fractions = self.fractions
         class_draws = self.class_draws
         req_heap = self.req_heap
@@ -1372,22 +1394,22 @@ class _Replication:
         t_rel = t_arb = t_kick = t_retry = _INF
         # The last request-timer sequence number __init__ handed out.
         seq = len(req_heap)
+        # A sentinel that sorts after every timer and is never popped:
+        # every pop takes a due timer, at a finite time.
+        heappush(req_heap, (_INF, _INF, 0))
         arb_winner = 0
         busy = False
         pending_winner: Optional[int] = None
         master = 0
         master_issue = master_grant = busy_time = 0.0
         arb_index = 0
-        # Earliest request timer, insertion order breaking time ties.
+        # Earliest request time, insertion order breaking time ties.
         # The heap peek is cached across iterations and only refreshed
         # at the points that can move it: a pop (re-peek) or a
         # push of an earlier timer (equal times keep the cached head —
         # pushes carry ever-larger sequence numbers, and smaller seq
         # wins the tie).
-        tr = _INF
-        ra = 0
-        if req_heap:
-            tr, _, ra = req_heap[0]
+        tr = req_heap[0][0]
         kick_now = False
         while True:
             if pending_winner is not None:
@@ -1406,16 +1428,12 @@ class _Replication:
                 if not faulty:
                     while tr < t_rel:
                         fire, _, agent = heappop(req_heap)
-                        if req_heap:
-                            tr, _, ra = req_heap[0]
-                        else:
-                            tr = _INF
-                            ra = 0
+                        tr = req_heap[0][0]
                         if simple_request:
-                            kernel.pending |= 1 << agent
+                            pending |= 1 << agent
                             kernel_issue[agent] = fire
                         elif heap_issue:
-                            kernel.pending |= 1 << agent
+                            pending |= 1 << agent
                             kernel_issue[agent] = fire
                             if aincr and fire - kernel.last_pulse > 0.0:
                                 kernel.clock += 1
@@ -1424,7 +1442,7 @@ class _Replication:
                         else:
                             # As in the REQUEST branch below.
                             bit = 1 << agent
-                            kernel.pending |= bit
+                            pending |= bit
                             kernel_issue[agent] = fire
                             fraction = fractions[agent]
                             if fraction > 0.0 and class_draws[agent]() < fraction:
@@ -1449,21 +1467,17 @@ class _Replication:
                     # fault is next, the release first at a tie.
                     while tr < t_rel and tr <= t_fault:
                         fire, _, agent = heappop(req_heap)
-                        if req_heap:
-                            tr, _, ra = req_heap[0]
-                        else:
-                            tr = _INF
-                            ra = 0
+                        tr = req_heap[0][0]
                         if not active[agent]:
                             # As in the REQUEST branch below.
                             woke[agent] = True
                         elif simple_request:
-                            kernel.pending |= 1 << agent
+                            pending |= 1 << agent
                             kernel_issue[agent] = fire
                         else:
                             # As in the REQUEST branch below.
                             bit = 1 << agent
-                            kernel.pending |= bit
+                            pending |= bit
                             kernel_issue[agent] = fire
                             fraction = fractions[agent]
                             if fraction > 0.0 and class_draws[agent]() < fraction:
@@ -1562,7 +1576,6 @@ class _Replication:
                 heappush(req_heap, (t_next, seq, agent))
                 if t_next < tr:
                     tr = t_next
-                    ra = agent
                 if total >= needed:  # inlined satisfied()
                     # The event engine's post-event effects (inline grant
                     # of a pending winner, a same-instant kick) never run
@@ -1574,7 +1587,7 @@ class _Replication:
                     # No kick guard: while a winner is latched, no
                     # arbitration, kick or retry is pending (see the
                     # absorb loop above), on every lane.
-                    kernel.pending &= ~(1 << pending_winner)
+                    pending &= ~(1 << pending_winner)
                     master_issue = kernel_issue[pending_winner]
                     if watchdog is not None:
                         watchdog.on_clean_grant(now)
@@ -1596,7 +1609,7 @@ class _Replication:
                 # Always an idle bus (see the class docstring): hand
                 # over now, which is the next edge if clocked.
                 t_arb = _INF
-                kernel.pending &= ~(1 << arb_winner)
+                pending &= ~(1 << arb_winner)
                 master_issue = kernel_issue[arb_winner]
                 if watchdog is not None:
                     watchdog.on_clean_grant(now)
@@ -1610,19 +1623,14 @@ class _Replication:
                     else:
                         t_kick = now + edge(now)
             elif tr == tmin:  # REQUEST — an agent's think timer expires
-                agent = ra
-                heappop(req_heap)
-                if req_heap:
-                    tr, _, ra = req_heap[0]
-                else:
-                    tr = _INF
-                    ra = 0
+                agent = heappop(req_heap)[2]
+                tr = req_heap[0][0]
                 if active[agent]:
                     if simple_request:
-                        kernel.pending |= 1 << agent
+                        pending |= 1 << agent
                         kernel_issue[agent] = now
                     elif heap_issue:
-                        kernel.pending |= 1 << agent
+                        pending |= 1 << agent
                         kernel_issue[agent] = now
                         if aincr and now - kernel.last_pulse > 0.0:
                             kernel.clock += 1
@@ -1634,7 +1642,7 @@ class _Replication:
                         # request of a classed agent, even at fraction 1.0),
                         # and an FCFS request's a-incr tick, stamp and entry.
                         bit = 1 << agent
-                        kernel.pending |= bit
+                        pending |= bit
                         kernel_issue[agent] = now
                         fraction = fractions[agent]
                         if fraction > 0.0 and class_draws[agent]() < fraction:
@@ -1695,6 +1703,7 @@ class _Replication:
                 elif kind is FaultKind.COUNTER_UPSET:
                     # FaultInjector._upset_counter: only a pending
                     # request's counter can be hit.
+                    kernel.pending = pending
                     if on_bus and kernel.glitch_counter(aid, fevent.value):
                         injector.count_applied(kind)
                     else:
@@ -1723,7 +1732,6 @@ class _Replication:
                         heappush(req_heap, (t_next, seq, aid))
                         if t_next < tr:
                             tr = t_next
-                            ra = aid
             if kick_now:
                 # An arbitration pass at ``now``.  Either a kick or retry
                 # handler above fired, or a handler scheduled a kick "for
@@ -1735,13 +1743,14 @@ class _Replication:
                 # another.  A synchronous run fuses only a kick that
                 # falls on a clock edge.
                 kick_now = False
-                if not kernel.pending:
+                if not pending:
                     pass
                 elif faulty and (watchdog.attempts or injector.line_fault_due(now)):
                     # Fault-domain pass: a line fault is due or a
                     # recovery episode is open.  Expose the applied keys,
                     # perturb them, and route anomalies through the
                     # watchdog — mirroring _maybe_start_arbitration.
+                    kernel.pending = pending
                     winner, rounds, competitors, keys = kernel.arbitrate_keys()
                     settle = arbt * rounds
                     perturbed = injector.perturb(
@@ -1812,7 +1821,31 @@ class _Replication:
                     # untouched, and with no open recovery episode the
                     # event carries no attempt count, so the key-free
                     # pass is exact.
-                    winner, rounds, competitors = kernel_arbitrate()
+                    if rr_impl:
+                        # Implementation 3 settles twice when no agent is
+                        # below the last winner; 2 and 3 report the gated set.
+                        low = pending & ((1 << last_winner) - 1)
+                        if low:
+                            winner = last_winner = low.bit_length() - 1
+                            rounds = 1
+                        else:
+                            winner = last_winner = pending.bit_length() - 1
+                            rounds = empty_low_rounds
+                        if sinks:
+                            competitors = (low or pending) if gated else pending
+                    elif heap_issue:
+                        winner = -heappop(arrivals)[1]
+                        if not aincr:
+                            kernel.clock += 1
+                        rounds = 1
+                        competitors = pending
+                    elif top_pick:
+                        winner = pending.bit_length() - 1
+                        rounds = 1
+                        competitors = pending
+                    else:
+                        kernel.pending = pending
+                        winner, rounds, competitors = kernel_arbitrate()
                     settle = arbt * rounds
                     if sinks:
                         event = ArbitrationEvent(

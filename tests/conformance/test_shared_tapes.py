@@ -364,12 +364,13 @@ def test_the_last_reader_keeps_no_more_than_a_block(monkeypatch):
     # A lane that is a tape's last reader drops what it has read, so a
     # lone lane holds one block of each stream, as BusAgent's buffer does.
     # Sampled at every read, the lane's first blocks and its refills
-    # mid-run alike: the most the tape holds while it hands the block out.
+    # mid-run alike: the variates the tape holds plus the block it hands
+    # out.
     held = []
     read = batch_module._Tape.read
 
     def watched(self, pos, end):
-        held.append(max(len(self.values), end - self.start))
+        held.append(sum(map(len, self.values.values())) + end - pos)
         return read(self, pos, end)
 
     monkeypatch.setattr(batch_module._Tape, "read", watched)
