@@ -1,14 +1,15 @@
 #!/usr/bin/env python
-"""Count the bytecodes a simulation engine runs per completion.
+"""Count the bytecodes and Python calls a simulation engine runs per completion.
 
 ``--engine lanes`` (the default) runs one fixed slice of the paper grid
 through :func:`repro.engine.batch.run_lanes` under a ``sys.settrace``
 tracer with opcode events on, and prints the bytecodes each Python
-function executed divided by the completions the slice recorded.  The
-slice is the N = 30 column of the cold paper grid at base seed 3: the
-six lane protocols x total load 0.5, 2.0 and 7.5 x two seeds (300 and
-301), built with ``equal_load`` and run for a warm-up of 50 and two
-batches of 500 completions, 36 cells in all.
+function executed, and the times it was called, divided by the
+completions the slice recorded.  The slice is the N = 30 column of the
+cold paper grid at base seed 3: the six lane protocols x total load
+0.5, 2.0 and 7.5 x two seeds (300 and 301), built with ``equal_load``
+and run for a warm-up of 50 and two batches of 500 completions, 36
+cells in all.
 
 ``--slice grid-event`` counts the lane engine on the 56 cells of the
 benchmark's ``grid-event`` workload at base seed 3 instead, built here
@@ -34,11 +35,17 @@ the same bytecodes by phase (:data:`PHASES`): the executive and
 calendar, the bus handlers, the arbiter, the agents, the collector and
 everything else; the phase rows sum to the total.
 
-Bytecode counts do not depend on the host's speed or load, so two runs
-print the same table, and a change to the dispatch loop shows up as a
-difference of counts even where timings drown in noise.  Functions
-written in C (heap operations, list appends, ``random``) run no
-bytecodes and do not appear.  Counts differ between Python versions.
+Every table has a ``calls`` column beside the bytecodes: the Python
+function calls per completion (``call`` trace events, one per frame a
+Python function, comprehension or generator resumption opens).  On the
+lanes, removing a call saves more time than removing its bytecodes
+does, so this column tracks lane time more closely than the bytecodes
+(``docs/performance.md``).  Neither count depends on the host's speed or
+load, so two runs print the same table, and a change to the dispatch
+loop shows up as a difference of counts even where timings drown in
+noise.  Functions written in C (heap operations, list appends,
+``random``) run no bytecodes, open no frame and do not appear.  Counts
+differ between Python versions.
 With CPython 3.11 on a 2-vCPU host the lane slices take a few
 seconds traced, the event slice about 10 s.
 
@@ -176,15 +183,15 @@ def run_event_cells(cells):
 
 def count_opcodes(func, *args, split=None):
     """Run ``func(*args)`` traced; return its result, the bytecodes
-    executed per code object, and the owner class of each code object
-    compiled from a string (a dataclass's generated methods): the class
-    of its first call's ``self``.
+    executed and the calls made per code object, and the owner class of
+    each code object compiled from a string (a dataclass's generated
+    methods): the class of its first call's ``self``.
 
-    Without ``split`` a code object's count is one number.  With
-    ``split = (code, parts, part_of)`` it is a list of ``parts``
-    numbers: a call of ``code`` switches every later bytecode to part
-    ``part_of(frame)``, and those before the first such call count to
-    the last part."""
+    Without ``split`` a code object's count is one ``[bytecodes, calls]``
+    pair.  With ``split = (code, parts, part_of)`` it is a list of
+    ``parts`` pairs: a call of ``code`` switches every later bytecode
+    and call to part ``part_of(frame)``, that call included, and those
+    before the first such call count to the last part."""
     tallies = {}
     owners = {}
     parts = 1 if split is None else split[1]
@@ -199,15 +206,17 @@ def count_opcodes(func, *args, split=None):
             part[0] = split[2](frame)
         tally = tallies.get(code)
         if tally is None:
-            tally = tallies[code] = [0] * parts
+            tally = tallies[code] = ([0] * parts, [0] * parts)
             if code.co_filename == "<string>":
                 owner = frame.f_locals.get("self")
                 if owner is not None:
                     owners[code] = type(owner)
+        ops, calls = tally
+        calls[part[0]] += 1
 
         def local(frame, event, arg):
             if event == "opcode":
-                tally[part[0]] += 1
+                ops[part[0]] += 1
             return local
 
         return local
@@ -217,9 +226,10 @@ def count_opcodes(func, *args, split=None):
         result = func(*args)
     finally:
         sys.settrace(None)
+    pairs = {code: [list(pair) for pair in zip(*tally)] for code, tally in tallies.items()}
     if split is None:
-        return result, {code: tally[0] for code, tally in tallies.items()}, owners
-    return result, tallies, owners
+        return result, {code: pair[0] for code, pair in pairs.items()}, owners
+    return result, pairs, owners
 
 
 def _name(code) -> str:
@@ -236,10 +246,22 @@ def phase_of(path: str) -> str:
     return OTHER
 
 
+def _add(into, key, pair) -> None:
+    """Add a ``[bytecodes, calls]`` pair to ``into[key]``."""
+    sums = into.setdefault(key, [0, 0])
+    sums[0] += pair[0]
+    sums[1] += pair[1]
+
+
 def _print_table(heading, rows, completions, total) -> None:
-    print(f"{heading:<60} {'per completion':>14} {'share':>7}")
-    for name, count in rows:
-        print(f"{name:<60} {count / completions:>14.1f} {count / total:>7.1%}")
+    """One row per ``(name, [bytecodes, calls])``: both per completion,
+    and the row's share of the ``total`` bytecodes."""
+    print(f"{heading:<60} {'per completion':>14} {'calls':>7} {'share':>7}")
+    for name, (ops, calls) in rows:
+        print(
+            f"{name:<60} {ops / completions:>14.1f} {calls / completions:>7.2f}"
+            f" {ops / total:>7.1%}"
+        )
 
 
 def _where(code, owners):
@@ -252,41 +274,47 @@ def _where(code, owners):
     return _name(code), code.co_filename.rpartition(f"{os.sep}repro{os.sep}")[2]
 
 
+def _total(pairs):
+    """The sum of ``[bytecodes, calls]`` pairs."""
+    return [sum(pair[0] for pair in pairs), sum(pair[1] for pair in pairs)]
+
+
 def _print_functions(by_name, completions) -> None:
-    """The :data:`TOP` functions of ``by_name``, the rest in one row, and
-    the total, per completion."""
-    total = sum(by_name.values())
-    ranked = sorted(by_name.items(), key=lambda item: (-item[1], item[0]))
+    """The :data:`TOP` functions of ``by_name`` by bytecodes, the rest in
+    one row, and the total, per completion."""
+    total = _total(by_name.values())
+    ranked = sorted(by_name.items(), key=lambda item: (-item[1][0], item[0]))
     rows = ranked[:TOP]
-    rest = sum(tally for _, tally in ranked[TOP:])
-    if rest:
+    rest = _total(pair for _, pair in ranked[TOP:])
+    if rest[0] or rest[1]:
         rows.append(("(other functions)", rest))
-    _print_table("function", rows + [("total", total)], completions, total)
+    _print_table("function", rows + [("total", total)], completions, total[0])
 
 
 def count(label, cells, runner, phases) -> int:
-    """Trace ``runner(cells)`` and print its bytecodes per completion by
-    function, and by :data:`PHASES` when ``phases`` is set."""
+    """Trace ``runner(cells)`` and print its bytecodes and calls per
+    completion by function, and by :data:`PHASES` when ``phases`` is
+    set."""
     results, counts, owners = count_opcodes(runner, cells)
     completions = sum(result.collector.total_recorded for result in results)
     by_name = {}
-    by_phase = dict.fromkeys([phase for phase, __ in PHASES] + [OTHER], 0)
-    for code, tally in counts.items():
+    by_phase = {phase: [0, 0] for phase in [phase for phase, __ in PHASES] + [OTHER]}
+    for code, pair in counts.items():
         name, path = _where(code, owners)
-        by_name[name] = by_name.get(name, 0) + tally
-        by_phase[phase_of(path)] += tally
-    total = sum(by_name.values())
-    print(f"{len(cells)} {label}, {completions} completions, {total} bytecodes")
+        _add(by_name, name, pair)
+        _add(by_phase, phase_of(path), pair)
+    ops, calls = total = _total(by_name.values())
+    print(f"{len(cells)} {label}, {completions} completions, {ops} bytecodes, {calls} calls")
     _print_functions(by_name, completions)
     if phases:
         print()
-        _print_table("phase", [*by_phase.items(), ("total", total)], completions, total)
+        _print_table("phase", [*by_phase.items(), ("total", total)], completions, ops)
     return 0
 
 
 def count_split(label, cells, rows, row_of, heading) -> int:
-    """Trace ``run_lanes(cells)`` and print its bytecodes per completion
-    by row, then each row's by function.  A cell falls in row
+    """Trace ``run_lanes(cells)`` and print its bytecodes and calls per
+    completion by row, then each row's by function.  A cell falls in row
     ``row_of(scenario, protocol, settings)``, one of ``rows``; the
     bytecodes before the first lane's build form the :data:`PACK` row."""
     labels = [row_of(*cell) for cell in cells]
@@ -303,21 +331,35 @@ def count_split(label, cells, rows, row_of, heading) -> int:
         done[row] += result.collector.total_recorded
     completions = sum(done.values())
     by_row = {part: {} for part in parts}
-    for code, tallies in counts.items():
+    for code, pairs in counts.items():
         name = _where(code, owners)[0]
-        for part, tally in zip(parts, tallies):
-            if tally:
-                by_row[part][name] = by_row[part].get(name, 0) + tally
-    spent = {part: sum(names.values()) for part, names in by_row.items()}
-    total = sum(spent.values())
-    print(f"{len(cells)} {label}, {completions} completions, {total} bytecodes")
+        for part, pair in zip(parts, pairs):
+            if pair[0] or pair[1]:
+                _add(by_row[part], name, pair)
+    spent = {part: _total(names.values()) for part, names in by_row.items()}
+    ops, calls = _total(spent.values())
+    print(f"{len(cells)} {label}, {completions} completions, {ops} bytecodes, {calls} calls")
     heading = f"{heading} (cells, completions)"
-    print(f"{heading:<44} {'per completion':>14} {'per own':>9} {'share':>7}")
+    print(
+        f"{heading:<44} {'per completion':>14} {'per own':>9} {'calls':>7} {'own':>7}"
+        f" {'share':>7}"
+    )
     for part in parts:
         name = f"{part} ({labels.count(part)}, {done[part]})" if part in rows else part
-        own = f"{spent[part] / done[part]:>9.1f}" if done[part] else f"{'':>9}"
-        print(f"{name:<44} {spent[part] / completions:>14.1f} {own} {spent[part] / total:>7.1%}")
-    print(f"{'total':<44} {total / completions:>14.1f} {total / completions:>9.1f} {1:>7.1%}")
+        part_ops, part_calls = spent[part]
+        if done[part]:
+            own = f"{part_ops / done[part]:>9.1f}"
+            own_calls = f"{part_calls / done[part]:>7.2f}"
+        else:
+            own, own_calls = f"{'':>9}", f"{'':>7}"
+        print(
+            f"{name:<44} {part_ops / completions:>14.1f} {own}"
+            f" {part_calls / completions:>7.2f} {own_calls} {part_ops / ops:>7.1%}"
+        )
+    print(
+        f"{'total':<44} {ops / completions:>14.1f} {ops / completions:>9.1f}"
+        f" {calls / completions:>7.2f} {calls / completions:>7.2f} {1:>7.1%}"
+    )
     for row in rows:
         print()
         print(f"{row}: {labels.count(row)} cells, {done[row]} completions")

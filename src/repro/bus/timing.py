@@ -64,9 +64,10 @@ class BusTiming:
         """Time from ``now`` to the next clock edge (0 when on-edge or async).
 
         ``now`` is on an edge when its phase, or the rest of the period,
-        is within a relative tolerance of ``1e-9 * max(1.0, now)``.  Both
-        engines call this on every kick of a synchronous bus, so it is
-        written out without the ``synchronous`` property or ``max``.
+        is within a relative tolerance of ``1e-9 * max(1.0, now)``.  The
+        event engine calls this on every kick of a synchronous bus, so it
+        is written out without the ``synchronous`` property or ``max``;
+        the lane engine computes the same float operations inline.
         """
         period = self.clock_period
         if not period > 0.0:

@@ -75,7 +75,7 @@ the class-blind kernel path, so classing costs it nothing.
 Synchronous buses (``BusTiming.clock_period > 0``, §2.1) are
 in-domain and need no timer class of their own.  The arbitration
 kick is due at ``now + delay_to_next_edge(now)``, the event engine's
-own expression.  A kick that falls on an edge (a zero delay) with no
+own expression, which the lane computes inline.  A kick that falls on an edge (a zero delay) with no
 other event at its instant is fused into the current dispatch round,
 as on a self-timed bus; on a bus whose tenure and settle times are
 multiples of the period, that is every kick of a saturated run.  Any
@@ -104,8 +104,11 @@ the wired-OR settles, which is why every kernel exposes that key map.
 The perturbation is due-only: a pass builds and perturbs the key map only
 when a glitch is due or a stuck-line window covers it
 (``FaultInjector.line_fault_due``), or while a watchdog episode is
-open, since its events carry the attempt count.  Every other pass of a
-faulted lane is the clean, key-free kernel pass.  That test runs in the
+open, since its events carry the attempt count.  The lane holds a lower
+bound on the next time a line fault is due
+(``FaultInjector.next_line_fault``), so the test is one comparison on
+most passes.  Every other pass of a faulted lane is the clean, key-free
+pass.  That test runs in the
 pass itself, at the kick's instant, so a faulted lane fuses its kicks
 as a fault-free one does: a fault timer at the same instant ranks after
 the kick.  While a winner is latched, a faulted lane absorbs the
@@ -140,7 +143,7 @@ import copy
 from collections import Counter
 from dataclasses import replace
 from heapq import heapify, heappop, heappush
-from math import inf as _INF
+from math import inf as _INF, log as _log
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.bus.agent import _THINK_BLOCK, first_think_blocks
@@ -154,6 +157,7 @@ from repro.observability.metrics import WAIT_BUCKETS, MetricsSink
 from repro.protocols.registry import get_spec
 from repro.stats.collector import check_run_length
 from repro.stats.summary import RunResult
+from repro.workload.distributions import Exponential
 from repro.workload.scenarios import ScenarioSpec, fresh_scenario
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -182,13 +186,16 @@ __all__ = [
 # lines, which is the surface the fault injector perturbs.
 #
 # ``request``, ``arbitrate`` and ``grant`` are the reference API the
-# kernel suites drive.  A lane holds the pending mask and inlines
-# requests and grants, and a clean class-blind pass (no classed agent,
-# no fault injector) picks inline with the round-robin, fixed-priority
-# or fault-free FCFS ``arbitrate`` body.  Only ``request`` and
-# ``grant`` write ``pending``, so before any other kernel call (a
-# classed or faulted lane's pass, ``rr-faulty-register``'s, a key map,
-# a counter upset) the lane copies its mask to the kernel.
+# kernel suites drive.  A lane holds the pending and urgent masks and
+# inlines requests and grants, and it picks the winner of every
+# key-free pass inline with the kernel's own body (``arbitrate``,
+# ``arbitrate_classed`` or, for FCFS, ``arbitrate_granted``), holding
+# what that body moves: round robin's ``last_winner`` and FCFS's clock.
+# What stays a kernel call is the key map, an FCFS scan, a counter
+# upset, a dropped broadcast, and ``rr-faulty-register``'s passes while
+# an agent's view of the last winner differs (or on a classed lane).
+# Only ``request`` and ``grant`` write ``pending``, so before each such
+# call the lane copies to the kernel what the call reads.
 #
 # Priority classing (§2.4) is a second bitmask, ``urgent``: ``request``
 # writes the agent's class bit, which stays valid while the request is
@@ -196,8 +203,8 @@ __all__ = [
 # grant and its completion).  Every protocol prepends the class bit to
 # its own arbitration number, so an urgent request beats every normal
 # one and urgent requests compete by the protocol's own rule.
-# ``arbitrate`` is the class-blind fast path a lane without classed
-# agents runs; ``arbitrate_classed`` adds the class bit, and
+# ``arbitrate`` is the class-blind pass a lane without classed agents
+# copies; ``arbitrate_classed`` adds the class bit, and
 # ``arbitrate_keys`` always carries it.
 
 
@@ -499,15 +506,13 @@ class _FcfsKernel(_Kernel):
 
     A lane grants the winner of every key-free pass before the next
     pass, so there the pick pops the winner's entry and nothing is
-    filed again (:meth:`arbitrate_granted`).  The kernel API's passes,
-    :meth:`arbitrate`, :meth:`arbitrate_classed` and
-    :meth:`arbitrate_keys`, may go ungranted: a perturbed pass leaves
-    its winner pending, and the kernel suites drive passes without a
-    grant.  They take nothing out of the heap but stale entries, and
-    whatever moves a pending request's stamp files it again: strategy
-    1's pulse (the winner ages one step less than the losers) and a
-    counter upset.  So any sequence of passes and grants keeps every
-    pending request live.
+    filed again (:meth:`arbitrate_granted`).  A keyed pass
+    (:meth:`arbitrate_keys`) may go ungranted: a perturbed pass leaves
+    its winner pending.  It takes nothing out of the heap but stale
+    entries, and whatever moves a pending request's stamp files it
+    again: strategy 1's pulse (the winner ages one step less than the
+    losers) and a counter upset.  So any sequence of granted picks,
+    keyed passes and grants keeps every pending request live.
     """
 
     __slots__ = ("strategy", "modulus", "clock", "stamp", "last_pulse", "arrivals")
@@ -542,22 +547,9 @@ class _FcfsKernel(_Kernel):
         clock = self.clock
         return [clock - stamp for stamp in self.stamp]
 
-    def arbitrate(self) -> Tuple[int, int, int]:
-        pending = self.pending
-        winner = self._oldest(pending)
-        self._age_losers(winner)
-        return winner, 1, pending
-
-    def arbitrate_classed(self) -> Tuple[int, int, int]:
-        """:meth:`arbitrate` with the priority bit prepended."""
-        pending = self.pending
-        urgent = self.urgent & pending
-        winner = self._scan(urgent) if urgent else self._oldest(pending)
-        self._age_losers(winner)
-        return winner, 1, pending
-
     def arbitrate_keys(self) -> Tuple[int, int, int, Dict[int, int]]:
-        """:meth:`arbitrate_classed`, also returning the applied key map.
+        """A pass with the priority bit prepended, returning the applied
+        key map as well: the winner is the key map's maximum.
 
         Keys are snapshotted *before* strategy 1's loser increments, as
         on the real lines; an anomalous pass still ages the losers.
@@ -577,7 +569,7 @@ class _FcfsKernel(_Kernel):
         return winner, 1, pending, keys
 
     def arbitrate_granted(self) -> Tuple[int, int, int]:
-        """:meth:`arbitrate_classed` for a lane's key-free pass, whose
+        """:meth:`arbitrate_keys`' pick for a lane's key-free pass, whose
         winner is granted before the next pass: the pick pops the
         winner's entry, and strategy 1's pulse is the clock step alone,
         since nothing reads the winner's stamp again before its grant.
@@ -621,21 +613,6 @@ class _FcfsKernel(_Kernel):
             heapify(arrivals)
         return self._scan(mask)
 
-    def _oldest(self, pending: int) -> int:
-        """The winner of a class-blind pass over ``pending``: the oldest
-        live request, or the scan's pick if it has wrapped."""
-        arrivals = self.arrivals
-        stamp = self.stamp
-        while True:
-            oldest, agent = arrivals[0]
-            agent = -agent
-            if pending >> agent & 1 and stamp[agent] == oldest:
-                break
-            heappop(arrivals)
-        if self.clock - oldest < self.modulus:
-            return agent
-        return self._scan(pending)
-
     def _scan(self, mask: int) -> int:
         """The agent of ``mask`` with the highest class-free key."""
         bits = self.bits
@@ -671,8 +648,8 @@ class _FcfsKernel(_Kernel):
     def _age_losers(self, winner: int) -> None:
         """Strategy 1's pulse: every loser ages by one arbitration (the
         clock steps, and the winner's stamp with it).  The winner is
-        filed again under its new stamp: a pass leaves it pending until
-        its grant, or for good when the pass is perturbed."""
+        filed again under its new stamp: a keyed pass leaves it pending
+        until its grant, or for good when the pass is perturbed."""
         if self.strategy == 1:
             self.clock += 1
             stamp = self.stamp[winner] = self.stamp[winner] + 1
@@ -683,7 +660,7 @@ class _FaultFreeFcfsKernel(_FcfsKernel):
     """FCFS on a lane without a fault injector: a pass is one ``heappop``.
 
     Such a lane grants every pass's winner before the next pass, so
-    both of its passes are granted picks.  An unclassed lane leaves no
+    all of its passes are granted picks.  An unclassed lane leaves no
     stale entry in the heap, and by §3.2 none of its counters wraps: a
     request waits behind at most the N-1 other agents' requests, each
     served once before it (a later request is younger), so its counter
@@ -692,14 +669,12 @@ class _FaultFreeFcfsKernel(_FcfsKernel):
     heap alone, and pops the winner inline (:meth:`arbitrate` is the
     reference): the scan, the key map and the liveness test that read
     ``stamp`` never run there.  A classed lane also records the stamp,
-    and picks with :meth:`arbitrate_classed`, the granted pick, which
+    and picks with the granted pick (:meth:`arbitrate_granted`), which
     checks both: an urgent pick's entry goes stale, and a normal request
     held back by urgent traffic can wrap.
     """
 
     __slots__ = ()
-
-    arbitrate_classed = _FcfsKernel.arbitrate_granted
 
     def arbitrate(self) -> Tuple[int, int, int]:
         __, agent = heappop(self.arrivals)
@@ -780,6 +755,8 @@ _KERNELS = {
 #: glitchable FCFS lane without an injector has no counter to upset, so
 #: it is strategy 1.  A faulty-register RR lane keeps its kernel: an
 #: urgent request there keeps its RR bit, which implementation 1 clears.
+#: Without an injector no broadcast is dropped, so an unclassed
+#: faulty-register lane picks inline as implementation 1 does.
 _FAULT_FREE_KERNELS = {
     "fcfs": lambda n: _FaultFreeFcfsKernel(n, 1),
     "fcfs-aincr": lambda n: _FaultFreeFcfsKernel(n, 2),
@@ -900,7 +877,9 @@ class _ThinkAndClass:
     The tape of a classed agent that is never dropped out, where every
     think time is followed by an issue and so by a class draw.  Lanes
     read it in even blocks, so each think time a lane pops is followed
-    in its buffer by the class uniform its issue pops.
+    in its buffer by the class uniform its issue pops.  An exponential
+    think time is drawn inline, as ``Exponential.sample_batch`` draws
+    it; other distributions draw with ``sample``.
     """
 
     __slots__ = ("dist",)
@@ -909,13 +888,21 @@ class _ThinkAndClass:
         self.dist = dist
 
     def sample_batch(self, rng, count: int) -> List[float]:
-        sample = self.dist.sample
+        dist = self.dist
         random_ = rng.random
         values: List[float] = []
         append = values.append
-        for _ in range(count >> 1):
-            append(sample(rng))
-            append(random_())
+        if type(dist) is Exponential:
+            # rng.expovariate(rate) as CPython computes it.
+            rate = 1.0 / dist.mean
+            for _ in range(count >> 1):
+                append(-_log(1.0 - random_()) / rate)
+                append(random_())
+        else:
+            sample = dist.sample
+            for _ in range(count >> 1):
+                append(sample(rng))
+                append(random_())
         return values
 
 
@@ -1283,10 +1270,17 @@ class _Replication:
         raises :class:`~repro.errors.SimulationError`.
 
         The loop body keeps the whole machine state in locals, the
-        pending-request mask included, and inlines the grant/kick
-        handlers, every request and grant, and the pick of a clean
-        class-blind pass: this is the sweep bottleneck, and attribute
-        traffic and calls dominate once event objects are gone.
+        pending and urgent masks included (and round robin's last
+        winner, FCFS's clock), and inlines the grant/kick handlers,
+        every request and grant, the pick of every key-free pass, the
+        clock-edge delay and the line-fault test: this is the sweep
+        bottleneck, and attribute traffic and calls dominate once event
+        objects are gone.  What stays a call per pass is rare: a key
+        map (a line fault due or a watchdog episode open), an FCFS scan
+        (an urgent pick, or a wrapped oldest request), and the passes of
+        ``rr-faulty-register`` on a classed lane or while an agent's view
+        of the last winner differs.  A watchdog hears of a clean grant
+        only while an episode is open.
 
         On a saturated bus one round runs per completion, on every lane:
         the release, its record, the think redraw, the grant of the
@@ -1330,25 +1324,23 @@ class _Replication:
         # runs never consult it.
         faulty = injector is not None
         # Only a lane with classed agents draws request classes and
-        # arbitrates on the class bit.  Every key-free pass of a lane is
-        # granted before the next pass, so an FCFS lane's kernel picks
-        # with a pop (_FcfsKernel.arbitrate_granted, which is a
-        # fault-free lane's arbitrate_classed).
+        # arbitrates on the class bit.
         classed = any(self.fractions)
         fcfs = isinstance(kernel, _FcfsKernel)
-        kernel_arbitrate = kernel.arbitrate_classed if classed else kernel.arbitrate
-        if faulty and fcfs:
-            kernel_arbitrate = kernel.arbitrate_granted
         # Every kernel's grant body is `pending &= ~bit; return issue`,
         # and its request body `pending |= bit; issue = now` plus the
         # class bit, and for FCFS the a-incr tick, the stamp and a push
-        # on the arrival heap: all are inlined below, over a pending
-        # mask the lane holds, as method calls are measurable at two
-        # calls per completion.  A class-free lane issues without the
-        # class bit; a fault-free class-free FCFS lane files its stamp
-        # in the heap alone (_FaultFreeFcfsKernel).  The lane copies its
-        # mask to the kernel before each kernel call it makes.
+        # on the arrival heap: all are inlined below, over pending and
+        # urgent masks, an FCFS clock and a-incr pulse time that the
+        # lane holds, as method calls are measurable at two calls per
+        # completion.  A class-free lane issues without the class bit; a
+        # fault-free class-free FCFS lane files its stamp in the heap
+        # alone (_FaultFreeFcfsKernel).  Before each kernel call it
+        # makes, the lane copies to the kernel what the call reads:
+        # ``pending``, ``urgent`` and ``clock`` (only ``request`` reads
+        # ``last_pulse``, and the lane makes no such call).
         pending = kernel.pending
+        urgent = kernel.urgent
         kernel_issue = kernel.issue
         heap_issue = fcfs and not (classed or faulty)
         simple_request = not (classed or fcfs)
@@ -1356,16 +1348,34 @@ class _Replication:
             arrivals = kernel.arrivals
             stamp = kernel.stamp
             aincr = kernel.strategy == 2
-        # A lane with no classed agent and no fault injector picks inline
-        # with its kernel's arbitrate: round robin, fixed priority, and
-        # fault-free FCFS (heap_issue).  Other lanes call their kernel.
-        clean = not (classed or faulty)
-        rr_impl = kernel.impl if clean and type(kernel) is _RoundRobinKernel else 0
-        top_pick = clean and type(kernel) is _FixedPriorityKernel
-        if rr_impl:
+            clock = kernel.clock
+            last_pulse = kernel.last_pulse
+            modulus = kernel.modulus
+        # Every lane picks the winner of a key-free pass inline, with its
+        # kernel's body, in one of these paths, chosen once: round robin
+        # (implementations 1-3, and unclassed rr-faulty-register while
+        # every agent's view is the last winner) on unclassed (rr_impl)
+        # and classed (urgent_rr) lanes; FCFS by a pop on fault-free
+        # unclassed lanes (heap_issue) and by the granted pick on the
+        # rest (granted), whose urgent and wrapped scans stay kernel
+        # calls; fixed priority unclassed (top_pick) and classed
+        # (top_classed).  Only rr-faulty-register passes on a classed
+        # lane, or while some agent's view differs, call the kernel.
+        register = type(kernel) is _FaultyRegisterKernel
+        rr = type(kernel) is _RoundRobinKernel or (register and not classed)
+        rr_impl = kernel.impl if rr and not classed else 0
+        urgent_rr = rr and classed
+        granted = fcfs and not heap_issue
+        top_pick = type(kernel) is _FixedPriorityKernel and not classed
+        top_classed = type(kernel) is _FixedPriorityKernel and classed
+        if rr:
+            # The lane holds the last winner, and hands it to the kernel
+            # around a key map and before a dropped broadcast.
             last_winner = kernel.last_winner
-            empty_low_rounds = 2 if rr_impl == 3 else 1
-            gated = rr_impl != 1
+            empty_low_rounds = 2 if kernel.impl == 3 else 1
+            gated = kernel.impl != 1
+        if register:
+            kernel_arbitrate = kernel.arbitrate_classed if classed else kernel.arbitrate
         fractions = self.fractions
         class_draws = self.class_draws
         req_heap = self.req_heap
@@ -1380,15 +1390,22 @@ class _Replication:
         active = self.active
         woke = self.woke
         # A synchronous bus samples the arbitration-start signal at the
-        # next clock edge, so its kick is fused only on an edge.
+        # next clock edge, so its kick is fused only on an edge.  Each
+        # kick and edge grant finds the edge inline, with the float
+        # operations of BusTiming.delay_to_next_edge: ``now`` is on an
+        # edge when its phase, or the rest of the period, is within the
+        # tolerance; otherwise the edge is the rest of the period away.
         timing = cell.settings.timing
         clocked = timing.synchronous
-        edge = timing.delay_to_next_edge
-        fuse = not clocked
+        period = timing.clock_period
         fault_actions = self.fault_actions
         fault_count = len(fault_actions)
         fault_idx = 0
         t_fault = fault_actions[0][0] if fault_actions else _INF
+        # A lower bound on the next time a line fault is due, so a pass
+        # tests for one with a float comparison, and asks the injector
+        # only once its time has come (FaultInjector.next_line_fault).
+        t_line = injector.next_line_fault(0.0) if faulty else _INF
 
         now = 0.0
         t_rel = t_arb = t_kick = t_retry = _INF
@@ -1435,10 +1452,10 @@ class _Replication:
                         elif heap_issue:
                             pending |= 1 << agent
                             kernel_issue[agent] = fire
-                            if aincr and fire - kernel.last_pulse > 0.0:
-                                kernel.clock += 1
-                                kernel.last_pulse = fire
-                            heappush(arrivals, (kernel.clock, -agent))
+                            if aincr and fire - last_pulse > 0.0:
+                                clock += 1
+                                last_pulse = fire
+                            heappush(arrivals, (clock, -agent))
                         else:
                             # As in the REQUEST branch below.
                             bit = 1 << agent
@@ -1446,14 +1463,14 @@ class _Replication:
                             kernel_issue[agent] = fire
                             fraction = fractions[agent]
                             if fraction > 0.0 and class_draws[agent]() < fraction:
-                                kernel.urgent |= bit
-                            elif kernel.urgent:
-                                kernel.urgent &= ~bit
+                                urgent |= bit
+                            elif urgent:
+                                urgent &= ~bit
                             if fcfs:
-                                if aincr and fire - kernel.last_pulse > 0.0:
-                                    kernel.clock += 1
-                                    kernel.last_pulse = fire
-                                stamp[agent] = clock = kernel.clock
+                                if aincr and fire - last_pulse > 0.0:
+                                    clock += 1
+                                    last_pulse = fire
+                                stamp[agent] = clock
                                 heappush(arrivals, (clock, -agent))
                     # Every other timer is infinite and no request timer
                     # is left before t_rel, so the release is next: no
@@ -1481,14 +1498,14 @@ class _Replication:
                             kernel_issue[agent] = fire
                             fraction = fractions[agent]
                             if fraction > 0.0 and class_draws[agent]() < fraction:
-                                kernel.urgent |= bit
-                            elif kernel.urgent:
-                                kernel.urgent &= ~bit
+                                urgent |= bit
+                            elif urgent:
+                                urgent &= ~bit
                             if fcfs:
-                                if aincr and fire - kernel.last_pulse > 0.0:
-                                    kernel.clock += 1
-                                    kernel.last_pulse = fire
-                                stamp[agent] = clock = kernel.clock
+                                if aincr and fire - last_pulse > 0.0:
+                                    clock += 1
+                                    last_pulse = fire
+                                stamp[agent] = clock
                                 heappush(arrivals, (clock, -agent))
                     tmin = t_rel if t_rel <= t_fault else t_fault
             else:
@@ -1550,9 +1567,7 @@ class _Replication:
                     t_done = now
                 else:
                     # The master's class bit is intact until its release.
-                    record_completion(
-                        agent, issue, master_grant, now, bool(kernel.urgent >> agent & 1)
-                    )
+                    record_completion(agent, issue, master_grant, now, bool(urgent >> agent & 1))
                 total += 1
                 if metrics is not None:
                     metrics.counter("completions").increment()
@@ -1560,7 +1575,7 @@ class _Replication:
                         now - issue
                     )
                     if flow_metrics:
-                        label = "urgent" if kernel.urgent >> agent & 1 else "normal"
+                        label = "urgent" if urgent >> agent & 1 else "normal"
                         metrics.counter(f"flow.share.agent.{agent}.{label}").increment()
                         metrics.histogram(f"wait.class.{label}", WAIT_BUCKETS).observe(
                             now - issue
@@ -1589,39 +1604,61 @@ class _Replication:
                     # absorb loop above), on every lane.
                     pending &= ~(1 << pending_winner)
                     master_issue = kernel_issue[pending_winner]
-                    if watchdog is not None:
+                    if watchdog is not None and watchdog.attempts:
+                        # on_clean_grant closes an open episode; with
+                        # none open it changes nothing.
                         watchdog.on_clean_grant(now)
                     busy = True
                     master = pending_winner
                     pending_winner = None
                     master_grant = now
                     t_rel = now + txn
-                    if tr > now and (fuse or not edge(now)):
+                elif t_kick != _INF or t_arb != _INF or t_retry != _INF:
+                    # A kick, arbitration or retry is pending: nothing
+                    # to schedule, and no pass runs this round.
+                    continue
+                # _schedule_arb_kick: a kick due now with nothing else at
+                # this instant is fused (kick_now); a clocked bus waits
+                # for the next edge, as at every kick below.
+                if clocked:
+                    phase = now % period
+                    tolerance = 1e-9 * now if now > 1.0 else 1e-9
+                    if phase > tolerance and period - phase > tolerance:
+                        t_kick = now + (period - phase)
+                    elif tr > now:
                         kick_now = True
                     else:
-                        t_kick = now + edge(now)
-                elif t_kick == _INF and t_arb == _INF and t_retry == _INF:
-                    if tr > now and (fuse or not edge(now)):
-                        kick_now = True
-                    else:
-                        t_kick = now + edge(now)
+                        t_kick = now
+                elif tr > now:
+                    kick_now = True
+                else:
+                    t_kick = now
             elif t_arb == tmin:  # ARBITRATION-COMPLETE or GRANT on an edge
                 # Always an idle bus (see the class docstring): hand
                 # over now, which is the next edge if clocked.
                 t_arb = _INF
                 pending &= ~(1 << arb_winner)
                 master_issue = kernel_issue[arb_winner]
-                if watchdog is not None:
+                if watchdog is not None and watchdog.attempts:
                     watchdog.on_clean_grant(now)
                 busy = True
                 master = arb_winner
                 master_grant = now
                 t_rel = now + txn
                 if t_kick == _INF and t_retry == _INF:
-                    if tr > now and (fuse or not edge(now)):
+                    if clocked:
+                        phase = now % period
+                        tolerance = 1e-9 * now if now > 1.0 else 1e-9
+                        if phase > tolerance and period - phase > tolerance:
+                            t_kick = now + (period - phase)
+                        elif tr > now:
+                            kick_now = True
+                        else:
+                            t_kick = now
+                    elif tr > now:
                         kick_now = True
                     else:
-                        t_kick = now + edge(now)
+                        t_kick = now
             elif tr == tmin:  # REQUEST — an agent's think timer expires
                 agent = heappop(req_heap)[2]
                 tr = req_heap[0][0]
@@ -1632,10 +1669,10 @@ class _Replication:
                     elif heap_issue:
                         pending |= 1 << agent
                         kernel_issue[agent] = now
-                        if aincr and now - kernel.last_pulse > 0.0:
-                            kernel.clock += 1
-                            kernel.last_pulse = now
-                        heappush(arrivals, (kernel.clock, -agent))
+                        if aincr and now - last_pulse > 0.0:
+                            clock += 1
+                            last_pulse = now
+                        heappush(arrivals, (clock, -agent))
                     else:
                         # A classed request, or a faulted FCFS lane's: the
                         # class drawn as BusAgent draws it (one uniform per
@@ -1646,14 +1683,14 @@ class _Replication:
                         kernel_issue[agent] = now
                         fraction = fractions[agent]
                         if fraction > 0.0 and class_draws[agent]() < fraction:
-                            kernel.urgent |= bit
-                        elif kernel.urgent:
-                            kernel.urgent &= ~bit
+                            urgent |= bit
+                        elif urgent:
+                            urgent &= ~bit
                         if fcfs:
-                            if aincr and now - kernel.last_pulse > 0.0:
-                                kernel.clock += 1
-                                kernel.last_pulse = now
-                            stamp[agent] = clock = kernel.clock
+                            if aincr and now - last_pulse > 0.0:
+                                clock += 1
+                                last_pulse = now
+                            stamp[agent] = clock
                             heappush(arrivals, (clock, -agent))
                     if (
                         t_kick == _INF
@@ -1661,10 +1698,19 @@ class _Replication:
                         and t_retry == _INF
                         and pending_winner is None
                     ):
-                        if tr > now and (fuse or not edge(now)):
+                        if clocked:
+                            phase = now % period
+                            tolerance = 1e-9 * now if now > 1.0 else 1e-9
+                            if phase > tolerance and period - phase > tolerance:
+                                t_kick = now + (period - phase)
+                            elif tr > now:
+                                kick_now = True
+                            else:
+                                t_kick = now
+                        elif tr > now:
                             kick_now = True
                         else:
-                            t_kick = now + edge(now)
+                            t_kick = now
                 else:
                     # Dropped out: swallow the expiry, remember it so
                     # rejoin restarts the generation loop (BusAgent).
@@ -1696,6 +1742,12 @@ class _Replication:
                     # FaultInjector._drop_broadcast: the victim skips the
                     # next winner it would record.
                     if on_bus:
+                        if rr_impl:
+                            # The victim will miss a broadcast, so views
+                            # can differ: hand the last winner to the
+                            # kernel, whose passes pick until they agree.
+                            kernel.last_winner = last_winner
+                            rr_impl = 0
                         kernel.drop_winner_observations(aid)
                         injector.count_applied(kind)
                     else:
@@ -1704,6 +1756,7 @@ class _Replication:
                     # FaultInjector._upset_counter: only a pending
                     # request's counter can be hit.
                     kernel.pending = pending
+                    kernel.clock = clock
                     if on_bus and kernel.glitch_counter(aid, fevent.value):
                         injector.count_applied(kind)
                     else:
@@ -1744,14 +1797,33 @@ class _Replication:
                 # falls on a clock edge.
                 kick_now = False
                 if not pending:
-                    pass
-                elif faulty and (watchdog.attempts or injector.line_fault_due(now)):
+                    continue
+                if faulty and (
+                    watchdog.attempts
+                    or t_line <= now
+                    and (t_line := injector.next_line_fault(now)) <= now
+                ):
                     # Fault-domain pass: a line fault is due or a
                     # recovery episode is open.  Expose the applied keys,
                     # perturb them, and route anomalies through the
                     # watchdog — mirroring _maybe_start_arbitration.
+                    # (The line-fault time is refreshed only once a pass
+                    # reaches it; perturb only consumes glitches and time
+                    # only ends windows, so it stays a lower bound.)
                     kernel.pending = pending
+                    kernel.urgent = urgent
+                    if rr_impl or urgent_rr:
+                        kernel.last_winner = last_winner
+                    if fcfs:
+                        kernel.clock = clock
                     winner, rounds, competitors, keys = kernel.arbitrate_keys()
+                    if fcfs:
+                        clock = kernel.clock
+                    if rr_impl or urgent_rr:
+                        last_winner = kernel.last_winner
+                    elif rr and not (kernel.stale or kernel.dropping):
+                        rr_impl = 1
+                        last_winner = kernel.last_winner
                     settle = arbt * rounds
                     perturbed = injector.perturb(
                         ArbitrationOutcome(
@@ -1789,38 +1861,30 @@ class _Replication:
                             # instant.
                             break
                         t_retry = now + (settle + delay)
-                    else:
-                        winner = perturbed.winner
-                        if perturbed.deviated:
-                            collector.record_deviation()
-                        if sinks:
-                            event = ArbitrationEvent(
-                                index=arb_index,
-                                time=now,
-                                competitors=_mask_ids(competitors),
-                                winner=winner,
-                                rounds=rounds,
-                                settle_time=settle,
-                                watchdog_attempt=watchdog.attempts,
-                                fault_tags=("deviated",) if perturbed.deviated else (),
-                            )
-                            arb_index += 1
-                            for sink in sinks:
-                                sink.emit(event)
-                        t_settled = now + settle
-                        if busy and t_settled < t_rel:
-                            # Same latch as the clean path: a clean
-                            # (or deviated) outcome on a busy bus
-                            # only latches the winner.
-                            pending_winner = winner
-                        else:
-                            arb_winner = winner
-                            t_arb = t_settled + edge(t_settled)
+                        continue
+                    winner = perturbed.winner
+                    if perturbed.deviated:
+                        collector.record_deviation()
+                    if sinks:
+                        event = ArbitrationEvent(
+                            index=arb_index,
+                            time=now,
+                            competitors=_mask_ids(competitors),
+                            winner=winner,
+                            rounds=rounds,
+                            settle_time=settle,
+                            watchdog_attempt=watchdog.attempts,
+                            fault_tags=("deviated",) if perturbed.deviated else (),
+                        )
+                        arb_index += 1
+                        for sink in sinks:
+                            sink.emit(event)
                 else:
                     # A clean pass: perturb would hand the outcome back
                     # untouched, and with no open recovery episode the
                     # event carries no attempt count, so the key-free
-                    # pass is exact.
+                    # pass is exact.  Its winner is granted before the
+                    # next pass.
                     if rr_impl:
                         # Implementation 3 settles twice when no agent is
                         # below the last winner; 2 and 3 report the gated set.
@@ -1836,17 +1900,75 @@ class _Replication:
                     elif heap_issue:
                         winner = -heappop(arrivals)[1]
                         if not aincr:
-                            kernel.clock += 1
+                            clock += 1
                         rounds = 1
                         competitors = pending
                     elif top_pick:
                         winner = pending.bit_length() - 1
                         rounds = 1
                         competitors = pending
+                    elif urgent_rr:
+                        # _RoundRobinKernel.arbitrate_classed: the highest
+                        # urgent request wins; 2 and 3 report the urgent
+                        # requests with the normal ones below the last
+                        # winner (3 even when there are none).
+                        low = pending & ((1 << last_winner) - 1)
+                        hot = urgent & pending
+                        rounds = 1
+                        if hot:
+                            winner = last_winner = hot.bit_length() - 1
+                            if sinks:
+                                low &= ~hot
+                                if gated and (low or empty_low_rounds == 2):
+                                    competitors = low | hot
+                                else:
+                                    competitors = pending
+                        else:
+                            if low:
+                                winner = last_winner = low.bit_length() - 1
+                            else:
+                                winner = last_winner = pending.bit_length() - 1
+                                rounds = empty_low_rounds
+                            if sinks:
+                                competitors = (low or pending) if gated else pending
+                    elif granted:
+                        # _FcfsKernel.arbitrate_granted: pop the oldest
+                        # live request unless it has wrapped.  An urgent
+                        # pick and a wrapped one scan (``scan``).
+                        scan = urgent & pending
+                        if not scan:
+                            while True:
+                                oldest, winner = arrivals[0]
+                                winner = -winner
+                                if pending >> winner & 1 and stamp[winner] == oldest:
+                                    break
+                                heappop(arrivals)
+                            if clock - oldest < modulus:
+                                heappop(arrivals)
+                            else:
+                                scan = pending
+                        if scan:
+                            kernel.pending = pending
+                            kernel.urgent = urgent
+                            kernel.clock = clock
+                            winner = kernel._scan_granted(scan)
+                        if not aincr:
+                            clock += 1
+                        rounds = 1
+                        competitors = pending
+                    elif top_classed:
+                        winner = ((urgent & pending) or pending).bit_length() - 1
+                        rounds = 1
+                        competitors = pending
                     else:
+                        # rr-faulty-register on a classed lane, or while
+                        # an agent's view differs from the last winner.
                         kernel.pending = pending
+                        kernel.urgent = urgent
                         winner, rounds, competitors = kernel_arbitrate()
-                    settle = arbt * rounds
+                        if rr and not (kernel.stale or kernel.dropping):
+                            rr_impl = 1
+                            last_winner = kernel.last_winner
                     if sinks:
                         event = ArbitrationEvent(
                             index=arb_index,
@@ -1854,30 +1976,34 @@ class _Replication:
                             competitors=_mask_ids(competitors),
                             winner=winner,
                             rounds=rounds,
-                            settle_time=settle,
+                            settle_time=arbt * rounds,
                         )
                         arb_index += 1
                         for sink in sinks:
                             sink.emit(event)
-                    t_settled = now + settle
-                    if busy and t_settled < t_rel:
-                        # The current master still owns the bus when the
-                        # lines settle, so the arbitration-complete
-                        # event's only effect would be to latch the
-                        # winner — fold it into this instant and save a
-                        # dispatch round per saturated transaction.
-                        # Strict `<`: at a settle/release tie the
-                        # calendar fires the release first and the
-                        # arbitration lands on an idle bus, a different
-                        # handler.
-                        pending_winner = winner
-                    else:
-                        # The lines settle on an idle bus; a clocked one
-                        # hands over at the next edge.  The winner is
-                        # not latched while it waits, so request
-                        # absorption stays off until then.
-                        arb_winner = winner
-                        t_arb = t_settled + edge(t_settled) if clocked else t_settled
+                t_settled = now + arbt * rounds
+                if busy and t_settled < t_rel:
+                    # The current master still owns the bus when the
+                    # lines settle, so the arbitration-complete event's
+                    # only effect would be to latch the winner — fold it
+                    # into this instant and save a dispatch round per
+                    # saturated transaction.  Strict `<`: at a
+                    # settle/release tie the calendar fires the release
+                    # first and the arbitration lands on an idle bus, a
+                    # different handler.
+                    pending_winner = winner
+                else:
+                    # The lines settle on an idle bus; a clocked one
+                    # hands over at the next edge.  The winner is not
+                    # latched while it waits, so request absorption
+                    # stays off until then.
+                    arb_winner = winner
+                    t_arb = t_settled
+                    if clocked:
+                        phase = t_settled % period
+                        tolerance = 1e-9 * t_settled if t_settled > 1.0 else 1e-9
+                        if phase > tolerance and period - phase > tolerance:
+                            t_arb = t_settled + (period - phase)
 
         collector.total_recorded = total
         if fast_record:

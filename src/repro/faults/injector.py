@@ -19,6 +19,7 @@ patterns collide) — the two anomaly classes the bus watchdog reacts to.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import inf
 from typing import TYPE_CHECKING, Dict, List, Mapping, Optional
 
 from repro.engine.simulator import EventPriority
@@ -191,6 +192,24 @@ class FaultInjector:
             if window.time <= now < window.end_time:
                 return True
         return False
+
+    def next_line_fault(self, now: float) -> float:
+        """The first time, from ``now`` on, at which a line fault is due.
+
+        That is the next glitch's time, or the start of a stuck-line
+        window that has not ended by ``now``, whichever is earlier
+        (``inf`` when neither is left), so :meth:`line_fault_due` at
+        ``now`` holds exactly when the result is ``<= now``.  Later on
+        the result stays a lower bound: :meth:`perturb` only consumes
+        glitches, and time only ends windows.  So an engine that holds
+        it can test a later pass with one comparison, and needs to ask
+        again only once that pass has reached it.
+        """
+        due = self._glitches[0].time if self._glitches else inf
+        for window in self._stuck:
+            if window.time < due and now < window.end_time:
+                due = window.time
+        return due
 
     def perturb(
         self, outcome: "ArbitrationOutcome", now: float

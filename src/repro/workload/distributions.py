@@ -80,6 +80,15 @@ class Distribution(abc.ABC):
         """
         return (type(self).__name__, self.mean, self.cv)
 
+    def __copy__(self) -> "Distribution":
+        """A shallow copy: a new object bound to the same attribute
+        values, made in one call rather than the three of ``copy.copy``'s
+        reduce protocol, since every run copies its stateful
+        distributions (:func:`~repro.workload.scenarios.fresh_scenario`)."""
+        twin = object.__new__(type(self))
+        twin.__dict__.update(self.__dict__)
+        return twin
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(mean={self.mean:.6g}, cv={self.cv:.3g})"
 

@@ -2,8 +2,9 @@
 
 Every FCFS kernel files each request in one arrival heap of
 ``(stamp, -agent)`` entries and picks a class-blind winner from its top
-(:class:`~repro.engine.batch._FcfsKernel`); a fault-free lane's kernel
-pops the top alone (:class:`~repro.engine.batch._FaultFreeFcfsKernel`).
+(:meth:`~repro.engine.batch._FcfsKernel.arbitrate_granted`); a
+fault-free unclassed lane's kernel pops the top alone
+(:meth:`~repro.engine.batch._FaultFreeFcfsKernel.arbitrate`).
 The reference here is a twin kernel driven through the same steps whose
 every pass is :meth:`~repro.engine.batch._FcfsKernel.arbitrate_keys`:
 the full key map, which the differential suites pin to the event
@@ -109,7 +110,10 @@ def _drive(kernel, twin, agents, classed, steps, faulted=False):
                 assert oldest < agents
             wrapped += not urgent and oldest >= modulus
             expected = twin.arbitrate_keys()[:3]
-            picked = kernel.arbitrate_classed() if classed else kernel.arbitrate()
+            if fresh:
+                picked = kernel.arbitrate()
+            else:
+                picked = kernel.arbitrate_granted()
             assert picked == expected
             twin.grant(expected[0])
             kernel.grant(expected[0])
@@ -258,7 +262,7 @@ def test_upset_counter_is_filed_again():
     assert kernel.counter[3] == 3 and (-2, -3) in kernel.arrivals
     filed = len(kernel.arrivals)
     assert kernel.glitch_counter(3, 3) and len(kernel.arrivals) == filed
-    assert kernel.arbitrate()[0] == 3
+    assert kernel.arbitrate_keys()[0] == 3
     kernel = _glitchable(3, steps + [("upset", 1, 3)] + [("arbitrate",)] * 2)
     assert kernel.pending == 0
     # Agent 1's upset counter 3 wins three anomalous passes while agents

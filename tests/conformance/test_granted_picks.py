@@ -2,8 +2,8 @@
 
 A lane grants the winner of each key-free pass before its next pass, so
 its FCFS kernel takes the winner's entry out of the arrival heap and
-files nothing again (``_FcfsKernel.arbitrate_granted``, which is also a
-fault-free lane's ``arbitrate_classed``).  Two picks pop nothing: an
+files nothing again (``_FcfsKernel.arbitrate_granted``, whose common
+case a lane runs inline).  Two picks pop nothing: an
 urgent pick and the scan a class-blind pass falls back to when its
 oldest request has wrapped.  Their winner's entry goes stale at the
 grant, and a scan refiles the heap once N stale entries have piled up.
@@ -237,17 +237,14 @@ def _starved(agents, rounds):
 
 
 def _drive(protocol, faulted, agents, steps):
-    """Run ``steps`` on the kernel a fault-free classed lane picks with
-    (``arbitrate_classed``), or a faulted lane's clean passes pick with
-    (``arbitrate_granted``), and on the event arbiter; return the
+    """Run ``steps`` on the kernel a fault-free classed lane, or a
+    faulted lane, picks its clean passes with (``arbitrate_granted``),
+    and on the event arbiter; return the
     winners of the class-blind passes whose oldest request had wrapped,
     with that oldest request's agent."""
-    if faulted:
-        kernel = _KERNELS[protocol](agents)
-        pick = kernel.arbitrate_granted
-    else:
-        kernel = _FAULT_FREE_KERNELS[protocol](agents)
-        pick = kernel.arbitrate_classed
+    kernels = _KERNELS if faulted else _FAULT_FREE_KERNELS
+    kernel = kernels[protocol](agents)
+    pick = kernel.arbitrate_granted
     arbiter = make_arbiter(protocol, agents)
     upsets = faulted and protocol == "fcfs-glitchable"
     # Granted picks, grants and requests keep at most 2N entries; an

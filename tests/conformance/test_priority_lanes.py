@@ -173,13 +173,18 @@ def test_kernel_keys_equal_event_arbiter_keys(protocol, agents, steps):
     # The fault injector perturbs the key map, so it must be exactly the
     # event arbiter's numbers, priority bit included: the same winner,
     # rounds and competitors on every pass, and the same keys on every
-    # pass that asks for them, whether or not the kernel's class-blind
-    # passes (arbitrate_classed) are interleaved.
-    from repro.engine.batch import _KERNELS
+    # pass that asks for them, whether or not the kernel's key-free
+    # passes (arbitrate_classed, or FCFS's granted pick) are
+    # interleaved.
+    from repro.engine.batch import _KERNELS, _FcfsKernel
     from repro.experiments.runner import make_arbiter
 
     arbiter = make_arbiter(protocol, agents)
     kernel = _KERNELS[protocol](agents)
+    # Every pass here is granted, so FCFS picks with the granted pick.
+    key_free = (
+        kernel.arbitrate_granted if isinstance(kernel, _FcfsKernel) else kernel.arbitrate_classed
+    )
     now = 0.0
     for step in steps:
         if step[0] == "request":
@@ -195,7 +200,7 @@ def test_kernel_keys_equal_event_arbiter_keys(protocol, agents, steps):
                 winner, rounds, competitors, keys = kernel.arbitrate_keys()
                 assert keys == dict(outcome.keys)
             else:
-                winner, rounds, competitors = kernel.arbitrate_classed()
+                winner, rounds, competitors = key_free()
             assert (winner, rounds) == (outcome.winner, outcome.rounds)
             assert competitors == sum(1 << agent for agent in outcome.competitors)
             arbiter.grant(winner, now)
